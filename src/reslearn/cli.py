@@ -280,11 +280,14 @@ def _experiment_grid_like(args, out_dir: Path, name: str, dims, sizes, sigmas,
                           methods, trials, fixed_teacher_dim=None) -> int:
     base_seed = args.seed if args.seed is not None else 0
     test_size = args.test_size
+    eps_tol = getattr(args, "eps_tol", None)
+    cfg = _pipeline_config(args)
     run_config = {
         "dims": dims, "sample_sizes": sizes, "noise_sigmas": sigmas,
         "methods": methods, "trials": trials, "base_seed": base_seed,
         "test_set_size": test_size, "input": args.input,
         "fixed_teacher": fixed_teacher_dim is not None,
+        "eps_tol": eps_tol,
     }
     path, payload = _resumable(out_dir, name, run_config)
     all_rows: list[TrialRow] = []
@@ -304,6 +307,7 @@ def _experiment_grid_like(args, out_dir: Path, name: str, dims, sizes, sigmas,
                         "trials": trials, "base_seed": base_seed,
                         "test_set_size": test_size, "input": args.input,
                         "fixed_teacher": fixed_teacher_dim is not None,
+                        "eps_tol": eps_tol,
                     }
                     key = _config_hash(cell_cfg)
                     if key in payload["cells"]:
@@ -318,6 +322,7 @@ def _experiment_grid_like(args, out_dir: Path, name: str, dims, sizes, sigmas,
                             rep = run_trial(
                                 unit, n, sigma, method, seed,
                                 test_set_size=test_size, input_kind=args.input,
+                                cfg=cfg,
                             )
                             rows.append(TrialRow(
                                 d=d, n=n, noise_sigma=sigma, method=method,

@@ -86,7 +86,9 @@ def lls_solve(inputs: Mat, targets: Mat) -> LlsFit:
 def invert(m: Mat, max_condition: float = MAX_CONDITION) -> Mat:
     """Invert a square matrix, refusing when the condition estimate is too large.
 
-    Raises SingularMatrixError for exactly singular input and
+    Raises SingularMatrixError when the smallest singular value is within
+    roundoff of zero (at most ``max(shape) * eps`` times the largest, the
+    level the SVD of an exactly singular matrix returns) and
     IllConditionedError (carrying the estimate) when cond_2 exceeds
     ``max_condition``.
     """
@@ -95,7 +97,7 @@ def invert(m: Mat, max_condition: float = MAX_CONDITION) -> Mat:
     if d0 != d1:
         raise DimensionMismatchError(f"expected square matrix, got {d0}x{d1}")
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= 0.0:
+    if sv[-1] <= d0 * np.finfo(a.dtype).eps * sv[0]:
         raise SingularMatrixError("matrix is singular")
     cond = float(sv[0] / sv[-1])
     if cond >= max_condition:

@@ -15,6 +15,14 @@ return value; the crash only biases which one comes back.
 Infeasibility is certified, not merely declared: the phase-1 duals are
 extracted and re-verified against the original data as a Farkas ray before
 the Infeasible status is returned.
+
+Cost model: the tableau is stored dense, but a pivot only updates the rows
+with a nonzero entry in the entering column times the columns where the
+pivot row is nonzero (the nonbasic columns and the rhs), so its work is
+touched rows x nonbasic columns. Assigning a row its own surplus during
+basis set-up is a row negation, O(columns). The update skips only entries
+that would change by exactly ``x - 0 * y``, so results are the same as with
+a full-tableau update.
 """
 
 from __future__ import annotations
@@ -27,14 +35,38 @@ _UNASSIGNED = -1
 
 
 def _pivot(tableau: np.ndarray, obj_row: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    """Gauss-Jordan pivot on (row, col), in place on tableau and obj_row.
+
+    Updates only rows with a nonzero entering-column entry times columns
+    where the normalised pivot row is nonzero; every other entry would
+    change by exactly ``x - 0 * y``. Basic columns are unit vectors with a
+    zero in the pivot row (the leaving one aside), so the work is touched
+    rows x nonbasic columns, and each updated entry sees the same float
+    operations as the full ``np.outer`` update.
+    """
+    prow = tableau[row]
+    prow /= prow[col]
+    cols = np.flatnonzero(prow)
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    rows = np.flatnonzero(factors)
+    tableau[np.ix_(rows, cols)] -= np.outer(factors[rows], prow[cols])
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
-    obj_row -= obj_row[col] * tableau[row]
+    obj_row[cols] -= obj_row[col] * prow[cols]
     obj_row[col] = 0.0
+
+
+def _negate_onto_surplus(tableau: np.ndarray, row: int, col: int) -> None:
+    """Pivot on (row, col) where column col is exactly -e_row.
+
+    Every other row has a zero factor, so the pivot is a negation of the row
+    followed by resetting the column to e_row: O(columns) work, the same
+    result as ``_pivot`` without its scans for nonzero entries.
+    """
+    tableau[row] *= -1.0
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
 
 
 class _Tableau:
@@ -97,9 +129,11 @@ class _Tableau:
     def complete_basis(self) -> None:
         """Give every remaining row a feasible basic variable.
 
-        Rows with nonpositive transformed rhs take their own surplus. Rows
-        with positive rhs take a still-pristine unit column (the slack
-        pattern of L1-penalty variables) when one exists, else an artificial.
+        Rows with nonpositive transformed rhs take their own surplus, which
+        is a row negation rather than a full pivot. Rows with positive rhs
+        take a still-pristine unit column (the slack pattern of L1-penalty
+        variables) when one exists, a pivot that only rescales the row, else
+        an artificial.
 
         The surplus branch accepts violations up to the feasibility
         tolerance: such rows are satisfied for reporting purposes anyway,
@@ -117,7 +151,9 @@ class _Tableau:
                 continue
             rhs = self.tableau[row, -1]
             if rhs <= tol:
-                _pivot(self.tableau, np.zeros(self.tableau.shape[1]), row, n + row)
+                # No pivot has used this row yet, so its surplus column is
+                # still exactly -e_row.
+                _negate_onto_surplus(self.tableau, row, n + row)
                 self.basis[row] = n + row
             elif row in unit_col_for_row:
                 col = unit_col_for_row[row]

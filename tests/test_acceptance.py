@@ -13,8 +13,9 @@ coordinate sweep of the feasible polytope must collapse to a point. The
 sweep uses an external LP routine so that the filter is independent of the
 solvers under test.
 
-Expected wall time for this file alone is roughly 20-30 minutes on one
-core; the noise-robustness trend dominates.
+Measured wall time for this file is about 4 minutes on a 2-core x86_64
+machine (numpy 2.4 with OpenBLAS at 2 threads); the noise-robustness trend
+(criterion 6) takes about 2.5 minutes of it.
 """
 
 import time

@@ -151,6 +151,34 @@ class TestExperiment:
         assert "done" not in stdout
         assert json.loads((out / "heatmap.json").read_text()) == ledger
 
+    def test_eps_tol_reaches_run_trial_and_keys_cells(self, tmp_path, capsys, monkeypatch):
+        import reslearn.cli as cli
+
+        seen = []
+        real_run_trial = cli.run_trial
+
+        def recording_run_trial(*args, **kwargs):
+            seen.append(kwargs.get("cfg"))
+            return real_run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_trial", recording_run_trial)
+        out = tmp_path / "exp"
+        argv = (
+            "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64",
+            "--methods", "lp", "--trials", "1", "--out", str(out),
+        )
+        code, _, _ = run(capsys, *argv, "--eps-tol", "0.5")
+        assert code == 0
+        assert [cfg.rescale.eps_tol for cfg in seen] == [0.5]
+        [cell] = json.loads((out / "heatmap.json").read_text())["cells"].values()
+        assert cell["config"]["eps_tol"] == 0.5
+
+        # a resumed run with another value recomputes its cells
+        code, stdout, _ = run(capsys, *argv, "--eps-tol", "0.25")
+        assert code == 0
+        assert "done" in stdout
+        assert [cfg.rescale.eps_tol for cfg in seen] == [0.5, 0.25]
+
     def test_vanilla_rates_study(self, tmp_path, capsys):
         out = tmp_path / "exp"
         code, stdout, _ = run(

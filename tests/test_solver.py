@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from reslearn.layer1 import HiddenSampleSet, build_hidden_row_lp
+from reslearn.layer2 import build_row_feasibility_lp, build_row_slack_lp
 from reslearn.model import NetworkGenSpec, generate_unit, sample, standard_mixture
 from reslearn.solver import (
     LpProblem,
@@ -11,6 +16,7 @@ from reslearn.solver import (
     solve_lp,
     solve_qp,
 )
+from reslearn.solver import simplex
 from reslearn.solver.split_ls import solve_separable_ls
 from reslearn.solver.types import load_problem, problem_from_json, problem_to_json, save_problem
 
@@ -209,6 +215,103 @@ class TestSimplexOnLayerPrograms:
             values.append(rep.objective_value * n)  # undo the 1/n scaling
         assert values[0] <= values[1] + 1e-9
         assert values[1] <= values[2] + 1e-9
+
+
+def dense_pivot(tableau, obj_row, row, col):
+    """Reference Gauss-Jordan pivot that updates the whole tableau."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    obj_row -= obj_row[col] * tableau[row]
+    obj_row[col] = 0.0
+
+
+# Zero or of magnitude in [1e-3, 1e3]: pivots on these cannot overflow, so
+# the only entries the sparse pivot skips are the exact x - 0*y ones.
+_entries = st.one_of(
+    st.just(0.0),
+    st.tuples(st.booleans(), st.floats(1e-3, 1e3)).map(lambda t: -t[1] if t[0] else t[1]),
+)
+
+
+@st.composite
+def pivot_cases(draw):
+    """A tableau with structural zeros and unit columns, an objective row,
+    and a pivot position with a nonzero entry outside the rhs column."""
+    m = draw(st.integers(1, 8))
+    cols = draw(st.integers(2, 12))
+    tableau = draw(hnp.arrays(np.float64, (m, cols), elements=_entries))
+    for col in draw(st.sets(st.integers(0, cols - 2), max_size=cols - 1)):
+        tableau[:, col] = 0.0
+        tableau[draw(st.integers(0, m - 1)), col] = 1.0
+    obj_row = draw(hnp.arrays(np.float64, cols, elements=_entries))
+    candidates = np.argwhere(tableau[:, :-1] != 0.0)
+    if candidates.size == 0:
+        tableau[0, 0] = 1.0
+        candidates = np.array([[0, 0]])
+    row, col = candidates[draw(st.integers(0, len(candidates) - 1))]
+    return tableau, obj_row, int(row), int(col)
+
+
+def assert_reports_identical(got, want, name):
+    assert got.status is want.status, name
+    assert got.iterations == want.iterations, name
+    assert np.array_equal(got.point, want.point), name
+    for field in ("dual", "certificate"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), (name, field)
+        assert a is None or np.array_equal(a, b), (name, field)
+
+
+class TestSparsePivot:
+    @given(pivot_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_pivot(self, case):
+        tableau, obj_row, row, col = case
+        want_t, want_o = tableau.copy(), obj_row.copy()
+        dense_pivot(want_t, want_o, row, col)
+        simplex._pivot(tableau, obj_row, row, col)
+        assert np.array_equal(tableau, want_t)
+        assert np.array_equal(obj_row, want_o)
+
+    @given(pivot_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_surplus_negation_matches_dense_pivot(self, case):
+        tableau, _obj_row, row, col = case
+        tableau[:, col] = 0.0
+        tableau[row, col] = -1.0
+        want = tableau.copy()
+        dense_pivot(want, np.zeros(want.shape[1]), row, col)
+        simplex._negate_onto_surplus(tableau, row, col)
+        assert np.array_equal(tableau, want)
+
+    def test_whole_solves_match_dense_pivot(self, monkeypatch):
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
+        clean = sample(unit, standard_mixture(4), 120, 0.0, seed=5)
+        noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
+        hidden = HiddenSampleSet(clean.xs, np.maximum(clean.xs @ unit.a.T, 0.0))
+        problems = {
+            "layer-2 feasibility": build_row_feasibility_lp(clean, 0),
+            "infeasible noisy row": build_row_feasibility_lp(noisy, 0),
+            "slack LP of that row": build_row_slack_lp(noisy, 0),
+            "layer-1 feasibility": build_hidden_row_lp(hidden, 0),
+        }
+        sparse = {name: solve_lp(prob) for name, prob in problems.items()}
+        assert sparse["infeasible noisy row"].status is SolveStatus.INFEASIBLE
+        assert sparse["infeasible noisy row"].certificate is not None
+        for name in ("layer-2 feasibility", "slack LP of that row", "layer-1 feasibility"):
+            assert sparse[name].status is SolveStatus.OPTIMAL, name
+
+        monkeypatch.setattr(simplex, "_pivot", dense_pivot)
+        monkeypatch.setattr(
+            simplex, "_negate_onto_surplus",
+            lambda tableau, row, col: dense_pivot(tableau, np.zeros(tableau.shape[1]), row, col),
+        )
+        for name, prob in problems.items():
+            assert_reports_identical(sparse[name], solve_lp(prob), name)
 
 
 class TestBuildSlackLp:
