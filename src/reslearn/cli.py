@@ -7,6 +7,12 @@ learn       fit a dataset with any method, write estimates and errors
 experiment  run one of the canned studies (heatmap, weight_robustness,
             noise_robustness, vanilla_lr_rates) with per-cell resume
 
+``learn`` fits through ``evaluation.fit_method``, the same dispatch every
+trial uses. The grid studies run each pending cell as a one-cell
+``evaluation.TrialGrid`` through ``evaluation.run_grid``; ``--jobs N``
+spreads a cell's trials over N worker processes, and the rows do not
+depend on N because every trial is seeded by content.
+
 Exit codes: 0 success, 2 bad configuration, 3 io failure, 4 solver
 failure, 5 evaluation/stage failure. Failures also print a single-line
 JSON object to stderr with the error class and message, so wrappers can
@@ -24,9 +30,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .baselines import SgdConfig, sgd_train, vanilla_lr
 from .errors import (
     DegenerateRowError,
     DimensionMismatchError,
@@ -36,19 +39,18 @@ from .errors import (
 )
 from .evaluation import (
     PipelineConfig,
+    TrialGrid,
+    TrialRow,
     aggregate_rows,
-    cell_seed,
-    full_pipeline,
+    fit_method,
     make_input_dist,
     relative_errors,
-    run_trial,
+    run_grid,
     run_success_rates,
     save_rows_csv,
-    teacher_seed,
-    TrialRow,
 )
 from .layer2 import RescaleConfig
-from .methods import ConvexMethod
+from .methods import ALL_METHODS, CONVEX_METHODS
 from .model import (
     NetworkGenSpec,
     derive_seed,
@@ -65,9 +67,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
 EXIT_EVAL = 5
-
-CONVEX = tuple(m.value for m in ConvexMethod)
-METHODS = CONVEX + ("sgd", "vanilla-lr")
 
 
 class ConfigError(Exception):
@@ -116,6 +115,14 @@ def _load_config_file(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
+def _methods(args: argparse.Namespace, default: list[str]) -> list[str]:
+    methods = args.methods.split(",") if args.methods else default
+    for m in methods:
+        if m not in ALL_METHODS:
+            raise ConfigError(f"unknown method {m!r}")
+    return methods
+
+
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "eps_tol", None) is not None:
         return PipelineConfig(rescale=RescaleConfig(eps_tol=args.eps_tol))
@@ -160,11 +167,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 # --- learn ---------------------------------------------------------------
 
-def _estimate_payloads(method: str, samples, seed: int, cfg: PipelineConfig):
-    """Run one method; returns (est_a, est_b, artifacts dict)."""
-    if method in CONVEX:
-        est1, est2 = full_pipeline(samples, method, cfg)
-        artifacts = {
+def _artifacts(method: str, result) -> dict:
+    """JSON form of one fit's result, as ``fit_method`` returned it."""
+    if method in CONVEX_METHODS:
+        est1, est2 = result
+        return {
             "layer1": {
                 "a_hat": est1.a_hat.tolist(),
                 "k_hat": est1.k_hat.tolist(),
@@ -176,14 +183,11 @@ def _estimate_payloads(method: str, samples, seed: int, cfg: PipelineConfig):
                 "c_hat": est2.c_hat.tolist(),
                 "b_hat": est2.b_hat.tolist(),
                 "k_hat": est2.k_hat.tolist(),
-                "used_path": est2.used_path.value,
                 "notes": list(est2.notes),
             },
         }
-        return est1.a_hat, est2.b_hat, artifacts
     if method == "sgd":
-        result = sgd_train(samples, SgdConfig(seed=derive_seed(seed, "sgd")))
-        artifacts = {
+        return {
             "sgd": {
                 "a_hat": result.a_hat.tolist(),
                 "b_hat": result.b_hat.tolist(),
@@ -191,24 +195,14 @@ def _estimate_payloads(method: str, samples, seed: int, cfg: PipelineConfig):
                 "final_loss": float(result.loss_trace[-1, 1]),
             }
         }
-        return result.a_hat, result.b_hat, artifacts
-    if method == "vanilla-lr":
-        result = vanilla_lr(samples)
-        if not result.success:
-            raise ReslearnError(
-                f"vanilla LR failed: {result.n_neg_used} negative / "
-                f"{result.n_pos_used} positive usable samples"
-            )
-        artifacts = {
-            "vanilla_lr": {
-                "a_hat": result.a_hat.tolist(),
-                "b_hat": result.b_hat.tolist(),
-                "n_neg_used": result.n_neg_used,
-                "n_pos_used": result.n_pos_used,
-            }
+    return {
+        "vanilla_lr": {
+            "a_hat": result.a_hat.tolist(),
+            "b_hat": result.b_hat.tolist(),
+            "n_neg_used": result.n_neg_used,
+            "n_pos_used": result.n_pos_used,
         }
-        return result.a_hat, result.b_hat, artifacts
-    raise ConfigError(f"unknown method {method!r}; pick one of {METHODS}")
+    }
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
@@ -218,12 +212,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if not data_path.exists():
         raise FileNotFoundError(f"dataset not found: {data_path}")
     method = args.method or "qp"
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; pick one of {METHODS}")
+    if method not in ALL_METHODS:
+        raise ConfigError(f"unknown method {method!r}; pick one of {ALL_METHODS}")
     samples = load_samples_csv(data_path)
     seed = args.seed if args.seed is not None else (samples.seed or 0)
-    cfg = _pipeline_config(args)
-    est_a, est_b, artifacts = _estimate_payloads(method, samples, seed, cfg)
+    est_a, est_b, result = fit_method(samples, method, seed, _pipeline_config(args))
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -233,7 +226,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "data": str(data_path),
         "seed": seed,
         "eps_tol": getattr(args, "eps_tol", None),
-        "estimates": artifacts,
+        "estimates": _artifacts(method, result),
     }
     if args.teacher:
         teacher_path = Path(args.teacher)
@@ -272,72 +265,43 @@ def _resumable(out_dir: Path, experiment: str, run_config: dict):
     return path, {"experiment": experiment, "config": run_config, "cells": {}}
 
 
-def _rows_from_records(records) -> list[TrialRow]:
-    return [TrialRow(**rec) for rec in records]
-
-
-def _experiment_grid_like(args, out_dir: Path, name: str, dims, sizes, sigmas,
-                          methods, trials, fixed_teacher_dim=None) -> int:
+def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
+                     methods, trials, fixed_teacher=False) -> int:
+    """Run each pending (d, n, sigma, method) cell through ``run_grid`` and
+    record it in the ledger as it finishes, so a rerun skips done cells."""
     base_seed = args.seed if args.seed is not None else 0
-    test_size = args.test_size
-    eps_tol = getattr(args, "eps_tol", None)
     cfg = _pipeline_config(args)
+    shared = {
+        "trials": trials, "base_seed": base_seed,
+        "test_set_size": args.test_size, "input": args.input,
+        "fixed_teacher": fixed_teacher,
+        "eps_tol": getattr(args, "eps_tol", None),
+    }
     run_config = {
         "dims": dims, "sample_sizes": sizes, "noise_sigmas": sigmas,
-        "methods": methods, "trials": trials, "base_seed": base_seed,
-        "test_set_size": test_size, "input": args.input,
-        "fixed_teacher": fixed_teacher_dim is not None,
-        "eps_tol": eps_tol,
+        "methods": methods, **shared,
     }
     path, payload = _resumable(out_dir, name, run_config)
-    all_rows: list[TrialRow] = []
-    for key in sorted(payload["cells"]):
-        all_rows.extend(_rows_from_records(payload["cells"][key]["rows"]))
+    all_rows = [
+        TrialRow(**rec)
+        for key in sorted(payload["cells"])
+        for rec in payload["cells"][key]["rows"]
+    ]
     for d in dims:
-        fixed_unit = None
-        if fixed_teacher_dim is not None:
-            fixed_unit = generate_unit(
-                NetworkGenSpec(d=d, m=d, seed=derive_seed(base_seed, "fixed-teacher", d))
-            )
         for n in sizes:
             for sigma in sigmas:
                 for method in methods:
-                    cell_cfg = {
-                        "d": d, "n": n, "sigma": sigma, "method": method,
-                        "trials": trials, "base_seed": base_seed,
-                        "test_set_size": test_size, "input": args.input,
-                        "fixed_teacher": fixed_teacher_dim is not None,
-                        "eps_tol": eps_tol,
-                    }
+                    cell_cfg = {"d": d, "n": n, "sigma": sigma, "method": method, **shared}
                     key = _config_hash(cell_cfg)
                     if key in payload["cells"]:
                         continue
-                    rows = []
-                    for trial in range(trials):
-                        seed = cell_seed(base_seed, d, n, sigma, method, trial)
-                        unit = fixed_unit or generate_unit(
-                            NetworkGenSpec(d=d, m=d, seed=teacher_seed(base_seed, d, trial))
-                        )
-                        try:
-                            rep = run_trial(
-                                unit, n, sigma, method, seed,
-                                test_set_size=test_size, input_kind=args.input,
-                                cfg=cfg,
-                            )
-                            rows.append(TrialRow(
-                                d=d, n=n, noise_sigma=sigma, method=method,
-                                trial=trial, seed=seed,
-                                layer1_rel=rep.layer1_rel, layer2_rel=rep.layer2_rel,
-                                output_rel=rep.output_rel,
-                            ))
-                        except ReslearnError as exc:
-                            rows.append(TrialRow(
-                                d=d, n=n, noise_sigma=sigma, method=method,
-                                trial=trial, seed=seed,
-                                layer1_rel=float("nan"), layer2_rel=float("nan"),
-                                output_rel=float("nan"),
-                                status="failed", message=str(exc),
-                            ))
+                    grid = TrialGrid(
+                        dims=(d,), sample_sizes=(n,), noise_sigmas=(sigma,),
+                        methods=(method,), trials_per_cell=trials,
+                        test_set_size=args.test_size, base_seed=base_seed,
+                        input_kind=args.input, fixed_teacher=fixed_teacher, cfg=cfg,
+                    )
+                    rows = run_grid(grid, jobs=args.jobs)
                     payload["cells"][key] = {
                         "config": cell_cfg,
                         "rows": [dataclasses.asdict(r) for r in rows],
@@ -361,38 +325,29 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if name == "heatmap":
         dims = _int_list(args.dims) if args.dims else [2, 4, 8]
         sizes = _int_list(args.sample_sizes) if args.sample_sizes else [64, 128, 256, 512]
-        methods = args.methods.split(",") if args.methods else ["qp", "sgd"]
-        for m in methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
+        methods = _methods(args, ["qp", "sgd"])
         trials = args.trials or 8
-        return _experiment_grid_like(
+        return _experiment_grid(
             args, out_dir, "heatmap", dims, sizes, [0.0], methods, trials
         )
     if name == "weight_robustness":
         d = args.d or 8
         n = args.n or 512
         units = args.trials or 32
-        methods = args.methods.split(",") if args.methods else ["qp", "sgd"]
-        for m in methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
+        methods = _methods(args, ["qp", "sgd"])
         # one trial per teacher: the spread across units is the study
-        return _experiment_grid_like(
+        return _experiment_grid(
             args, out_dir, "weight_robustness", [d], [n], [0.0], methods, units
         )
     if name == "noise_robustness":
         d = args.d or 10
         n = args.n or 512
         sigmas = _float_list(args.noise_sigmas) if args.noise_sigmas else [0.0, 0.05, 0.1, 0.2]
-        methods = args.methods.split(",") if args.methods else ["sgd", "qp", "slack-lp"]
-        for m in methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
+        methods = _methods(args, ["sgd", "qp", "slack-lp"])
         trials = args.trials or 8
-        return _experiment_grid_like(
+        return _experiment_grid(
             args, out_dir, "noise_robustness", [d], [n], sigmas, methods, trials,
-            fixed_teacher_dim=d,
+            fixed_teacher=True,
         )
     if name == "vanilla_lr_rates":
         dims = _int_list(args.dims) if args.dims else [4, 6]
@@ -441,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
         p.add_argument("--eps-tol", dest="eps_tol", type=float,
                        help="rescale regression residual gate")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for an experiment cell's trials "
+                            "(results do not depend on it)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--input", choices=["mixture", "gaussian"], default="mixture")
         p.add_argument("--test-size", dest="test_size", type=int, default=1000)
@@ -456,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(learn)
     learn.add_argument("--data", help="samples CSV path")
     learn.add_argument("--teacher", help="teacher JSON path (enables error report)")
-    learn.add_argument("--method", choices=METHODS)
+    learn.add_argument("--method", choices=ALL_METHODS)
     learn.set_defaults(func=cmd_learn)
 
     exp = sub.add_parser("experiment", help="run a canned study")

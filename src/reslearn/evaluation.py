@@ -11,16 +11,16 @@ Seeding is content-addressed: each (d, n, sigma, method, trial) cell hashes
 to its own seed, so any cell can be reproduced in isolation and results do
 not depend on execution order. Teachers are derived from (d, trial) only,
 which keeps them fixed while n, sigma, or the method vary — the shape the
-robustness and consistency studies need.
+robustness and consistency studies need; a fixed-teacher grid derives them
+from d alone. Every trial, grid cell, and CLI fit dispatches on the method
+name through ``fit_method``.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .baselines import SgdConfig, sgd_train, vanilla_lr
 from .errors import DimensionMismatchError, ReslearnError
 from .layer1 import HiddenSampleSet, Layer1Estimate, RowScaleConfig, learn_layer1
 from .layer2 import Layer2Estimate, RescaleConfig, learn_layer2
-from .methods import ConvexMethod
+from .methods import ALL_METHODS, CONVEX_METHODS, ConvexMethod
 from .model import (
     GaussianIid,
     InputDistribution,
@@ -42,9 +42,6 @@ from .model import (
     standard_mixture,
 )
 from .solver import SolverConfig
-
-CONVEX_METHODS = tuple(m.value for m in ConvexMethod)
-ALL_METHODS = CONVEX_METHODS + ("sgd", "vanilla-lr")
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,21 @@ class ErrorReport:
 
 
 @dataclass(frozen=True)
+class PipelineConfig:
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    rescale: RescaleConfig = field(default_factory=RescaleConfig)
+    row_scale: RowScaleConfig = field(default_factory=RowScaleConfig)
+
+
+@dataclass(frozen=True)
 class TrialGrid:
-    """A full experiment grid; every list axis is crossed with the others."""
+    """A full experiment grid; every list axis is crossed with the others.
+
+    Teachers vary with (d, trial) unless ``fixed_teacher`` is set, in which
+    case every trial of a dimension learns the same teacher, so the spread
+    across trials comes from the sampled data alone. ``cfg`` reaches every
+    convex-method trial.
+    """
 
     dims: tuple[int, ...]
     sample_sizes: tuple[int, ...]
@@ -73,6 +83,8 @@ class TrialGrid:
     test_set_size: int = 1000
     base_seed: int = 0
     input_kind: str = "mixture"  # "mixture" or "gaussian"
+    fixed_teacher: bool = False
+    cfg: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
         for name in ("dims", "sample_sizes", "noise_sigmas", "methods"):
@@ -145,14 +157,6 @@ def relative_errors(
 
 # --- pipeline ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    rescale: RescaleConfig = field(default_factory=RescaleConfig)
-    row_scale: RowScaleConfig = field(default_factory=RowScaleConfig)
-    assume_unique: bool = False
-
-
 def full_pipeline(
     samples: SampleSet,
     method: ConvexMethod | str = ConvexMethod.QP,
@@ -163,16 +167,38 @@ def full_pipeline(
     h samples, clipped at zero so downstream validation holds."""
     cfg = cfg or PipelineConfig()
     method = ConvexMethod.parse(method)
-    est2 = learn_layer2(
-        samples,
-        method,
-        solver_cfg=cfg.solver,
-        rescale_cfg=cfg.rescale,
-        assume_unique=cfg.assume_unique,
-    )
+    est2 = learn_layer2(samples, method, solver_cfg=cfg.solver, rescale_cfg=cfg.rescale)
     hidden = HiddenSampleSet(xs=samples.xs, hs=np.maximum(est2.xi_hat, 0.0))
     est1 = learn_layer1(hidden, method, solver_cfg=cfg.solver, scale_cfg=cfg.row_scale)
     return est1, est2
+
+
+def fit_method(
+    samples: SampleSet, method: str, seed: int, cfg: PipelineConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, object]:
+    """Fit one method to a training set; returns (a_hat, b_hat, result).
+
+    ``result`` is what the method's learner returned: the (Layer1Estimate,
+    Layer2Estimate) pair for the convex methods, an SgdResult, or a
+    VanillaLrResult. SGD derives its initialisation seed from ``seed``;
+    ``cfg`` reaches the convex methods only. A failed two-orthant
+    regression raises, so every returned result carries both estimates.
+    """
+    if method in CONVEX_METHODS:
+        result = full_pipeline(samples, method, cfg)
+        return result[0].a_hat, result[1].b_hat, result
+    if method == "sgd":
+        result = sgd_train(samples, SgdConfig(seed=derive_seed(seed, "sgd")))
+    elif method == "vanilla-lr":
+        result = vanilla_lr(samples)
+        if not result.success:
+            raise ReslearnError(
+                f"vanilla LR failed: {result.n_neg_used} negative / "
+                f"{result.n_pos_used} positive usable samples"
+            )
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
+    return result.a_hat, result.b_hat, result
 
 
 def run_trial(
@@ -197,22 +223,8 @@ def run_trial(
     dist = make_input_dist(input_kind, unit.d)
     train = sample(unit, dist, n, noise_sigma, seed=seed)
     test = sample(unit, dist, test_set_size, 0.0, seed=derive_seed(seed, "test"))
-    if method in CONVEX_METHODS:
-        est1, est2 = full_pipeline(train, method, cfg)
-        report = relative_errors(est1.a_hat, est2.b_hat, unit, test, method=method)
-    elif method == "sgd":
-        result = sgd_train(train, SgdConfig(seed=derive_seed(seed, "sgd")))
-        report = relative_errors(result.a_hat, result.b_hat, unit, test, method=method)
-    elif method == "vanilla-lr":
-        result = vanilla_lr(train)
-        if not result.success:
-            raise ReslearnError(
-                f"vanilla LR failed: {result.n_neg_used} negative / "
-                f"{result.n_pos_used} positive usable samples"
-            )
-        report = relative_errors(result.a_hat, result.b_hat, unit, test, method=method)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    est_a, est_b, _ = fit_method(train, method, seed, cfg)
+    report = relative_errors(est_a, est_b, unit, test, method=method)
     return ErrorReport(
         layer1_rel=report.layer1_rel,
         layer2_rel=report.layer2_rel,
@@ -238,7 +250,11 @@ def teacher_seed(base_seed: int, d: int, trial: int) -> int:
 
 
 def _grid_teacher(grid: TrialGrid, d: int, trial: int) -> ResidualUnit:
-    return generate_unit(NetworkGenSpec(d=d, m=d, seed=teacher_seed(grid.base_seed, d, trial)))
+    if grid.fixed_teacher:
+        seed = derive_seed(grid.base_seed, "fixed-teacher", d)
+    else:
+        seed = teacher_seed(grid.base_seed, d, trial)
+    return generate_unit(NetworkGenSpec(d=d, m=d, seed=seed))
 
 
 def _run_cell_trial(args) -> TrialRow:
@@ -250,6 +266,7 @@ def _run_cell_trial(args) -> TrialRow:
             unit, n, sigma, method, seed,
             test_set_size=grid.test_set_size,
             input_kind=grid.input_kind,
+            cfg=grid.cfg,
         )
         return TrialRow(
             d=d, n=n, noise_sigma=sigma, method=method, trial=trial, seed=seed,
@@ -341,7 +358,7 @@ def run_success_rates(
             successes = 0
             for trial in range(trials):
                 unit = generate_unit(
-                    NetworkGenSpec(d=d, m=d, seed=derive_seed(base_seed, "teacher", d, trial))
+                    NetworkGenSpec(d=d, m=d, seed=teacher_seed(base_seed, d, trial))
                 )
                 seed = derive_seed(base_seed, "vlr", d, n, float(input_mean), trial)
                 train = sample(unit, GaussianIid(dim=d, mean=input_mean), n, 0.0, seed=seed)
@@ -395,9 +412,3 @@ def load_rows_csv(path) -> list[TrialRow]:
                 )
             )
     return rows
-
-
-def save_aggregates_json(path, grid: TrialGrid, aggregates: list[dict]) -> None:
-    """Aggregated results with the generating config embedded for replay."""
-    payload = {"config": asdict(grid), "cells": aggregates}
-    Path(path).write_text(json.dumps(payload, indent=2))

@@ -21,29 +21,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    IllConditionedError,
     RankDeficientError,
     SingularCHatError,
-    SingularMatrixError,
     SolverFailedError,
 )
 from .methods import ConvexMethod
 from .model import SampleSet
-from .numerics import Mat, invert, lls_solve
+from .numerics import Mat, lls_solve, origin_fit
 from .solver import LpProblem, QpProblem, SolverConfig, SolveStatus
 from .solver.simplex import solve_lp
 from .solver.split_ls import solve_separable_ls
-
-
-class Layer2Path(str, Enum):
-    UNIQUE = "unique"
-    GENERAL_RESCALED = "general_rescaled"
 
 
 @dataclass(frozen=True)
@@ -86,14 +78,13 @@ class Layer2Estimate:
     d). ``k_hat`` holds the per-row scale factors actually divided out (all
     ones when nothing was detected). ``notes`` carries human-readable
     diagnostics: underdetermination warnings, rescale gate decisions, and
-    path fallbacks.
+    slack objectives of noisy rows.
     """
 
     c_hat: Mat
     b_hat: Mat
     xi_hat: Mat
     k_hat: np.ndarray
-    used_path: Layer2Path
     notes: tuple[str, ...] = ()
 
 
@@ -149,12 +140,7 @@ def build_row_slack_lp(samples: SampleSet, row: int) -> LpProblem:
 def _solve_c_qp(samples: SampleSet, cfg: SolverConfig) -> tuple[Mat, Mat]:
     # QP objective written as 1/2||(-Y)c + xi - (-x)||^2 per row of C, which
     # is the eliminated-form shape solved by solve_separable_ls.
-    coeffs, xi, info = solve_separable_ls(-samples.ys, -samples.xs, cfg)
-    if not info["converged"]:
-        raise SolverFailedError(
-            f"layer-2 QP did not converge in {info['iterations']} iterations "
-            f"(KKT tolerance {info['kkt_tol']:.1e})"
-        )
+    coeffs, xi, _info = solve_separable_ls(-samples.ys, -samples.xs, cfg)
     return coeffs.T.copy(), xi
 
 
@@ -216,13 +202,11 @@ def rescale_layer2(samples: SampleSet, c_hat: Mat, cfg: RescaleConfig | None = N
                 stacklevel=2,
             )
             continue
-        x_neg = xs[neg, j]
         cy_neg = cy[neg, j]
-        denom = float(x_neg @ x_neg)
-        if denom <= 0.0:
+        fit = origin_fit(xs[neg, j], cy_neg)
+        if fit is None:
             continue
-        slope = float(x_neg @ cy_neg) / denom
-        mse = float(np.mean((cy_neg - slope * x_neg) ** 2))
+        slope, mse = fit
         spread = float(np.var(cy_neg))
         if mse > cfg.eps_tol * max(spread, 1e-30):
             continue  # gate: residual too large, not a scale row
@@ -262,13 +246,14 @@ def learn_layer2(
     method: ConvexMethod | str = ConvexMethod.QP,
     solver_cfg: SolverConfig | None = None,
     rescale_cfg: RescaleConfig | None = None,
-    assume_unique: bool = False,
 ) -> Layer2Estimate:
     """Estimate C and B from samples; see the module docstring for the model.
 
-    ``assume_unique`` opts into the shortcut path for square, known
-    non-scale teachers: skip rescaling and invert C directly. If C turns
-    out singular the general path is used instead of failing.
+    Every method runs the same three stages: solve the row programs for C
+    and the hidden estimates, divide out the scale factors that
+    ``rescale_layer2`` detects, and read B off by least squares
+    (``recover_b_general``). Raises SolverFailedError when a row program
+    fails and SingularCHatError when the projected samples lose rank.
     """
     method = ConvexMethod.parse(method)
     solver_cfg = solver_cfg or SolverConfig()
@@ -290,22 +275,6 @@ def learn_layer2(
         )
         notes.extend(lp_notes)
 
-    if assume_unique and m == d:
-        try:
-            b_hat = invert(c_hat)
-            return Layer2Estimate(
-                c_hat=c_hat,
-                b_hat=b_hat,
-                xi_hat=xi_hat,
-                k_hat=np.ones(d),
-                used_path=Layer2Path.UNIQUE,
-                notes=tuple(notes),
-            )
-        except (SingularMatrixError, IllConditionedError) as exc:
-            notes.append(f"direct inversion failed ({exc}); falling back to rescaled path")
-    elif assume_unique:
-        notes.append(f"unique path needs m == d (got m={m}, d={d}); using rescaled path")
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         k_hat = rescale_layer2(samples, c_hat, rescale_cfg)
@@ -321,6 +290,5 @@ def learn_layer2(
         b_hat=b_hat,
         xi_hat=corrected_xi,
         k_hat=k_hat,
-        used_path=Layer2Path.GENERAL_RESCALED,
         notes=tuple(notes),
     )

@@ -1,4 +1,8 @@
-"""Learning-method labels shared by the layer learners, harness, and CLI."""
+"""Learning-method names shared by the layer learners, harness, and CLI.
+
+The names are defined here and nowhere else: the convex methods come from
+``ConvexMethod`` and the two reference learners follow them.
+"""
 
 from __future__ import annotations
 
@@ -29,3 +33,8 @@ class ConvexMethod(str, Enum):
                 f"unknown method {value!r}; expected one of "
                 f"{[m.value for m in cls]}"
             ) from None
+
+
+CONVEX_METHODS = tuple(m.value for m in ConvexMethod)
+BASELINE_METHODS = ("sgd", "vanilla-lr")
+ALL_METHODS = CONVEX_METHODS + BASELINE_METHODS

@@ -83,6 +83,20 @@ def lls_solve(inputs: Mat, targets: Mat) -> LlsFit:
     return LlsFit(coeffs=np.ascontiguousarray(coeffs_t.T), residual_norm=float(np.linalg.norm(residual)))
 
 
+def origin_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
+    """Through-origin regression of ``y`` on ``x``: (slope, mean squared
+    residual), or None when ``x @ x`` is not positive (no slope defined).
+
+    The scale detectors of both layers use this on the samples where their
+    relation is exactly linear, so the residual doubles as their gate.
+    """
+    denom = float(x @ x)
+    if denom <= 0.0:
+        return None
+    slope = float(x @ y) / denom
+    return slope, float(np.mean((y - slope * x) ** 2))
+
+
 def invert(m: Mat, max_condition: float = MAX_CONDITION) -> Mat:
     """Invert a square matrix, refusing when the condition estimate is too large.
 

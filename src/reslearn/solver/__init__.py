@@ -1,7 +1,13 @@
-"""Convex-program engines: dense two-phase simplex and operator-splitting QP."""
+"""Convex-program engines for the layer programs.
 
-from .admm import solve_nonneg_qp_batch, solve_qp
-from .assemble import build_slack_lp
+``simplex.solve_lp`` is a dense two-phase simplex with Farkas certificates
+(the LP and slack-LP routes). ``split_ls.solve_separable_ls`` solves the QP
+route's eliminated least-squares form by semismooth Newton. ``admm.solve_qp``
+is a general operator-splitting QP engine kept as the reference that the
+split solver is checked against.
+"""
+
+from .admm import solve_qp
 from .simplex import solve_lp
 from .types import (
     LpProblem,
@@ -9,10 +15,6 @@ from .types import (
     SolveReport,
     SolveStatus,
     SolverConfig,
-    load_problem,
-    problem_from_json,
-    problem_to_json,
-    save_problem,
 )
 
 __all__ = [
@@ -21,12 +23,6 @@ __all__ = [
     "SolveReport",
     "SolveStatus",
     "SolverConfig",
-    "build_slack_lp",
-    "load_problem",
-    "problem_from_json",
-    "problem_to_json",
-    "save_problem",
     "solve_lp",
-    "solve_nonneg_qp_batch",
     "solve_qp",
 ]

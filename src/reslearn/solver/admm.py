@@ -22,6 +22,14 @@ from scipy.linalg import cho_factor, cho_solve
 from ..errors import SolverFailedError
 from .types import QpProblem, SolveReport, SolveStatus, SolverConfig
 
+RHO = 0.1  # initial penalty
+SIGMA = 1e-6  # proximal regularization of the v-step
+ALPHA = 1.6  # over-relaxation
+MAX_REFACTOR = 10  # adaptive penalty updates allowed per solve
+CHECK_INTERVAL = 25  # iterations between residual checks
+STAT_TOL = 1e-6  # stationarity tolerance, relative to the linear term
+POLISH_ROUNDS = 3
+
 
 def _factor(hessian: np.ndarray, bounded: np.ndarray, sigma: float, rho: float):
     m = hessian + sigma * np.eye(hessian.shape[0])
@@ -42,7 +50,10 @@ def solve_nonneg_qp_batch(
     column q_j of ``linears`` at once.
 
     Returns the solution matrix (one column per problem) and an info dict
-    with iteration count, convergence flag, and the bound multipliers.
+    with the iteration count, the final penalty, and the bound multipliers.
+    The splitting runs until its residuals pass or ``cfg.max_iter`` is
+    spent, and the active-set polish then runs either way; solve_qp judges
+    the result by its stationarity residual.
     """
     cfg = cfg or SolverConfig()
     h = np.asarray(hessian, dtype=np.float64)
@@ -54,62 +65,54 @@ def solve_nonneg_qp_batch(
 
     if bounded.size == 0:
         # Unconstrained: one regularized solve is exact.
-        factor = _factor(h, bounded, cfg.sigma, 0.0)
+        factor = _factor(h, bounded, SIGMA, 0.0)
         v = cho_solve(factor, -q)
         lam = np.zeros_like(q)
-        info = {"iterations": 1, "converged": True, "dual": lam, "rho": 0.0}
+        info = {"iterations": 1, "dual": lam, "rho": 0.0}
         return v, info
 
-    rho = cfg.rho
-    factor = _factor(h, bounded, cfg.sigma, rho)
+    rho = RHO
+    factor = _factor(h, bounded, SIGMA, rho)
     v = np.zeros((n, k))
     z = np.zeros((bounded.size, k))
     y = np.zeros((bounded.size, k))
     refactors = 0
-    converged = False
     iterations = 0
 
     q_scale = max(1.0, float(np.abs(q).max()))
     while iterations < cfg.max_iter:
         iterations += 1
-        rhs = cfg.sigma * v - q
+        rhs = SIGMA * v - q
         rhs[bounded] += rho * z - y
         v = cho_solve(factor, rhs)
         ev = v[bounded]
-        ev_relaxed = cfg.alpha * ev + (1.0 - cfg.alpha) * z
+        ev_relaxed = ALPHA * ev + (1.0 - ALPHA) * z
         z_prev = z
         z = np.maximum(ev_relaxed + y / rho, 0.0)
         y = y + rho * (ev_relaxed - z)
 
-        if iterations % cfg.check_interval:
+        if iterations % CHECK_INTERVAL:
             continue
         r_prim = float(np.abs(ev - z).max(initial=0.0))
         r_dual = float(rho * np.abs(z - z_prev).max(initial=0.0))
         v_scale = max(1.0, float(np.abs(ev).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
-        if r_prim <= cfg.feas_tol * v_scale and r_dual <= cfg.stat_tol * max(1.0, q_scale):
-            converged = True
+        if r_prim <= cfg.feas_tol * v_scale and r_dual <= STAT_TOL * max(1.0, q_scale):
             break
-        if cfg.adaptive_rho and refactors < cfg.max_refactor:
+        if refactors < MAX_REFACTOR:
             ratio = (r_prim / max(v_scale, 1e-30)) / max(
                 r_dual / max(q_scale, 1e-30), 1e-30
             )
             if ratio > 25.0 or ratio < 0.04:
                 rho = float(np.clip(rho * np.sqrt(ratio), 1e-6, 1e6))
-                factor = _factor(h, bounded, cfg.sigma, rho)
+                factor = _factor(h, bounded, SIGMA, rho)
                 refactors += 1
 
     v[bounded] = np.maximum(v[bounded], 0.0)
-    if cfg.polish:
-        v = _polish_batch(h, q, bounded, v, cfg)
+    v = _polish_batch(h, q, bounded, v, cfg)
     lam_b = (h @ v + q)[bounded]
     lam = np.zeros((n, k))
     lam[bounded] = np.maximum(lam_b, 0.0)
-    info = {
-        "iterations": iterations,
-        "converged": converged or cfg.polish,
-        "dual": lam,
-        "rho": rho,
-    }
+    info = {"iterations": iterations, "dual": lam, "rho": rho}
     return v, info
 
 
@@ -136,7 +139,7 @@ def _polish_batch(
         active[bounded] = vc[bounded] <= 1e-6 * max(1.0, float(np.abs(vc).max()))
         best = vc
         best_obj = 0.5 * vc @ hessian @ vc + q[:, col] @ vc
-        for _ in range(cfg.polish_rounds):
+        for _ in range(POLISH_ROUNDS):
             free = ~active
             h_ff = hessian[np.ix_(free, free)]
             h_ff = h_ff + (1e-12 * max(1.0, np.trace(h_ff) / max(1, h_ff.shape[0]))) * np.eye(
@@ -152,7 +155,7 @@ def _polish_batch(
             bounded_mask[bounded] = True
             below = bounded_mask & free & (cand < -cfg.feas_tol * grad_scale)
             lam = hessian @ cand + q[:, col]
-            wrong_sign = active & (lam < -cfg.stat_tol * grad_scale)
+            wrong_sign = active & (lam < -STAT_TOL * grad_scale)
             if not below.any() and not wrong_sign.any():
                 cand[bounded_mask] = np.maximum(cand[bounded_mask], 0.0)
                 obj = 0.5 * cand @ hessian @ cand + q[:, col] @ cand
@@ -190,7 +193,7 @@ def solve_qp(problem: QpProblem, cfg: SolverConfig | None = None) -> SolveReport
     stat[idx] -= lam[idx]
     stat_resid = float(np.abs(stat).max(initial=0.0))
     scale = max(1.0, float(np.abs(problem.linear).max()))
-    ok = info["converged"] and stat_resid <= 10.0 * cfg.stat_tol * scale
+    ok = stat_resid <= 10.0 * STAT_TOL * scale
     status = SolveStatus.OPTIMAL if ok else SolveStatus.ITERATION_LIMIT
     return SolveReport(
         point=point,

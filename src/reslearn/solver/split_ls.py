@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from ..errors import SolverFailedError
 from .types import SolverConfig
 
 NEWTON_BUDGET = 200
@@ -123,7 +124,8 @@ def solve_separable_ls(
     Returns (coeffs (p x k), nonneg (n x k), info). ``coeffs`` stacks the
     free-block solutions u_j as columns; ``nonneg`` holds the eliminated
     slacks max(t_j - F u_j, 0), which satisfy their sign constraint and
-    complementarity exactly by construction.
+    complementarity exactly by construction. Raises SolverFailedError when
+    some column's Newton iteration ends without meeting the KKT tolerance.
 
     ``back_weight`` is the tie-break strength. Callers that must stay
     essentially on the constraint surface keep the default; callers whose
@@ -159,6 +161,11 @@ def solve_separable_ls(
         coeffs[:, j] = u
         iterations = max(iterations, used)
         converged = converged and ok
+    if not converged:
+        raise SolverFailedError(
+            f"split least squares did not converge in {iterations} iterations "
+            f"(KKT tolerance {tol:.1e})"
+        )
     nonneg = np.maximum(t - f @ coeffs, 0.0)
     info = {"iterations": iterations, "converged": converged, "kkt_tol": tol}
     return coeffs, nonneg, info

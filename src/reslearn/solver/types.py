@@ -9,16 +9,12 @@ Conventions used throughout the solver package:
 * ``QpProblem`` encodes  min 1/2 v' H v + q . v  subject to v_i >= 0 for the
   indices in ``nonneg_vars``; there are no general linear constraints because
   the layer programs only ever bound the function-estimate block.
-* Problems serialize to JSON (dense nested lists) so individual solves can be
-  replayed or cross-checked against an external solver.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -35,34 +31,21 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration budgets for both engines.
+    """Tolerances and iteration budgets shared by the engines.
 
-    The QP engine is an over-relaxed operator-splitting method with an
-    active-set polish; ``rho``/``sigma``/``alpha`` are its penalty,
-    regularization, and relaxation parameters. The LP engine is a dense
-    two-phase simplex; ``bland_after`` bounds how many consecutive
-    degenerate pivots are tolerated before switching to Bland's rule.
+    ``feas_tol`` and ``max_iter`` apply to every engine (the split
+    least-squares solver caps ``max_iter`` at its own Newton budget). The
+    LP engine is a dense two-phase simplex; ``pivot_tol`` is its smallest
+    admissible pivot and ``bland_after`` bounds how many consecutive
+    degenerate pivots are tolerated before switching to Bland's rule. The
+    ADMM reference engine keeps its own parameters as constants in
+    ``solver.admm``.
     """
 
     feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    stat_tol: float = 1e-6
     max_iter: int = 20_000
-    # QP engine knobs
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    adaptive_rho: bool = True
-    max_refactor: int = 10
-    polish: bool = True
-    polish_rounds: int = 3
-    check_interval: int = 25
-    # LP engine knobs
     pivot_tol: float = 1e-9
     bland_after: int = 64
-
-    def with_(self, **kwargs) -> "SolverConfig":
-        return replace(self, **kwargs)
 
 
 def _as_vector(value, name: str, length: int | None = None) -> np.ndarray:
@@ -181,57 +164,3 @@ class SolveReport:
     dual: np.ndarray | None = None
     certificate: np.ndarray | None = None
     message: str = ""
-
-
-# --- JSON round-trip -----------------------------------------------------
-
-def problem_to_json(problem) -> str:
-    if isinstance(problem, QpProblem):
-        payload = {
-            "type": "qp",
-            "hessian": problem.hessian.tolist(),
-            "linear": problem.linear.tolist(),
-            "nonneg_vars": list(problem.nonneg_vars),
-            "constant": problem.constant,
-            "var_layout": {k: list(v) for k, v in problem.var_layout.items()},
-        }
-    elif isinstance(problem, LpProblem):
-        payload = {
-            "type": "lp",
-            "objective": problem.objective.tolist(),
-            "ineq_lhs": problem.ineq_lhs.tolist(),
-            "ineq_rhs": problem.ineq_rhs.tolist(),
-            "nonneg_vars": list(problem.nonneg_vars),
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(problem).__name__}")
-    return json.dumps(payload)
-
-
-def problem_from_json(text: str):
-    payload = json.loads(text)
-    kind = payload.get("type")
-    if kind == "qp":
-        return QpProblem(
-            hessian=np.array(payload["hessian"], dtype=np.float64),
-            linear=np.array(payload["linear"], dtype=np.float64),
-            nonneg_vars=tuple(payload["nonneg_vars"]),
-            constant=float(payload.get("constant", 0.0)),
-            var_layout={k: tuple(v) for k, v in payload.get("var_layout", {}).items()},
-        )
-    if kind == "lp":
-        return LpProblem(
-            objective=np.array(payload["objective"], dtype=np.float64),
-            ineq_lhs=np.array(payload["ineq_lhs"], dtype=np.float64),
-            ineq_rhs=np.array(payload["ineq_rhs"], dtype=np.float64),
-            nonneg_vars=tuple(payload["nonneg_vars"]),
-        )
-    raise ValueError(f"unknown problem type {kind!r}")
-
-
-def save_problem(path, problem) -> None:
-    Path(path).write_text(problem_to_json(problem))
-
-
-def load_problem(path):
-    return problem_from_json(Path(path).read_text())

@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import reslearn.evaluation as evaluation
 from reslearn.cli import main
-from reslearn.model import load_samples_csv, load_unit_json
+from reslearn.evaluation import cell_seed, fit_method, run_trial
+from reslearn.model import (
+    NetworkGenSpec,
+    derive_seed,
+    generate_unit,
+    load_samples_csv,
+    load_unit_json,
+)
 
 
 def run(capsys, *argv):
@@ -72,6 +80,19 @@ class TestLearn:
         b_hat = np.array(payload["estimates"]["layer2"]["b_hat"])
         unit = load_unit_json(dataset / "teacher.json")
         np.testing.assert_allclose(b_hat, unit.b, atol=1e-9)
+
+    @pytest.mark.parametrize("method, key", [("sgd", "sgd"), ("vanilla-lr", "vanilla_lr")])
+    def test_baseline_estimates_match_fit_method(self, dataset, tmp_path, capsys, method, key):
+        out = tmp_path / "fit"
+        code, _, _ = run(
+            capsys, "learn", "--data", str(dataset / "samples.csv"),
+            "--method", method, "--seed", "4", "--out", str(out),
+        )
+        assert code == 0
+        stored = json.loads((out / "learn_result.json").read_text())["estimates"][key]
+        a_hat, b_hat, _ = fit_method(load_samples_csv(dataset / "samples.csv"), method, 4)
+        assert np.array_equal(stored["a_hat"], a_hat)
+        assert np.array_equal(stored["b_hat"], b_hat)
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -152,16 +173,14 @@ class TestExperiment:
         assert json.loads((out / "heatmap.json").read_text()) == ledger
 
     def test_eps_tol_reaches_run_trial_and_keys_cells(self, tmp_path, capsys, monkeypatch):
-        import reslearn.cli as cli
-
         seen = []
-        real_run_trial = cli.run_trial
+        real_run_trial = evaluation.run_trial
 
         def recording_run_trial(*args, **kwargs):
             seen.append(kwargs.get("cfg"))
             return real_run_trial(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_trial", recording_run_trial)
+        monkeypatch.setattr(evaluation, "run_trial", recording_run_trial)
         out = tmp_path / "exp"
         argv = (
             "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64",
@@ -178,6 +197,50 @@ class TestExperiment:
         assert code == 0
         assert "done" in stdout
         assert [cfg.rescale.eps_tol for cfg in seen] == [0.5, 0.25]
+
+    def test_jobs_reach_the_pool_and_keep_the_ledger(self, tmp_path, capsys, monkeypatch):
+        pools = []
+        real_pool = evaluation.ProcessPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", recording_pool)
+        ledgers = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            code, _, _ = run(
+                capsys, "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64",
+                "--methods", "lp,vanilla-lr", "--trials", "2", "--jobs", jobs,
+                "--out", str(out),
+            )
+            assert code == 0
+            ledgers[jobs] = (out / "heatmap.json").read_text()
+        assert pools == [2, 2]  # one pool per cell, and none for --jobs 1
+        assert ledgers["1"] == ledgers["2"]
+
+    def test_noise_robustness_rows_equal_run_trial_on_fixed_teacher(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        code, _, _ = run(
+            capsys, "experiment", "noise_robustness", "--d", "2", "--n", "64",
+            "--noise-sigmas", "0,0.1", "--methods", "qp,slack-lp,sgd", "--trials", "2",
+            "--seed", "3", "--out", str(out),
+        )
+        assert code == 0
+        unit = generate_unit(NetworkGenSpec(d=2, m=2, seed=derive_seed(3, "fixed-teacher", 2)))
+        ledger = json.loads((out / "noise_robustness.json").read_text())
+        rows = [row for cell in ledger["cells"].values() for row in cell["rows"]]
+        assert len(rows) == 12
+        for row in rows:
+            sigma, method, trial = row["noise_sigma"], row["method"], row["trial"]
+            seed = cell_seed(3, 2, 64, sigma, method, trial)
+            report = run_trial(unit, 64, sigma, method, seed)
+            assert row["seed"] == seed
+            assert row["status"] == "ok"
+            assert [row["layer1_rel"], row["layer2_rel"], row["output_rel"]] == [
+                report.layer1_rel, report.layer2_rel, report.output_rel
+            ]
 
     def test_vanilla_rates_study(self, tmp_path, capsys):
         out = tmp_path / "exp"

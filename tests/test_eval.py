@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from reslearn.evaluation import (
     run_grid,
     run_success_rates,
     run_trial,
-    save_aggregates_json,
     save_rows_csv,
     teacher_seed,
 )
@@ -244,15 +241,6 @@ class TestSerialization:
                 # nan breaks dataclass equality; compare the rest field-wise
                 assert rec.status == "failed" and np.isnan(rec.layer1_rel)
                 assert rec.message == orig.message
-
-    def test_aggregates_json(self, tmp_path):
-        grid = TrialGrid(dims=(2,), sample_sizes=(64,))
-        recs = aggregate_rows(synthetic_rows())
-        path = tmp_path / "agg.json"
-        save_aggregates_json(path, grid, recs)
-        payload = json.loads(path.read_text())
-        assert payload["config"]["dims"] == [2]
-        assert payload["cells"][1]["layer1_rel_mean"] == pytest.approx(0.2)
 
 
 class TestSuccessRates:

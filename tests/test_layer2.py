@@ -3,7 +3,6 @@ import pytest
 
 from reslearn.errors import DimensionMismatchError, ReslearnError
 from reslearn.layer2 import (
-    Layer2Path,
     RescaleConfig,
     build_row_feasibility_lp,
     build_row_qp,
@@ -83,7 +82,6 @@ class TestNoiselessRecovery:
         np.testing.assert_allclose(est.c_hat, np.linalg.inv(unit.b), atol=1e-6)
         xi_true = np.maximum(s.xs @ unit.a.T, 0.0)
         np.testing.assert_allclose(est.xi_hat, xi_true, atol=1e-6)
-        assert est.used_path is Layer2Path.GENERAL_RESCALED
         np.testing.assert_array_equal(est.k_hat, 1.0)  # non-scale teacher
 
     def test_qp_and_lp_estimates_agree(self):
@@ -103,13 +101,6 @@ class TestNoiselessRecovery:
         est = learn_layer2(s, method="qp")
         assert est.b_hat.shape == (3, 2)
         np.testing.assert_allclose(est.b_hat, b_tall, atol=1e-5)
-
-    def test_assume_unique_inverts_directly(self):
-        unit, s = make_samples(A_REF, B_REF, n=200, seed=4)
-        est = learn_layer2(s, method="qp", assume_unique=True)
-        assert est.used_path is Layer2Path.UNIQUE
-        np.testing.assert_allclose(est.b_hat @ est.c_hat, np.eye(2), atol=1e-7)
-        np.testing.assert_allclose(est.b_hat, unit.b, atol=1e-6)
 
 
 class TestScaleRows:

@@ -10,7 +10,14 @@ from reslearn.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from reslearn.numerics import MAX_CONDITION, as_matrix, invert, is_psd, lls_solve
+from reslearn.numerics import (
+    MAX_CONDITION,
+    as_matrix,
+    invert,
+    is_psd,
+    lls_solve,
+    origin_fit,
+)
 
 
 def rng(seed=0):
@@ -73,6 +80,36 @@ class TestLlsSolve:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             lls_solve(np.zeros((5, 2)), np.zeros((4, 1)))
+
+
+class TestOriginFit:
+    @pytest.mark.parametrize("k", [0.5, -2.0, 0.0, 0.125])
+    def test_exact_line(self, k):
+        x = np.array([1.0, -2.0, 3.0, 4.0])
+        slope, mse = origin_fit(x, k * x)
+        assert slope == k
+        assert mse == 0.0
+
+    def test_no_slope_without_spread(self):
+        from reslearn.errors import DegenerateRowError
+        from reslearn.layer1 import RowScaleConfig, _scale_fit_misfit, estimate_row_scale
+        from reslearn.layer2 import rescale_layer2
+        from reslearn.model import SampleSet
+
+        assert origin_fit(np.zeros(5), np.ones(5)) is None
+        tiny = np.full(20, 1e-170)  # squares underflow: x @ x == 0
+        assert origin_fit(tiny, np.ones(20)) is None
+
+        # each caller keeps its own outcome for a row with no defined slope:
+        # the layer-2 factor stays 1, the layer-1 misfit skips the row, and
+        # the layer-1 scale regression reports a degenerate row
+        samples = SampleSet(xs=-tiny.reshape(-1, 1), ys=rng(1).normal(size=(20, 1)))
+        np.testing.assert_array_equal(rescale_layer2(samples, np.eye(1)), [1.0])
+        xs = rng(2).normal(size=(20, 1))
+        hs = tiny.reshape(-1, 1)
+        assert _scale_fit_misfit(xs, hs, np.eye(1), RowScaleConfig()) == 0.0
+        with pytest.raises(DegenerateRowError, match="all zero"):
+            estimate_row_scale(xs, hs, [1.0], 0)
 
 
 class TestInvert:

@@ -6,19 +6,17 @@ from hypothesis.extra import numpy as hnp
 
 from reslearn.layer1 import HiddenSampleSet, build_hidden_row_lp
 from reslearn.layer2 import build_row_feasibility_lp, build_row_slack_lp
-from reslearn.model import NetworkGenSpec, generate_unit, sample, standard_mixture
+from reslearn.model import NetworkGenSpec, SampleSet, generate_unit, sample, standard_mixture
 from reslearn.solver import (
     LpProblem,
     QpProblem,
     SolveStatus,
     SolverConfig,
-    build_slack_lp,
     solve_lp,
     solve_qp,
 )
 from reslearn.solver import simplex
 from reslearn.solver.split_ls import solve_separable_ls
-from reslearn.solver.types import load_problem, problem_from_json, problem_to_json, save_problem
 
 
 def rng(seed=0):
@@ -58,29 +56,6 @@ class TestProblemTypes:
     def test_qp_objective_includes_constant(self):
         prob = QpProblem(hessian=np.eye(1), linear=[-1.0], constant=0.5)
         assert prob.objective([1.0]) == pytest.approx(0.0)
-
-    def test_json_roundtrip(self):
-        qp = QpProblem(
-            hessian=np.eye(2), linear=[1.0, -1.0], nonneg_vars=(1,),
-            constant=2.0, var_layout={"c_row": (0, 1)},
-        )
-        back = problem_from_json(problem_to_json(qp))
-        np.testing.assert_array_equal(back.hessian, qp.hessian)
-        assert back.nonneg_vars == (1,)
-        assert back.constant == 2.0
-        assert back.var_layout == {"c_row": (0, 1)}
-
-        lp = LpProblem(objective=[0.0, 1.0], ineq_lhs=[[1.0, 2.0]], ineq_rhs=[3.0], nonneg_vars=(0,))
-        back = problem_from_json(problem_to_json(lp))
-        np.testing.assert_array_equal(back.ineq_lhs, lp.ineq_lhs)
-        assert back.nonneg_vars == (0,)
-
-    def test_file_roundtrip(self, tmp_path):
-        lp = LpProblem(objective=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0])
-        path = tmp_path / "prob.json"
-        save_problem(path, lp)
-        back = load_problem(path)
-        np.testing.assert_array_equal(back.objective, lp.objective)
 
 
 class TestSimplexTextbook:
@@ -204,15 +179,20 @@ class TestSimplexOnLayerPrograms:
             assert rep.max_infeasibility <= 1e-7
 
     def test_slack_objective_monotone_in_sample_prefix(self):
-        # appending constraints can only grow the minimal total violation
+        # appending constraints can only grow the minimal total violation;
+        # the slack LP over all of C decouples into the d row programs, so
+        # its optimum is the sum of theirs
         unit = generate_unit(NetworkGenSpec(d=2, m=2, seed=8, require_non_scale_transform=True))
         s = sample(unit, standard_mixture(2), 60, 0.3, seed=9)
         values = []
         for n in (20, 40, 60):
-            prob = build_slack_lp(s.xs[:n], s.ys[:n])
-            rep = solve_lp(prob)
-            assert rep.status is SolveStatus.OPTIMAL
-            values.append(rep.objective_value * n)  # undo the 1/n scaling
+            prefix = SampleSet(xs=s.xs[:n], ys=s.ys[:n])
+            total = 0.0
+            for row in range(2):
+                rep = solve_lp(build_row_slack_lp(prefix, row))
+                assert rep.status is SolveStatus.OPTIMAL
+                total += rep.objective_value * n  # undo the 1/n scaling
+            values.append(total)
         assert values[0] <= values[1] + 1e-9
         assert values[1] <= values[2] + 1e-9
 
@@ -314,43 +294,6 @@ class TestSparsePivot:
             assert_reports_identical(sparse[name], solve_lp(prob), name)
 
 
-class TestBuildSlackLp:
-    def test_layout_contract(self):
-        g = rng(4)
-        xs = g.normal(size=(5, 2))
-        ys = g.normal(size=(5, 3))
-        prob = build_slack_lp(xs, ys, d=2, m=3)
-        n_c = 2 * 3
-        assert prob.n_vars == n_c + 5 * 2
-        assert prob.n_rows == 5 * 2
-        assert prob.nonneg_vars == tuple(range(n_c, prob.n_vars))
-        # row for (sample i, coordinate j) reads C[j, :] y_i + zeta_ij >= x_ij
-        for i in range(5):
-            for j in range(2):
-                row = prob.ineq_lhs[i * 2 + j]
-                np.testing.assert_array_equal(row[j * 3 : (j + 1) * 3], ys[i])
-                assert row[n_c + i * 2 + j] == 1.0
-                assert prob.ineq_rhs[i * 2 + j] == xs[i, j]
-        # objective touches only the slack block, scaled by 1/n
-        np.testing.assert_array_equal(prob.objective[:n_c], 0.0)
-        np.testing.assert_array_equal(prob.objective[n_c:], 1.0 / 5)
-
-    def test_noiseless_data_admits_zero_objective(self):
-        unit = generate_unit(NetworkGenSpec(d=2, m=2, seed=15, require_non_scale_transform=True))
-        s = sample(unit, standard_mixture(2), 50, 0.0, seed=16)
-        rep = solve_lp(build_slack_lp(s.xs, s.ys))
-        assert rep.status is SolveStatus.OPTIMAL
-        assert rep.objective_value <= 1e-8
-
-    def test_dimension_checks(self):
-        from reslearn.errors import DimensionMismatchError
-
-        with pytest.raises(DimensionMismatchError):
-            build_slack_lp(np.zeros((3, 2)), np.zeros((4, 2)))
-        with pytest.raises(DimensionMismatchError):
-            build_slack_lp(np.zeros((3, 2)), np.zeros((3, 2)), d=5)
-
-
 class TestQpEngine:
     def test_unconstrained_matches_linear_solve(self):
         g = rng(5)
@@ -438,6 +381,17 @@ class TestSeparableLs:
         for col in range(3):
             single, _, _ = solve_separable_ls(f, t[:, [col]])
             np.testing.assert_allclose(coeffs[:, col], single[:, 0], atol=1e-9)
+
+    def test_not_converged_raises(self):
+        # a zero iteration budget leaves the least-squares warm start, whose
+        # one-sided gradient is nonzero on mixed-sign residuals
+        from reslearn.errors import SolverFailedError
+
+        g = rng(10)
+        f = g.normal(size=(30, 2))
+        t = g.normal(size=(30, 2))
+        with pytest.raises(SolverFailedError, match="did not converge"):
+            solve_separable_ls(f, t, SolverConfig(max_iter=0))
 
     def test_info_reports_tolerance_and_iterations(self):
         g = rng(9)
