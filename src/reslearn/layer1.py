@@ -75,7 +75,10 @@ class RowScaleConfig:
     clamped with a warning; fewer than ``min_pos_samples`` activated
     samples raise DegenerateRowError. ``soft_gate`` bounds the relative
     scale-regression residual above which the slack route stops trusting
-    the hard feasibility vertex (see learn_layer1).
+    the hard feasibility vertex (see learn_layer1); a row whose response
+    over the activated samples is at roundoff next to h_j (n * eps times
+    its largest activated value) counts as above any gate, because the
+    vertex then sits at the trivial a = 0 rather than on a scaled row.
     """
 
     activation_rel: float = 1e-8
@@ -161,9 +164,12 @@ def _scale_fit_misfit(xs: Mat, hs: Mat, raw_a: Mat, cfg: RowScaleConfig) -> floa
     exactly over the activated samples of every row, so this is ~0 there
     and grows with label noise carried into h. The slack route uses it to
     decide whether the hard feasibility vertex still reflects the
-    scaled-row structure.
+    scaled-row structure. A row whose activated response is at roundoff
+    next to h_j (the trivial vertex a = 0, exactly or up to solver noise)
+    carries no scaled-row structure at all, so its misfit is infinite.
     """
     worst = 0.0
+    roundoff = xs.shape[0] * np.finfo(np.float64).eps
     for j in range(raw_a.shape[0]):
         h_j = hs[:, j]
         active = _activated(h_j, cfg)
@@ -173,6 +179,8 @@ def _scale_fit_misfit(xs: Mat, hs: Mat, raw_a: Mat, cfg: RowScaleConfig) -> floa
         fit = origin_fit(h_j[active], response)
         if fit is None:
             continue
+        if np.abs(response).max() <= roundoff * np.abs(h_j[active]).max():
+            return np.inf
         worst = max(worst, fit[1] / max(float(np.var(response)), 1e-30))
     return worst
 

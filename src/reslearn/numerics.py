@@ -13,18 +13,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_triangular
 
-from .errors import (
-    DimensionMismatchError,
-    IllConditionedError,
-    NotSymmetricError,
-    RankDeficientError,
-    SingularMatrixError,
-)
+from .errors import DimensionMismatchError, NotSymmetricError, RankDeficientError
 
 Mat = NDArray[np.float64]
-
-#: Condition-number ceiling above which `invert` refuses to proceed.
-MAX_CONDITION = 1e12
 
 
 def as_matrix(value, name: str = "matrix") -> Mat:
@@ -95,30 +86,6 @@ def origin_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
         return None
     slope = float(x @ y) / denom
     return slope, float(np.mean((y - slope * x) ** 2))
-
-
-def invert(m: Mat, max_condition: float = MAX_CONDITION) -> Mat:
-    """Invert a square matrix, refusing when the condition estimate is too large.
-
-    Raises SingularMatrixError when the smallest singular value is within
-    roundoff of zero (at most ``max(shape) * eps`` times the largest, the
-    level the SVD of an exactly singular matrix returns) and
-    IllConditionedError (carrying the estimate) when cond_2 exceeds
-    ``max_condition``.
-    """
-    a = as_matrix(m, "matrix")
-    d0, d1 = a.shape
-    if d0 != d1:
-        raise DimensionMismatchError(f"expected square matrix, got {d0}x{d1}")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= d0 * np.finfo(a.dtype).eps * sv[0]:
-        raise SingularMatrixError("matrix is singular")
-    cond = float(sv[0] / sv[-1])
-    if cond >= max_condition:
-        raise IllConditionedError(
-            f"condition estimate {cond:.3e} exceeds {max_condition:.1e}", cond
-        )
-    return np.linalg.solve(a, np.eye(d0))
 
 
 def is_psd(m: Mat, tol: float = 1e-8) -> bool:

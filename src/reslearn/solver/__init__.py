@@ -1,6 +1,6 @@
 """Convex-program engines for the layer programs.
 
-``simplex.solve_lp`` is a dense two-phase simplex with Farkas certificates
+``simplex.solve_lp`` is a two-phase dictionary simplex with Farkas certificates
 (the LP and slack-LP routes). ``split_ls.solve_separable_ls`` solves the QP
 route's eliminated least-squares form by semismooth Newton. ``admm.solve_qp``
 is a general operator-splitting QP engine kept as the reference that the

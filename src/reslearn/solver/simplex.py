@@ -1,4 +1,4 @@
-"""Dense two-phase tableau simplex for the package's LP shapes.
+"""Two-phase dictionary simplex for the package's LP shapes.
 
 The constraint form is  lhs @ v >= rhs  with a (possibly empty) subset of
 nonnegative variables; every remaining variable is free. Free variables are
@@ -16,13 +16,25 @@ Infeasibility is certified, not merely declared: the phase-1 duals are
 extracted and re-verified against the original data as a Farkas ray before
 the Infeasible status is returned.
 
-Cost model: the tableau is stored dense, but a pivot only updates the rows
-with a nonzero entry in the entering column times the columns where the
-pivot row is nonzero (the nonbasic columns and the rhs), so its work is
-touched rows x nonbasic columns. Assigning a row its own surplus during
-basis set-up is a row negation, O(columns). The update skips only entries
-that would change by exactly ``x - 0 * y``, so results are the same as with
-a full-tableau update.
+Variables are numbered structural (n) | surplus (m, one per row, column
+-e_row) | artificial (one per row that needs one). Pricing and eviction
+break ties by the lowest variable index.
+
+Cost model: the tableau is a dictionary that stores only the nonbasic
+columns and the rhs, m x (n + #artificials + 1), column-major. A basic
+column is an implicit unit vector in its row; ``basis`` names each row's
+basic variable and ``var_of_slot`` the variable held by each stored column.
+A row that has no basic variable yet implicitly holds its own surplus,
+whose column is still exactly -e_row; giving the row that surplus is a row
+negation. A pivot swaps the entering and leaving variables between the
+basis and the entering column's slot and updates only the slots where the
+pivot row is nonzero, so its work is m x (nonzeros in the pivot row) plus
+scans of one row and one column. Every stored entry sees the same float
+operations as in the full tableau [lhs | -I | artificials | rhs], so the
+pivot sequence, the terminal basis and the Farkas check are those of the
+full tableau. The terminal point is re-solved from the rows that basis
+holds tight, a system no larger than the basic structural variables. A
+feasibility LP therefore never allocates an m x m array.
 """
 
 from __future__ import annotations
@@ -34,43 +46,40 @@ from .types import LpProblem, SolveReport, SolveStatus, SolverConfig
 _UNASSIGNED = -1
 
 
-def _pivot(tableau: np.ndarray, obj_row: np.ndarray, row: int, col: int) -> None:
-    """Gauss-Jordan pivot on (row, col), in place on tableau and obj_row.
+def _pivot(
+    tableau: np.ndarray, obj_row: np.ndarray | None, row: int, slot: int, coef: float = 1.0
+) -> None:
+    """Dictionary pivot on (row, slot), in place on tableau and obj_row.
 
-    Updates only rows with a nonzero entering-column entry times columns
-    where the normalised pivot row is nonzero; every other entry would
-    change by exactly ``x - 0 * y``. Basic columns are unit vectors with a
-    zero in the pivot row (the leaving one aside), so the work is touched
-    rows x nonbasic columns, and each updated entry sees the same float
-    operations as the full ``np.outer`` update.
+    The variable in ``slot`` enters the basis in ``row`` and the slot takes
+    over the leaving variable, whose implicit column has entry ``coef`` in
+    ``row`` (1 for a basic variable, -1 for the surplus of a row without
+    one). Only the slots where the normalised pivot row is nonzero are
+    updated; every other entry would change by exactly ``x - 0 * y``. Each
+    updated entry sees the float operations of the full-tableau
+    Gauss-Jordan pivot, including the leaving column's ``coef / pivot`` in
+    ``row`` and ``0 - factor * (coef / pivot)`` elsewhere; rows with a zero
+    factor can differ from it only in the sign of a zero.
     """
-    prow = tableau[row]
-    prow /= prow[col]
-    cols = np.flatnonzero(prow)
-    factors = tableau[:, col].copy()
+    pivot = tableau[row, slot]
+    factors = tableau[:, slot].copy()
     factors[row] = 0.0
-    rows = np.flatnonzero(factors)
-    tableau[np.ix_(rows, cols)] -= np.outer(factors[rows], prow[cols])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    obj_row[cols] -= obj_row[col] * prow[cols]
-    obj_row[col] = 0.0
-
-
-def _negate_onto_surplus(tableau: np.ndarray, row: int, col: int) -> None:
-    """Pivot on (row, col) where column col is exactly -e_row.
-
-    Every other row has a zero factor, so the pivot is a negation of the row
-    followed by resetting the column to e_row: O(columns) work, the same
-    result as ``_pivot`` without its scans for nonzero entries.
-    """
-    tableau[row] *= -1.0
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    tableau[:, slot] = 0.0
+    prow = tableau[row] / pivot
+    prow[slot] = coef / pivot
+    tableau[row] = prow
+    cols = prow.nonzero()[0]
+    # the touched columns are rows of the transpose, which numpy gathers and
+    # scatters fastest when the tableau is column-major
+    tableau.T[cols] -= prow[cols, None] * factors
+    if obj_row is not None:
+        entering_cost = obj_row[slot]
+        obj_row[slot] = 0.0
+        obj_row[cols] -= entering_cost * prow[cols]
 
 
 class _Tableau:
-    """Mutable simplex state: equality tableau, basis, and column roles."""
+    """Mutable simplex state: dictionary tableau, basis, and column roles."""
 
     def __init__(self, problem: LpProblem, cfg: SolverConfig):
         self.problem = problem
@@ -78,17 +87,36 @@ class _Tableau:
         n, m = problem.n_vars, problem.n_rows
         self.n_struct = n
         self.n_rows = m
-        # columns: structural (n) | surplus (m) | artificials (appended) | rhs
-        self.tableau = np.hstack(
-            [problem.ineq_lhs, -np.eye(m), problem.ineq_rhs.reshape(-1, 1)]
-        )
+        # stored columns: nonbasic variables (structural ones first) | rhs,
+        # column-major because pivots and ratio tests work down columns
+        self.tableau = np.empty((m, n + 1), order="F")
+        self.tableau[:, :n] = problem.ineq_lhs
+        self.tableau[:, n] = problem.ineq_rhs
+        self.var_of_slot = np.arange(n, dtype=np.int64)
         self.basis = np.full(m, _UNASSIGNED, dtype=np.int64)
         self.free_cols = np.array(
             sorted(set(range(n)) - set(problem.nonneg_vars)), dtype=np.int64
         )
         self.n_art = 0
+        self.art_rows = np.zeros(0, dtype=np.int64)  # row of artificial n + m + k
         self.iterations = 0
         self.rhs_scale = max(1.0, float(np.abs(problem.ineq_rhs).max()))
+
+    @property
+    def n_vars(self) -> int:
+        """Variables in the full tableau: structural, surplus, artificial."""
+        return self.n_struct + self.n_rows + self.n_art
+
+    def _swap(self, row: int, slot: int, obj_row: np.ndarray | None = None) -> None:
+        """Pivot the variable in ``slot`` into the basis in ``row``."""
+        leaving = int(self.basis[row])
+        if leaving == _UNASSIGNED:
+            _pivot(self.tableau, obj_row, row, slot, coef=-1.0)
+            leaving = self.n_struct + row
+        else:
+            _pivot(self.tableau, obj_row, row, slot)
+        self.basis[row] = self.var_of_slot[slot]
+        self.var_of_slot[slot] = leaving
 
     def relax_unassigned_rows(self) -> None:
         """Anti-degeneracy: relax each not-yet-basic row by a distinct tiny
@@ -114,6 +142,8 @@ class _Tableau:
         ptol = self.cfg.pivot_tol
         rhs_nonzero = np.abs(self.problem.ineq_rhs) > 1e-6 * self.rhs_scale
         for col in self.free_cols:
+            # the crash only moves free columns, so a pending one is still
+            # in its own slot
             column = self.tableau[:, col]
             col_scale = max(1.0, float(np.abs(column).max()))
             usable = (self.basis == _UNASSIGNED) & (np.abs(column) > ptol * col_scale)
@@ -122,18 +152,17 @@ class _Tableau:
             if not pool.any():
                 continue
             magnitudes = np.where(pool, np.abs(column), -1.0)
-            row = int(np.argmax(magnitudes))
-            _pivot(self.tableau, np.zeros(self.tableau.shape[1]), row, col)
-            self.basis[row] = col
+            self._swap(int(np.argmax(magnitudes)), int(col))
 
     def complete_basis(self) -> None:
-        """Give every remaining row a feasible basic variable.
+        """Give every remaining row a feasible basic variable, in row order.
 
         Rows with nonpositive transformed rhs take their own surplus, which
         is a row negation rather than a full pivot. Rows with positive rhs
         take a still-pristine unit column (the slack pattern of L1-penalty
         variables) when one exists, a pivot that only rescales the row, else
-        an artificial.
+        an artificial. Only those unit-column pivots can reach other rows,
+        so the rows between two of them are decided and negated together.
 
         The surplus branch accepts violations up to the feasibility
         tolerance: such rows are satisfied for reporting purposes anyway,
@@ -144,35 +173,38 @@ class _Tableau:
         n, m = self.n_struct, self.n_rows
         tol = self.cfg.feas_tol * max(1.0, self.rhs_scale)
         unit_col_for_row = self._pristine_unit_columns()
-        art_cols: list[int] = []
-        art_rows: list[int] = []
-        for row in range(m):
-            if self.basis[row] != _UNASSIGNED:
-                continue
-            rhs = self.tableau[row, -1]
-            if rhs <= tol:
-                # No pivot has used this row yet, so its surplus column is
-                # still exactly -e_row.
-                _negate_onto_surplus(self.tableau, row, n + row)
-                self.basis[row] = n + row
-            elif row in unit_col_for_row:
-                col = unit_col_for_row[row]
-                _pivot(self.tableau, np.zeros(self.tableau.shape[1]), row, col)
-                self.basis[row] = col
+        pending = np.flatnonzero(self.basis == _UNASSIGNED)
+        art_rows: list[np.ndarray] = []
+        done = 0
+        for stop in [*sorted(unit_col_for_row), m]:
+            block = pending[(pending >= done) & (pending < stop)]
+            done = stop + 1
+            tight = self.tableau[block, -1] <= tol
+            surplus = block[tight]
+            self.tableau[surplus] *= -1.0
+            self.basis[surplus] = n + surplus
+            art_rows.append(block[~tight])
+            if stop == m:
+                break
+            if self.tableau[stop, -1] <= tol:
+                self.tableau[stop] *= -1.0
+                self.basis[stop] = n + stop
             else:
-                art_rows.append(row)
-                art_cols.append(n + m + len(art_cols))
-        if art_rows:
-            block = np.zeros((m, len(art_rows)))
-            for k, row in enumerate(art_rows):
-                block[row, k] = 1.0
-            self.tableau = np.hstack(
-                [self.tableau[:, :-1], block, self.tableau[:, -1:]]
-            )
-            for k, row in enumerate(art_rows):
-                self.basis[row] = art_cols[k]
-        self.n_art = len(art_rows)
-        self.art_row_of = {n + m + k: row for k, row in enumerate(art_rows)}
+                self._swap(stop, unit_col_for_row[stop])
+        rows = np.concatenate(art_rows)
+        self.n_art = rows.size
+        if rows.size:
+            # each artificial row's surplus (still -e_row) joins the stored
+            # columns; its artificial n + m + k becomes the basic variable
+            width = self.tableau.shape[1] + rows.size
+            grown = np.zeros((m, width), order="F")
+            grown[:, :n] = self.tableau[:, :-1]
+            grown[rows, n + np.arange(rows.size)] = -1.0
+            grown[:, -1] = self.tableau[:, -1]
+            self.tableau = grown
+            self.var_of_slot = np.concatenate([self.var_of_slot, n + rows])
+            self.basis[rows] = n + m + np.arange(rows.size)
+        self.art_rows = rows
 
     def _pristine_unit_columns(self) -> dict[int, int]:
         """Map row -> lowest nonneg structural column that is a positive unit
@@ -181,6 +213,7 @@ class _Tableau:
         nonneg = [c for c in self.problem.nonneg_vars]
         if not nonneg:
             return out
+        # nonneg columns are never crashed, so each is still in its own slot
         block = self.tableau[:, nonneg]
         absblock = np.abs(block)
         nnz = (absblock > 1e-11).sum(axis=0)
@@ -193,87 +226,103 @@ class _Tableau:
 
     # -- main loop --------------------------------------------------------
 
-    def run(self, obj_row: np.ndarray, allowed: np.ndarray, budget: int) -> str:
-        """Minimize obj_row over allowed entering columns. Returns a verdict
-        string: 'optimal', 'iteration_limit', or 'unbounded'."""
+    def run(self, obj_row: np.ndarray, allow_artificials: bool, budget: int) -> str:
+        """Minimize obj_row (one entry per stored column, then the negated
+        value) over the stored columns, artificials only when allowed.
+        Returns a verdict string: 'optimal', 'iteration_limit', or
+        'unbounded'."""
         cfg = self.cfg
-        rc_tol = 1e-9 * max(1.0, float(np.abs(obj_row[:-1]).max()))
+        rc_tol = 1e-9 * max(1.0, float(np.abs(obj_row[:-1]).max(initial=0.0)))
         degen_tol = 1e-11 * max(1.0, self.rhs_scale)
-        free_set = set(int(c) for c in self.free_cols)
-        row_is_pinned = np.array([b in free_set for b in self.basis])
+        unpinned = ~np.isin(self.basis, self.free_cols)
+        var_limit = self.n_vars if allow_artificials else self.n_struct + self.n_rows
         streak = 0
         used = 0
         while used < budget:
             rc = obj_row[:-1]
-            candidates = np.flatnonzero(allowed & (rc < -rc_tol))
+            candidates = np.flatnonzero((rc < -rc_tol) & (self.var_of_slot < var_limit))
             if candidates.size == 0:
                 self.iterations += used
                 return "optimal"
-            if streak >= cfg.bland_after:
-                enter = int(candidates[0])
-            else:
-                enter = int(candidates[np.argmin(rc[candidates])])
+            if streak < cfg.bland_after:
+                candidates = candidates[rc[candidates] == rc[candidates].min()]
+            enter = int(candidates[np.argmin(self.var_of_slot[candidates])])
             column = self.tableau[:, enter]
             col_scale = max(1.0, float(np.abs(column).max()))
-            eligible = (column > cfg.pivot_tol * col_scale) & ~row_is_pinned
+            eligible = (column > cfg.pivot_tol * col_scale) & unpinned
             if not eligible.any():
                 self.iterations += used
                 return "unbounded"
-            ratios = np.where(eligible, self.tableau[:, -1] / np.where(eligible, column, 1.0), np.inf)
+            ratios = np.divide(
+                self.tableau[:, -1], column, out=np.full(self.n_rows, np.inf), where=eligible
+            )
             best = ratios.min()
             leave = int(np.argmax(ratios <= best + degen_tol))
             streak = streak + 1 if best <= degen_tol else 0
-            _pivot(self.tableau, obj_row, leave, enter)
-            self.basis[leave] = enter
+            self._swap(leave, enter, obj_row)
             used += 1
         self.iterations += used
         return "iteration_limit"
 
     def reduced_costs_for(self, cost: np.ndarray) -> np.ndarray:
-        """Objective row (reduced costs + negated value) for a cost vector
-        over all current columns."""
-        ext = np.concatenate([cost, [0.0]])
+        """Objective row (reduced costs per stored column + negated value)
+        for a cost vector over all variables."""
+        ext = np.concatenate([cost[self.var_of_slot], [0.0]])
         basic_cost = cost[self.basis]
         active = np.flatnonzero(basic_cost != 0.0)
         if active.size:
-            ext = ext - basic_cost[active] @ self.tableau[active]
+            # row-major, as the full tableau's rows were
+            ext = ext - basic_cost[active] @ np.ascontiguousarray(self.tableau[active])
         return ext
+
+    def row_duals(self, obj_row: np.ndarray) -> np.ndarray:
+        """Reduced costs of the surplus variables by row (0 where basic)."""
+        dual = np.zeros(self.n_rows)
+        surplus = (self.var_of_slot >= self.n_struct) & (
+            self.var_of_slot < self.n_struct + self.n_rows
+        )
+        dual[self.var_of_slot[surplus] - self.n_struct] = obj_row[:-1][surplus]
+        return dual
 
     def solution(self) -> np.ndarray:
         v = np.zeros(self.n_struct)
-        for row, col in enumerate(self.basis):
-            if 0 <= col < self.n_struct:
-                v[col] = self.tableau[row, -1]
+        rows = np.flatnonzero(self.basis < self.n_struct)
+        v[self.basis[rows]] = self.tableau[rows, -1]
         return v
 
     def refreshed_solution(self) -> np.ndarray:
-        """Basic values re-solved against the original data.
+        """Basic structural values re-solved against the original data.
 
         Pivot updates accumulate roundoff over long runs and the rhs carries
         the anti-degeneracy relaxation, so reading values off the tableau
-        drifts. One dense solve of the terminal basis system against the
-        pristine constraint matrix and rhs removes both effects. Falls back
-        to the tableau values if the basis matrix is singular.
+        drifts. The basis holds tight every row whose surplus and artificial
+        are both nonbasic; solving lhs[tight, S] v_S = rhs[tight] for the
+        basic structural columns S against the pristine data removes both
+        effects. That system is the terminal basis system with the unit
+        surplus and artificial columns eliminated, so it is square and
+        nonsingular exactly when the basis is. Falls back to the tableau
+        values if it is singular or the solve is not finite.
         """
         n, m = self.n_struct, self.n_rows
-        basis_matrix = np.zeros((m, m))
-        for row, col in enumerate(self.basis):
-            if 0 <= col < n:
-                basis_matrix[:, row] = self.problem.ineq_lhs[:, col]
-            elif col < n + m:
-                basis_matrix[col - n, row] = -1.0
-            else:
-                basis_matrix[self.art_row_of[int(col)], row] = 1.0
+        basic = self.basis[self.basis < n]
+        loose = np.zeros(m, dtype=bool)
+        loose[self.basis[(self.basis >= n) & (self.basis < n + m)] - n] = True
+        loose[self.art_rows[self.basis[self.basis >= n + m] - n - m]] = True
+        tight = np.flatnonzero(~loose)
+        if tight.size != basic.size:
+            return self.solution()
+        v = np.zeros(n)
+        if basic.size == 0:
+            return v
         try:
-            values = np.linalg.solve(basis_matrix, self.problem.ineq_rhs)
+            values = np.linalg.solve(
+                self.problem.ineq_lhs[np.ix_(tight, basic)], self.problem.ineq_rhs[tight]
+            )
         except np.linalg.LinAlgError:
             return self.solution()
         if not np.all(np.isfinite(values)):
             return self.solution()
-        v = np.zeros(n)
-        for row, col in enumerate(self.basis):
-            if 0 <= col < n:
-                v[col] = values[row]
+        v[basic] = values
         return v
 
 
@@ -312,16 +361,13 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> SolveReport
     state.relax_unassigned_rows()
     state.complete_basis()
     n, m = state.n_struct, state.n_rows
-    total_cols = state.tableau.shape[1] - 1
 
     budget = cfg.max_iter
     if state.n_art > 0:
-        art_slice = slice(n + m, total_cols)
-        cost1 = np.zeros(total_cols)
-        cost1[art_slice] = 1.0
+        cost1 = np.zeros(state.n_vars)
+        cost1[n + m :] = 1.0
         obj_row = state.reduced_costs_for(cost1)
-        allowed = np.ones(total_cols, dtype=bool)
-        verdict = state.run(obj_row, allowed, budget)
+        verdict = state.run(obj_row, True, budget)
         budget -= state.iterations
         phase1_value = -obj_row[-1]
         if verdict == "iteration_limit":
@@ -329,7 +375,7 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> SolveReport
         if verdict == "unbounded":
             return _report(problem, state, SolveStatus.NUMERICAL_TROUBLE, "phase 1 claimed unbounded")
         if phase1_value > cfg.feas_tol * max(1.0, state.rhs_scale):
-            lam = _verify_farkas(problem, obj_row[n : n + m].copy())
+            lam = _verify_farkas(problem, state.row_duals(obj_row))
             if lam is None:
                 return _report(
                     problem, state, SolveStatus.NUMERICAL_TROUBLE,
@@ -346,18 +392,16 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> SolveReport
             )
         _evict_artificials(state)
 
-    art_mask = np.zeros(total_cols, dtype=bool)
-    art_mask[n + m : total_cols] = True
     if np.any(problem.objective != 0.0):
-        cost2 = np.zeros(total_cols)
+        cost2 = np.zeros(state.n_vars)
         cost2[:n] = problem.objective
         obj_row = state.reduced_costs_for(cost2)
-        verdict = state.run(obj_row, ~art_mask, max(budget, 1))
+        verdict = state.run(obj_row, False, max(budget, 1))
         if verdict == "iteration_limit":
             return _report(problem, state, SolveStatus.ITERATION_LIMIT, "phase 2 hit the iteration limit")
         if verdict == "unbounded":
             return _report(problem, state, SolveStatus.NUMERICAL_TROUBLE, "objective unbounded below")
-        dual = obj_row[n : n + m].copy()
+        dual = state.row_duals(obj_row)
     else:
         dual = np.zeros(m)
 
@@ -379,17 +423,16 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> SolveReport
 
 
 def _evict_artificials(state: _Tableau) -> None:
-    """Pivot zero-level artificial basics out onto real columns when possible."""
+    """Pivot zero-level artificial basics out onto real columns when possible,
+    onto the largest entry of the row (lowest variable index among equals)."""
     n, m = state.n_struct, state.n_rows
-    for row in range(m):
-        if state.basis[row] < n + m:
-            continue
-        candidates = np.abs(state.tableau[row, : n + m])
-        col = int(np.argmax(candidates))
-        if candidates[col] > state.cfg.pivot_tol:
-            _pivot(state.tableau, np.zeros(state.tableau.shape[1]), row, col)
-            state.basis[row] = col
-        # else: the row is redundant; its artificial stays basic at level 0.
+    for row in np.flatnonzero(state.basis >= n + m):
+        real = np.flatnonzero(state.var_of_slot < n + m)
+        candidates = np.abs(state.tableau[row, real])
+        if candidates.size == 0 or candidates.max() <= state.cfg.pivot_tol:
+            continue  # the row is redundant; its artificial stays basic at level 0
+        best = real[candidates == candidates.max()]
+        state._swap(row, int(best[np.argmin(state.var_of_slot[best])]))
 
 
 def _report(problem: LpProblem, state: _Tableau, status: SolveStatus, message: str) -> SolveReport:

@@ -35,7 +35,7 @@ class SolverConfig:
 
     ``feas_tol`` and ``max_iter`` apply to every engine (the split
     least-squares solver caps ``max_iter`` at its own Newton budget). The
-    LP engine is a dense two-phase simplex; ``pivot_tol`` is its smallest
+    LP engine is a two-phase dictionary simplex; ``pivot_tol`` is its smallest
     admissible pivot and ``bland_after`` bounds how many consecutive
     degenerate pivots are tolerated before switching to Bland's rule. The
     ADMM reference engine keeps its own parameters as constants in

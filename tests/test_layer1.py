@@ -5,6 +5,7 @@ from reslearn.errors import DegenerateRowError, DimensionMismatchError
 from reslearn.layer1 import (
     HiddenSampleSet,
     RowScaleConfig,
+    _scale_fit_misfit,
     build_hidden_row_lp,
     build_hidden_row_qp,
     build_hidden_row_slack_lp,
@@ -166,6 +167,20 @@ class TestSoftGate:
         hard = learn_layer1(s, method="lp")
         err = lambda e: np.linalg.norm(e.a_hat - A_REF)
         assert err(soft) < err(hard)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_gate_rejects_trivial_vertex_at_any_scale(self, scale):
+        # the trivial vertex a = 0, exactly or up to solver noise, carries no
+        # scaled-row structure; rows that are scaled teacher rows measure ~0
+        s = hidden_from(A_REF, n=300, seed=19)
+        cfg = RowScaleConfig()
+
+        def misfit(raw_a):
+            return _scale_fit_misfit(scale * s.xs, scale * s.hs, raw_a, cfg)
+
+        assert misfit(np.zeros((2, 2))) > cfg.soft_gate
+        assert misfit(1e-16 * make_rng(18).standard_normal((2, 2))) > cfg.soft_gate
+        assert misfit(np.diag([0.5, 0.8]) @ A_REF) <= 1e-20
 
 
 class TestDiagnostics:

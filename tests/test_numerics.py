@@ -3,21 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reslearn.errors import (
-    DimensionMismatchError,
-    IllConditionedError,
-    NotSymmetricError,
-    RankDeficientError,
-    SingularMatrixError,
-)
-from reslearn.numerics import (
-    MAX_CONDITION,
-    as_matrix,
-    invert,
-    is_psd,
-    lls_solve,
-    origin_fit,
-)
+from reslearn.errors import DimensionMismatchError, NotSymmetricError, RankDeficientError
+from reslearn.numerics import as_matrix, is_psd, lls_solve, origin_fit
 
 
 def rng(seed=0):
@@ -110,33 +97,6 @@ class TestOriginFit:
         assert _scale_fit_misfit(xs, hs, np.eye(1), RowScaleConfig()) == 0.0
         with pytest.raises(DegenerateRowError, match="all zero"):
             estimate_row_scale(xs, hs, [1.0], 0)
-
-
-class TestInvert:
-    def test_hand_2x2(self):
-        np.testing.assert_allclose(
-            invert([[1.0, 1.0], [1.0, 2.0]]), [[2.0, -1.0], [-1.0, 1.0]], atol=1e-14
-        )
-
-    def test_random_inverse_multiplies_to_identity(self):
-        g = rng(3)
-        for _ in range(10):
-            m = g.normal(size=(4, 4)) + 4 * np.eye(4)
-            np.testing.assert_allclose(invert(m) @ m, np.eye(4), atol=1e-10)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            invert([[1.0, 2.0], [2.0, 4.0]])
-
-    def test_ill_conditioned_raises_with_estimate(self):
-        m = np.diag([1.0, 1.0 / (10 * MAX_CONDITION)])
-        with pytest.raises(IllConditionedError) as exc_info:
-            invert(m)
-        assert exc_info.value.condition > MAX_CONDITION
-
-    def test_non_square_raises(self):
-        with pytest.raises(DimensionMismatchError):
-            invert(np.zeros((2, 3)))
 
 
 class TestIsPsd:
