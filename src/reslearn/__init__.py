@@ -21,7 +21,6 @@ from .errors import (
     DegenerateRowError,
     DimensionMismatchError,
     GenerationFailedError,
-    IllConditionedError,
     RankDeficientError,
     ReslearnError,
     SingularCHatError,
@@ -38,7 +37,7 @@ from .evaluation import (
     run_success_rates,
     run_trial,
 )
-from .layer1 import HiddenSampleSet, Layer1Estimate, RowScaleConfig, learn_layer1
+from .layer1 import HiddenSampleSet, Layer1Estimate, learn_layer1
 from .layer2 import Layer2Estimate, RescaleConfig, learn_layer2
 from .methods import ConvexMethod
 from .model import (
@@ -49,7 +48,6 @@ from .model import (
     ResidualUnit,
     SampleSet,
     derive_seed,
-    forward,
     forward_batch,
     generate_unit,
     load_samples_csv,
@@ -64,9 +62,7 @@ from .solver import (
     QpProblem,
     SolveReport,
     SolveStatus,
-    SolverConfig,
     solve_lp,
-    solve_qp,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +77,6 @@ __all__ = [
     "GaussianIid",
     "GenerationFailedError",
     "HiddenSampleSet",
-    "IllConditionedError",
     "Layer1Estimate",
     "Layer2Estimate",
     "LpProblem",
@@ -92,21 +87,18 @@ __all__ = [
     "RescaleConfig",
     "ResidualUnit",
     "ReslearnError",
-    "RowScaleConfig",
     "SampleSet",
     "SgdConfig",
     "SgdResult",
     "SingularCHatError",
     "SolveReport",
     "SolveStatus",
-    "SolverConfig",
     "SolverFailedError",
     "TrialGrid",
     "TrialRow",
     "VanillaLrResult",
     "derive_seed",
     "expected_sample_bound",
-    "forward",
     "forward_batch",
     "full_pipeline",
     "generate_unit",
@@ -122,7 +114,6 @@ __all__ = [
     "save_samples_csv",
     "save_unit_json",
     "solve_lp",
-    "solve_qp",
     "standard_mixture",
     "vanilla_lr",
 ]

@@ -188,10 +188,3 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
                 trace = trace[: epoch + 1]
                 break
     return SgdResult(a_hat=a, b_hat=b, loss_trace=trace, diverged=diverged)
-
-
-def save_loss_trace(path, trace: np.ndarray) -> None:
-    """Write a loss trace as CSV with an epoch,mean_loss,eta header."""
-    with open(path, "w") as fh:
-        fh.write("epoch,mean_loss,eta\n")
-        np.savetxt(fh, np.asarray(trace), delimiter=",", fmt=["%d", "%.17g", "%.17g"])

@@ -13,21 +13,6 @@ class RankDeficientError(ReslearnError):
     """A design matrix does not have full column rank."""
 
 
-class SingularMatrixError(ReslearnError):
-    """A square matrix is singular (or numerically indistinguishable from it)."""
-
-
-class IllConditionedError(ReslearnError):
-    """A matrix is too ill-conditioned to invert reliably.
-
-    Carries the condition-number estimate that triggered the refusal.
-    """
-
-    def __init__(self, message: str, condition: float):
-        super().__init__(message)
-        self.condition = condition
-
-
 class NotSymmetricError(ReslearnError):
     """A matrix expected to be symmetric is not, beyond tolerance."""
 

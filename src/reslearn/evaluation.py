@@ -26,7 +26,7 @@ import numpy as np
 
 from .baselines import SgdConfig, sgd_train, vanilla_lr
 from .errors import DimensionMismatchError, ReslearnError
-from .layer1 import HiddenSampleSet, Layer1Estimate, RowScaleConfig, learn_layer1
+from .layer1 import HiddenSampleSet, Layer1Estimate, learn_layer1
 from .layer2 import Layer2Estimate, RescaleConfig, learn_layer2
 from .methods import ALL_METHODS, CONVEX_METHODS, ConvexMethod
 from .model import (
@@ -41,7 +41,6 @@ from .model import (
     sample,
     standard_mixture,
 )
-from .solver import SolverConfig
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,7 @@ class ErrorReport:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    solver: SolverConfig = field(default_factory=SolverConfig)
     rescale: RescaleConfig = field(default_factory=RescaleConfig)
-    row_scale: RowScaleConfig = field(default_factory=RowScaleConfig)
 
 
 @dataclass(frozen=True)
@@ -167,9 +164,9 @@ def full_pipeline(
     h samples, clipped at zero so downstream validation holds."""
     cfg = cfg or PipelineConfig()
     method = ConvexMethod.parse(method)
-    est2 = learn_layer2(samples, method, solver_cfg=cfg.solver, rescale_cfg=cfg.rescale)
+    est2 = learn_layer2(samples, method, rescale_cfg=cfg.rescale)
     hidden = HiddenSampleSet(xs=samples.xs, hs=np.maximum(est2.xi_hat, 0.0))
-    est1 = learn_layer1(hidden, method, solver_cfg=cfg.solver, scale_cfg=cfg.row_scale)
+    est1 = learn_layer1(hidden, method)
     return est1, est2
 
 
@@ -390,25 +387,3 @@ def save_rows_csv(path, rows: list[TrialRow]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(asdict(row))
-
-
-def load_rows_csv(path) -> list[TrialRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                TrialRow(
-                    d=int(rec["d"]),
-                    n=int(rec["n"]),
-                    noise_sigma=float(rec["noise_sigma"]),
-                    method=rec["method"],
-                    trial=int(rec["trial"]),
-                    seed=int(rec["seed"]),
-                    layer1_rel=float(rec["layer1_rel"]),
-                    layer2_rel=float(rec["layer2_rel"]),
-                    output_rel=float(rec["output_rel"]),
-                    status=rec["status"],
-                    message=rec["message"],
-                )
-            )
-    return rows

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateRowError, DimensionMismatchError, SolverFailedError
 from .methods import ConvexMethod
 from .numerics import Mat, as_matrix, origin_fit
-from .solver import LpProblem, QpProblem, SolverConfig, SolveStatus
+from .solver import LpProblem, QpProblem, SolveStatus
 from .solver.simplex import solve_lp
 from .solver.split_ls import solve_separable_ls
 
@@ -65,27 +65,21 @@ class HiddenSampleSet:
         return self.xs.shape[1]
 
 
-@dataclass(frozen=True)
-class RowScaleConfig:
-    """Controls the per-row scale regression.
-
-    A sample counts as activated when h_j exceeds ``activation_rel`` times
-    the median |h_j| (an absolute zero test would misclassify near-zero
-    estimates). Slopes outside (k_min, 1] by more than ``k_tol`` are
-    clamped with a warning; fewer than ``min_pos_samples`` activated
-    samples raise DegenerateRowError. ``soft_gate`` bounds the relative
-    scale-regression residual above which the slack route stops trusting
-    the hard feasibility vertex (see learn_layer1); a row whose response
-    over the activated samples is at roundoff next to h_j (n * eps times
-    its largest activated value) counts as above any gate, because the
-    vertex then sits at the trivial a = 0 rather than on a scaled row.
-    """
-
-    activation_rel: float = 1e-8
-    min_pos_samples: int = 10
-    k_min: float = 1e-4
-    k_tol: float = 1e-6
-    soft_gate: float = 1e-6
+# Per-row scale regression. A sample counts as activated when h_j exceeds
+# ACTIVATION_REL times the median |h_j| (an absolute zero test would
+# misclassify near-zero estimates). Slopes outside (K_MIN, 1] by more than
+# K_TOL are clamped with a warning; fewer than MIN_POS_SAMPLES activated
+# samples raise DegenerateRowError. SOFT_GATE bounds the relative
+# scale-regression residual above which the slack route stops trusting the
+# hard feasibility vertex (see learn_layer1); a row whose response over the
+# activated samples is at roundoff next to h_j (n * eps times its largest
+# activated value) counts as above any gate, because the vertex then sits
+# at the trivial a = 0 rather than on a scaled row.
+ACTIVATION_REL = 1e-8
+MIN_POS_SAMPLES = 10
+K_MIN = 1e-4
+K_TOL = 1e-6
+SOFT_GATE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -151,13 +145,13 @@ def build_hidden_row_slack_lp(samples: HiddenSampleSet, row: int) -> LpProblem:
 
 # --- learning ------------------------------------------------------------
 
-def _activated(h_j: np.ndarray, cfg: RowScaleConfig) -> np.ndarray:
+def _activated(h_j: np.ndarray) -> np.ndarray:
     """Mask of the samples whose hidden value counts as activated."""
-    threshold = cfg.activation_rel * float(np.median(np.abs(h_j)))
+    threshold = ACTIVATION_REL * float(np.median(np.abs(h_j)))
     return h_j > threshold
 
 
-def _scale_fit_misfit(xs: Mat, hs: Mat, raw_a: Mat, cfg: RowScaleConfig) -> float:
+def _scale_fit_misfit(xs: Mat, hs: Mat, raw_a: Mat) -> float:
     """Worst relative residual of the per-row scale regressions.
 
     On clean hidden samples the relation (raw row) . x = k * h_j holds
@@ -172,8 +166,8 @@ def _scale_fit_misfit(xs: Mat, hs: Mat, raw_a: Mat, cfg: RowScaleConfig) -> floa
     roundoff = xs.shape[0] * np.finfo(np.float64).eps
     for j in range(raw_a.shape[0]):
         h_j = hs[:, j]
-        active = _activated(h_j, cfg)
-        if int(active.sum()) < cfg.min_pos_samples:
+        active = _activated(h_j)
+        if int(active.sum()) < MIN_POS_SAMPLES:
             continue
         response = xs[active] @ raw_a[j]
         fit = origin_fit(h_j[active], response)
@@ -185,60 +179,49 @@ def _scale_fit_misfit(xs: Mat, hs: Mat, raw_a: Mat, cfg: RowScaleConfig) -> floa
     return worst
 
 
-def estimate_row_scale(
-    xs: Mat,
-    hs: Mat,
-    raw_row,
-    row: int,
-    cfg: RowScaleConfig | None = None,
-) -> float:
+def estimate_row_scale(xs: Mat, hs: Mat, raw_row, row: int) -> float:
     """Scale factor of one learned row, from activated samples only.
 
     Fits (raw_row . x) = k * h_j through the origin over the samples where
     h_j is meaningfully positive; by construction of the convex programs
     the relation is exact there, so the slope is the factor.
     """
-    cfg = cfg or RowScaleConfig()
     xs = as_matrix(xs, "xs")
     hs = as_matrix(hs, "hs")
     raw = np.asarray(raw_row, dtype=np.float64).reshape(-1)
     h_j = hs[:, row]
-    active = _activated(h_j, cfg)
+    active = _activated(h_j)
     count = int(active.sum())
-    if count < cfg.min_pos_samples:
+    if count < MIN_POS_SAMPLES:
         raise DegenerateRowError(
             f"row {row}: only {count} activated samples "
-            f"(need {cfg.min_pos_samples}) for the scale regression",
+            f"(need {MIN_POS_SAMPLES}) for the scale regression",
             row=row,
         )
     fit = origin_fit(h_j[active], xs[active] @ raw)
     if fit is None:
         raise DegenerateRowError(f"row {row}: activated h values are all zero", row=row)
     slope = fit[0]
-    if slope > 1.0 + cfg.k_tol:
+    if slope > 1.0 + K_TOL:
         warnings.warn(
             f"row {row}: scale estimate {slope:.6f} above 1, clamped", stacklevel=2
         )
         slope = 1.0
-    elif slope < cfg.k_min:
+    elif slope < K_MIN:
         warnings.warn(
-            f"row {row}: scale estimate {slope:.3e} below {cfg.k_min:.0e}, clamped",
+            f"row {row}: scale estimate {slope:.3e} below {K_MIN:.0e}, clamped",
             stacklevel=2,
         )
-        slope = cfg.k_min
+        slope = K_MIN
     return min(slope, 1.0)
 
 
 def learn_layer1(
     samples: HiddenSampleSet,
     method: ConvexMethod | str = ConvexMethod.QP,
-    solver_cfg: SolverConfig | None = None,
-    scale_cfg: RowScaleConfig | None = None,
 ) -> Layer1Estimate:
     """Estimate A from hidden samples; see the module docstring for the model."""
     method = ConvexMethod.parse(method)
-    solver_cfg = solver_cfg or SolverConfig()
-    scale_cfg = scale_cfg or RowScaleConfig()
     xs, hs = samples.xs, samples.hs
     n, d = xs.shape
     notes: list[str] = []
@@ -253,7 +236,7 @@ def learn_layer1(
         # solver default picks a landing depth whose cross-section is narrow
         # enough for the slope correction, and nothing downstream needs this
         # solve to hug the constraint surface.
-        coeffs, _phi, _info = solve_separable_ls(xs, hs, solver_cfg, back_weight=1e-6)
+        coeffs, _phi, _info = solve_separable_ls(xs, hs, back_weight=1e-6)
         raw_a = coeffs.T.copy()
     else:
         # a = 0 satisfies A x <= h outright (h >= 0), so the slack variant's
@@ -261,7 +244,7 @@ def learn_layer1(
         # plain feasibility solve.
         raw_a = np.zeros((d, d))
         for j in range(d):
-            report = solve_lp(build_hidden_row_lp(samples, j), solver_cfg)
+            report = solve_lp(build_hidden_row_lp(samples, j))
             if report.status is not SolveStatus.OPTIMAL:
                 raise SolverFailedError(
                     f"layer-1 LP for row {j} ended with status {report.status.value}: "
@@ -269,8 +252,8 @@ def learn_layer1(
                 )
             raw_a[j] = report.point[:d]
         if method is ConvexMethod.SLACK_LP:
-            misfit = _scale_fit_misfit(xs, hs, raw_a, scale_cfg)
-            if misfit > scale_cfg.soft_gate:
+            misfit = _scale_fit_misfit(xs, hs, raw_a)
+            if misfit > SOFT_GATE:
                 # Noise in h shrinks the feasible polytope sample by sample
                 # and the simplex vertex lands at an extreme corner of it;
                 # softening the constraints into one-sided penalties moves
@@ -281,9 +264,7 @@ def learn_layer1(
                     f"scale fit misfit {misfit:.2e} above gate; "
                     "soft penalties replace the feasibility vertex"
                 )
-                coeffs, _phi, _info = solve_separable_ls(
-                    xs, hs, solver_cfg, back_weight=1e-6
-                )
+                coeffs, _phi, _info = solve_separable_ls(xs, hs, back_weight=1e-6)
                 raw_a = coeffs.T.copy()
 
     k_hat = np.ones(d)
@@ -292,7 +273,7 @@ def learn_layer1(
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                k_hat[j] = estimate_row_scale(xs, hs, raw_a[j], j, scale_cfg)
+                k_hat[j] = estimate_row_scale(xs, hs, raw_a[j], j)
             notes.extend(str(w.message) for w in caught)
         except DegenerateRowError as exc:
             unscaled.append(j)

@@ -33,8 +33,8 @@ from .errors import (
 from .methods import ConvexMethod
 from .model import SampleSet
 from .numerics import Mat, lls_solve, origin_fit
-from .solver import LpProblem, QpProblem, SolverConfig, SolveStatus
-from .solver.simplex import solve_lp
+from .solver import LpProblem, QpProblem, SolveStatus
+from .solver.simplex import FEAS_TOL, solve_lp
 from .solver.split_ls import solve_separable_ls
 
 
@@ -137,14 +137,14 @@ def build_row_slack_lp(samples: SampleSet, row: int) -> LpProblem:
 
 # --- learning ------------------------------------------------------------
 
-def _solve_c_qp(samples: SampleSet, cfg: SolverConfig) -> tuple[Mat, Mat]:
+def _solve_c_qp(samples: SampleSet) -> tuple[Mat, Mat]:
     # QP objective written as 1/2||(-Y)c + xi - (-x)||^2 per row of C, which
     # is the eliminated-form shape solved by solve_separable_ls.
-    coeffs, xi, _info = solve_separable_ls(-samples.ys, -samples.xs, cfg)
+    coeffs, xi, _info = solve_separable_ls(-samples.ys, -samples.xs)
     return coeffs.T.copy(), xi
 
 
-def _solve_c_lp(samples: SampleSet, cfg: SolverConfig, slack: bool) -> tuple[Mat, Mat, list[str]]:
+def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     ys, xs = samples.ys, samples.xs
     n, m = ys.shape
     d = xs.shape[1]
@@ -152,14 +152,14 @@ def _solve_c_lp(samples: SampleSet, cfg: SolverConfig, slack: bool) -> tuple[Mat
     xi_hat = np.zeros((n, d))
     notes: list[str] = []
     for j in range(d):
-        report = solve_lp(build_row_feasibility_lp(samples, j), cfg)
+        report = solve_lp(build_row_feasibility_lp(samples, j))
         if slack and report.status is SolveStatus.INFEASIBLE:
             # Only an infeasible system leaves the slack program real work;
             # when the plain feasibility program closes every constraint the
             # slack optimum is exactly zero at the same point, and skipping
             # the slack solve avoids the heavily degenerate zero-objective
             # simplex run that entails.
-            report = solve_lp(build_row_slack_lp(samples, j), cfg)
+            report = solve_lp(build_row_slack_lp(samples, j))
         if report.status is not SolveStatus.OPTIMAL:
             raise SolverFailedError(
                 f"layer-2 LP for row {j} ended with status {report.status.value}: "
@@ -169,7 +169,7 @@ def _solve_c_lp(samples: SampleSet, cfg: SolverConfig, slack: bool) -> tuple[Mat
         residual = ys @ c_hat[j] - xs[:, j]
         if slack:
             value = float(np.maximum(-residual, 0.0).mean())
-            if value > cfg.feas_tol * 100:
+            if value > FEAS_TOL * 100:
                 notes.append(f"row {j}: slack objective {value:.3e} (noisy fit)")
             residual = np.maximum(residual, 0.0)
         xi_hat[:, j] = residual
@@ -244,7 +244,6 @@ def recover_b_general(samples: SampleSet, c_hat: Mat, k_hat) -> Mat:
 def learn_layer2(
     samples: SampleSet,
     method: ConvexMethod | str = ConvexMethod.QP,
-    solver_cfg: SolverConfig | None = None,
     rescale_cfg: RescaleConfig | None = None,
 ) -> Layer2Estimate:
     """Estimate C and B from samples; see the module docstring for the model.
@@ -256,7 +255,6 @@ def learn_layer2(
     fails and SingularCHatError when the projected samples lose rank.
     """
     method = ConvexMethod.parse(method)
-    solver_cfg = solver_cfg or SolverConfig()
     notes: list[str] = []
     d, m, n = samples.d, samples.m, samples.n
     if m < d:
@@ -268,11 +266,9 @@ def learn_layer2(
         warnings.warn(notes[-1], stacklevel=2)
 
     if method is ConvexMethod.QP:
-        c_hat, xi_hat = _solve_c_qp(samples, solver_cfg)
+        c_hat, xi_hat = _solve_c_qp(samples)
     else:
-        c_hat, xi_hat, lp_notes = _solve_c_lp(
-            samples, solver_cfg, slack=method is ConvexMethod.SLACK_LP
-        )
+        c_hat, xi_hat, lp_notes = _solve_c_lp(samples, slack=method is ConvexMethod.SLACK_LP)
         notes.extend(lp_notes)
 
     with warnings.catch_warnings(record=True) as caught:

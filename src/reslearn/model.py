@@ -105,16 +105,6 @@ def forward_batch(a: Mat, b: Mat, xs: Mat) -> Mat:
     return (hidden + xs) @ b.T
 
 
-def forward(unit: ResidualUnit, x) -> np.ndarray:
-    """Evaluate the unit on a single input vector, returning a length-m vector."""
-    vec = np.asarray(x, dtype=np.float64).reshape(-1)
-    if vec.shape[0] != unit.d:
-        raise DimensionMismatchError(
-            f"input has dimension {vec.shape[0]}, unit expects {unit.d}"
-        )
-    return forward_batch(unit.a, unit.b, vec.reshape(1, -1))[0]
-
-
 def is_scale_row(a: Mat, j: int) -> bool:
     """True iff row j of ``a`` has all off-diagonal entries exactly zero.
 

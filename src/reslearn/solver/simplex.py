@@ -41,7 +41,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import LpProblem, SolveReport, SolveStatus, SolverConfig
+from .types import LpProblem, SolveReport, SolveStatus
+
+FEAS_TOL = 1e-8  # feasibility tolerance, relative to max(1, |rhs|)
+MAX_ITER = 20_000  # pivot budget shared by both phases
+PIVOT_TOL = 1e-9  # smallest admissible pivot magnitude
+BLAND_AFTER = 64  # consecutive degenerate pivots before Bland's rule
 
 _UNASSIGNED = -1
 
@@ -81,9 +86,8 @@ def _pivot(
 class _Tableau:
     """Mutable simplex state: dictionary tableau, basis, and column roles."""
 
-    def __init__(self, problem: LpProblem, cfg: SolverConfig):
+    def __init__(self, problem: LpProblem):
         self.problem = problem
-        self.cfg = cfg
         n, m = problem.n_vars, problem.n_rows
         self.n_struct = n
         self.n_rows = m
@@ -139,14 +143,13 @@ class _Tableau:
         the free block, while near-zero rhs entries are often estimate slop
         rather than structure. The margin is therefore well above roundoff.
         """
-        ptol = self.cfg.pivot_tol
         rhs_nonzero = np.abs(self.problem.ineq_rhs) > 1e-6 * self.rhs_scale
         for col in self.free_cols:
             # the crash only moves free columns, so a pending one is still
             # in its own slot
             column = self.tableau[:, col]
             col_scale = max(1.0, float(np.abs(column).max()))
-            usable = (self.basis == _UNASSIGNED) & (np.abs(column) > ptol * col_scale)
+            usable = (self.basis == _UNASSIGNED) & (np.abs(column) > PIVOT_TOL * col_scale)
             preferred = usable & rhs_nonzero
             pool = preferred if preferred.any() else usable
             if not pool.any():
@@ -171,7 +174,7 @@ class _Tableau:
         push the start arbitrarily far from the interpolated vertex.
         """
         n, m = self.n_struct, self.n_rows
-        tol = self.cfg.feas_tol * max(1.0, self.rhs_scale)
+        tol = FEAS_TOL * max(1.0, self.rhs_scale)
         unit_col_for_row = self._pristine_unit_columns()
         pending = np.flatnonzero(self.basis == _UNASSIGNED)
         art_rows: list[np.ndarray] = []
@@ -231,7 +234,6 @@ class _Tableau:
         value) over the stored columns, artificials only when allowed.
         Returns a verdict string: 'optimal', 'iteration_limit', or
         'unbounded'."""
-        cfg = self.cfg
         rc_tol = 1e-9 * max(1.0, float(np.abs(obj_row[:-1]).max(initial=0.0)))
         degen_tol = 1e-11 * max(1.0, self.rhs_scale)
         unpinned = ~np.isin(self.basis, self.free_cols)
@@ -244,12 +246,12 @@ class _Tableau:
             if candidates.size == 0:
                 self.iterations += used
                 return "optimal"
-            if streak < cfg.bland_after:
+            if streak < BLAND_AFTER:
                 candidates = candidates[rc[candidates] == rc[candidates].min()]
             enter = int(candidates[np.argmin(self.var_of_slot[candidates])])
             column = self.tableau[:, enter]
             col_scale = max(1.0, float(np.abs(column).max()))
-            eligible = (column > cfg.pivot_tol * col_scale) & unpinned
+            eligible = (column > PIVOT_TOL * col_scale) & unpinned
             if not eligible.any():
                 self.iterations += used
                 return "unbounded"
@@ -353,16 +355,15 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
     return lam
 
 
-def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> SolveReport:
+def solve_lp(problem: LpProblem) -> SolveReport:
     """Two-phase simplex. Zero objectives stop at the first feasible vertex."""
-    cfg = cfg or SolverConfig()
-    state = _Tableau(problem, cfg)
+    state = _Tableau(problem)
     state.crash_free_variables()
     state.relax_unassigned_rows()
     state.complete_basis()
     n, m = state.n_struct, state.n_rows
 
-    budget = cfg.max_iter
+    budget = MAX_ITER
     if state.n_art > 0:
         cost1 = np.zeros(state.n_vars)
         cost1[n + m :] = 1.0
@@ -374,7 +375,7 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> SolveReport
             return _report(problem, state, SolveStatus.ITERATION_LIMIT, "phase 1 hit the iteration limit")
         if verdict == "unbounded":
             return _report(problem, state, SolveStatus.NUMERICAL_TROUBLE, "phase 1 claimed unbounded")
-        if phase1_value > cfg.feas_tol * max(1.0, state.rhs_scale):
+        if phase1_value > FEAS_TOL * max(1.0, state.rhs_scale):
             lam = _verify_farkas(problem, state.row_duals(obj_row))
             if lam is None:
                 return _report(
@@ -407,7 +408,7 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> SolveReport
 
     point = state.refreshed_solution()
     violation = problem.max_violation(point)
-    if violation > cfg.feas_tol * max(1.0, state.rhs_scale) * 10.0:
+    if violation > FEAS_TOL * max(1.0, state.rhs_scale) * 10.0:
         return _report(
             problem, state, SolveStatus.NUMERICAL_TROUBLE,
             f"terminal basis violates the original constraints by {violation:.3e}",
@@ -429,7 +430,7 @@ def _evict_artificials(state: _Tableau) -> None:
     for row in np.flatnonzero(state.basis >= n + m):
         real = np.flatnonzero(state.var_of_slot < n + m)
         candidates = np.abs(state.tableau[row, real])
-        if candidates.size == 0 or candidates.max() <= state.cfg.pivot_tol:
+        if candidates.size == 0 or candidates.max() <= PIVOT_TOL:
             continue  # the row is redundant; its artificial stays basic at level 0
         best = real[candidates == candidates.max()]
         state._swap(row, int(best[np.argmin(state.var_of_slot[best])]))

@@ -27,10 +27,12 @@ iteration path, at the cost of an order-BACK_WEIGHT bias that is far
 below every tolerance used downstream.
 
 This is an algebraic shortcut, not a different model: its solutions lie in
-the same optimum set as the general-purpose QP engine's, and the test
-suite checks the two agree on shared instances. The batched interface
-solves one column per right-hand side, sharing the design factorization
-used for warm starts across the batch.
+the optimum set of the assembled QP over (u, w) that the layer builders
+produce (``build_row_qp``, ``build_hidden_row_qp``). The test suite checks
+that on shared instances through the assembled KKT conditions and against
+an external bounded-variable least-squares solve of [F | I]. The batched
+interface solves one column per right-hand side, sharing the design
+factorization used for warm starts across the batch.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import SolverFailedError
-from .types import SolverConfig
 
 NEWTON_BUDGET = 200
 ARMIJO_SLOPE = 1e-4
@@ -116,7 +117,6 @@ def _polish_column(f, t_col, u):
 def solve_separable_ls(
     design: np.ndarray,
     targets: np.ndarray,
-    cfg: SolverConfig | None = None,
     back_weight: float = BACK_WEIGHT,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Minimize 1/2 ||design @ u_j + w_j - t_j||^2 with w_j >= 0, per column.
@@ -132,7 +132,6 @@ def solve_separable_ls(
     downstream correction prefers a landing point deeper toward the
     least-squares fit may raise it.
     """
-    cfg = cfg or SolverConfig()
     f = np.asarray(design, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
@@ -146,7 +145,6 @@ def solve_separable_ls(
 
     grad0 = f.T @ t
     tol = 1e-10 * max(1.0, float(np.abs(grad0).max(initial=0.0)))
-    budget = min(cfg.max_iter, NEWTON_BUDGET)
 
     coeffs = np.zeros((p, k))
     iterations = 0
@@ -155,7 +153,7 @@ def solve_separable_ls(
     # balanced around zero, so the initial active set is close to final
     warm = cho_solve(factor, grad0)
     for j in range(k):
-        u, used, ok = _newton_column(f, t[:, j], warm[:, j], ell, tol, budget, back_weight)
+        u, used, ok = _newton_column(f, t[:, j], warm[:, j], ell, tol, NEWTON_BUDGET, back_weight)
         if back_weight <= 1e-9:
             u = _polish_column(f, t[:, j], u)
         coeffs[:, j] = u

@@ -1,4 +1,4 @@
-"""Problem descriptions and reports shared by the LP and QP engines.
+"""Problem descriptions and the LP engine's report.
 
 Conventions used throughout the solver package:
 
@@ -8,7 +8,10 @@ Conventions used throughout the solver package:
   a pure feasibility run.
 * ``QpProblem`` encodes  min 1/2 v' H v + q . v  subject to v_i >= 0 for the
   indices in ``nonneg_vars``; there are no general linear constraints because
-  the layer programs only ever bound the function-estimate block.
+  the layer programs only ever bound the function-estimate block. It is the
+  assembled form of the QP route: the learners solve its eliminated
+  least-squares form (``split_ls``), and the assembled problem is what those
+  solutions are checked against.
 """
 
 from __future__ import annotations
@@ -27,25 +30,6 @@ class SolveStatus(str, Enum):
     INFEASIBLE = "infeasible"
     ITERATION_LIMIT = "iteration_limit"
     NUMERICAL_TROUBLE = "numerical_trouble"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and iteration budgets shared by the engines.
-
-    ``feas_tol`` and ``max_iter`` apply to every engine (the split
-    least-squares solver caps ``max_iter`` at its own Newton budget). The
-    LP engine is a two-phase dictionary simplex; ``pivot_tol`` is its smallest
-    admissible pivot and ``bland_after`` bounds how many consecutive
-    degenerate pivots are tolerated before switching to Bland's rule. The
-    ADMM reference engine keeps its own parameters as constants in
-    ``solver.admm``.
-    """
-
-    feas_tol: float = 1e-8
-    max_iter: int = 20_000
-    pivot_tol: float = 1e-9
-    bland_after: int = 64
 
 
 def _as_vector(value, name: str, length: int | None = None) -> np.ndarray:
@@ -147,13 +131,12 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve.
+    """Outcome of one LP solve.
 
-    ``dual`` carries the multipliers of the nonnegativity bounds for QPs and
-    of the inequality rows for LPs. ``certificate`` is only set on infeasible
-    LPs: a ray lam >= 0 with lhs' lam vanishing on free variables,
-    nonpositive on bounded ones, and rhs . lam > 0, proving that no feasible
-    point exists.
+    ``dual`` carries the multipliers of the inequality rows (set on optimal
+    runs). ``certificate`` is only set on infeasible runs: a ray lam >= 0
+    with lhs' lam vanishing on free variables, nonpositive on bounded ones,
+    and rhs . lam > 0, proving that no feasible point exists.
     """
 
     point: np.ndarray

@@ -13,9 +13,10 @@ coordinate sweep of the feasible polytope must collapse to a point. The
 sweep uses an external LP routine so that the filter is independent of the
 solvers under test.
 
-Measured wall time for this file is about 4 minutes on a 2-core x86_64
-machine (numpy 2.4 with OpenBLAS at 2 threads); the noise-robustness trend
-(criterion 6) takes about 2.5 minutes of it.
+Measured wall time for this file is about 1.5 minutes on a 2-core x86_64
+machine (numpy 2.4 with OpenBLAS at 2 threads); the d=16 table (criterion 2)
+and the noise-robustness trend (criterion 6) take about 40 s each, and the
+solver suite (criterion 8) under a second.
 """
 
 import time
@@ -23,7 +24,7 @@ import time
 import numpy as np
 from scipy.optimize import linprog
 
-from conftest import record_acceptance
+from conftest import record_acceptance, split_ls_on_assembled
 from reslearn.baselines import expected_sample_bound
 from reslearn.evaluation import cell_seed, full_pipeline, relative_errors, run_success_rates, run_trial
 from reslearn.layer1 import HiddenSampleSet, build_hidden_row_qp, build_hidden_row_slack_lp
@@ -39,7 +40,7 @@ from reslearn.model import (
     standard_mixture,
 )
 from reslearn.numerics import is_psd
-from reslearn.solver import LpProblem, SolveStatus, solve_lp, solve_qp
+from reslearn.solver import LpProblem, SolveStatus, solve_lp
 
 
 def solution_is_unique(samples, tol=1e-7):
@@ -259,10 +260,12 @@ def test_criterion_7():
 
 
 def test_criterion_8():
-    # solver guarantees: psd assemblies, complementary slackness, honest
-    # infeasibility certificates, zero slack objective on clean data
+    # solver guarantees: psd assemblies solved through the eliminated form
+    # the learners use, with the assembled KKT conditions and an external
+    # BVLS optimum as the check; honest infeasibility certificates; zero
+    # slack objective on clean data
     rng = np.random.default_rng(0)
-    worst_cs = 0.0
+    worst = {"sign": 0.0, "complementarity": 0.0, "stationarity": 0.0, "bvls_gap": 0.0}
     all_psd = True
     n_qps = 0
     for i in range(50):
@@ -272,15 +275,15 @@ def test_criterion_8():
                    seed=derive_seed(800, "c8s", i))
         row = int(rng.integers(0, d))
         hidden = HiddenSampleSet(xs=s.xs, hs=np.maximum(s.xs @ unit.a.T, 0.0))
-        for prob in (build_row_qp(s, row), build_hidden_row_qp(hidden, row)):
+        # (assembled QP, eliminated design and target, the learner's back weight)
+        for prob, design, target, back_weight in (
+            (build_row_qp(s, row), -s.ys, -s.xs[:, row], 1e-10),
+            (build_hidden_row_qp(hidden, row), hidden.xs, hidden.hs[:, row], 1e-6),
+        ):
             all_psd = all_psd and is_psd(prob.hessian)
-            rep = solve_qp(prob)
-            idx = list(prob.nonneg_vars)
-            if rep.status is not SolveStatus.OPTIMAL:
-                worst_cs = np.inf
-                continue
-            worst_cs = max(worst_cs, float(
-                np.abs(rep.point[idx] * rep.dual[idx]).max(initial=0.0)))
+            got = split_ls_on_assembled(prob, design, target, back_weight)
+            for key in worst:
+                worst[key] = max(worst[key], abs(got[key]))
             n_qps += 1
 
     detected = 0
@@ -316,11 +319,16 @@ def test_criterion_8():
                     continue
                 worst_slack = max(worst_slack, abs(rep.objective_value))
 
-    ok = (all_psd and n_qps == 100 and worst_cs <= 1e-6
+    qp_ok = (worst["sign"] <= 1e-12 and worst["complementarity"] <= 1e-6
+             and worst["stationarity"] <= 1e-5 and worst["bvls_gap"] <= 1e-9)
+    ok = (all_psd and n_qps == 100 and qp_ok
           and detected == 50 and certs_ok and worst_slack <= 1e-9)
     record_acceptance(8, ok, (
-        f"solver suite: {n_qps} assembled QPs psd={all_psd}, worst "
-        f"complementary slackness {worst_cs:.2e} (<=1e-6); infeasible "
+        f"solver suite: {n_qps} assembled QPs psd={all_psd}, split-LS worst "
+        f"complementary slackness {worst['complementarity']:.2e} (<=1e-6), "
+        f"stationarity/max(1,|q|) {worst['stationarity']:.2e} (<=1e-5), bounded "
+        f"gradient sign {worst['sign']:.2e} (<=1e-12), BVLS objective gap "
+        f"{worst['bvls_gap']:.2e} (<=1e-9); infeasible "
         f"detected {detected}/50 (certificates valid: {certs_ok}); worst "
         f"noiseless slack objective {worst_slack:.2e} (<=1e-9)"
     ))

@@ -4,7 +4,6 @@ import pytest
 from reslearn.baselines import (
     SgdConfig,
     expected_sample_bound,
-    save_loss_trace,
     sgd_batch_gradients,
     sgd_train,
     vanilla_lr,
@@ -169,16 +168,3 @@ class TestSgdTrain:
             sgd_train(s, SgdConfig(init="nonsense"))
         with pytest.raises(ValueError):
             sgd_train(s, SgdConfig(init="teacher-perturbed"))
-
-
-class TestSaveLossTrace:
-    def test_roundtrip(self, tmp_path):
-        unit, s = gaussian_samples(A_REF, B_REF, 64, seed=20)
-        res = sgd_train(s, SgdConfig(epochs=4, seed=21))
-        path = tmp_path / "trace.csv"
-        save_loss_trace(path, res.loss_trace)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,mean_loss,eta"
-        assert len(lines) == 5
-        back = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(back, res.loss_trace, rtol=1e-15)

@@ -3,8 +3,9 @@ import pytest
 
 from reslearn.errors import DegenerateRowError, DimensionMismatchError
 from reslearn.layer1 import (
+    K_MIN,
+    SOFT_GATE,
     HiddenSampleSet,
-    RowScaleConfig,
     _scale_fit_misfit,
     build_hidden_row_lp,
     build_hidden_row_qp,
@@ -129,7 +130,7 @@ class TestScaleEstimation:
         s = hidden_from(A_REF, n=200, seed=9)
         with pytest.warns(UserWarning, match="below"):
             k = estimate_row_scale(s.xs, s.hs, 1e-6 * A_REF[0], 0)
-        assert k == RowScaleConfig().k_min
+        assert k == K_MIN
 
     def test_never_activated_row_degenerate(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -173,13 +174,12 @@ class TestSoftGate:
         # the trivial vertex a = 0, exactly or up to solver noise, carries no
         # scaled-row structure; rows that are scaled teacher rows measure ~0
         s = hidden_from(A_REF, n=300, seed=19)
-        cfg = RowScaleConfig()
 
         def misfit(raw_a):
-            return _scale_fit_misfit(scale * s.xs, scale * s.hs, raw_a, cfg)
+            return _scale_fit_misfit(scale * s.xs, scale * s.hs, raw_a)
 
-        assert misfit(np.zeros((2, 2))) > cfg.soft_gate
-        assert misfit(1e-16 * make_rng(18).standard_normal((2, 2))) > cfg.soft_gate
+        assert misfit(np.zeros((2, 2))) > SOFT_GATE
+        assert misfit(1e-16 * make_rng(18).standard_normal((2, 2))) > SOFT_GATE
         assert misfit(np.diag([0.5, 0.8]) @ A_REF) <= 1e-20
 
 

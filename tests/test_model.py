@@ -10,7 +10,6 @@ from reslearn.model import (
     ResidualUnit,
     SampleSet,
     derive_seed,
-    forward,
     forward_batch,
     generate_unit,
     is_scale_row,
@@ -88,12 +87,14 @@ class TestResidualUnit:
 class TestForward:
     def test_hand_computed_values(self):
         unit = ResidualUnit(a=A_REF, b=B_REF)
-        # x = (1, -1): A x = (0, -1), relu -> (0, 0), y = x
-        np.testing.assert_allclose(forward(unit, [1.0, -1.0]), [1.0, -1.0])
-        # x = (1, 1): A x = (2, 3), y = (3, 4)
-        np.testing.assert_allclose(forward(unit, [1.0, 1.0]), [3.0, 4.0])
-        # all-negative orthant: relu dead, y = B x
-        np.testing.assert_allclose(forward(unit, [-2.0, -3.0]), [-2.0, -3.0])
+        xs = np.array([
+            [1.0, -1.0],  # A x = (0, -1), relu -> (0, 0), y = x
+            [1.0, 1.0],  # A x = (2, 3), y = (3, 4)
+            [-2.0, -3.0],  # all-negative orthant: relu dead, y = B x
+        ])
+        np.testing.assert_allclose(
+            forward_batch(unit.a, unit.b, xs), [[1.0, -1.0], [3.0, 4.0], [-2.0, -3.0]]
+        )
 
     def test_batch_agrees_with_single(self):
         g = make_rng(7)
@@ -101,12 +102,8 @@ class TestForward:
         xs = g.normal(size=(20, 3))
         batch = forward_batch(unit.a, unit.b, xs)
         for i in range(20):
-            np.testing.assert_allclose(batch[i], forward(unit, xs[i]), atol=1e-12)
-
-    def test_wrong_input_dimension(self):
-        unit = ResidualUnit(a=A_REF, b=B_REF)
-        with pytest.raises(DimensionMismatchError):
-            forward(unit, [1.0, 2.0, 3.0])
+            single = forward_batch(unit.a, unit.b, xs[i : i + 1])
+            np.testing.assert_allclose(batch[i], single[0], atol=1e-12)
 
 
 class TestScaleRows:

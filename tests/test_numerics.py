@@ -79,7 +79,7 @@ class TestOriginFit:
 
     def test_no_slope_without_spread(self):
         from reslearn.errors import DegenerateRowError
-        from reslearn.layer1 import RowScaleConfig, _scale_fit_misfit, estimate_row_scale
+        from reslearn.layer1 import _scale_fit_misfit, estimate_row_scale
         from reslearn.layer2 import rescale_layer2
         from reslearn.model import SampleSet
 
@@ -94,7 +94,7 @@ class TestOriginFit:
         np.testing.assert_array_equal(rescale_layer2(samples, np.eye(1)), [1.0])
         xs = rng(2).normal(size=(20, 1))
         hs = tiny.reshape(-1, 1)
-        assert _scale_fit_misfit(xs, hs, np.eye(1), RowScaleConfig()) == 0.0
+        assert _scale_fit_misfit(xs, hs, np.eye(1)) == 0.0
         with pytest.raises(DegenerateRowError, match="all zero"):
             estimate_row_scale(xs, hs, [1.0], 0)
 
