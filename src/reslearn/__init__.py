@@ -28,7 +28,6 @@ from .errors import (
 )
 from .evaluation import (
     ErrorReport,
-    PipelineConfig,
     TrialGrid,
     TrialRow,
     full_pipeline,
@@ -38,7 +37,7 @@ from .evaluation import (
     run_trial,
 )
 from .layer1 import HiddenSampleSet, Layer1Estimate, learn_layer1
-from .layer2 import Layer2Estimate, RescaleConfig, learn_layer2
+from .layer2 import Layer2Estimate, learn_layer2
 from .methods import ConvexMethod
 from .model import (
     FoldedGaussianIid,
@@ -81,10 +80,8 @@ __all__ = [
     "Layer2Estimate",
     "LpProblem",
     "NetworkGenSpec",
-    "PipelineConfig",
     "QpProblem",
     "RankDeficientError",
-    "RescaleConfig",
     "ResidualUnit",
     "ReslearnError",
     "SampleSet",

@@ -38,7 +38,6 @@ from .errors import (
     SolverFailedError,
 )
 from .evaluation import (
-    PipelineConfig,
     TrialGrid,
     TrialRow,
     aggregate_rows,
@@ -49,7 +48,7 @@ from .evaluation import (
     run_success_rates,
     save_rows_csv,
 )
-from .layer2 import RescaleConfig
+from .layer2 import EPS_TOL
 from .methods import ALL_METHODS, CONVEX_METHODS
 from .model import (
     NetworkGenSpec,
@@ -123,10 +122,8 @@ def _methods(args: argparse.Namespace, default: list[str]) -> list[str]:
     return methods
 
 
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "eps_tol", None) is not None:
-        return PipelineConfig(rescale=RescaleConfig(eps_tol=args.eps_tol))
-    return PipelineConfig()
+def _eps_tol(args: argparse.Namespace) -> float:
+    return args.eps_tol if getattr(args, "eps_tol", None) is not None else EPS_TOL
 
 
 # --- generate ------------------------------------------------------------
@@ -216,7 +213,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown method {method!r}; pick one of {ALL_METHODS}")
     samples = load_samples_csv(data_path)
     seed = args.seed if args.seed is not None else (samples.seed or 0)
-    est_a, est_b, result = fit_method(samples, method, seed, _pipeline_config(args))
+    est_a, est_b, result = fit_method(samples, method, seed, _eps_tol(args))
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -270,7 +267,7 @@ def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
     """Run each pending (d, n, sigma, method) cell through ``run_grid`` and
     record it in the ledger as it finishes, so a rerun skips done cells."""
     base_seed = args.seed if args.seed is not None else 0
-    cfg = _pipeline_config(args)
+    eps_tol = _eps_tol(args)
     shared = {
         "trials": trials, "base_seed": base_seed,
         "test_set_size": args.test_size, "input": args.input,
@@ -299,7 +296,7 @@ def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
                         dims=(d,), sample_sizes=(n,), noise_sigmas=(sigma,),
                         methods=(method,), trials_per_cell=trials,
                         test_set_size=args.test_size, base_seed=base_seed,
-                        input_kind=args.input, fixed_teacher=fixed_teacher, cfg=cfg,
+                        input_kind=args.input, fixed_teacher=fixed_teacher, eps_tol=eps_tol,
                     )
                     rows = run_grid(grid, jobs=args.jobs)
                     payload["cells"][key] = {

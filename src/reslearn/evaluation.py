@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .baselines import SgdConfig, sgd_train, vanilla_lr
 from .errors import DimensionMismatchError, ReslearnError
 from .layer1 import HiddenSampleSet, Layer1Estimate, learn_layer1
-from .layer2 import Layer2Estimate, RescaleConfig, learn_layer2
+from .layer2 import EPS_TOL, Layer2Estimate, learn_layer2
 from .methods import ALL_METHODS, CONVEX_METHODS, ConvexMethod
 from .model import (
     GaussianIid,
@@ -58,18 +58,13 @@ class ErrorReport:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    rescale: RescaleConfig = field(default_factory=RescaleConfig)
-
-
-@dataclass(frozen=True)
 class TrialGrid:
     """A full experiment grid; every list axis is crossed with the others.
 
     Teachers vary with (d, trial) unless ``fixed_teacher`` is set, in which
     case every trial of a dimension learns the same teacher, so the spread
-    across trials comes from the sampled data alone. ``cfg`` reaches every
-    convex-method trial.
+    across trials comes from the sampled data alone. ``eps_tol`` (the
+    layer-2 rescale gate) reaches every convex-method trial.
     """
 
     dims: tuple[int, ...]
@@ -81,7 +76,7 @@ class TrialGrid:
     base_seed: int = 0
     input_kind: str = "mixture"  # "mixture" or "gaussian"
     fixed_teacher: bool = False
-    cfg: PipelineConfig = field(default_factory=PipelineConfig)
+    eps_tol: float = EPS_TOL
 
     def __post_init__(self):
         for name in ("dims", "sample_sizes", "noise_sigmas", "methods"):
@@ -157,32 +152,32 @@ def relative_errors(
 def full_pipeline(
     samples: SampleSet,
     method: ConvexMethod | str = ConvexMethod.QP,
-    cfg: PipelineConfig | None = None,
+    eps_tol: float = EPS_TOL,
 ) -> tuple[Layer1Estimate, Layer2Estimate]:
     """Learn layer 2 from (x, y), then layer 1 from the recovered hidden
     outputs. The second stage consumes the first stage's xi estimates as its
-    h samples, clipped at zero so downstream validation holds."""
-    cfg = cfg or PipelineConfig()
+    h samples, clipped at zero so downstream validation holds. ``eps_tol``
+    is layer 2's rescale gate."""
     method = ConvexMethod.parse(method)
-    est2 = learn_layer2(samples, method, rescale_cfg=cfg.rescale)
+    est2 = learn_layer2(samples, method, eps_tol=eps_tol)
     hidden = HiddenSampleSet(xs=samples.xs, hs=np.maximum(est2.xi_hat, 0.0))
     est1 = learn_layer1(hidden, method)
     return est1, est2
 
 
 def fit_method(
-    samples: SampleSet, method: str, seed: int, cfg: PipelineConfig | None = None
+    samples: SampleSet, method: str, seed: int, eps_tol: float = EPS_TOL
 ) -> tuple[np.ndarray, np.ndarray, object]:
     """Fit one method to a training set; returns (a_hat, b_hat, result).
 
     ``result`` is what the method's learner returned: the (Layer1Estimate,
     Layer2Estimate) pair for the convex methods, an SgdResult, or a
     VanillaLrResult. SGD derives its initialisation seed from ``seed``;
-    ``cfg`` reaches the convex methods only. A failed two-orthant
+    ``eps_tol`` reaches the convex methods only. A failed two-orthant
     regression raises, so every returned result carries both estimates.
     """
     if method in CONVEX_METHODS:
-        result = full_pipeline(samples, method, cfg)
+        result = full_pipeline(samples, method, eps_tol)
         return result[0].a_hat, result[1].b_hat, result
     if method == "sgd":
         result = sgd_train(samples, SgdConfig(seed=derive_seed(seed, "sgd")))
@@ -206,7 +201,7 @@ def run_trial(
     seed: int,
     test_set_size: int = 1000,
     input_kind: str = "mixture",
-    cfg: PipelineConfig | None = None,
+    eps_tol: float = EPS_TOL,
 ) -> ErrorReport:
     """Draw a training set, learn with one method, score on fresh data.
 
@@ -220,7 +215,7 @@ def run_trial(
     dist = make_input_dist(input_kind, unit.d)
     train = sample(unit, dist, n, noise_sigma, seed=seed)
     test = sample(unit, dist, test_set_size, 0.0, seed=derive_seed(seed, "test"))
-    est_a, est_b, _ = fit_method(train, method, seed, cfg)
+    est_a, est_b, _ = fit_method(train, method, seed, eps_tol)
     report = relative_errors(est_a, est_b, unit, test, method=method)
     return ErrorReport(
         layer1_rel=report.layer1_rel,
@@ -263,7 +258,7 @@ def _run_cell_trial(args) -> TrialRow:
             unit, n, sigma, method, seed,
             test_set_size=grid.test_set_size,
             input_kind=grid.input_kind,
-            cfg=grid.cfg,
+            eps_tol=grid.eps_tol,
         )
         return TrialRow(
             d=d, n=n, noise_sigma=sigma, method=method, trial=trial, seed=seed,

@@ -67,14 +67,15 @@ class HiddenSampleSet:
 
 # Per-row scale regression. A sample counts as activated when h_j exceeds
 # ACTIVATION_REL times the median |h_j| (an absolute zero test would
-# misclassify near-zero estimates). Slopes outside (K_MIN, 1] by more than
-# K_TOL are clamped with a warning; fewer than MIN_POS_SAMPLES activated
-# samples raise DegenerateRowError. SOFT_GATE bounds the relative
-# scale-regression residual above which the slack route stops trusting the
-# hard feasibility vertex (see learn_layer1); a row whose response over the
-# activated samples is at roundoff next to h_j (n * eps times its largest
-# activated value) counts as above any gate, because the vertex then sits
-# at the trivial a = 0 rather than on a scaled row.
+# misclassify near-zero estimates). Slopes above 1 by more than K_TOL are
+# clamped to 1 with a warning; a slope at or below K_MIN, like fewer than
+# MIN_POS_SAMPLES activated samples, raises DegenerateRowError, so the row
+# stays unscaled and is listed rather than blown up by 1/K_MIN. SOFT_GATE
+# bounds the relative scale-regression residual above which the slack route
+# stops trusting the hard feasibility vertex (see learn_layer1); a row whose
+# response over the activated samples is at roundoff next to h_j (n * eps
+# times its largest activated value) counts as above any gate, because the
+# vertex then sits at the trivial a = 0 rather than on a scaled row.
 ACTIVATION_REL = 1e-8
 MIN_POS_SAMPLES = 10
 K_MIN = 1e-4
@@ -202,17 +203,15 @@ def estimate_row_scale(xs: Mat, hs: Mat, raw_row, row: int) -> float:
     if fit is None:
         raise DegenerateRowError(f"row {row}: activated h values are all zero", row=row)
     slope = fit[0]
+    if slope <= K_MIN:
+        raise DegenerateRowError(
+            f"row {row}: scale estimate {slope:.3e} at or below {K_MIN:.0e}", row=row
+        )
     if slope > 1.0 + K_TOL:
         warnings.warn(
             f"row {row}: scale estimate {slope:.6f} above 1, clamped", stacklevel=2
         )
         slope = 1.0
-    elif slope < K_MIN:
-        warnings.warn(
-            f"row {row}: scale estimate {slope:.3e} below {K_MIN:.0e}, clamped",
-            stacklevel=2,
-        )
-        slope = K_MIN
     return min(slope, 1.0)
 
 
@@ -255,7 +254,7 @@ def learn_layer1(
             misfit = _scale_fit_misfit(xs, hs, raw_a)
             if misfit > SOFT_GATE:
                 # Noise in h shrinks the feasible polytope sample by sample
-                # and the simplex vertex lands at an extreme corner of it;
+                # and the LP vertex lands at an extreme corner of it;
                 # softening the constraints into one-sided penalties moves
                 # the landing to the noise-averaged interior instead. On
                 # clean samples the two answers agree (the misfit is ~0 and

@@ -14,7 +14,8 @@ divides the scale back out before B is read off by least squares.
 
 All three program forms decouple across the d rows of C, so the QP path
 solves one batched program per layer (shared factorization) and the LP
-paths run one small simplex per row.
+paths run one small LP per row: m free coefficients against n rows, which
+``solve_lp`` works on as a basis of at most m tight rows.
 """
 
 from __future__ import annotations
@@ -38,36 +39,22 @@ from .solver.simplex import FEAS_TOL, solve_lp
 from .solver.split_ls import solve_separable_ls
 
 
-@dataclass(frozen=True)
-class RescaleConfig:
-    """Controls the scale-row detector.
-
-    A row is accepted as scale-equivalent (and its factor divided out) only
-    when the origin-line fit of [C y]_j on x_j over negative x_j leaves a
-    mean squared residual at most ``eps_tol`` times the sample variance of
-    [C y]_j; otherwise the factor stays 1. Rows with fewer than
-    ``min_neg_samples`` negative samples are left untouched as well.
-
-    The default tolerance leaves room for the QP path, whose tie-break
-    lands a hair off the pure-multiple segment; genuinely coupled rows
-    measure orders of magnitude above it either way.
-
-    Slopes within ``shrink_tol`` of 1 are treated as exactly 1: a row whose
-    factor is that close to unity needs no correction, and dividing by a
-    noisy near-unit estimate would push an already-correct solution off the
-    constraint surface by the estimation error.
-    """
-
-    eps_tol: float = 1e-3
-    min_neg_samples: int = 10
-    k_min: float = 1e-4
-    shrink_tol: float = 1e-2
-
-    def __post_init__(self):
-        if self.eps_tol <= 0:
-            raise ValueError("eps_tol must be positive")
-        if not 0.0 <= self.shrink_tol < 1.0:
-            raise ValueError("shrink_tol must be in [0, 1)")
+# Scale-row detector. A row is accepted as scale-equivalent (and its factor
+# divided out) only when the origin-line fit of [C y]_j on x_j over negative
+# x_j leaves a mean squared residual at most eps_tol times the sample
+# variance of [C y]_j; otherwise the factor stays 1. EPS_TOL is the default
+# eps_tol: it leaves room for the QP path, whose tie-break lands a hair off
+# the pure-multiple segment, while genuinely coupled rows measure orders of
+# magnitude above it either way. Rows with fewer than MIN_NEG_SAMPLES
+# negative samples, or a slope below K_MIN, are left at 1 with a warning.
+# Slopes within SHRINK_TOL of 1 are treated as exactly 1: a row whose factor
+# is that close to unity needs no correction, and dividing by a noisy
+# near-unit estimate would push an already-correct solution off the
+# constraint surface by the estimation error.
+EPS_TOL = 1e-3
+MIN_NEG_SAMPLES = 10
+K_MIN = 1e-4
+SHRINK_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -156,9 +143,9 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
         if slack and report.status is SolveStatus.INFEASIBLE:
             # Only an infeasible system leaves the slack program real work;
             # when the plain feasibility program closes every constraint the
-            # slack optimum is exactly zero at the same point, and skipping
-            # the slack solve avoids the heavily degenerate zero-objective
-            # simplex run that entails.
+            # slack optimum is exactly zero at that point, so the slack
+            # solve, which starts from all-zero multipliers and would only
+            # walk degenerate steps to some feasible vertex, is skipped.
             report = solve_lp(build_row_slack_lp(samples, j))
         if report.status is not SolveStatus.OPTIMAL:
             raise SolverFailedError(
@@ -176,15 +163,14 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     return c_hat, xi_hat, notes
 
 
-def rescale_layer2(samples: SampleSet, c_hat: Mat, cfg: RescaleConfig | None = None) -> np.ndarray:
+def rescale_layer2(samples: SampleSet, c_hat: Mat, eps_tol: float = EPS_TOL) -> np.ndarray:
     """Per-row scale factors of c_hat, detected on the negative half-lines.
 
     For a scale-equivalent row j, [C y]_j equals k_j x_j exactly whenever
     x_j < 0, so the through-origin regression has residual ~0 and its slope
-    is the factor. Any appreciable residual means the row is genuinely
-    coupled, and the factor defaults to 1.
+    is the factor. A residual above ``eps_tol`` times the variance means the
+    row is genuinely coupled, and the factor defaults to 1.
     """
-    cfg = cfg or RescaleConfig()
     xs = samples.xs
     cy = samples.ys @ np.asarray(c_hat).T
     d = xs.shape[1]
@@ -196,7 +182,7 @@ def rescale_layer2(samples: SampleSet, c_hat: Mat, cfg: RescaleConfig | None = N
     for j in range(d):
         neg = xs[:, j] < 0
         count = int(neg.sum())
-        if count < cfg.min_neg_samples:
+        if count < MIN_NEG_SAMPLES:
             warnings.warn(
                 f"row {j}: only {count} negative samples, scale factor left at 1",
                 stacklevel=2,
@@ -208,15 +194,15 @@ def rescale_layer2(samples: SampleSet, c_hat: Mat, cfg: RescaleConfig | None = N
             continue
         slope, mse = fit
         spread = float(np.var(cy_neg))
-        if mse > cfg.eps_tol * max(spread, 1e-30):
+        if mse > eps_tol * max(spread, 1e-30):
             continue  # gate: residual too large, not a scale row
-        if slope < cfg.k_min:
+        if slope < K_MIN:
             warnings.warn(
                 f"row {j}: degenerate scale estimate {slope:.3e}, left at 1",
                 stacklevel=2,
             )
             continue
-        if slope >= 1.0 - cfg.shrink_tol:
+        if slope >= 1.0 - SHRINK_TOL:
             continue  # no detectable shrink; dividing would only add noise
         k_hat[j] = min(slope, 1.0)
     return k_hat
@@ -244,17 +230,20 @@ def recover_b_general(samples: SampleSet, c_hat: Mat, k_hat) -> Mat:
 def learn_layer2(
     samples: SampleSet,
     method: ConvexMethod | str = ConvexMethod.QP,
-    rescale_cfg: RescaleConfig | None = None,
+    eps_tol: float = EPS_TOL,
 ) -> Layer2Estimate:
     """Estimate C and B from samples; see the module docstring for the model.
 
     Every method runs the same three stages: solve the row programs for C
     and the hidden estimates, divide out the scale factors that
     ``rescale_layer2`` detects, and read B off by least squares
-    (``recover_b_general``). Raises SolverFailedError when a row program
-    fails and SingularCHatError when the projected samples lose rank.
+    (``recover_b_general``); ``eps_tol`` is the rescale gate and must be
+    positive. Raises SolverFailedError when a row program fails and
+    SingularCHatError when the projected samples lose rank.
     """
     method = ConvexMethod.parse(method)
+    if eps_tol <= 0:
+        raise ValueError("eps_tol must be positive")
     notes: list[str] = []
     d, m, n = samples.d, samples.m, samples.n
     if m < d:
@@ -273,7 +262,7 @@ def learn_layer2(
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        k_hat = rescale_layer2(samples, c_hat, rescale_cfg)
+        k_hat = rescale_layer2(samples, c_hat, eps_tol)
     notes.extend(str(w.message) for w in caught)
 
     b_hat = recover_b_general(samples, c_hat, k_hat)

@@ -1,40 +1,35 @@
-"""Two-phase dictionary simplex for the package's LP shapes.
+"""Bounded dual active-set method for the package's LP shapes.
 
-The constraint form is  lhs @ v >= rhs  with a (possibly empty) subset of
-nonnegative variables; every remaining variable is free. Free variables are
-driven into the basis up front (a "crash") and never leave it, which keeps
-the main loop a plain textbook simplex over nonnegative columns.
+``solve_lp`` reduces  min objective . v  s.t.  lhs @ v >= rhs,  v[nonneg] >= 0
+to  min g . c + sum_i w_i (b_i - a_i . c)^+  over free c, w_i in (0, inf].
+A nonnegative positive unit column (one nonzero, in row i) with cost >= 0 is
+the slack of a soft row: it leaves c and row i gets weight cost / entry (the
+cheapest per row; weight 0 drops the row). Other nonnegative columns stay in
+c behind hard rows e_j . c >= 0; rows without a slack are hard (w = inf).
+The layer LPs have m <= 16 free coefficients and n = 400-512 rows.
 
-The crash prefers pivot rows whose right-hand side is nonzero. This matters
-for zero-objective feasibility runs: the trivially feasible all-slack basis
-often sits at v = 0, a legal but useless answer for the learning code, while
-pivoting each free variable onto a row with active data lands on a vertex
-that interpolates genuine constraints. Any feasible point is a correct
-return value; the crash only biases which one comes back.
+The dual is  max b . lam  s.t.  A' lam = g,  0 <= lam <= w. The method
+(Lemke's dual method with Barrodale & Roberts' bounded multipliers) keeps
+p <= m tight rows T, A_T c = b_T, with lam_T = A_T^-T (g - A_U' w_U) in its
+boxes (U: rows at their weight). Each step enters the most violated other
+row r (lam_r = 0 and a_r . c < b_r, or lam_r = w_r and a_r . c > b_r);
+moving lam_r by t moves lam_T by -/+ t A_T^-T a_r, and the ratio test flips
+lam_r to its other bound or swaps r for the first basic row whose
+multiplier hits a bound, ties going to the largest pivot. A hard row with
+nothing in reach gives the Farkas ray lam_r = 1, lam_T = -A_T^-T a_r.
 
-Infeasibility is certified, not merely declared: the phase-1 duals are
-extracted and re-verified against the original data as a Farkas ray before
-the Infeasible status is returned.
+Start: nonnegative columns sit at e_j . c = 0; the rest take rows by
+elimination with partial pivoting in column order, preferring rows with
+|rhs| > 1e-6 of the largest, since near-zero rhs entries are often estimate
+slop; a column with no usable pivot left stays at 0. A zero objective
+becomes g = sum_T a_i (lam_T = 1), or keeps lam = 0 when rows are soft. A
+nonzero one pins each of its columns by sign(g_j) e_j . c >= -M (or
+e_j . c >= 0 when c_j >= 0 and g_j > 0) at lam = |g_j|, M = BOX |rhs|/|lhs|;
+a box row that keeps a multiplier means the objective is unbounded below.
 
-Variables are numbered structural (n) | surplus (m, one per row, column
--e_row) | artificial (one per row that needs one). Pricing and eviction
-break ties by the lowest variable index.
-
-Cost model: the tableau is a dictionary that stores only the nonbasic
-columns and the rhs, m x (n + #artificials + 1), column-major. A basic
-column is an implicit unit vector in its row; ``basis`` names each row's
-basic variable and ``var_of_slot`` the variable held by each stored column.
-A row that has no basic variable yet implicitly holds its own surplus,
-whose column is still exactly -e_row; giving the row that surplus is a row
-negation. A pivot swaps the entering and leaving variables between the
-basis and the entering column's slot and updates only the slots where the
-pivot row is nonzero, so its work is m x (nonzeros in the pivot row) plus
-scans of one row and one column. Every stored entry sees the same float
-operations as in the full tableau [lhs | -I | artificials | rhs], so the
-pivot sequence, the terminal basis and the Farkas check are those of the
-full tableau. The terminal point is re-solved from the rows that basis
-holds tight, a system no larger than the basic structural variables. A
-feasibility LP therefore never allocates an m x m array.
+Cost: a step solves p x p systems, and a basis change re-solves c from the
+tight rows and recomputes n residuals: O(p^3 + n p). Besides the n x p kept
+block, only an n x (columns) boolean mask is built (to find unit columns).
 """
 
 from __future__ import annotations
@@ -44,288 +39,93 @@ import numpy as np
 from .types import LpProblem, SolveReport, SolveStatus
 
 FEAS_TOL = 1e-8  # feasibility tolerance, relative to max(1, |rhs|)
-MAX_ITER = 20_000  # pivot budget shared by both phases
-PIVOT_TOL = 1e-9  # smallest admissible pivot magnitude
-BLAND_AFTER = 64  # consecutive degenerate pivots before Bland's rule
-
-_UNASSIGNED = -1
+MAX_ITER = 20_000  # step budget
+PIVOT_TOL = 1e-9  # smallest admissible pivot, relative to max(1, |column|)
+BOX = 1e6  # bound on objective-carrying variables, in units of |rhs| / |lhs|
 
 
-def _pivot(
-    tableau: np.ndarray, obj_row: np.ndarray | None, row: int, slot: int, coef: float = 1.0
-) -> None:
-    """Dictionary pivot on (row, slot), in place on tableau and obj_row.
-
-    The variable in ``slot`` enters the basis in ``row`` and the slot takes
-    over the leaving variable, whose implicit column has entry ``coef`` in
-    ``row`` (1 for a basic variable, -1 for the surplus of a row without
-    one). Only the slots where the normalised pivot row is nonzero are
-    updated; every other entry would change by exactly ``x - 0 * y``. Each
-    updated entry sees the float operations of the full-tableau
-    Gauss-Jordan pivot, including the leaving column's ``coef / pivot`` in
-    ``row`` and ``0 - factor * (coef / pivot)`` elsewhere; rows with a zero
-    factor can differ from it only in the sign of a zero.
-    """
-    pivot = tableau[row, slot]
-    factors = tableau[:, slot].copy()
-    factors[row] = 0.0
-    tableau[:, slot] = 0.0
-    prow = tableau[row] / pivot
-    prow[slot] = coef / pivot
-    tableau[row] = prow
-    cols = prow.nonzero()[0]
-    # the touched columns are rows of the transpose, which numpy gathers and
-    # scatters fastest when the tableau is column-major
-    tableau.T[cols] -= prow[cols, None] * factors
-    if obj_row is not None:
-        entering_cost = obj_row[slot]
-        obj_row[slot] = 0.0
-        obj_row[cols] -= entering_cost * prow[cols]
+def _soft_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, the cheapest positive unit column among the nonnegative
+    columns with cost >= 0 (-1 if none) and its weight cost / entry (inf if
+    none); and all of those unit columns."""
+    lhs, cost = problem.ineq_lhs, problem.objective
+    slack, weight = np.full(problem.n_rows, -1), np.full(problem.n_rows, np.inf)
+    cand = np.array([j for j in problem.nonneg_vars if cost[j] >= 0.0], dtype=np.int64)
+    if cand.size == 0:
+        return slack, weight, cand
+    # column-major, so that the per-column argmax reads each column in place
+    nonzero = np.not_equal(lhs, 0.0, order="F")
+    counts, first = nonzero.sum(axis=0)[cand], nonzero.argmax(axis=0)[cand]
+    unit = (counts == 1) & (lhs[first, cand] > 0.0)
+    for j, i in zip(cand[unit].tolist(), first[unit].tolist()):
+        if cost[j] / lhs[i, j] < weight[i]:
+            slack[i], weight[i] = j, cost[j] / lhs[i, j]
+    return slack, weight, cand[unit]
 
 
-class _Tableau:
-    """Mutable simplex state: dictionary tableau, basis, and column roles."""
+def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float) -> list[tuple[int, int]]:
+    """(column, row) start pairs for the columns of a, by elimination in
+    column order; a column with no usable pivot left gets no row."""
+    work = a.copy()
+    open_rows = np.ones(a.shape[0], dtype=bool)
+    with_data = np.abs(rhs) > 1e-6 * rhs_scale
+    chosen = []
+    for q in range(a.shape[1]):
+        column = work[:, q]
+        magnitude = np.abs(column)
+        usable = open_rows & (magnitude > PIVOT_TOL * max(1.0, float(magnitude.max(initial=0.0))))
+        pool = usable & with_data if (usable & with_data).any() else usable
+        if pool.any():
+            row = int(np.argmax(np.where(pool, magnitude, -1.0)))
+            chosen.append((q, row))
+            open_rows[row] = False
+            work[:, q + 1 :] -= np.outer(column / column[row], work[row, q + 1 :])
+    return chosen
 
-    def __init__(self, problem: LpProblem):
-        self.problem = problem
-        n, m = problem.n_vars, problem.n_rows
-        self.n_struct = n
-        self.n_rows = m
-        # stored columns: nonbasic variables (structural ones first) | rhs,
-        # column-major because pivots and ratio tests work down columns
-        self.tableau = np.empty((m, n + 1), order="F")
-        self.tableau[:, :n] = problem.ineq_lhs
-        self.tableau[:, n] = problem.ineq_rhs
-        self.var_of_slot = np.arange(n, dtype=np.int64)
-        self.basis = np.full(m, _UNASSIGNED, dtype=np.int64)
-        self.free_cols = np.array(
-            sorted(set(range(n)) - set(problem.nonneg_vars)), dtype=np.int64
-        )
-        self.n_art = 0
-        self.art_rows = np.zeros(0, dtype=np.int64)  # row of artificial n + m + k
-        self.iterations = 0
-        self.rhs_scale = max(1.0, float(np.abs(problem.ineq_rhs).max()))
 
-    @property
-    def n_vars(self) -> int:
-        """Variables in the full tableau: structural, surplus, artificial."""
-        return self.n_struct + self.n_rows + self.n_art
-
-    def _swap(self, row: int, slot: int, obj_row: np.ndarray | None = None) -> None:
-        """Pivot the variable in ``slot`` into the basis in ``row``."""
-        leaving = int(self.basis[row])
-        if leaving == _UNASSIGNED:
-            _pivot(self.tableau, obj_row, row, slot, coef=-1.0)
-            leaving = self.n_struct + row
-        else:
-            _pivot(self.tableau, obj_row, row, slot)
-        self.basis[row] = self.var_of_slot[slot]
-        self.var_of_slot[slot] = leaving
-
-    def relax_unassigned_rows(self) -> None:
-        """Anti-degeneracy: relax each not-yet-basic row by a distinct tiny
-        amount so tied ratio tests (the stalling engine on zero-objective
-        instances) break deterministically. Rows claimed by the free-variable
-        crash keep their exact rhs, preserving the interpolation property of
-        that starting point. The terminal point is still checked against the
-        original rhs before OPTIMAL is reported."""
-        jitter_rng = np.random.Generator(np.random.Philox(key=0x5D))
-        jitter = (1.0 + jitter_rng.random(self.n_rows)) * 1e-11 * self.rhs_scale
-        self.tableau[:, -1] -= np.where(self.basis == _UNASSIGNED, jitter, 0.0)
-
-    # -- setup ------------------------------------------------------------
-
-    def crash_free_variables(self) -> None:
-        """Pivot every free structural column into the basis, in index order.
-
-        Rows whose rhs is meaningfully nonzero are preferred pivot rows: on
-        interpolation-style instances these are the rows that actually pin
-        the free block, while near-zero rhs entries are often estimate slop
-        rather than structure. The margin is therefore well above roundoff.
-        """
-        rhs_nonzero = np.abs(self.problem.ineq_rhs) > 1e-6 * self.rhs_scale
-        for col in self.free_cols:
-            # the crash only moves free columns, so a pending one is still
-            # in its own slot
-            column = self.tableau[:, col]
-            col_scale = max(1.0, float(np.abs(column).max()))
-            usable = (self.basis == _UNASSIGNED) & (np.abs(column) > PIVOT_TOL * col_scale)
-            preferred = usable & rhs_nonzero
-            pool = preferred if preferred.any() else usable
-            if not pool.any():
-                continue
-            magnitudes = np.where(pool, np.abs(column), -1.0)
-            self._swap(int(np.argmax(magnitudes)), int(col))
-
-    def complete_basis(self) -> None:
-        """Give every remaining row a feasible basic variable, in row order.
-
-        Rows with nonpositive transformed rhs take their own surplus, which
-        is a row negation rather than a full pivot. Rows with positive rhs
-        take a still-pristine unit column (the slack pattern of L1-penalty
-        variables) when one exists, a pivot that only rescales the row, else
-        an artificial. Only those unit-column pivots can reach other rows,
-        so the rows between two of them are decided and negated together.
-
-        The surplus branch accepts violations up to the feasibility
-        tolerance: such rows are satisfied for reporting purposes anyway,
-        and forcing a phase-1 walk over them lets sub-tolerance
-        inconsistencies (typical when the rhs is itself a solver estimate)
-        push the start arbitrarily far from the interpolated vertex.
-        """
-        n, m = self.n_struct, self.n_rows
-        tol = FEAS_TOL * max(1.0, self.rhs_scale)
-        unit_col_for_row = self._pristine_unit_columns()
-        pending = np.flatnonzero(self.basis == _UNASSIGNED)
-        art_rows: list[np.ndarray] = []
-        done = 0
-        for stop in [*sorted(unit_col_for_row), m]:
-            block = pending[(pending >= done) & (pending < stop)]
-            done = stop + 1
-            tight = self.tableau[block, -1] <= tol
-            surplus = block[tight]
-            self.tableau[surplus] *= -1.0
-            self.basis[surplus] = n + surplus
-            art_rows.append(block[~tight])
-            if stop == m:
-                break
-            if self.tableau[stop, -1] <= tol:
-                self.tableau[stop] *= -1.0
-                self.basis[stop] = n + stop
-            else:
-                self._swap(stop, unit_col_for_row[stop])
-        rows = np.concatenate(art_rows)
-        self.n_art = rows.size
-        if rows.size:
-            # each artificial row's surplus (still -e_row) joins the stored
-            # columns; its artificial n + m + k becomes the basic variable
-            width = self.tableau.shape[1] + rows.size
-            grown = np.zeros((m, width), order="F")
-            grown[:, :n] = self.tableau[:, :-1]
-            grown[rows, n + np.arange(rows.size)] = -1.0
-            grown[:, -1] = self.tableau[:, -1]
-            self.tableau = grown
-            self.var_of_slot = np.concatenate([self.var_of_slot, n + rows])
-            self.basis[rows] = n + m + np.arange(rows.size)
-        self.art_rows = rows
-
-    def _pristine_unit_columns(self) -> dict[int, int]:
-        """Map row -> lowest nonneg structural column that is a positive unit
-        column in that row (single nonzero entry)."""
-        out: dict[int, int] = {}
-        nonneg = [c for c in self.problem.nonneg_vars]
-        if not nonneg:
-            return out
-        # nonneg columns are never crashed, so each is still in its own slot
-        block = self.tableau[:, nonneg]
-        absblock = np.abs(block)
-        nnz = (absblock > 1e-11).sum(axis=0)
-        for idx in np.flatnonzero(nnz == 1):
-            row = int(np.argmax(absblock[:, idx]))
-            col = nonneg[idx]
-            if block[row, idx] > 1e-11 and self.basis[row] == _UNASSIGNED and row not in out:
-                out[row] = col
-        return out
-
-    # -- main loop --------------------------------------------------------
-
-    def run(self, obj_row: np.ndarray, allow_artificials: bool, budget: int) -> str:
-        """Minimize obj_row (one entry per stored column, then the negated
-        value) over the stored columns, artificials only when allowed.
-        Returns a verdict string: 'optimal', 'iteration_limit', or
-        'unbounded'."""
-        rc_tol = 1e-9 * max(1.0, float(np.abs(obj_row[:-1]).max(initial=0.0)))
-        degen_tol = 1e-11 * max(1.0, self.rhs_scale)
-        unpinned = ~np.isin(self.basis, self.free_cols)
-        var_limit = self.n_vars if allow_artificials else self.n_struct + self.n_rows
-        streak = 0
-        used = 0
-        while used < budget:
-            rc = obj_row[:-1]
-            candidates = np.flatnonzero((rc < -rc_tol) & (self.var_of_slot < var_limit))
-            if candidates.size == 0:
-                self.iterations += used
-                return "optimal"
-            if streak < BLAND_AFTER:
-                candidates = candidates[rc[candidates] == rc[candidates].min()]
-            enter = int(candidates[np.argmin(self.var_of_slot[candidates])])
-            column = self.tableau[:, enter]
-            col_scale = max(1.0, float(np.abs(column).max()))
-            eligible = (column > PIVOT_TOL * col_scale) & unpinned
-            if not eligible.any():
-                self.iterations += used
-                return "unbounded"
-            ratios = np.divide(
-                self.tableau[:, -1], column, out=np.full(self.n_rows, np.inf), where=eligible
-            )
-            best = ratios.min()
-            leave = int(np.argmax(ratios <= best + degen_tol))
-            streak = streak + 1 if best <= degen_tol else 0
-            self._swap(leave, enter, obj_row)
-            used += 1
-        self.iterations += used
-        return "iteration_limit"
-
-    def reduced_costs_for(self, cost: np.ndarray) -> np.ndarray:
-        """Objective row (reduced costs per stored column + negated value)
-        for a cost vector over all variables."""
-        ext = np.concatenate([cost[self.var_of_slot], [0.0]])
-        basic_cost = cost[self.basis]
-        active = np.flatnonzero(basic_cost != 0.0)
-        if active.size:
-            # row-major, as the full tableau's rows were
-            ext = ext - basic_cost[active] @ np.ascontiguousarray(self.tableau[active])
-        return ext
-
-    def row_duals(self, obj_row: np.ndarray) -> np.ndarray:
-        """Reduced costs of the surplus variables by row (0 where basic)."""
-        dual = np.zeros(self.n_rows)
-        surplus = (self.var_of_slot >= self.n_struct) & (
-            self.var_of_slot < self.n_struct + self.n_rows
-        )
-        dual[self.var_of_slot[surplus] - self.n_struct] = obj_row[:-1][surplus]
-        return dual
-
-    def solution(self) -> np.ndarray:
-        v = np.zeros(self.n_struct)
-        rows = np.flatnonzero(self.basis < self.n_struct)
-        v[self.basis[rows]] = self.tableau[rows, -1]
-        return v
-
-    def refreshed_solution(self) -> np.ndarray:
-        """Basic structural values re-solved against the original data.
-
-        Pivot updates accumulate roundoff over long runs and the rhs carries
-        the anti-degeneracy relaxation, so reading values off the tableau
-        drifts. The basis holds tight every row whose surplus and artificial
-        are both nonbasic; solving lhs[tight, S] v_S = rhs[tight] for the
-        basic structural columns S against the pristine data removes both
-        effects. That system is the terminal basis system with the unit
-        surplus and artificial columns eliminated, so it is square and
-        nonsingular exactly when the basis is. Falls back to the tableau
-        values if it is singular or the solve is not finite.
-        """
-        n, m = self.n_struct, self.n_rows
-        basic = self.basis[self.basis < n]
-        loose = np.zeros(m, dtype=bool)
-        loose[self.basis[(self.basis >= n) & (self.basis < n + m)] - n] = True
-        loose[self.art_rows[self.basis[self.basis >= n + m] - n - m]] = True
-        tight = np.flatnonzero(~loose)
-        if tight.size != basic.size:
-            return self.solution()
-        v = np.zeros(n)
-        if basic.size == 0:
-            return v
-        try:
-            values = np.linalg.solve(
-                self.problem.ineq_lhs[np.ix_(tight, basic)], self.problem.ineq_rhs[tight]
-            )
-        except np.linalg.LinAlgError:
-            return self.solution()
-        if not np.all(np.isfinite(values)):
-            return self.solution()
-        v[basic] = values
-        return v
+def _run(rows, b, w, g, basis, tol):
+    """The method from a basis with boxed multipliers. Returns (verdict,
+    basis, at_upper, lam_T, c, steps, ray); ray is set when infeasible."""
+    upper = np.zeros(rows.shape[0], dtype=bool)
+    h = g.copy()  # g - A_U' w_U
+    c = np.linalg.solve(rows[basis], b[basis])
+    residual = rows @ c - b
+    for step in range(MAX_ITER):
+        lam = np.linalg.solve(rows[basis].T, h)
+        violation = np.where(upper, residual, -residual)
+        violation[basis] = 0.0
+        if violation.max(initial=0.0) <= tol:
+            return "optimal", basis, upper, lam, c, step, None
+        r = int(np.argmax(violation))
+        sign = -1.0 if upper[r] else 1.0
+        move = -sign * np.linalg.solve(rows[basis].T, rows[r])  # d lam_T / dt
+        big = PIVOT_TOL * max(1.0, float(np.abs(move).max(initial=0.0)))
+        down, up = move < -big, move > big
+        room = np.full(basis.size, np.inf)
+        room[down] = np.maximum(lam[down], 0.0) / -move[down]
+        room[up] = np.maximum(w[basis][up] - lam[up], 0.0) / move[up]
+        t = float(room.min(initial=np.inf))
+        if np.isfinite(w[r]) and w[r] <= t:
+            upper[r] = not upper[r]
+            h -= sign * w[r] * rows[r]
+            continue
+        if not np.isfinite(t):
+            ray = np.zeros(rows.shape[0])
+            ray[r], ray[basis] = 1.0, move
+            return "infeasible", basis, upper, lam, c, step + 1, ray
+        ties = np.flatnonzero(room <= t * (1.0 + 1e-12))
+        k = int(ties[np.argmax(np.abs(move[ties]))])
+        leaving = basis[k]
+        if up[k]:
+            upper[leaving] = True
+            h -= w[leaving] * rows[leaving]
+        if upper[r]:
+            upper[r] = False
+            h += w[r] * rows[r]
+        basis[k] = r
+        c = np.linalg.solve(rows[basis], b[basis])
+        residual = rows @ c - b
+    return "iteration_limit", basis, upper, lam, c, MAX_ITER, None
 
 
 def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
@@ -339,110 +139,82 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
     if norm <= 0.0:
         return None
     lam = lam / norm
-    pull = problem.ineq_lhs.T @ lam
-    scale = max(1.0, float(np.abs(problem.ineq_lhs).max()))
-    nonneg = set(problem.nonneg_vars)
-    for j, value in enumerate(pull):
-        limit = 1e-6 * scale
-        if j in nonneg:
-            if value > limit:
-                return None
-        elif abs(value) > limit:
-            return None
-    gain = float(problem.ineq_rhs @ lam)
-    if gain <= 1e-9 * max(1.0, float(np.abs(problem.ineq_rhs).max())):
+    lhs, rhs, nonneg = problem.ineq_lhs, problem.ineq_rhs, list(problem.nonneg_vars)
+    pull = lhs.T @ lam
+    pull[nonneg] = np.maximum(pull[nonneg], 0.0)
+    if np.abs(pull).max() > 1e-6 * max(1.0, float(lhs.max()), -float(lhs.min())):
+        return None
+    if float(rhs @ lam) <= 1e-9 * max(1.0, float(np.abs(rhs).max())):
         return None
     return lam
 
 
 def solve_lp(problem: LpProblem) -> SolveReport:
-    """Two-phase simplex. Zero objectives stop at the first feasible vertex."""
-    state = _Tableau(problem)
-    state.crash_free_variables()
-    state.relax_unassigned_rows()
-    state.complete_basis()
-    n, m = state.n_struct, state.n_rows
+    """Bounded dual active-set solve; see the module docstring."""
+    lhs, rhs, cost = problem.ineq_lhs, problem.ineq_rhs, problem.objective
+    rhs_scale = max(1.0, float(np.abs(rhs).max()))
+    slack, weight, units = _soft_rows(problem)
+    kept = np.setdiff1d(np.arange(problem.n_vars), units)
+    used = np.flatnonzero(weight > 0.0)
+    a = lhs[np.ix_(used, kept)]
+    g = cost[kept]
+    nonneg = np.flatnonzero(np.isin(kept, problem.nonneg_vars))
+    boxed = np.flatnonzero((g < 0.0) | ((g > 0.0) & ~np.isin(np.arange(kept.size), nonneg)))
+    box_rhs = -BOX * rhs_scale / (float(np.abs(a).max(initial=0.0)) or 1.0)
+    unit = np.eye(kept.size)
+    rows = np.vstack([a, unit[nonneg], np.sign(g[boxed, None]) * unit[boxed]])
+    b = np.concatenate([rhs[used], np.zeros(nonneg.size), np.full(boxed.size, box_rhs)])
+    w = np.concatenate([weight[used], np.full(nonneg.size + boxed.size, np.inf)])
+    first_box = used.size + nonneg.size
 
-    budget = MAX_ITER
-    if state.n_art > 0:
-        cost1 = np.zeros(state.n_vars)
-        cost1[n + m :] = 1.0
-        obj_row = state.reduced_costs_for(cost1)
-        verdict = state.run(obj_row, True, budget)
-        budget -= state.iterations
-        phase1_value = -obj_row[-1]
-        if verdict == "iteration_limit":
-            return _report(problem, state, SolveStatus.ITERATION_LIMIT, "phase 1 hit the iteration limit")
-        if verdict == "unbounded":
-            return _report(problem, state, SolveStatus.NUMERICAL_TROUBLE, "phase 1 claimed unbounded")
-        if phase1_value > FEAS_TOL * max(1.0, state.rhs_scale):
-            lam = _verify_farkas(problem, state.row_duals(obj_row))
-            if lam is None:
-                return _report(
-                    problem, state, SolveStatus.NUMERICAL_TROUBLE,
-                    "positive phase-1 optimum but no verifiable infeasibility ray",
-                )
-            return SolveReport(
-                point=state.solution(),
-                objective_value=float("nan"),
-                max_infeasibility=float(phase1_value),
-                iterations=state.iterations,
-                status=SolveStatus.INFEASIBLE,
-                certificate=lam,
-                message="Farkas ray verified against the original constraints",
-            )
-        _evict_artificials(state)
+    # start basis: box rows, else the rows e_j . c >= 0, pin their columns;
+    # the crash gives the other columns rows, and columns it skips stay at 0
+    pin = {int(j): first_box + k for k, j in enumerate(boxed)}
+    pin.update({int(j): used.size + k for k, j in enumerate(nonneg) if j not in pin})
+    loose = [j for j in range(kept.size) if j not in pin]
+    crash = _crash(a[:, loose], rhs[used], rhs_scale)
+    cols = np.array(sorted(pin) + [loose[q] for q, _ in crash], dtype=np.int64)
+    basis = np.array([pin[j] for j in sorted(pin)] + [row for _, row in crash], dtype=np.int64)
+    rows, g = rows[:, cols], g[cols]
+    objective_given, has_soft = bool(np.any(g != 0.0)), bool(np.isfinite(w).any())
+    if not objective_given and not has_soft:
+        g = rows[basis].sum(axis=0)
 
-    if np.any(problem.objective != 0.0):
-        cost2 = np.zeros(state.n_vars)
-        cost2[:n] = problem.objective
-        obj_row = state.reduced_costs_for(cost2)
-        verdict = state.run(obj_row, False, max(budget, 1))
-        if verdict == "iteration_limit":
-            return _report(problem, state, SolveStatus.ITERATION_LIMIT, "phase 2 hit the iteration limit")
-        if verdict == "unbounded":
-            return _report(problem, state, SolveStatus.NUMERICAL_TROUBLE, "objective unbounded below")
-        dual = state.row_duals(obj_row)
-    else:
-        dual = np.zeros(m)
+    try:
+        verdict, basis, upper, lam, c, steps, ray = _run(
+            rows, b, w, g, basis, FEAS_TOL * rhs_scale)
+    except np.linalg.LinAlgError:
+        verdict, c, steps = "singular basis", np.zeros(cols.size), 0
+    point = np.zeros(problem.n_vars)
+    point[kept[cols]] = c
+    soft = np.flatnonzero(slack >= 0)
+    gap = rhs[soft] - lhs[np.ix_(soft, kept[cols])] @ c
+    point[slack[soft]] = np.maximum(gap, 0.0) / lhs[soft, slack[soft]]
 
-    point = state.refreshed_solution()
     violation = problem.max_violation(point)
-    if violation > FEAS_TOL * max(1.0, state.rhs_scale) * 10.0:
-        return _report(
-            problem, state, SolveStatus.NUMERICAL_TROUBLE,
-            f"terminal basis violates the original constraints by {violation:.3e}",
-        )
-    return SolveReport(
-        point=point,
-        objective_value=float(problem.objective @ point),
-        max_infeasibility=float(violation),
-        iterations=state.iterations,
-        status=SolveStatus.OPTIMAL,
-        dual=np.where(dual > 0.0, dual, 0.0),
-    )
-
-
-def _evict_artificials(state: _Tableau) -> None:
-    """Pivot zero-level artificial basics out onto real columns when possible,
-    onto the largest entry of the row (lowest variable index among equals)."""
-    n, m = state.n_struct, state.n_rows
-    for row in np.flatnonzero(state.basis >= n + m):
-        real = np.flatnonzero(state.var_of_slot < n + m)
-        candidates = np.abs(state.tableau[row, real])
-        if candidates.size == 0 or candidates.max() <= PIVOT_TOL:
-            continue  # the row is redundant; its artificial stays basic at level 0
-        best = real[candidates == candidates.max()]
-        state._swap(row, int(best[np.argmin(state.var_of_slot[best])]))
-
-
-def _report(problem: LpProblem, state: _Tableau, status: SolveStatus, message: str) -> SolveReport:
-    point = state.solution()
-    return SolveReport(
-        point=point,
-        objective_value=float(problem.objective @ point),
-        max_infeasibility=float(problem.max_violation(point)),
-        iterations=state.iterations,
-        status=status,
-        message=message,
-    )
+    if verdict == "optimal" and np.any(
+        (basis >= first_box) & (lam > FEAS_TOL * max(1.0, float(np.abs(g).max(initial=0.0))))
+    ):
+        verdict = "objective unbounded below"
+    elif verdict == "optimal" and violation > FEAS_TOL * rhs_scale * 10.0:
+        verdict = f"terminal basis violates the original constraints by {violation:.3e}"
+    status, message, extra = SolveStatus.NUMERICAL_TROUBLE, verdict, {}
+    if verdict == "optimal":
+        status, message = SolveStatus.OPTIMAL, ""
+        extra["dual"] = np.zeros(problem.n_rows)
+        if objective_given or has_soft:
+            multipliers = np.where(upper, w, 0.0)
+            multipliers[basis] = lam
+            extra["dual"][used] = np.maximum(multipliers[: used.size], 0.0)
+    elif verdict == "iteration_limit":
+        status, message = SolveStatus.ITERATION_LIMIT, "step budget exhausted"
+    elif verdict == "infeasible":
+        cert = np.zeros(problem.n_rows)
+        cert[used] = ray[: used.size]
+        extra["certificate"] = _verify_farkas(problem, cert)
+        if extra["certificate"] is None:
+            message = "unbounded dual but no verifiable infeasibility ray"
+        else:
+            status, message = SolveStatus.INFEASIBLE, "Farkas ray verified against the original constraints"
+    value = float("nan") if status is SolveStatus.INFEASIBLE else float(cost @ point)
+    return SolveReport(point, value, float(violation), steps, status, message=message, **extra)

@@ -133,10 +133,13 @@ class LpProblem:
 class SolveReport:
     """Outcome of one LP solve.
 
+    ``iterations`` counts the steps of the dual active-set method: row
+    swaps in the tight-row basis plus bound flips of soft-row multipliers.
     ``dual`` carries the multipliers of the inequality rows (set on optimal
-    runs). ``certificate`` is only set on infeasible runs: a ray lam >= 0
-    with lhs' lam vanishing on free variables, nonpositive on bounded ones,
-    and rhs . lam > 0, proving that no feasible point exists.
+    runs; all zero for a zero-objective feasibility run). ``certificate`` is
+    only set on infeasible runs: a ray lam >= 0 with lhs' lam vanishing on
+    free variables, nonpositive on bounded ones, and rhs . lam > 0, proving
+    that no feasible point exists.
     """
 
     point: np.ndarray

@@ -13,9 +13,9 @@ coordinate sweep of the feasible polytope must collapse to a point. The
 sweep uses an external LP routine so that the filter is independent of the
 solvers under test.
 
-Measured wall time for this file is about 1.5 minutes on a 2-core x86_64
-machine (numpy 2.4 with OpenBLAS at 2 threads); the d=16 table (criterion 2)
-and the noise-robustness trend (criterion 6) take about 40 s each, and the
+Measured wall time for this file is about 65 s on a 2-core x86_64 machine
+(numpy 2.4 with OpenBLAS at 2 threads); the d=16 table (criterion 2) takes
+about 40 s, the noise-robustness trend (criterion 6) about 17 s, and the
 solver suite (criterion 8) under a second.
 """
 

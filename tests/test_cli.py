@@ -177,7 +177,7 @@ class TestExperiment:
         real_run_trial = evaluation.run_trial
 
         def recording_run_trial(*args, **kwargs):
-            seen.append(kwargs.get("cfg"))
+            seen.append(kwargs.get("eps_tol"))
             return real_run_trial(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "run_trial", recording_run_trial)
@@ -188,7 +188,7 @@ class TestExperiment:
         )
         code, _, _ = run(capsys, *argv, "--eps-tol", "0.5")
         assert code == 0
-        assert [cfg.rescale.eps_tol for cfg in seen] == [0.5]
+        assert seen == [0.5]
         [cell] = json.loads((out / "heatmap.json").read_text())["cells"].values()
         assert cell["config"]["eps_tol"] == 0.5
 
@@ -196,7 +196,7 @@ class TestExperiment:
         code, stdout, _ = run(capsys, *argv, "--eps-tol", "0.25")
         assert code == 0
         assert "done" in stdout
-        assert [cfg.rescale.eps_tol for cfg in seen] == [0.5, 0.25]
+        assert seen == [0.5, 0.25]
 
     def test_jobs_reach_the_pool_and_keep_the_ledger(self, tmp_path, capsys, monkeypatch):
         pools = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reslearn import layer1
 from reslearn.errors import DegenerateRowError, DimensionMismatchError
 from reslearn.layer1 import (
     K_MIN,
@@ -126,11 +127,22 @@ class TestScaleEstimation:
             k = estimate_row_scale(s.xs, s.hs, 1.5 * A_REF[0], 0)
         assert k == 1.0
 
-    def test_tiny_slope_clamped(self):
+    def test_slope_at_or_below_k_min_flagged(self):
         s = hidden_from(A_REF, n=200, seed=9)
-        with pytest.warns(UserWarning, match="below"):
-            k = estimate_row_scale(s.xs, s.hs, 1e-6 * A_REF[0], 0)
-        assert k == K_MIN
+        for factor in (1e-6, K_MIN, -0.5):
+            with pytest.raises(DegenerateRowError, match="at or below"):
+                estimate_row_scale(s.xs, s.hs, factor * A_REF[0], 0)
+
+    def test_learner_leaves_flagged_row_unscaled(self, monkeypatch):
+        # a raw row at 1e-6 of the teacher's would be divided by K_MIN, a
+        # 1e4-fold blow-up; the learner keeps k = 1 and lists the row instead
+        s = hidden_from(A_REF, n=200, seed=9)
+        raw = A_REF * np.array([[1e-6], [0.5]])
+        monkeypatch.setattr(layer1, "solve_separable_ls", lambda *a, **k: (raw.T, None, {}))
+        est = learn_layer1(s, method="qp")
+        assert est.unscaled_rows == (0,)
+        assert est.k_hat[0] == 1.0 and est.k_hat[1] == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(est.a_hat[0], 1e-6 * A_REF[0])
 
     def test_never_activated_row_degenerate(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from reslearn import layer2
 from reslearn.errors import DimensionMismatchError, ReslearnError
 from reslearn.layer2 import (
-    RescaleConfig,
     build_row_feasibility_lp,
     build_row_qp,
     build_row_slack_lp,
@@ -148,23 +148,20 @@ class TestScaleRows:
         k = rescale_layer2(s, np.linalg.inv(unit.b))
         np.testing.assert_array_equal(k, 1.0)
 
-    def test_shrink_band_is_configurable(self):
+    def test_shrink_band_is_configurable(self, monkeypatch):
         unit, s = make_samples(self.A_SCALE, B_REF, n=400, seed=8)
         c_true = np.linalg.inv(unit.b)
         shrunk = c_true.copy()
         shrunk[0] *= 0.995
         # inside the default band nothing fires; narrowing the band does
         assert rescale_layer2(s, shrunk)[0] == 1.0
-        cfg = RescaleConfig(shrink_tol=1e-3)
-        assert rescale_layer2(s, shrunk, cfg)[0] == pytest.approx(0.995, abs=1e-9)
+        monkeypatch.setattr(layer2, "SHRINK_TOL", 1e-3)
+        assert rescale_layer2(s, shrunk)[0] == pytest.approx(0.995, abs=1e-9)
 
     def test_eps_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RescaleConfig(eps_tol=0.0)
-
-    def test_shrink_tol_range_checked(self):
-        with pytest.raises(ValueError):
-            RescaleConfig(shrink_tol=1.0)
+        unit, s = make_samples(self.A_SCALE, B_REF, n=400, seed=8)
+        with pytest.raises(ValueError, match="eps_tol"):
+            learn_layer2(s, "qp", eps_tol=0.0)
 
 
 class TestD1Interval:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from reslearn.layer1 import HiddenSampleSet, build_hidden_row_lp
 from reslearn.layer2 import build_row_feasibility_lp, build_row_slack_lp
@@ -158,6 +157,39 @@ class TestSimplexInfeasibility:
                 assert float(rhs @ lam) > 0.0
         assert detected == 50
 
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1e-5))
+    @settings(max_examples=300, deadline=None)
+    def test_farkas_check_matches_loop_reference(self, seed, noise):
+        # The check is vectorised; the reference is its former per-column
+        # loop. Candidates are rays of a u.v >= 1, -u.v >= 0 pair, sometimes
+        # on a bounded column or with a noisy or negative entry, so both
+        # verdicts occur.
+        def reference(problem, lam):
+            lam = np.where(lam > 0.0, lam, 0.0)
+            if lam.max(initial=0.0) <= 0.0:
+                return None
+            lam = lam / lam.max()
+            limit = 1e-6 * max(1.0, float(np.abs(problem.ineq_lhs).max()))
+            for j, value in enumerate(problem.ineq_lhs.T @ lam):
+                if (value if j in problem.nonneg_vars else abs(value)) > limit:
+                    return None
+            if problem.ineq_rhs @ lam <= 1e-9 * max(1.0, float(np.abs(problem.ineq_rhs).max())):
+                return None
+            return lam
+
+        g = rng(seed)
+        k, extra = int(g.integers(1, 5)), int(g.integers(0, 4))
+        u = g.standard_normal(k)
+        lhs = np.vstack([u, -u * (1.0 + noise * g.standard_normal()), g.standard_normal((extra, k))])
+        rhs = np.concatenate([g.standard_normal(2), g.standard_normal(extra)])
+        nonneg = tuple(int(j) for j in np.flatnonzero(g.random(k) < 0.5))
+        problem = LpProblem(objective=np.zeros(k), ineq_lhs=lhs, ineq_rhs=rhs, nonneg_vars=nonneg)
+        lam = np.concatenate([[1.0, 1.0], g.standard_normal(extra) * (g.random() < 0.3)])
+        got, want = simplex._verify_farkas(problem, lam), reference(problem, lam)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
 
 class TestSimplexOnLayerPrograms:
     def test_terminal_point_satisfies_original_constraints(self):
@@ -190,69 +222,50 @@ class TestSimplexOnLayerPrograms:
         assert values[0] <= values[1] + 1e-9
         assert values[1] <= values[2] + 1e-9
 
+    def test_unique_points_match_recorded(self):
+        # Points recorded from the earlier two-phase tableau engine on
+        # instances whose solution is unique (a HiGHS sweep of every
+        # coordinate collapses to a point), so any correct engine returns
+        # them; step counts and certificate supports are engine-specific.
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
+        clean = sample(unit, standard_mixture(4), 120, 0.0, seed=5)
+        noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
+        big = sample(unit, standard_mixture(4), 400, 0.0, seed=6)
+        feasible = {
+            "layer-2 feasibility": (build_row_feasibility_lp(clean, 0), [
+                0.16063707557113988, 0.3698088771426325, 0.41396878341428583,
+                -0.27261505369207367]),
+            "layer-2 row, n=400": (build_row_feasibility_lp(big, 1), [
+                0.14906384813624188, -0.734173152500077, -0.4971908143982081,
+                -0.1347411658454168]),
+        }
+        for name, (prob, point) in feasible.items():
+            rep = solve_lp(prob)
+            assert rep.status is SolveStatus.OPTIMAL, name
+            assert_point_close(rep.point, point, name)
 
-def dense_pivot(tableau, obj_row, row, col):
-    """Reference Gauss-Jordan pivot that updates the whole tableau."""
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    obj_row -= obj_row[col] * tableau[row]
-    obj_row[col] = 0.0
+        rep = solve_lp(build_row_feasibility_lp(noisy, 0))
+        assert rep.status is SolveStatus.INFEASIBLE
+        assert simplex._verify_farkas(build_row_feasibility_lp(noisy, 0), rep.certificate) is not None
 
+        rep = solve_lp(build_row_slack_lp(noisy, 0))
+        assert rep.status is SolveStatus.OPTIMAL
+        assert_point_close(rep.point[:4], [
+            0.16972906546154856, 0.39694303030477734, 0.39236647879790204,
+            -0.22078866662275196], "slack LP of that row")
+        assert rep.objective_value == pytest.approx(0.0024074256479367077, rel=1e-12)
 
-# Zero or of magnitude in [1e-3, 1e3]: pivots on these cannot overflow, so
-# the only entries the dictionary pivot skips are the exact x - 0*y ones.
-_entries = st.one_of(
-    st.just(0.0),
-    st.tuples(st.booleans(), st.floats(1e-3, 1e3)).map(lambda t: -t[1] if t[0] else t[1]),
-)
-
-
-@st.composite
-def dictionary_cases(draw):
-    """A dictionary (nonbasic columns | rhs) with its objective row, the
-    same state as a full tableau in which each row has a basic column
-    (+e_row, or -e_row for a row still holding its own surplus), and a
-    pivot position with a nonzero entry in a nonbasic column."""
-    m = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 10))
-    stored = draw(hnp.arrays(np.float64, (m, k + 1), elements=_entries))
-    stored_obj = draw(hnp.arrays(np.float64, k + 1, elements=_entries))
-    coefs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=m, max_size=m))
-    order = draw(st.permutations(range(k + m)))
-    basic, nonbasic = list(order[:m]), sorted(order[m:])
-    candidates = np.argwhere(stored[:, :k] != 0.0)
-    if candidates.size == 0:
-        stored[0, 0] = 1.0
-        candidates = np.array([[0, 0]])
-    row, slot = candidates[draw(st.integers(0, len(candidates) - 1))]
-    full = np.zeros((m, k + m + 1))
-    full[:, nonbasic + [k + m]] = stored
-    full[np.arange(m), basic] = coefs
-    full_obj = np.zeros(k + m + 1)
-    full_obj[nonbasic + [k + m]] = stored_obj
-    return stored, stored_obj, full, full_obj, basic, nonbasic, coefs, int(row), int(slot)
-
-
-@st.composite
-def setup_lps(draw):
-    """Small LPs with free and nonnegative columns, positive unit columns
-    (some with sub-threshold entries in other rows) and rhs of both signs."""
-    m = draw(st.integers(2, 10))
-    n = draw(st.integers(1, 6))
-    lhs = draw(hnp.arrays(np.float64, (m, n), elements=_entries))
-    rhs = draw(hnp.arrays(np.float64, m, elements=_entries))
-    nonneg = sorted(draw(st.sets(st.integers(0, n - 1))))
-    for col in nonneg:
-        if draw(st.booleans()):
-            lhs[:, col] = 0.0
-            lhs[draw(st.integers(0, m - 1)), col] = draw(st.floats(1e-3, 1e3))
-            if draw(st.booleans()):
-                lhs[draw(st.integers(0, m - 1)), col] += 1e-12
-    return LpProblem(objective=np.zeros(n), ineq_lhs=lhs, ineq_rhs=rhs, nonneg_vars=tuple(nonneg))
+    def test_start_interpolates_rows_with_data(self):
+        # The layer-1 feasible set is a segment of scaled rows, so any of
+        # its points is correct; the start's preference for rows with
+        # nonzero rhs (activated samples) lands on the teacher row itself.
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
+        clean = sample(unit, standard_mixture(4), 120, 0.0, seed=5)
+        hidden = HiddenSampleSet(clean.xs, np.maximum(clean.xs @ unit.a.T, 0.0))
+        rep = solve_lp(build_hidden_row_lp(hidden, 0))
+        assert rep.status is SolveStatus.OPTIMAL
+        assert rep.iterations == 0
+        assert_point_close(rep.point, unit.a[0], "layer-1 feasibility")
 
 
 def assert_point_close(got, want, name):
@@ -260,126 +273,18 @@ def assert_point_close(got, want, name):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
-class TestSparsePivot:
-    @given(dictionary_cases())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_dense_pivot(self, case):
-        stored, stored_obj, full, full_obj, basic, nonbasic, coefs, row, slot = case
-        dense_pivot(full, full_obj, row, nonbasic[slot])
-        simplex._pivot(stored, stored_obj, row, slot, coef=coefs[row])
-        # the slot now holds the leaving variable; the entering one is basic
-        nonbasic[slot] = basic[row]
-        cols = nonbasic + [full.shape[1] - 1]
-        assert np.array_equal(stored, full[:, cols])
-        assert np.array_equal(stored_obj, full_obj[cols])
-
-    @given(setup_lps())
-    @settings(max_examples=80, deadline=None)
-    def test_surplus_negation_matches_dense_pivot(self, problem):
-        # Replay the dictionary's basis set-up on [lhs | -I | rhs]: the
-        # crash pivots, then in row order a dense pivot onto the row's own
-        # surplus (which the dictionary does as a row negation) or onto its
-        # unit column. Every decision must match the full tableau's rhs at
-        # that point, and the result must be the full tableau restricted to
-        # the nonbasic columns.
-        state = simplex._Tableau(problem)
-        n, m = state.n_struct, state.n_rows
-        full = np.hstack([problem.ineq_lhs, -np.eye(m), problem.ineq_rhs.reshape(-1, 1)])
-        scratch = np.zeros(n + m + 1)
-        state.crash_free_variables()
-        crashed = {int(b): row for row, b in enumerate(state.basis) if b in state.free_cols}
-        for col in sorted(crashed):
-            dense_pivot(full, scratch, crashed[col], col)
-        assert np.array_equal(state.tableau[:, :-1], full[:, state.var_of_slot])
-        state.relax_unassigned_rows()
-        full[:, -1] = state.tableau[:, -1]
-        state.complete_basis()
-        tol = simplex.FEAS_TOL * state.rhs_scale
-        for row in range(m):
-            basic = int(state.basis[row])
-            if row in crashed.values():
-                continue
-            if basic == n + row:
-                assert full[row, -1] <= tol
-            else:
-                assert full[row, -1] > tol
-            if basic < n + m:
-                dense_pivot(full, scratch, row, basic)
-        block = np.zeros((m, state.n_art))
-        block[state.art_rows, np.arange(state.n_art)] = 1.0
-        full = np.hstack([full[:, :-1], block, full[:, -1:]])
-        assert np.array_equal(state.tableau[:, :-1], full[:, state.var_of_slot])
-        assert np.array_equal(state.tableau[:, -1], full[:, -1])
-
-    def test_whole_solves_match_recorded_pivots(self):
-        # Recorded from the full-tableau engine ([lhs | -I | rhs] storage,
-        # m x m terminal solve): same pivot counts, statuses and
-        # certificate supports; points move only at roundoff.
-        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
-        clean = sample(unit, standard_mixture(4), 120, 0.0, seed=5)
-        noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
-        hidden = HiddenSampleSet(clean.xs, np.maximum(clean.xs @ unit.a.T, 0.0))
-        big = sample(unit, standard_mixture(4), 400, 0.0, seed=6)
-        feasible = {
-            "layer-2 feasibility": (build_row_feasibility_lp(clean, 0), 42, [
-                0.16063707557113988, 0.3698088771426325, 0.41396878341428583,
-                -0.27261505369207367]),
-            "layer-1 feasibility": (build_hidden_row_lp(hidden, 0), 0, [
-                1.0122937017490639, 0.7536967787531172, 0.05585145804087587,
-                0.6726423961318683]),
-            "layer-2 row, n=400": (build_row_feasibility_lp(big, 1), 175, [
-                0.14906384813624188, -0.734173152500077, -0.4971908143982081,
-                -0.1347411658454168]),
-            # integer data with exactly tied reduced costs, where the lowest
-            # variable index is not the lowest dictionary slot
-            "tied pricing, free columns": (LpProblem(
-                objective=np.zeros(4),
-                ineq_lhs=[[-1.0, -2.0, -2.0, 0.0], [-2.0, -2.0, 2.0, 2.0], [1.0, -2.0, -1.0, 2.0],
-                          [1.0, -1.0, -2.0, 0.0], [1.0, 1.0, 1.0, -1.0]],
-                ineq_rhs=[-2.0, -2.0, 1.0, 2.0, 2.0],
-            ), 1, [1.5, -1.5, 0.5, -1.5]),
-            "tied pricing, a nonneg column": (LpProblem(
-                objective=np.zeros(3),
-                ineq_lhs=[[-2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [-1.0, -1.0, -1.0], [0.0, 2.0, 0.0],
-                          [-1.0, 1.0, 0.0]],
-                ineq_rhs=[-2.0, -2.0, -2.0, 0.0, 2.0],
-                nonneg_vars=(1,),
-            ), 1, [4.0, 6.0, -8.0]),
-        }
-        for name, (prob, iterations, point) in feasible.items():
-            rep = solve_lp(prob)
-            assert rep.status is SolveStatus.OPTIMAL, name
-            assert rep.iterations == iterations, name
-            assert_point_close(rep.point, point, name)
-
-        rep = solve_lp(build_row_feasibility_lp(noisy, 0))
-        assert rep.status is SolveStatus.INFEASIBLE
-        assert rep.iterations == 53
-        assert np.flatnonzero(rep.certificate > 0.0).tolist() == [
-            0, 25, 32, 38, 48, 54, 65, 69, 76, 77, 91, 99, 100, 106]
-        assert_point_close(rep.point, [
-            0.13221436047209031, 0.33679529037511224, 0.3509658414971104,
-            -0.169380906728304], "infeasible noisy row")
-
-        rep = solve_lp(build_row_slack_lp(noisy, 0))
-        assert rep.status is SolveStatus.OPTIMAL
-        assert rep.iterations == 75
-        assert np.flatnonzero(rep.dual > 0.0).tolist() == [
-            0, 25, 32, 38, 48, 51, 69, 77, 91, 96, 99, 100, 103]
-        assert_point_close(rep.point[:4], [
-            0.16972906546154856, 0.39694303030477734, 0.39236647879790204,
-            -0.22078866662275196], "slack LP of that row")
-        assert rep.objective_value == pytest.approx(0.0024074256479367077, rel=1e-12)
-
-
 @st.composite
 def reference_lps(draw):
     """Random small LPs: k <= 6 variables with a random nonnegative subset
     and 3-40 rows; feasible by construction, infeasible by the
-    u.v >= 1, -u.v >= 0 pair, or feasible with a box and a cost vector."""
+    u.v >= 1, -u.v >= 0 pair, feasible with a box and a cost vector, or
+    "slack": k free columns and one unit column per row at cost 1/rows (the
+    layer programs' soft rows), with rhs scattered about a feasible point;
+    or "integer": entries in -2..2 (degenerate vertices, tied ratios, zero
+    rows) plus unit columns at cost 0-2 on random rows, some sharing one."""
     k = draw(st.integers(1, 6))
     rows = draw(st.integers(3, 40))
-    kind = draw(st.sampled_from(["feasible", "infeasible", "boxed"]))
+    kind = draw(st.sampled_from(["feasible", "infeasible", "boxed", "slack", "integer"]))
     g = rng(draw(st.integers(0, 2**32 - 1)))
     nonneg = tuple(int(i) for i in np.flatnonzero(g.random(k) < 0.5))
     objective = np.zeros(k)
@@ -388,6 +293,20 @@ def reference_lps(draw):
         extra = g.standard_normal((rows - 2, k))
         lhs = np.vstack([u, -u, extra])
         rhs = np.concatenate([[1.0, 0.0], -np.abs(g.standard_normal(rows - 2)) - 5.0])
+    elif kind == "slack":
+        lhs = g.standard_normal((rows, k))
+        rhs = lhs @ g.standard_normal(k) + g.standard_normal(rows)
+        lhs = np.hstack([lhs, np.eye(rows)])
+        objective = np.concatenate([np.zeros(k), np.full(rows, 1.0 / rows)])
+        nonneg = tuple(range(k, k + rows))
+    elif kind == "integer":
+        hit = g.integers(0, rows, size=rows // 2)
+        units = np.zeros((rows, hit.size))
+        units[hit, np.arange(hit.size)] = g.integers(1, 3, size=hit.size)
+        lhs = np.hstack([g.integers(-2, 3, size=(rows, k)), units])
+        rhs = g.integers(-2, 3, size=rows).astype(float)
+        objective = np.concatenate([np.zeros(k), g.integers(0, 3, size=hit.size)])
+        nonneg = nonneg + tuple(range(k, k + hit.size))
     else:
         inner = g.standard_normal(k)
         inner[list(nonneg)] = np.abs(inner[list(nonneg)])
@@ -397,15 +316,16 @@ def reference_lps(draw):
             lhs = np.vstack([lhs, np.eye(k), -np.eye(k)])
             rhs = np.concatenate([rhs, np.full(2 * k, -10.0)])
             objective = g.standard_normal(k)
-    return LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs, nonneg_vars=nonneg)
+    return kind, LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs, nonneg_vars=nonneg)
 
 
 class TestSimplexAgainstHighs:
     @given(reference_lps())
-    @settings(max_examples=120, deadline=None)
-    def test_status_objective_and_certificates(self, problem):
+    @settings(max_examples=160, deadline=None)
+    def test_status_objective_and_certificates(self, case):
         from scipy.optimize import linprog
 
+        kind, problem = case
         bounds = [(0, None) if j in problem.nonneg_vars else (None, None)
                   for j in range(problem.n_vars)]
         ref = linprog(problem.objective, A_ub=-problem.ineq_lhs, b_ub=-problem.ineq_rhs,
@@ -427,25 +347,44 @@ class TestSimplexAgainstHighs:
         assert abs(rep.objective_value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
         rhs_scale = max(1.0, float(np.abs(problem.ineq_rhs).max()))
         assert problem.max_violation(rep.point) <= simplex.FEAS_TOL * rhs_scale * 10.0
+        if kind == "slack" and ref.fun > 1e-9:
+            # a positive one-sided L1 optimum of generic data is one vertex
+            scale = max(1.0, float(np.abs(ref.x).max()))
+            assert float(np.abs(rep.point - ref.x).max()) <= 1e-7 * scale
+
+
+def traced_peak(problem):
+    """Report and peak bytes allocated while solving an already built LP."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = solve_lp(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rep, peak
 
 
 class TestCostModel:
-    def test_layer1_feasibility_lp_allocates_no_square_array(self):
-        # one n x n float array at n=2000 is 32 MB; the dictionary is n x (d + 1)
-        import tracemalloc
+    # one n x n float array at n=2000 is 32 MB; the solver's own arrays are
+    # n x (d + 1) and, for slack LPs, one n x (n + d) boolean mask (4 MB)
 
+    def test_layer1_feasibility_lp_allocates_no_square_array(self):
         g = rng(11)
         xs = g.standard_normal((2000, 4))
         hs = np.maximum(xs @ np.abs(g.standard_normal((4, 4))).T, 0.0)
-        problem = build_hidden_row_lp(HiddenSampleSet(xs, hs), 0)
-        tracemalloc.start()
-        try:
-            rep = solve_lp(problem)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rep, peak = traced_peak(build_hidden_row_lp(HiddenSampleSet(xs, hs), 0))
         assert rep.status is SolveStatus.OPTIMAL
         assert peak < 4e6
+
+    def test_slack_lp_allocates_no_square_array(self):
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=12))
+        noisy = sample(unit, standard_mixture(4), 2000, 0.1, seed=13)
+        rep, peak = traced_peak(build_row_slack_lp(noisy, 0))
+        assert rep.status is SolveStatus.OPTIMAL
+        assert rep.objective_value > 0.0
+        assert peak < 8e6
 
 
 class TestSeparableLs:
