@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientError
-from .model import SampleSet, make_rng
+from .model import WEIGHT_STD, SampleSet, make_rng
 from .numerics import Mat, lls_solve
 
 
@@ -52,14 +52,13 @@ def vanilla_lr(samples: SampleSet) -> VanillaLrResult:
     n_neg = int(neg_mask.sum())
     n_pos = int(pos_mask.sum())
     try:
-        b_fit = lls_solve(xs[:half][neg_mask], ys[:half][neg_mask])
-        d_fit = lls_solve(xs[half:][pos_mask], ys[half:][pos_mask])
-        b_hat = b_fit.coeffs
+        b_hat = lls_solve(xs[:half][neg_mask], ys[:half][neg_mask])
+        d_hat = lls_solve(xs[half:][pos_mask], ys[half:][pos_mask])
         # b_hat @ a_tilde = d_hat, solved as least squares in case m > d
-        a_fit = lls_solve(b_hat, d_fit.coeffs)
+        a_tilde = lls_solve(b_hat, d_hat).T
     except RankDeficientError:
         return VanillaLrResult(None, None, n_neg, n_pos, success=False)
-    a_hat = a_fit.coeffs.T - np.eye(d)
+    a_hat = a_tilde - np.eye(d)
     return VanillaLrResult(a_hat, b_hat, n_neg, n_pos, success=True)
 
 
@@ -79,11 +78,9 @@ class SgdConfig:
     """Mini-batch SGD hyperparameters.
 
     The learning rate decays per epoch as eta0 / (1 + gamma * epoch).
-    ``init`` is either "gaussian" (entries N(0, init_scale^2), first layer
-    clamped nonnegative at initialization only; the default scale 1 starts
-    the student at the same magnitude the teacher weights are drawn at) or
-    "teacher-perturbed" (start from ``teacher`` plus perturb_scale noise,
-    useful for stationarity checks).
+    Training starts from entries N(0, WEIGHT_STD^2), the first layer
+    clamped nonnegative at initialization only, so the student starts at
+    the magnitude the teacher weights are drawn at.
     """
 
     batch_size: int = 32
@@ -91,10 +88,6 @@ class SgdConfig:
     eta0: float = 1e-3
     gamma: float = 1e-5
     seed: int = 0
-    init: str = "gaussian"
-    init_scale: float = 1.0
-    teacher: tuple | None = None
-    perturb_scale: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -109,24 +102,6 @@ class SgdResult:
     b_hat: Mat
     loss_trace: np.ndarray  # (epochs, 3): epoch, mean_loss, eta
     diverged: bool = False
-
-
-def _sgd_init(cfg: SgdConfig, d: int, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.init == "gaussian":
-        a = np.maximum(rng.normal(0.0, cfg.init_scale, size=(d, d)), 0.0)
-        b = rng.normal(0.0, cfg.init_scale, size=(m, d))
-        return a, b
-    if cfg.init == "teacher-perturbed":
-        if cfg.teacher is None:
-            raise ValueError("teacher-perturbed init needs cfg.teacher = (a, b)")
-        a0, b0 = cfg.teacher
-        a = np.asarray(a0, dtype=np.float64).copy()
-        b = np.asarray(b0, dtype=np.float64).copy()
-        if cfg.perturb_scale > 0:
-            a += rng.normal(0.0, cfg.perturb_scale, size=a.shape)
-            b += rng.normal(0.0, cfg.perturb_scale, size=b.shape)
-        return a, b
-    raise ValueError(f"unknown init {cfg.init!r}")
 
 
 def sgd_batch_gradients(
@@ -160,7 +135,8 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
     if n < cfg.batch_size:
         raise ValueError(f"need at least one full batch: n={n} < {cfg.batch_size}")
     rng = make_rng(cfg.seed)
-    a, b = _sgd_init(cfg, d, m, rng)
+    a = np.maximum(rng.normal(0.0, WEIGHT_STD, size=(d, d)), 0.0)
+    b = rng.normal(0.0, WEIGHT_STD, size=(m, d))
 
     trace = np.zeros((cfg.epochs, 3))
     initial_loss = None

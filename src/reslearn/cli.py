@@ -123,7 +123,7 @@ def _methods(args: argparse.Namespace, default: list[str]) -> list[str]:
 
 
 def _eps_tol(args: argparse.Namespace) -> float:
-    return args.eps_tol if getattr(args, "eps_tol", None) is not None else EPS_TOL
+    return args.eps_tol if args.eps_tol is not None else EPS_TOL
 
 
 # --- generate ------------------------------------------------------------
@@ -222,7 +222,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "method": method,
         "data": str(data_path),
         "seed": seed,
-        "eps_tol": getattr(args, "eps_tol", None),
+        "eps_tol": args.eps_tol,
         "estimates": _artifacts(method, result),
     }
     if args.teacher:
@@ -272,7 +272,7 @@ def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
         "trials": trials, "base_seed": base_seed,
         "test_set_size": args.test_size, "input": args.input,
         "fixed_teacher": fixed_teacher,
-        "eps_tol": getattr(args, "eps_tol", None),
+        "eps_tol": args.eps_tol,
     }
     run_config = {
         "dims": dims, "sample_sizes": sizes, "noise_sigmas": sigmas,
@@ -384,37 +384,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--d", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-        p.add_argument("--eps-tol", dest="eps_tol", type=float,
-                       help="rescale regression residual gate")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for an experiment cell's trials "
-                            "(results do not depend on it)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--input", choices=["mixture", "gaussian"], default="mixture")
-        p.add_argument("--test-size", dest="test_size", type=int, default=1000)
+    # every subcommand declares only the flags it reads, so a flag it would
+    # ignore is a parse error (exit 2) rather than silently dropped
+    flag_specs = {
+        "--config": {"help": "JSON file with defaults for any flag"},
+        "--seed": {"type": int},
+        "--out": {"help": "output directory"},
+        "--input": {"choices": ["mixture", "gaussian"], "default": "mixture"},
+        "--d": {"type": int},
+        "--m": {"type": int},
+        "--n": {"type": int},
+        "--noise-sigma": {"type": float},
+        "--eps-tol": {"type": float, "help": "rescale regression residual gate"},
+        "--jobs": {"type": int, "default": 1,
+                   "help": "worker processes for an experiment cell's trials "
+                           "(results do not depend on it)"},
+        "--test-size": {"type": int, "default": 1000},
+    }
+
+    def flags(p, *names):
+        for name in ("--config", "--seed", "--out", "--input", *names):
+            p.add_argument(name, **flag_specs[name])
 
     gen = sub.add_parser("generate", help="write a teacher and a sample set")
-    common(gen)
+    flags(gen, "--d", "--m", "--n", "--noise-sigma")
     gen.add_argument("--non-scale", action="store_true",
                      help="reject scale-equivalent teachers")
     gen.set_defaults(func=cmd_generate)
 
     learn = sub.add_parser("learn", help="fit a dataset, write estimates")
-    common(learn)
+    flags(learn, "--eps-tol", "--test-size")
     learn.add_argument("--data", help="samples CSV path")
     learn.add_argument("--teacher", help="teacher JSON path (enables error report)")
     learn.add_argument("--method", choices=ALL_METHODS)
     learn.set_defaults(func=cmd_learn)
 
     exp = sub.add_parser("experiment", help="run a canned study")
-    common(exp)
+    flags(exp, "--d", "--n", "--eps-tol", "--jobs", "--test-size")
     exp.add_argument("name", choices=[
         "heatmap", "weight_robustness", "noise_robustness", "vanilla_lr_rates",
     ])

@@ -1,21 +1,23 @@
 """First-layer learning: recover A from (x, h) pairs with h ~ (A x)^+.
 
 Because (t)^+ >= k t for every k in [0, 1], any row of the single-layer
-model can only be learned up to a downward scaling by the convex programs
+model can only be learned up to a downward scaling. Each row a_j is the
+free block of the shared row program of ``solver.types`` over the design
+F = X and the target t = h_j: the QP
 
-    min (1/2n) sum_i || phi_i + A x_i - h_i ||^2   s.t. phi_i >= 0
-    find A                                         s.t. A x_i <= h_i
+    min 1/2n ||X a_j + phi_j - h_j||^2   s.t. phi_j >= 0
 
-whose solutions approach k_j * (true row j). The scale is then identified
-separately: whenever h_j > 0 the relation (learned row) . x = k_j h_j is
-exactly linear, so a through-origin regression over the activated samples
-recovers k_j, and dividing it out restores the row. This rescale runs
-unconditionally (unlike the second layer's gated variant) because the
-downscaling affects every teacher, not just special rows.
+or the feasibility LP  X a_j <= h_j, whose solutions approach k_j * (true
+row j). The scale is then identified separately: whenever h_j > 0 the
+relation (learned row) . x = k_j h_j is exactly linear, so a through-origin
+regression over the activated samples recovers k_j, and dividing it out
+restores the row. This rescale runs unconditionally (unlike the second
+layer's gated variant) because the downscaling affects every teacher, not
+just special rows.
 
-Both programs decouple across rows and share their quadratic term, so the
-QP path is solved as one batch per layer. Rows too rarely activated to
-support the regression are left at their raw scale and flagged.
+The QP route solves all d rows as one batched eliminated program, since
+they share the design. Rows too rarely activated to support the regression
+are left at their raw scale and flagged.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import DegenerateRowError, DimensionMismatchError, SolverFailedError
 from .methods import ConvexMethod
 from .numerics import Mat, as_matrix, origin_fit
-from .solver import LpProblem, QpProblem, SolveStatus
+from .solver import SolveStatus, row_lp
 from .solver.simplex import solve_lp
 from .solver.split_ls import solve_separable_ls
 
@@ -66,8 +68,10 @@ class HiddenSampleSet:
 
 
 # Per-row scale regression. A sample counts as activated when h_j exceeds
-# ACTIVATION_REL times the median |h_j| (an absolute zero test would
-# misclassify near-zero estimates). Slopes above 1 by more than K_TOL are
+# ACTIVATION_REL times the largest |h_j|: an absolute zero test would
+# count the roundoff that a layer-2 estimate leaves on inactive samples,
+# and so would a median-relative one whenever fewer than half the samples
+# activate (the median is then zero). Slopes above 1 by more than K_TOL are
 # clamped to 1 with a warning; a slope at or below K_MIN, like fewer than
 # MIN_POS_SAMPLES activated samples, raises DegenerateRowError, so the row
 # stays unscaled and is listed rather than blown up by 1/K_MIN. SOFT_GATE
@@ -100,55 +104,11 @@ class Layer1Estimate:
     notes: tuple[str, ...] = ()
 
 
-# --- program assembly ----------------------------------------------------
-
-def build_hidden_row_qp(samples: HiddenSampleSet, row: int) -> QpProblem:
-    """QP for one row of A: variables [a_row (d, free) | phi_row (n, >= 0)]."""
-    xs = samples.xs
-    n, d = xs.shape
-    h_j = samples.hs[:, row]
-    top = np.hstack([xs.T @ xs, xs.T])
-    bot = np.hstack([xs, np.eye(n)])
-    hessian = np.vstack([top, bot]) / n
-    linear = np.concatenate([-xs.T @ h_j, -h_j]) / n
-    return QpProblem(
-        hessian=hessian,
-        linear=linear,
-        nonneg_vars=tuple(range(d, d + n)),
-        constant=float(h_j @ h_j) / (2 * n),
-        var_layout={"a_row": (0, d), "phi_row": (d, d + n)},
-    )
-
-
-def build_hidden_row_lp(samples: HiddenSampleSet, row: int) -> LpProblem:
-    """Feasibility system for one row of A:  -X a >= -h_j, a free."""
-    return LpProblem(
-        objective=np.zeros(samples.d),
-        ineq_lhs=-samples.xs,
-        ineq_rhs=-samples.hs[:, row],
-    )
-
-
-def build_hidden_row_slack_lp(samples: HiddenSampleSet, row: int) -> LpProblem:
-    """Soft variant for noisy hidden estimates: min (1/n) sum zeta,
-    -X a + zeta >= -h_j, zeta >= 0."""
-    xs = samples.xs
-    n, d = xs.shape
-    lhs = np.hstack([-xs, np.eye(n)])
-    objective = np.concatenate([np.zeros(d), np.full(n, 1.0 / n)])
-    return LpProblem(
-        objective=objective,
-        ineq_lhs=lhs,
-        ineq_rhs=-samples.hs[:, row],
-        nonneg_vars=tuple(range(d, d + n)),
-    )
-
-
 # --- learning ------------------------------------------------------------
 
 def _activated(h_j: np.ndarray) -> np.ndarray:
     """Mask of the samples whose hidden value counts as activated."""
-    threshold = ACTIVATION_REL * float(np.median(np.abs(h_j)))
+    threshold = ACTIVATION_REL * float(np.abs(h_j).max(initial=0.0))
     return h_j > threshold
 
 
@@ -243,7 +203,7 @@ def learn_layer1(
         # plain feasibility solve.
         raw_a = np.zeros((d, d))
         for j in range(d):
-            report = solve_lp(build_hidden_row_lp(samples, j))
+            report = solve_lp(row_lp(xs, hs[:, j]))
             if report.status is not SolveStatus.OPTIMAL:
                 raise SolverFailedError(
                     f"layer-1 LP for row {j} ended with status {report.status.value}: "

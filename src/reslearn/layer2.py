@@ -1,21 +1,20 @@
 """Second-layer learning: recover B from (x, y) samples.
 
 The key identity is that C = B's left inverse satisfies C y = (A x)^+ + x,
-so the row-separable program
+so every row c_j of C, together with the hidden column xi_j = (A x)^+_j,
+solves the shared row program of ``solver.types`` over the design F = -Y
+and the target t = -x_j: the QP  min 1/2n ||xi_j + x_j - Y c_j||^2  with
+xi_j >= 0, the feasibility LP  Y c_j >= x_j, or its slack LP. Rows whose
+first-layer weights are a pure rescaling of the input coordinate admit a
+one-parameter family of solutions C B = diag(k); the rescale step detects
+those rows by the exact linearity of [C y]_j against x_j on the negative
+half-line and divides the scale back out before B is read off by least
+squares.
 
-    min (1/2n) sum_i || xi_i + x_i - C y_i ||^2   s.t. xi_i >= 0
-
-(or its feasibility/slack LP forms) recovers C together with nonparametric
-estimates xi_i of the hidden ReLU output. Rows whose first-layer weights
-are a pure rescaling of the input coordinate admit a one-parameter family
-of solutions C B = diag(k); the rescale step detects those rows by the
-exact linearity of [C y]_j against x_j on the negative half-line and
-divides the scale back out before B is read off by least squares.
-
-All three program forms decouple across the d rows of C, so the QP path
-solves one batched program per layer (shared factorization) and the LP
-paths run one small LP per row: m free coefficients against n rows, which
-``solve_lp`` works on as a basis of at most m tight rows.
+The QP route solves all d rows as one batched eliminated program (shared
+factorization); the LP routes run one small LP per row: m free
+coefficients against n rows, which ``solve_lp`` works on as a basis of at
+most m tight rows.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .errors import (
 from .methods import ConvexMethod
 from .model import SampleSet
 from .numerics import Mat, lls_solve, origin_fit
-from .solver import LpProblem, QpProblem, SolveStatus
+from .solver import SolveStatus, row_lp, row_slack_lp
 from .solver.simplex import FEAS_TOL, solve_lp
 from .solver.split_ls import solve_separable_ls
 
@@ -75,78 +74,25 @@ class Layer2Estimate:
     notes: tuple[str, ...] = ()
 
 
-# --- program assembly ----------------------------------------------------
-
-def build_row_qp(samples: SampleSet, row: int) -> QpProblem:
-    """QP for one row of C: variables [c_row (m, free) | xi_row (n, >= 0)].
-
-    The Hessian is (1/n) T'T with T = [-Y | I_n]; it is shared by every row
-    of the same sample set, which is what the batched learner exploits.
-    """
-    ys = samples.ys
-    n, m = ys.shape
-    x_j = samples.xs[:, row]
-    t_top = np.hstack([ys.T @ ys, -ys.T])
-    t_bot = np.hstack([-ys, np.eye(n)])
-    hessian = np.vstack([t_top, t_bot]) / n
-    linear = np.concatenate([-ys.T @ x_j, x_j]) / n
-    return QpProblem(
-        hessian=hessian,
-        linear=linear,
-        nonneg_vars=tuple(range(m, m + n)),
-        constant=float(x_j @ x_j) / (2 * n),
-        var_layout={"c_row": (0, m), "xi_row": (m, m + n)},
-    )
-
-
-def build_row_feasibility_lp(samples: SampleSet, row: int) -> LpProblem:
-    """Feasibility system for one row of C:  Y c >= x_j, c free."""
-    return LpProblem(
-        objective=np.zeros(samples.m),
-        ineq_lhs=samples.ys,
-        ineq_rhs=samples.xs[:, row],
-    )
-
-
-def build_row_slack_lp(samples: SampleSet, row: int) -> LpProblem:
-    """Soft feasibility for one row: min (1/n) sum zeta, Y c + zeta >= x_j."""
-    ys = samples.ys
-    n, m = ys.shape
-    lhs = np.hstack([ys, np.eye(n)])
-    objective = np.concatenate([np.zeros(m), np.full(n, 1.0 / n)])
-    return LpProblem(
-        objective=objective,
-        ineq_lhs=lhs,
-        ineq_rhs=samples.xs[:, row],
-        nonneg_vars=tuple(range(m, m + n)),
-    )
-
-
 # --- learning ------------------------------------------------------------
-
-def _solve_c_qp(samples: SampleSet) -> tuple[Mat, Mat]:
-    # QP objective written as 1/2||(-Y)c + xi - (-x)||^2 per row of C, which
-    # is the eliminated-form shape solved by solve_separable_ls.
-    coeffs, xi, _info = solve_separable_ls(-samples.ys, -samples.xs)
-    return coeffs.T.copy(), xi
-
 
 def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     ys, xs = samples.ys, samples.xs
+    design, targets = -ys, -xs
     n, m = ys.shape
     d = xs.shape[1]
     c_hat = np.zeros((d, m))
     xi_hat = np.zeros((n, d))
     notes: list[str] = []
     for j in range(d):
-        report = solve_lp(build_row_feasibility_lp(samples, j))
+        report = solve_lp(row_lp(design, targets[:, j]))
         if slack and report.status is SolveStatus.INFEASIBLE:
             # Only an infeasible system leaves the slack program real work;
             # when the plain feasibility program closes every constraint the
             # slack optimum is exactly zero at that point, so the slack
             # solve, which starts from all-zero multipliers and would only
             # walk degenerate steps to some feasible vertex, is skipped.
-            report = solve_lp(build_row_slack_lp(samples, j))
+            report = solve_lp(row_slack_lp(design, targets[:, j]))
         if report.status is not SolveStatus.OPTIMAL:
             raise SolverFailedError(
                 f"layer-2 LP for row {j} ended with status {report.status.value}: "
@@ -216,7 +162,7 @@ def recover_b_general(samples: SampleSet, c_hat: Mat, k_hat) -> Mat:
     corrected = np.asarray(c_hat) / k[:, None]
     design = samples.ys @ corrected.T
     try:
-        fit = lls_solve(design, samples.ys)
+        return lls_solve(design, samples.ys)
     except RankDeficientError as exc:
         sv = np.linalg.svd(design, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
@@ -224,7 +170,6 @@ def recover_b_general(samples: SampleSet, c_hat: Mat, k_hat) -> Mat:
             f"projected samples are rank deficient; cannot recover layer 2: {exc}",
             condition=cond,
         ) from exc
-    return fit.coeffs
 
 
 def learn_layer2(
@@ -255,7 +200,8 @@ def learn_layer2(
         warnings.warn(notes[-1], stacklevel=2)
 
     if method is ConvexMethod.QP:
-        c_hat, xi_hat = _solve_c_qp(samples)
+        coeffs, xi_hat, _info = solve_separable_ls(-samples.ys, -samples.xs)
+        c_hat = coeffs.T.copy()
     else:
         c_hat, xi_hat, lp_notes = _solve_c_lp(samples, slack=method is ConvexMethod.SLACK_LP)
         notes.extend(lp_notes)

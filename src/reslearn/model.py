@@ -28,6 +28,18 @@ RANK_THRESHOLD = 1e-8
 #: Attempts allowed when rejection-sampling a teacher before giving up.
 GENERATION_RETRY_BUDGET = 100
 
+#: Standard deviation of the teacher entries: A is |N(0, WEIGHT_STD^2)|
+#: entrywise, B is N(0, WEIGHT_STD^2).
+WEIGHT_STD = 1.0
+
+#: Standard deviation of the Gaussian inputs; ``GaussianIid`` varies only
+#: its mean, and ``FoldedGaussianIid`` folds a zero-mean draw.
+INPUT_STD = 1.0
+
+#: Branches of the standard mixture: N(mean, std^2) and U(lo, hi).
+MIXTURE_GAUSS_MEAN, MIXTURE_GAUSS_STD = -0.1, 1.0
+MIXTURE_UNIFORM_LO, MIXTURE_UNIFORM_HI = -0.9, 1.1
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return a Philox-backed generator keyed by ``seed``.
@@ -125,45 +137,39 @@ def scale_rows(a: Mat) -> list[int]:
 
 @dataclass(frozen=True)
 class GaussianIid:
-    """Coordinates i.i.d. N(mean, std^2)."""
+    """Coordinates i.i.d. N(mean, INPUT_STD^2)."""
 
     dim: int
     mean: float = 0.0
-    std: float = 1.0
 
     def draw(self, rng: np.random.Generator, n: int) -> Mat:
-        return rng.normal(self.mean, self.std, size=(n, self.dim))
+        return rng.normal(self.mean, INPUT_STD, size=(n, self.dim))
 
 
 @dataclass(frozen=True)
 class FoldedGaussianIid:
-    """Coordinates i.i.d. |N(mean, std^2)| (entrywise absolute value)."""
+    """Coordinates i.i.d. |N(0, INPUT_STD^2)| (entrywise absolute value)."""
 
     dim: int
-    mean: float = 0.0
-    std: float = 1.0
 
     def draw(self, rng: np.random.Generator, n: int) -> Mat:
-        return np.abs(rng.normal(self.mean, self.std, size=(n, self.dim)))
+        return np.abs(rng.normal(0.0, INPUT_STD, size=(n, self.dim)))
 
 
 @dataclass(frozen=True)
 class GaussUniformMixture:
-    """Each coordinate independently N(g_mean, g_std^2) or U(u_lo, u_hi).
+    """Each coordinate independently N(-0.1, 1) or U(-0.9, 1.1).
 
-    The two branches are picked with probability 1/2 each, per coordinate.
+    The two branches (the MIXTURE_* constants) are picked with probability
+    1/2 each, per coordinate.
     """
 
     dim: int
-    g_mean: float = -0.1
-    g_std: float = 1.0
-    u_lo: float = -0.9
-    u_hi: float = 1.1
 
     def draw(self, rng: np.random.Generator, n: int) -> Mat:
         pick_gauss = rng.random(size=(n, self.dim)) < 0.5
-        gauss = rng.normal(self.g_mean, self.g_std, size=(n, self.dim))
-        unif = rng.uniform(self.u_lo, self.u_hi, size=(n, self.dim))
+        gauss = rng.normal(MIXTURE_GAUSS_MEAN, MIXTURE_GAUSS_STD, size=(n, self.dim))
+        unif = rng.uniform(MIXTURE_UNIFORM_LO, MIXTURE_UNIFORM_HI, size=(n, self.dim))
         return np.where(pick_gauss, gauss, unif)
 
 
@@ -259,19 +265,15 @@ def sample(
 class NetworkGenSpec:
     """Recipe for drawing a ground-truth unit.
 
-    Layer 1 entries come from a folded Gaussian |N(layer1_mean,
-    layer1_std^2)| (keeping them nonnegative), layer 2 from N(layer2_mean,
-    layer2_std^2). With ``require_non_scale_transform`` the draw is
-    rejected until no row of the first layer is a scale-transformation row.
+    Layer 1 entries come from a folded Gaussian |N(0, WEIGHT_STD^2)|
+    (keeping them nonnegative), layer 2 from N(0, WEIGHT_STD^2). With
+    ``require_non_scale_transform`` the draw is rejected until no row of
+    the first layer is a scale-transformation row.
     """
 
     d: int
     m: int
     seed: int
-    layer1_mean: float = 0.0
-    layer1_std: float = 1.0
-    layer2_mean: float = 0.0
-    layer2_std: float = 1.0
     require_non_scale_transform: bool = False
 
 
@@ -286,8 +288,8 @@ def generate_unit(spec: NetworkGenSpec) -> ResidualUnit:
         raise ValueError(f"need d >= 1 and m >= d, got d={spec.d}, m={spec.m}")
     rng = make_rng(spec.seed)
     for _ in range(GENERATION_RETRY_BUDGET):
-        a = np.abs(rng.normal(spec.layer1_mean, spec.layer1_std, size=(spec.d, spec.d)))
-        b = rng.normal(spec.layer2_mean, spec.layer2_std, size=(spec.m, spec.d))
+        a = np.abs(rng.normal(0.0, WEIGHT_STD, size=(spec.d, spec.d)))
+        b = rng.normal(0.0, WEIGHT_STD, size=(spec.m, spec.d))
         sv_a = np.linalg.svd(a, compute_uv=False)
         sv_b = np.linalg.svd(b, compute_uv=False)
         if sv_a[-1] < RANK_THRESHOLD * sv_a[0] or sv_b[-1] < RANK_THRESHOLD * sv_b[0]:

@@ -7,8 +7,6 @@ rows. All functions here are pure and thread-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_triangular
@@ -30,23 +28,11 @@ def as_matrix(value, name: str = "matrix") -> Mat:
     return np.ascontiguousarray(arr)
 
 
-@dataclass(frozen=True)
-class LlsFit:
-    """Result of a linear least-squares fit.
+def lls_solve(inputs: Mat, targets: Mat) -> Mat:
+    """Fit ``y ~ L x`` by minimizing (1/2n) sum ||L x_i - y_i||^2; returns L.
 
-    ``coeffs`` has shape q x p and predicts ``y = coeffs @ x``;
-    ``residual_norm`` is the Euclidean norm of the stacked residuals
-    ``coeffs @ x_i - y_i`` over the fitted samples.
-    """
-
-    coeffs: Mat
-    residual_norm: float
-
-
-def lls_solve(inputs: Mat, targets: Mat) -> LlsFit:
-    """Fit ``y ~ L x`` by minimizing (1/2n) sum ||L x_i - y_i||^2.
-
-    ``inputs`` is n x p (one sample per row), ``targets`` n x q. Solved via
+    ``inputs`` is n x p (one sample per row), ``targets`` n x q, and the
+    returned coefficients are q x p, predicting ``y = L @ x``. Solved via
     a reduced QR factorization rather than the normal equations; the rank
     test uses the R diagonal with threshold max(n, p) * eps * max|R_jj|.
 
@@ -70,8 +56,7 @@ def lls_solve(inputs: Mat, targets: Mat) -> LlsFit:
             f"design matrix is rank deficient (min |R_jj| = {diag.min():.3e})"
         )
     coeffs_t = solve_triangular(r_fac, q_fac.T @ y)  # p x q
-    residual = x @ coeffs_t - y
-    return LlsFit(coeffs=np.ascontiguousarray(coeffs_t.T), residual_norm=float(np.linalg.norm(residual)))
+    return np.ascontiguousarray(coeffs_t.T)
 
 
 def origin_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:

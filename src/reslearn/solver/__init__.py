@@ -1,11 +1,13 @@
 """Convex-program engines for the layer programs.
 
-``simplex.solve_lp`` is a bounded dual active-set method over a basis of at
-most m tight rows, with soft rows for the slack columns and Farkas
-certificates (the LP and slack-LP routes). ``split_ls.solve_separable_ls``
-solves the QP route's eliminated least-squares form by semismooth Newton;
-``QpProblem`` keeps the assembled PSD QP that the layer builders produce,
-against whose KKT conditions the eliminated solutions are checked.
+Both layers pose one row program over a design F and a target column t,
+built by ``row_qp``, ``row_lp`` and ``row_slack_lp``. ``simplex.solve_lp``
+is a bounded dual active-set method over a basis of at most p tight rows,
+with soft rows for the slack columns and Farkas certificates (the LP and
+slack-LP routes). ``split_ls.solve_separable_ls`` solves the QP route's
+eliminated least-squares form by semismooth Newton; ``row_qp`` assembles
+the PSD QP against whose KKT conditions the eliminated solutions are
+checked.
 """
 
 from .simplex import solve_lp
@@ -14,6 +16,9 @@ from .types import (
     QpProblem,
     SolveReport,
     SolveStatus,
+    row_lp,
+    row_qp,
+    row_slack_lp,
 )
 
 __all__ = [
@@ -21,5 +26,8 @@ __all__ = [
     "QpProblem",
     "SolveReport",
     "SolveStatus",
+    "row_lp",
+    "row_qp",
+    "row_slack_lp",
     "solve_lp",
 ]

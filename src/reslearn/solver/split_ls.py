@@ -27,8 +27,8 @@ iteration path, at the cost of an order-BACK_WEIGHT bias that is far
 below every tolerance used downstream.
 
 This is an algebraic shortcut, not a different model: its solutions lie in
-the optimum set of the assembled QP over (u, w) that the layer builders
-produce (``build_row_qp``, ``build_hidden_row_qp``). The test suite checks
+the optimum set of the assembled QP over (u, w) that ``types.row_qp``
+builds for either layer's design. The test suite checks
 that on shared instances through the assembled KKT conditions and against
 an external bounded-variable least-squares solve of [F | I]. The batched
 interface solves one column per right-hand side, sharing the design

@@ -1,4 +1,4 @@
-"""Problem descriptions and the LP engine's report.
+"""Problem descriptions, the layer row programs, and the LP engine's report.
 
 Conventions used throughout the solver package:
 
@@ -8,15 +8,25 @@ Conventions used throughout the solver package:
   a pure feasibility run.
 * ``QpProblem`` encodes  min 1/2 v' H v + q . v  subject to v_i >= 0 for the
   indices in ``nonneg_vars``; there are no general linear constraints because
-  the layer programs only ever bound the function-estimate block. It is the
-  assembled form of the QP route: the learners solve its eliminated
-  least-squares form (``split_ls``), and the assembled problem is what those
-  solutions are checked against.
+  the layer programs only ever bound the slack block.
+
+Both layers pose one row program over an n x p design F and a target
+column t of length n, with the p free coefficients u first in every
+variable vector:
+
+* ``row_qp``:        min 1/2n ||F u + w - t||^2  over (u, w >= 0);
+* ``row_lp``:        F u <= t  (a feasibility run);
+* ``row_slack_lp``:  min 1/n sum zeta  s.t.  F u - zeta <= t, zeta >= 0.
+
+Layer 2 poses them with F = -Y and t = -x_j (so C y >= x), layer 1 with
+F = X and t = h_j (so A x <= h). The learners solve ``row_qp`` only in its
+eliminated least-squares form (``split_ls``); the assembled QP is what
+those solutions are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -65,7 +75,6 @@ class QpProblem:
     linear: np.ndarray
     nonneg_vars: tuple[int, ...] = ()
     constant: float = 0.0
-    var_layout: dict = field(default_factory=dict)
 
     def __post_init__(self):
         h = as_matrix(self.hessian, "hessian")
@@ -127,6 +136,40 @@ class LpProblem:
         if self.nonneg_vars:
             worst = max(worst, float(-v[list(self.nonneg_vars)].min(initial=0.0)))
         return max(worst, 0.0)
+
+
+def row_qp(design: Mat, target: np.ndarray) -> QpProblem:
+    """min 1/2n ||F u + w - t||^2 over [u (p, free) | w (n, >= 0)].
+
+    The Hessian (1/n) [F | I]'[F | I] depends only on the design, so every
+    row of one layer shares it. ``constant`` makes the objective the
+    modeled risk: zero at a perfect noiseless fit.
+    """
+    n, p = design.shape
+    top = np.hstack([design.T @ design, design.T])
+    bot = np.hstack([design, np.eye(n)])
+    return QpProblem(
+        hessian=np.vstack([top, bot]) / n,
+        linear=np.concatenate([-design.T @ target, -target]) / n,
+        nonneg_vars=tuple(range(p, p + n)),
+        constant=float(target @ target) / (2 * n),
+    )
+
+
+def row_lp(design: Mat, target: np.ndarray) -> LpProblem:
+    """Feasibility system F u <= t over free u, as -F u >= -t."""
+    return LpProblem(objective=np.zeros(design.shape[1]), ineq_lhs=-design, ineq_rhs=-target)
+
+
+def row_slack_lp(design: Mat, target: np.ndarray) -> LpProblem:
+    """min 1/n sum zeta over [u (p, free) | zeta (n, >= 0)], F u - zeta <= t."""
+    n, p = design.shape
+    return LpProblem(
+        objective=np.concatenate([np.zeros(p), np.full(n, 1.0 / n)]),
+        ineq_lhs=np.hstack([-design, np.eye(n)]),
+        ineq_rhs=-target,
+        nonneg_vars=tuple(range(p, p + n)),
+    )
 
 
 @dataclass(frozen=True)

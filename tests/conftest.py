@@ -1,9 +1,11 @@
 """Shared test plumbing: a collected pass/fail line per acceptance run, and
-the check of the eliminated QP solver against the assembled layer QPs."""
+the check of the eliminated QP solver against the assembled row QP."""
 
 import numpy as np
 from scipy.optimize import lsq_linear
 
+from reslearn.numerics import is_psd
+from reslearn.solver import row_qp
 from reslearn.solver.split_ls import solve_separable_ls
 
 ACCEPTANCE_LINES = []
@@ -22,28 +24,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-def split_ls_on_assembled(prob, design, target, back_weight):
-    """Solve one assembled layer QP the way the learners do and measure it.
+def split_ls_on_assembled(design, target, back_weight):
+    """Solve one layer row QP the way the learners do and measure it.
 
-    ``prob`` is  min 1/2n ||design u + w - target||^2  over (u free, w >= 0)
-    with the free block first, as ``build_row_qp`` and ``build_hidden_row_qp``
-    assemble it. The point comes from ``solve_separable_ls`` on the
-    eliminated form; its KKT residuals are read through the assembled
-    gradient g = prob.hessian @ v + prob.linear, and its objective is
-    compared with scipy's bounded-variable least squares on [design | I].
+    The QP is ``row_qp(design, target)``:  min 1/2n ||design u + w - target||^2
+    over (u free, w >= 0), the form both layers pose. The point comes from
+    ``solve_separable_ls`` on the eliminated form; its KKT residuals are
+    read through the assembled gradient g = hessian @ v + linear, and its
+    objective is compared with scipy's bounded-variable least squares on
+    [design | I].
 
-    Returns a dict: ``sign`` (most negative g on the bounded block, as a
-    nonnegative number), ``complementarity`` (largest |v_i g_i| there),
+    Returns a dict: ``psd`` (whether the assembled Hessian is PSD),
+    ``sign`` (most negative g on the bounded block, as a nonnegative
+    number), ``complementarity`` (largest |v_i g_i| there),
     ``stationarity`` (largest |g| on the free block over max(1, |q|_inf)),
     ``objective`` (the split point's) and ``bvls_gap`` (``objective`` minus
     the BVLS objective).
     """
+    prob = row_qp(design, target)
     n, p = design.shape
     coeffs, nonneg, _ = solve_separable_ls(design, target.reshape(-1, 1), back_weight=back_weight)
     v = np.concatenate([coeffs[:, 0], nonneg[:, 0]])
     grad = prob.hessian @ v + prob.linear
     bounded = list(prob.nonneg_vars)
-    assert bounded == list(range(p, p + n))
     ref = lsq_linear(
         np.hstack([design, np.eye(n)]), target,
         bounds=(np.concatenate([np.full(p, -np.inf), np.zeros(n)]), np.inf),
@@ -51,6 +54,7 @@ def split_ls_on_assembled(prob, design, target, back_weight):
     )
     objective = prob.objective(v)
     return {
+        "psd": is_psd(prob.hessian),
         "sign": max(0.0, -float(grad[bounded].min())),
         "complementarity": float(np.abs(v[bounded] * grad[bounded]).max()),
         "stationarity": float(np.abs(grad[:p]).max())

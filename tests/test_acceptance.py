@@ -27,8 +27,7 @@ from scipy.optimize import linprog
 from conftest import record_acceptance, split_ls_on_assembled
 from reslearn.baselines import expected_sample_bound
 from reslearn.evaluation import cell_seed, full_pipeline, relative_errors, run_success_rates, run_trial
-from reslearn.layer1 import HiddenSampleSet, build_hidden_row_qp, build_hidden_row_slack_lp
-from reslearn.layer2 import build_row_qp, build_row_slack_lp, learn_layer2
+from reslearn.layer2 import learn_layer2
 from reslearn.model import (
     GaussianIid,
     NetworkGenSpec,
@@ -39,8 +38,7 @@ from reslearn.model import (
     sample,
     standard_mixture,
 )
-from reslearn.numerics import is_psd
-from reslearn.solver import LpProblem, SolveStatus, solve_lp
+from reslearn.solver import LpProblem, SolveStatus, row_slack_lp, solve_lp
 
 
 def solution_is_unique(samples, tol=1e-7):
@@ -274,14 +272,14 @@ def test_criterion_8():
         s = sample(unit, standard_mixture(d), int(rng.integers(20, 41)), 0.0,
                    seed=derive_seed(800, "c8s", i))
         row = int(rng.integers(0, d))
-        hidden = HiddenSampleSet(xs=s.xs, hs=np.maximum(s.xs @ unit.a.T, 0.0))
-        # (assembled QP, eliminated design and target, the learner's back weight)
-        for prob, design, target, back_weight in (
-            (build_row_qp(s, row), -s.ys, -s.xs[:, row], 1e-10),
-            (build_hidden_row_qp(hidden, row), hidden.xs, hidden.hs[:, row], 1e-6),
+        hs = np.maximum(s.xs @ unit.a.T, 0.0)
+        # (layer design, target, the learner's back weight)
+        for design, target, back_weight in (
+            (-s.ys, -s.xs[:, row], 1e-10),
+            (s.xs, hs[:, row], 1e-6),
         ):
-            all_psd = all_psd and is_psd(prob.hessian)
-            got = split_ls_on_assembled(prob, design, target, back_weight)
+            got = split_ls_on_assembled(design, target, back_weight)
+            all_psd = all_psd and got["psd"]
             for key in worst:
                 worst[key] = max(worst[key], abs(got[key]))
             n_qps += 1
@@ -310,9 +308,9 @@ def test_criterion_8():
         d = int(np.random.default_rng(2 + i).integers(2, 5))
         unit = generate_unit(NetworkGenSpec(d=d, m=d, seed=derive_seed(801, i)))
         s = sample(unit, standard_mixture(d), 50, 0.0, seed=derive_seed(802, i))
-        hidden = HiddenSampleSet(xs=s.xs, hs=np.maximum(s.xs @ unit.a.T, 0.0))
+        hs = np.maximum(s.xs @ unit.a.T, 0.0)
         for row in range(d):
-            for prob in (build_row_slack_lp(s, row), build_hidden_row_slack_lp(hidden, row)):
+            for prob in (row_slack_lp(-s.ys, -s.xs[:, row]), row_slack_lp(s.xs, hs[:, row])):
                 rep = solve_lp(prob)
                 if rep.status is not SolveStatus.OPTIMAL:
                     worst_slack = np.inf

@@ -8,6 +8,11 @@ tracing, wraps module attributes and reads their arguments by name:
 workload, with no timed loop, exercises every one of them and the
 benchmark's own checks; a renamed function or parameter makes the run
 fail or report ``"correct": false``.
+
+The per-layer counts on the run's last line guard the trace points
+themselves: each layer module must call ``solve_lp`` and
+``solve_separable_ls`` through its own module attributes, or the wrapped
+names see no calls and the counts read zero.
 """
 
 import json
@@ -20,6 +25,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("lp-clean", "slack-sweep", "qp-sgd")
+
+# Per-trial counts each workload must report. d = 4 gives one LP per row
+# and layer; slack-sweep runs a clean and a noisy leg, and its noisy layer-2
+# rows add a slack LP after each infeasible feasibility LP.
+EXPECTED_COUNTS = {
+    "lp-clean": {"layer2.lp_calls": lambda v: v == 4, "layer1.lp_calls": lambda v: v == 4},
+    "slack-sweep": {"layer1.lp_calls": lambda v: v == 8, "layer2.lp_calls": lambda v: v >= 8},
+    "qp-sgd": {
+        "layer2.newton_iters": lambda v: v > 0,
+        "layer1.newton_iters": lambda v: v > 0,
+        "baselines.sgd_steps": lambda v: v > 0,
+    },
+}
 
 
 def run_bench(workload: str) -> subprocess.CompletedProcess:
@@ -43,3 +61,10 @@ def test_traced_trial_is_correct(bench_runs, workload):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_trial_reaches_every_layer_solver(bench_runs, workload):
+    metrics = json.loads(bench_runs[workload].stdout.strip().splitlines()[-1])["metrics"]
+    for name, expected in EXPECTED_COUNTS[workload].items():
+        assert expected(metrics[name]["value"]), (name, metrics[name]["value"])

@@ -63,6 +63,18 @@ class TestGenerate:
         assert stderr_payload(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["learn", "--data", "samples.csv", "--noise-sigma", "0.1"],
+    ["generate", "--d", "2", "--n", "50", "--jobs", "2"],
+])
+def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path):
+    # a flag the command would ignore must not parse
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 class TestLearn:
     def test_fit_with_error_report(self, dataset, tmp_path, capsys):
         out = tmp_path / "fit"

@@ -24,6 +24,7 @@ from reslearn.model import (
     NetworkGenSpec,
     ResidualUnit,
     SampleSet,
+    derive_seed,
     forward_batch,
     generate_unit,
     make_rng,
@@ -96,6 +97,19 @@ class TestRunTrial:
         assert rep.layer1_rel <= 1e-9
         assert rep.layer2_rel <= 1e-9
         assert rep.output_rel <= 1e-9
+
+    def test_clean_slack_lp_matches_lp(self):
+        # trial 0 of the benchmark's slack-sweep workload at seed 302: where
+        # LP is exact on clean data, slack-LP must land on the same estimate
+        # (its soft gate must not fire on layer-2 roundoff)
+        teacher = derive_seed(302, "slack-sweep", "teacher", 0)
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=teacher))
+        seed = derive_seed(302, "slack-sweep", "train", 0)
+        lp = run_trial(unit, 400, 0.0, "lp", seed)
+        slack = run_trial(unit, 400, 0.0, "slack-lp", seed)
+        assert lp.output_rel <= 1e-10
+        for field in ("layer1_rel", "layer2_rel", "output_rel"):
+            assert abs(getattr(slack, field) - getattr(lp, field)) <= 1e-10, field
 
     def test_report_metadata(self):
         unit = generate_unit(

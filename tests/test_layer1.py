@@ -8,14 +8,11 @@ from reslearn.layer1 import (
     SOFT_GATE,
     HiddenSampleSet,
     _scale_fit_misfit,
-    build_hidden_row_lp,
-    build_hidden_row_qp,
-    build_hidden_row_slack_lp,
     estimate_row_scale,
     learn_layer1,
 )
 from reslearn.model import derive_seed, make_rng, standard_mixture
-from reslearn.numerics import is_psd
+from reslearn.solver import row_lp, row_qp
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -44,37 +41,25 @@ class TestHiddenSampleSet:
 
 
 class TestAssembly:
-    def test_qp_layout_and_psd(self):
-        s = hidden_from(A_REF, n=6)
-        prob = build_hidden_row_qp(s, 0)
-        assert prob.var_layout == {"a_row": (0, 2), "phi_row": (2, 8)}
-        assert prob.nonneg_vars == tuple(range(2, 8))
-        assert is_psd(prob.hessian)
+    # layer 1 poses the shared row program over F = X and t = h_j
 
     def test_qp_objective_zero_at_truth(self):
         s = hidden_from(A_REF, n=40)
         for j in range(2):
-            prob = build_hidden_row_qp(s, j)
+            prob = row_qp(s.xs, s.hs[:, j])
             phi = s.hs[:, j] - s.xs @ A_REF[j]  # = (-a x)^+ >= 0
             v = np.concatenate([A_REF[j], phi])
             assert phi.min() >= 0.0
             assert prob.objective(v) == pytest.approx(0.0, abs=1e-12)
 
     def test_feasibility_lp_layout(self):
+        # the LP reads -X a >= -h_j, and the teacher row satisfies it
         s = hidden_from(A_REF, n=7)
-        prob = build_hidden_row_lp(s, 1)
+        prob = row_lp(s.xs, s.hs[:, 1])
         np.testing.assert_array_equal(prob.ineq_lhs, -s.xs)
         np.testing.assert_array_equal(prob.ineq_rhs, -s.hs[:, 1])
         assert prob.nonneg_vars == ()
-
-    def test_slack_lp_layout(self):
-        s = hidden_from(A_REF, n=5)
-        prob = build_hidden_row_slack_lp(s, 0)
-        assert prob.n_vars == 2 + 5
-        np.testing.assert_array_equal(prob.ineq_lhs[:, :2], -s.xs)
-        np.testing.assert_array_equal(prob.ineq_lhs[:, 2:], np.eye(5))
-        np.testing.assert_array_equal(prob.objective[2:], 1.0 / 5)
-        assert prob.nonneg_vars == tuple(range(2, 7))
+        assert prob.max_violation(A_REF[1]) <= 1e-12
 
 
 class TestExactRecovery:
@@ -180,6 +165,23 @@ class TestSoftGate:
         hard = learn_layer1(s, method="lp")
         err = lambda e: np.linalg.norm(e.a_hat - A_REF)
         assert err(soft) < err(hard)
+
+    def test_roundoff_on_inactive_samples_is_not_activation(self):
+        # fewer than half the samples activate each row, so the median |h_j|
+        # is the 1e-13 slop a layer-2 estimate leaves on the inactive ones;
+        # that slop must neither count as activation nor fire the soft gate
+        xs = make_rng(20).normal(-0.5, 1.0, size=(300, 2))
+        a = np.array([[1.0, 1.0], [0.5, 1.0]])
+        hs = np.maximum(xs @ a.T, 0.0)
+        inactive = hs == 0.0
+        assert inactive.mean(axis=0).min() > 0.5
+        hs[inactive] = 1e-13 * make_rng(21).random(int(inactive.sum()))
+        for j in range(2):
+            np.testing.assert_array_equal(layer1._activated(hs[:, j]), ~inactive[:, j])
+        assert _scale_fit_misfit(xs, hs, 0.5 * a) <= 1e-20
+        est = learn_layer1(HiddenSampleSet(xs, hs), method="slack-lp")
+        assert not any("soft penalties" in note for note in est.notes)
+        np.testing.assert_allclose(est.a_hat, a, atol=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_gate_rejects_trivial_vertex_at_any_scale(self, scale):

@@ -4,9 +4,6 @@ import pytest
 from reslearn import layer2
 from reslearn.errors import DimensionMismatchError, ReslearnError
 from reslearn.layer2 import (
-    build_row_feasibility_lp,
-    build_row_qp,
-    build_row_slack_lp,
     learn_layer2,
     recover_b_general,
     rescale_layer2,
@@ -19,6 +16,7 @@ from reslearn.model import (
     standard_mixture,
 )
 from reslearn.numerics import is_psd
+from reslearn.solver import row_lp, row_qp
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 B_REF = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -30,13 +28,7 @@ def make_samples(a, b, n=200, sigma=0.0, seed=0):
 
 
 class TestProgramAssembly:
-    def test_row_qp_layout_and_psd(self):
-        _, s = make_samples(A_REF, B_REF, n=5)
-        prob = build_row_qp(s, 0)
-        assert prob.n_vars == 2 + 5
-        assert prob.nonneg_vars == tuple(range(2, 7))
-        assert prob.var_layout == {"c_row": (0, 2), "xi_row": (2, 7)}
-        assert is_psd(prob.hessian)
+    # layer 2 poses the shared row program over F = -Y and t = -x_j
 
     def test_row_qp_objective_matches_model_risk(self):
         # plugging the true (c_row, xi_row) into the assembled objective
@@ -45,32 +37,25 @@ class TestProgramAssembly:
         c_true = np.linalg.inv(unit.b)
         xi_true = np.maximum(s.xs @ unit.a.T, 0.0)
         for j in range(2):
-            prob = build_row_qp(s, j)
+            prob = row_qp(-s.ys, -s.xs[:, j])
             v = np.concatenate([c_true[j], xi_true[:, j]])
             assert prob.objective(v) == pytest.approx(0.0, abs=1e-12)
 
     def test_d3_n5_hessian_is_psd(self):
         unit = generate_unit(NetworkGenSpec(d=3, m=3, seed=40))
         s = sample(unit, standard_mixture(3), 5, 0.0, seed=41)
-        assert is_psd(build_row_qp(s, 1).hessian)
+        assert is_psd(row_qp(-s.ys, -s.xs[:, 1]).hessian)
 
     def test_feasibility_lp_layout(self):
-        _, s = make_samples(A_REF, B_REF, n=7)
-        prob = build_row_feasibility_lp(s, 1)
+        # the LP reads Y c >= x_j, and the true row of C satisfies it
+        unit, s = make_samples(A_REF, B_REF, n=7)
+        prob = row_lp(-s.ys, -s.xs[:, 1])
         assert prob.n_vars == 2 and prob.n_rows == 7
         assert prob.nonneg_vars == ()
         np.testing.assert_array_equal(prob.ineq_lhs, s.ys)
         np.testing.assert_array_equal(prob.ineq_rhs, s.xs[:, 1])
         np.testing.assert_array_equal(prob.objective, 0.0)
-
-    def test_slack_lp_layout(self):
-        _, s = make_samples(A_REF, B_REF, n=6)
-        prob = build_row_slack_lp(s, 0)
-        assert prob.n_vars == 2 + 6
-        assert prob.nonneg_vars == tuple(range(2, 8))
-        np.testing.assert_array_equal(prob.ineq_lhs[:, :2], s.ys)
-        np.testing.assert_array_equal(prob.ineq_lhs[:, 2:], np.eye(6))
-        np.testing.assert_array_equal(prob.objective[2:], 1.0 / 6)
+        assert prob.max_violation(np.linalg.inv(unit.b)[1]) <= 1e-12
 
 
 class TestNoiselessRecovery:

@@ -39,9 +39,9 @@ class TestLlsSolve:
         l_true = g.normal(size=(3, 4))
         xs = g.normal(size=(50, 4))
         ys = xs @ l_true.T
-        fit = lls_solve(xs, ys)
-        np.testing.assert_allclose(fit.coeffs, l_true, atol=1e-12)
-        assert fit.residual_norm < 1e-10
+        coeffs = lls_solve(xs, ys)
+        np.testing.assert_allclose(coeffs, l_true, atol=1e-12)
+        assert np.linalg.norm(xs @ coeffs.T - ys) < 1e-10
 
     def test_matches_normal_equations_oracle(self):
         # independent oracle: solve X'X L' = X'Y directly
@@ -49,10 +49,10 @@ class TestLlsSolve:
         xs = g.normal(size=(40, 5))
         ys = g.normal(size=(40, 2))
         oracle = np.linalg.solve(xs.T @ xs, xs.T @ ys).T
-        fit = lls_solve(xs, ys)
-        np.testing.assert_allclose(fit.coeffs, oracle, atol=1e-10)
+        coeffs = lls_solve(xs, ys)
+        np.testing.assert_allclose(coeffs, oracle, atol=1e-10)
         resid_oracle = float(np.linalg.norm(xs @ oracle.T - ys))
-        assert fit.residual_norm == pytest.approx(resid_oracle, rel=1e-10)
+        assert np.linalg.norm(xs @ coeffs.T - ys) == pytest.approx(resid_oracle, rel=1e-10)
 
     def test_rank_deficient_raises(self):
         xs = np.ones((10, 2))  # duplicate columns

@@ -3,11 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reslearn.layer1 import HiddenSampleSet, build_hidden_row_lp
-from reslearn.layer2 import build_row_feasibility_lp, build_row_slack_lp
-from reslearn.model import NetworkGenSpec, SampleSet, generate_unit, sample, standard_mixture
+from reslearn.model import NetworkGenSpec, generate_unit, sample, standard_mixture
 from conftest import split_ls_on_assembled
-from reslearn.solver import LpProblem, QpProblem, SolveStatus, solve_lp
+from reslearn.numerics import is_psd
+from reslearn.solver import (
+    LpProblem,
+    QpProblem,
+    SolveStatus,
+    row_lp,
+    row_qp,
+    row_slack_lp,
+    solve_lp,
+)
 from reslearn.solver import simplex, split_ls
 from reslearn.solver.split_ls import solve_separable_ls
 
@@ -49,6 +56,39 @@ class TestProblemTypes:
     def test_qp_objective_includes_constant(self):
         prob = QpProblem(hessian=np.eye(1), linear=[-1.0], constant=0.5)
         assert prob.objective([1.0]) == pytest.approx(0.0)
+
+
+class TestRowPrograms:
+    # Both layers pose these programs over their own design and target
+    # (layer 2: F = -Y, t = -x_j; layer 1: F = X, t = h_j), so the layouts
+    # are checked once on a generic design.
+
+    def test_qp_layout_and_psd(self):
+        g = rng(41)
+        f, t = g.standard_normal((6, 2)), g.standard_normal(6)
+        prob = row_qp(f, t)
+        assert prob.n_vars == 2 + 6
+        assert prob.nonneg_vars == tuple(range(2, 8))
+        assert is_psd(prob.hessian)
+        np.testing.assert_allclose(prob.hessian[:2, :2], f.T @ f / 6)
+        np.testing.assert_allclose(prob.hessian[2:, :2], f / 6)
+        np.testing.assert_allclose(prob.hessian[2:, 2:], np.eye(6) / 6)
+        # the objective is 1/2n ||F u + w - t||^2 exactly, constant included
+        u, w = g.standard_normal(2), np.abs(g.standard_normal(6))
+        r = f @ u + w - t
+        assert prob.objective(np.concatenate([u, w])) == pytest.approx(r @ r / 12, rel=1e-12)
+
+    def test_slack_lp_layout(self):
+        g = rng(42)
+        f, t = g.standard_normal((5, 2)), g.standard_normal(5)
+        prob = row_slack_lp(f, t)
+        assert prob.n_vars == 2 + 5
+        assert prob.nonneg_vars == tuple(range(2, 7))
+        np.testing.assert_array_equal(prob.ineq_lhs[:, :2], -f)
+        np.testing.assert_array_equal(prob.ineq_lhs[:, 2:], np.eye(5))
+        np.testing.assert_array_equal(prob.ineq_rhs, -t)
+        np.testing.assert_array_equal(prob.objective[:2], 0.0)
+        np.testing.assert_array_equal(prob.objective[2:], 1.0 / 5)
 
 
 class TestSimplexTextbook:
@@ -195,10 +235,8 @@ class TestSimplexOnLayerPrograms:
     def test_terminal_point_satisfies_original_constraints(self):
         unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3, require_non_scale_transform=True))
         s = sample(unit, standard_mixture(4), 200, 0.0, seed=5)
-        from reslearn.layer2 import build_row_feasibility_lp
-
         for j in range(4):
-            prob = build_row_feasibility_lp(s, j)
+            prob = row_lp(-s.ys, -s.xs[:, j])
             rep = solve_lp(prob)
             assert rep.status is SolveStatus.OPTIMAL
             assert prob.max_violation(rep.point) <= 1e-7
@@ -212,10 +250,9 @@ class TestSimplexOnLayerPrograms:
         s = sample(unit, standard_mixture(2), 60, 0.3, seed=9)
         values = []
         for n in (20, 40, 60):
-            prefix = SampleSet(xs=s.xs[:n], ys=s.ys[:n])
             total = 0.0
             for row in range(2):
-                rep = solve_lp(build_row_slack_lp(prefix, row))
+                rep = solve_lp(row_slack_lp(-s.ys[:n], -s.xs[:n, row]))
                 assert rep.status is SolveStatus.OPTIMAL
                 total += rep.objective_value * n  # undo the 1/n scaling
             values.append(total)
@@ -232,10 +269,10 @@ class TestSimplexOnLayerPrograms:
         noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
         big = sample(unit, standard_mixture(4), 400, 0.0, seed=6)
         feasible = {
-            "layer-2 feasibility": (build_row_feasibility_lp(clean, 0), [
+            "layer-2 feasibility": (row_lp(-clean.ys, -clean.xs[:, 0]), [
                 0.16063707557113988, 0.3698088771426325, 0.41396878341428583,
                 -0.27261505369207367]),
-            "layer-2 row, n=400": (build_row_feasibility_lp(big, 1), [
+            "layer-2 row, n=400": (row_lp(-big.ys, -big.xs[:, 1]), [
                 0.14906384813624188, -0.734173152500077, -0.4971908143982081,
                 -0.1347411658454168]),
         }
@@ -244,11 +281,12 @@ class TestSimplexOnLayerPrograms:
             assert rep.status is SolveStatus.OPTIMAL, name
             assert_point_close(rep.point, point, name)
 
-        rep = solve_lp(build_row_feasibility_lp(noisy, 0))
+        noisy_row = row_lp(-noisy.ys, -noisy.xs[:, 0])
+        rep = solve_lp(noisy_row)
         assert rep.status is SolveStatus.INFEASIBLE
-        assert simplex._verify_farkas(build_row_feasibility_lp(noisy, 0), rep.certificate) is not None
+        assert simplex._verify_farkas(noisy_row, rep.certificate) is not None
 
-        rep = solve_lp(build_row_slack_lp(noisy, 0))
+        rep = solve_lp(row_slack_lp(-noisy.ys, -noisy.xs[:, 0]))
         assert rep.status is SolveStatus.OPTIMAL
         assert_point_close(rep.point[:4], [
             0.16972906546154856, 0.39694303030477734, 0.39236647879790204,
@@ -261,8 +299,8 @@ class TestSimplexOnLayerPrograms:
         # nonzero rhs (activated samples) lands on the teacher row itself.
         unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
         clean = sample(unit, standard_mixture(4), 120, 0.0, seed=5)
-        hidden = HiddenSampleSet(clean.xs, np.maximum(clean.xs @ unit.a.T, 0.0))
-        rep = solve_lp(build_hidden_row_lp(hidden, 0))
+        hs = np.maximum(clean.xs @ unit.a.T, 0.0)
+        rep = solve_lp(row_lp(clean.xs, hs[:, 0]))
         assert rep.status is SolveStatus.OPTIMAL
         assert rep.iterations == 0
         assert_point_close(rep.point, unit.a[0], "layer-1 feasibility")
@@ -374,14 +412,14 @@ class TestCostModel:
         g = rng(11)
         xs = g.standard_normal((2000, 4))
         hs = np.maximum(xs @ np.abs(g.standard_normal((4, 4))).T, 0.0)
-        rep, peak = traced_peak(build_hidden_row_lp(HiddenSampleSet(xs, hs), 0))
+        rep, peak = traced_peak(row_lp(xs, hs[:, 0]))
         assert rep.status is SolveStatus.OPTIMAL
         assert peak < 4e6
 
     def test_slack_lp_allocates_no_square_array(self):
         unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=12))
         noisy = sample(unit, standard_mixture(4), 2000, 0.1, seed=13)
-        rep, peak = traced_peak(build_row_slack_lp(noisy, 0))
+        rep, peak = traced_peak(row_slack_lp(-noisy.ys, -noisy.xs[:, 0]))
         assert rep.status is SolveStatus.OPTIMAL
         assert rep.objective_value > 0.0
         assert peak < 8e6
@@ -467,27 +505,20 @@ class TestEliminatedAgainstAssembled:
         assert abs(got["bvls_gap"]) <= 1e-9
 
     def test_layer2_row_qp_agrees_with_split_solver(self):
-        from reslearn.layer2 import build_row_qp
-
         unit = generate_unit(NetworkGenSpec(d=2, m=2, seed=31, require_non_scale_transform=True))
         s = sample(unit, standard_mixture(2), 40, 0.0, seed=32)
         for j in range(2):
-            got = split_ls_on_assembled(build_row_qp(s, j), -s.ys, -s.xs[:, j], back_weight=1e-10)
+            got = split_ls_on_assembled(-s.ys, -s.xs[:, j], back_weight=1e-10)
             self.assert_optimal(got)
             assert got["objective"] <= 1e-10  # noiseless: risk reaches zero
 
     def test_layer1_row_qp_agrees_with_split_solver(self):
-        from reslearn.layer1 import build_hidden_row_qp
-
         unit = generate_unit(NetworkGenSpec(d=3, m=3, seed=33))
         clean = sample(unit, standard_mixture(3), 60, 0.0, seed=34)
-        noisy = HiddenSampleSet(clean.xs, np.maximum(
-            clean.xs @ unit.a.T + 0.1 * rng(35).standard_normal((60, 3)), 0.0))
-        for hidden in (HiddenSampleSet(clean.xs, np.maximum(clean.xs @ unit.a.T, 0.0)), noisy):
+        noisy = np.maximum(clean.xs @ unit.a.T + 0.1 * rng(35).standard_normal((60, 3)), 0.0)
+        for hs in (np.maximum(clean.xs @ unit.a.T, 0.0), noisy):
             for j in range(3):
-                prob = build_hidden_row_qp(hidden, j)
-                self.assert_optimal(
-                    split_ls_on_assembled(prob, hidden.xs, hidden.hs[:, j], back_weight=1e-6))
+                self.assert_optimal(split_ls_on_assembled(clean.xs, hs[:, j], back_weight=1e-6))
 
 
 class TestImportFootprint:
