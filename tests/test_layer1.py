@@ -12,7 +12,8 @@ from reslearn.layer1 import (
     learn_layer1,
 )
 from reslearn.model import derive_seed, make_rng, standard_mixture
-from reslearn.solver import row_lp, row_qp
+from reslearn.numerics import is_psd
+from reslearn.solver import row_lp, row_qp, row_slack_lp
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -43,6 +44,15 @@ class TestHiddenSampleSet:
 class TestAssembly:
     # layer 1 poses the shared row program over F = X and t = h_j
 
+    def test_qp_layout_and_psd(self):
+        # variables are [a_row (2, free) | phi_row (n, >= 0)]
+        s = hidden_from(A_REF, n=6)
+        prob = row_qp(s.xs, s.hs[:, 0])
+        assert prob.n_vars == 2 + 6
+        assert prob.nonneg_vars == tuple(range(2, 8))
+        np.testing.assert_allclose(prob.hessian[2:, :2], s.xs / 6)
+        assert is_psd(prob.hessian)
+
     def test_qp_objective_zero_at_truth(self):
         s = hidden_from(A_REF, n=40)
         for j in range(2):
@@ -60,6 +70,15 @@ class TestAssembly:
         np.testing.assert_array_equal(prob.ineq_rhs, -s.hs[:, 1])
         assert prob.nonneg_vars == ()
         assert prob.max_violation(A_REF[1]) <= 1e-12
+
+    def test_slack_lp_layout(self):
+        s = hidden_from(A_REF, n=5)
+        prob = row_slack_lp(s.xs, s.hs[:, 0])
+        assert prob.n_vars == 2 + 5
+        np.testing.assert_array_equal(prob.ineq_lhs[:, :2], -s.xs)
+        np.testing.assert_array_equal(prob.ineq_lhs[:, 2:], np.eye(5))
+        np.testing.assert_array_equal(prob.objective[2:], 1.0 / 5)
+        assert prob.nonneg_vars == tuple(range(2, 7))
 
 
 class TestExactRecovery:

@@ -16,7 +16,7 @@ from reslearn.model import (
     standard_mixture,
 )
 from reslearn.numerics import is_psd
-from reslearn.solver import row_lp, row_qp
+from reslearn.solver import row_lp, row_qp, row_slack_lp
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 B_REF = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -29,6 +29,15 @@ def make_samples(a, b, n=200, sigma=0.0, seed=0):
 
 class TestProgramAssembly:
     # layer 2 poses the shared row program over F = -Y and t = -x_j
+
+    def test_row_qp_layout_and_psd(self):
+        # variables are [c_row (2, free) | xi_row (n, >= 0)]
+        _, s = make_samples(A_REF, B_REF, n=5)
+        prob = row_qp(-s.ys, -s.xs[:, 0])
+        assert prob.n_vars == 2 + 5
+        assert prob.nonneg_vars == tuple(range(2, 7))
+        np.testing.assert_allclose(prob.hessian[2:, :2], -s.ys / 5)
+        assert is_psd(prob.hessian)
 
     def test_row_qp_objective_matches_model_risk(self):
         # plugging the true (c_row, xi_row) into the assembled objective
@@ -56,6 +65,15 @@ class TestProgramAssembly:
         np.testing.assert_array_equal(prob.ineq_rhs, s.xs[:, 1])
         np.testing.assert_array_equal(prob.objective, 0.0)
         assert prob.max_violation(np.linalg.inv(unit.b)[1]) <= 1e-12
+
+    def test_slack_lp_layout(self):
+        _, s = make_samples(A_REF, B_REF, n=6)
+        prob = row_slack_lp(-s.ys, -s.xs[:, 0])
+        assert prob.n_vars == 2 + 6
+        assert prob.nonneg_vars == tuple(range(2, 8))
+        np.testing.assert_array_equal(prob.ineq_lhs[:, :2], s.ys)
+        np.testing.assert_array_equal(prob.ineq_lhs[:, 2:], np.eye(6))
+        np.testing.assert_array_equal(prob.objective[2:], 1.0 / 6)
 
 
 class TestNoiselessRecovery:
