@@ -99,7 +99,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _load_config_file(args: argparse.Namespace) -> None:
-    """Fill unset args from a JSON config file; explicit flags win."""
+    """Fill unset args from a JSON config file; explicit flags win, and a
+    key that is not a flag of the subcommand is a ConfigError."""
     if not getattr(args, "config", None):
         return
     try:
@@ -108,9 +109,14 @@ def _load_config_file(args: argparse.Namespace) -> None:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(stored, dict):
         raise ConfigError("config file must hold a JSON object")
+    declared = set(vars(args)) - {"func"}
+    unknown = [key for key in stored if key.replace("-", "_") not in declared]
+    if unknown:
+        raise ConfigError(f"{args.command} takes no {', '.join(map(repr, unknown))} "
+                          f"(config keys must name its flags)")
     for key, value in stored.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
 
 

@@ -90,8 +90,8 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
             # Only an infeasible system leaves the slack program real work;
             # when the plain feasibility program closes every constraint the
             # slack optimum is exactly zero at that point, so the slack
-            # solve, which starts from all-zero multipliers and would only
-            # walk degenerate steps to some feasible vertex, is skipped.
+            # solve, which would only walk to some other feasible vertex,
+            # is skipped.
             report = solve_lp(row_slack_lp(design, targets[:, j]))
         if report.status is not SolveStatus.OPTIMAL:
             raise SolverFailedError(

@@ -1,22 +1,53 @@
-"""Bounded dual active-set method for the package's LP shapes.
+"""Two active-set methods for the package's LP shapes, on one reduced form.
 
 ``solve_lp`` reduces  min objective . v  s.t.  lhs @ v >= rhs,  v[nonneg] >= 0
 to  min g . c + sum_i w_i (b_i - a_i . c)^+  over free c, w_i in (0, inf].
 A nonnegative positive unit column (one nonzero, in row i) with cost >= 0 is
 the slack of a soft row: it leaves c and row i gets weight cost / entry (the
-cheapest per row; weight 0 drops the row). Other nonnegative columns stay in
-c behind hard rows e_j . c >= 0; rows without a slack are hard (w = inf).
-The layer LPs have m <= 16 free coefficients and n = 400-512 rows.
+cheapest per row, ties to the first column; weight 0 drops the row). Other
+nonnegative columns stay in c behind hard rows e_j . c >= 0; data rows
+without a slack are hard (w = inf). The layer LPs have m <= 16 free
+coefficients and n = 400-512 rows.
 
-The dual is  max b . lam  s.t.  A' lam = g,  0 <= lam <= w. The method
-(Lemke's dual method with Barrodale & Roberts' bounded multipliers) keeps
-p <= m tight rows T, A_T c = b_T, with lam_T = A_T^-T (g - A_U' w_U) in its
-boxes (U: rows at their weight). Each step enters the most violated other
-row r (lam_r = 0 and a_r . c < b_r, or lam_r = w_r and a_r . c > b_r);
-moving lam_r by t moves lam_T by -/+ t A_T^-T a_r, and the ratio test flips
-lam_r to its other bound or swaps r for the first basic row whose
-multiplier hits a bound, ties going to the largest pivot. A hard row with
-nothing in reach gives the Farkas ray lam_r = 1, lam_T = -A_T^-T a_r.
+Both methods keep p <= m tight rows T, A_T c = b_T, and the set U of rows
+past their bound, each carrying its weight; the multipliers of T solve
+A_T' lam_T = g - A_U' w_U. The dual of the reduced form is  max b . lam
+s.t.  A' lam = g,  0 <= lam <= w.
+
+Which method runs. An LP whose data rows are all soft (``row_slack_lp``,
+which layer 2 solves for its infeasible rows) takes the primal descent; an
+LP with any hard data row (``row_lp`` feasibility runs with their Farkas
+rays, and objectives over hard rows, as in min/max c_j) takes the dual
+method. The dual method starts soft rows at lam = 0 and moves one of them
+to its weight per step, so a slack LP costs about one step per row that
+ends past its bound (127 steps on the d=4, n=400, sigma=0.1 benchmark
+rows); the descent passes every breakpoint on an edge in one step (13
+steps there). The descent needs its hard rows to hold at the start, which
+the start gives only when the data rows are soft, so the others keep the
+dual method, and their vertices with it.
+
+Dual method (Lemke's, with Barrodale & Roberts' bounded multipliers): lam_T
+stays in its boxes. Each step enters the most violated other row r
+(lam_r = 0 and a_r . c < b_r, or lam_r = w_r and a_r . c > b_r); moving
+lam_r by t moves lam_T by -/+ t A_T^-T a_r, and the ratio test flips lam_r
+to its other bound or swaps r for the first basic row whose multiplier hits
+a bound, ties going to the largest pivot. A hard row with nothing in reach
+gives the Farkas ray lam_r = 1, lam_T = -A_T^-T a_r.
+
+Primal descent (Barrodale & Roberts' L1 descent; Koenker & d'Orey, AS 229):
+c stays a vertex and the objective never rises. Each step releases the
+tight row k whose lam_k is furthest outside [0, w_k] along the edge
+A_T d = +e_k (into its satisfied side, slope lam_k) or -e_k (past its
+bound, slope w_k - lam_k). The breakpoints tau_i = -r_i / (a_i . d) of the
+rows that cross on that edge are passed in order while the slope plus
+w_i |a_i . d| stays negative, each toggling its row in U; the row where the
+slope turns replaces T[k]. A hard row (w = inf) is never passed. U is state
+the steps update: read back off residual signs, rounding re-admits rows and
+the objective can rise and cycle. After BLAND_AFTER zero-length steps in a
+row a step releases the lowest-numbered row and stops at the first
+breakpoint, lowest-numbered on ties (Bland's rule for the LP with split
+residuals), which ends degenerate runs. An edge whose slope never turns is
+reported as an unbounded objective.
 
 Start: nonnegative columns sit at e_j . c = 0; the rest take rows by
 elimination with partial pivoting in column order, preferring rows with
@@ -27,9 +58,10 @@ nonzero one pins each of its columns by sign(g_j) e_j . c >= -M (or
 e_j . c >= 0 when c_j >= 0 and g_j > 0) at lam = |g_j|, M = BOX |rhs|/|lhs|;
 a box row that keeps a multiplier means the objective is unbounded below.
 
-Cost: a step solves p x p systems, and a basis change re-solves c from the
-tight rows and recomputes n residuals: O(p^3 + n p). Besides the n x p kept
-block, only an n x (columns) boolean mask is built (to find unit columns).
+Cost: a step of either method factors one p x p basis and scans the n
+rows: O(p^3 + n p); the descent also sorts the breakpoints of its edge,
+O(n log n). Besides the n x p kept block, only an n x (columns) boolean
+mask of the constraint matrix is built (to find unit columns).
 """
 
 from __future__ import annotations
@@ -42,6 +74,7 @@ FEAS_TOL = 1e-8  # feasibility tolerance, relative to max(1, |rhs|)
 MAX_ITER = 20_000  # step budget
 PIVOT_TOL = 1e-9  # smallest admissible pivot, relative to max(1, |column|)
 BOX = 1e6  # bound on objective-carrying variables, in units of |rhs| / |lhs|
+BLAND_AFTER = 8  # zero-length descent steps in a row before Bland's rule
 
 
 def _soft_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -50,16 +83,25 @@ def _soft_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     none); and all of those unit columns."""
     lhs, cost = problem.ineq_lhs, problem.objective
     slack, weight = np.full(problem.n_rows, -1), np.full(problem.n_rows, np.inf)
-    cand = np.array([j for j in problem.nonneg_vars if cost[j] >= 0.0], dtype=np.int64)
+    cand = np.asarray(problem.nonneg_vars, dtype=np.int64)
+    cand = cand[cost[cand] >= 0.0]
     if cand.size == 0:
         return slack, weight, cand
-    # column-major, so that the per-column argmax reads each column in place
-    nonzero = np.not_equal(lhs, 0.0, order="F")
-    counts, first = nonzero.sum(axis=0)[cand], nonzero.argmax(axis=0)[cand]
+    # (row, column) of every nonzero; a column's one row is its only entry
+    nz_rows, nz_cols = divmod(np.flatnonzero(lhs != 0.0), lhs.shape[1])
+    counts = np.bincount(nz_cols, minlength=lhs.shape[1])[cand]
+    first = np.zeros(lhs.shape[1], dtype=np.int64)
+    first[nz_cols] = nz_rows
+    first = first[cand]
     unit = (counts == 1) & (lhs[first, cand] > 0.0)
-    for j, i in zip(cand[unit].tolist(), first[unit].tolist()):
-        if cost[j] / lhs[i, j] < weight[i]:
-            slack[i], weight[i] = j, cost[j] / lhs[i, j]
+    cols, rows = cand[unit], first[unit]
+    ratio = cost[cols] / lhs[rows, cols]
+    finite = ratio < np.inf
+    cols, rows, ratio = cols[finite], rows[finite], ratio[finite]
+    # per row the smallest ratio, ties to the first column in column order
+    order = np.lexsort((cols, ratio, rows))
+    head = order[np.diff(rows[order], prepend=-1) != 0]
+    slack[rows[head]], weight[rows[head]] = cols[head], ratio[head]
     return slack, weight, cand[unit]
 
 
@@ -128,6 +170,51 @@ def _run(rows, b, w, g, basis, tol):
     return "iteration_limit", basis, upper, lam, c, MAX_ITER, None
 
 
+def _descend(rows, b, w, g, basis, tol):
+    """The long-step descent from a basis whose hard rows hold. Returns
+    (verdict, basis, at_upper, lam_T, c, steps, None), as ``_run`` does."""
+    soft = np.isfinite(w)
+    upper = np.zeros(rows.shape[0], dtype=bool)  # U: read off the start, then kept as state
+    flat = tol * 1e-4  # residuals this small sit on their breakpoint
+    dual_tol = PIVOT_TOL * max(float(np.abs(g).max(initial=0.0)), float(w[soft].max(initial=0.0)))
+    stalled = 0
+    for step in range(MAX_ITER):
+        inverse = np.linalg.inv(rows[basis])
+        c = inverse @ b[basis]
+        residual = rows @ c - b
+        if step == 0:
+            upper = (residual < 0.0) & soft
+            upper[basis] = False
+        lam = (g - np.where(upper, w, 0.0) @ rows) @ inverse
+        outside = np.maximum(-lam, lam - w[basis])
+        candidates = np.flatnonzero(outside > dual_tol)
+        if candidates.size == 0:
+            return "optimal", basis, upper, lam, np.linalg.solve(rows[basis], b[basis]), step, None
+        bland = stalled >= BLAND_AFTER
+        k = int(candidates[np.argmin(basis[candidates])] if bland else np.argmax(outside))
+        release = 1.0 if lam[k] < 0.0 else -1.0  # +1: row k leaves into its satisfied side
+        slope = lam[k] if release > 0.0 else w[basis[k]] - lam[k]
+        move = rows @ (release * inverse[:, k])
+        move[basis] = 0.0
+        crossing = np.flatnonzero(np.where(upper, move > PIVOT_TOL, move < -PIVOT_TOL))
+        gap = np.where(np.abs(residual[crossing]) <= flat, 0.0, residual[crossing])
+        tau = np.maximum(-gap / move[crossing], 0.0)
+        order = np.argsort(tau, kind="stable")
+        jumps = w[crossing[order]] * np.abs(move[crossing[order]])
+        turned = np.flatnonzero(slope + np.cumsum(jumps) >= -dual_tol)
+        if turned.size == 0:
+            return "objective unbounded below", basis, upper, lam, c, step + 1, None
+        stop = 0 if bland else int(turned[0])
+        passed, entering = crossing[order[:stop]], int(crossing[order[stop]])
+        stalled = stalled + 1 if tau[order[stop]] == 0.0 else 0
+        upper[passed] = ~upper[passed]
+        upper[entering] = False
+        upper[basis[k]] = release < 0.0
+        basis[k] = entering
+    c = np.linalg.solve(rows[basis], b[basis])
+    return "iteration_limit", basis, upper, lam, c, MAX_ITER, None
+
+
 def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
     """Clean up and check a candidate infeasibility ray; None if it fails.
 
@@ -150,7 +237,8 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
 
 
 def solve_lp(problem: LpProblem) -> SolveReport:
-    """Bounded dual active-set solve; see the module docstring."""
+    """Dual active-set solve, or the primal descent when every data row is
+    soft; see the module docstring."""
     lhs, rhs, cost = problem.ineq_lhs, problem.ineq_rhs, problem.objective
     rhs_scale = max(1.0, float(np.abs(rhs).max()))
     slack, weight, units = _soft_rows(problem)
@@ -180,8 +268,9 @@ def solve_lp(problem: LpProblem) -> SolveReport:
     if not objective_given and not has_soft:
         g = rows[basis].sum(axis=0)
 
+    engine = _descend if np.isfinite(weight[used]).all() else _run
     try:
-        verdict, basis, upper, lam, c, steps, ray = _run(
+        verdict, basis, upper, lam, c, steps, ray = engine(
             rows, b, w, g, basis, FEAS_TOL * rhs_scale)
     except np.linalg.LinAlgError:
         verdict, c, steps = "singular basis", np.zeros(cols.size), 0

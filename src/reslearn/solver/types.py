@@ -164,9 +164,12 @@ def row_lp(design: Mat, target: np.ndarray) -> LpProblem:
 def row_slack_lp(design: Mat, target: np.ndarray) -> LpProblem:
     """min 1/n sum zeta over [u (p, free) | zeta (n, >= 0)], F u - zeta <= t."""
     n, p = design.shape
+    lhs = np.zeros((n, p + n))
+    np.negative(design, out=lhs[:, :p])
+    np.fill_diagonal(lhs[:, p:], 1.0)
     return LpProblem(
         objective=np.concatenate([np.zeros(p), np.full(n, 1.0 / n)]),
-        ineq_lhs=np.hstack([-design, np.eye(n)]),
+        ineq_lhs=lhs,
         ineq_rhs=-target,
         nonneg_vars=tuple(range(p, p + n)),
     )
@@ -176,13 +179,17 @@ def row_slack_lp(design: Mat, target: np.ndarray) -> LpProblem:
 class SolveReport:
     """Outcome of one LP solve.
 
-    ``iterations`` counts the steps of the dual active-set method: row
-    swaps in the tight-row basis plus bound flips of soft-row multipliers.
+    ``iterations`` counts the steps of the method that ran (see
+    ``simplex``). For an LP with a hard data row that is the dual method:
+    row swaps in the tight-row basis plus bound flips of soft-row
+    multipliers. For one whose data rows are all soft it is the primal
+    descent: one per edge, however many breakpoints the edge passes.
     ``dual`` carries the multipliers of the inequality rows (set on optimal
-    runs; all zero for a zero-objective feasibility run). ``certificate`` is
-    only set on infeasible runs: a ray lam >= 0 with lhs' lam vanishing on
-    free variables, nonpositive on bounded ones, and rhs . lam > 0, proving
-    that no feasible point exists.
+    runs; all zero for a zero-objective feasibility run): lam_T on the
+    tight rows, a soft row's weight on rows past their bound, 0 elsewhere.
+    ``certificate`` is only set on infeasible runs: a ray lam >= 0 with
+    lhs' lam vanishing on free variables, nonpositive on bounded ones, and
+    rhs . lam > 0, proving that no feasible point exists.
     """
 
     point: np.ndarray

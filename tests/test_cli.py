@@ -152,6 +152,23 @@ class TestConfigFile:
         assert stored["n"] == 60  # explicit flag wins
         assert stored["d"] == 2   # config fills the rest
 
+    def test_undeclared_key_rejected(self, dataset, tmp_path, capsys):
+        # learn declares neither --noise-sigma, --jobs nor --d; each would
+        # be a parse error as a flag, so as a config key it is one too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise_sigma": 0.1, "jobs": 4, "d": 9}))
+        out = tmp_path / "fit"
+        code, _, err = run(
+            capsys, "learn", "--config", str(cfg),
+            "--data", str(dataset / "samples.csv"), "--method", "lp", "--out", str(out),
+        )
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        for key in ("noise_sigma", "jobs", "'d'"):
+            assert key in payload["message"]
+        assert not (out / "learn_result.json").exists()
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

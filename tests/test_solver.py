@@ -306,6 +306,114 @@ class TestSimplexOnLayerPrograms:
         assert_point_close(rep.point, unit.a[0], "layer-1 feasibility")
 
 
+class TestSoftRowDescent:
+    # LPs whose data rows are all soft (one weighted slack column per row)
+    # take the long-step primal descent; any hard data row keeps the dual
+    # method, so feasibility runs and their Farkas rays do not move.
+
+    def test_dispatch_by_row_kind(self, monkeypatch):
+        calls = []
+
+        def recording(name, engine):
+            def wrapper(*args):
+                calls.append(name)
+                return engine(*args)
+            return wrapper
+
+        for name in ("_run", "_descend"):
+            monkeypatch.setattr(simplex, name, recording(name, getattr(simplex, name)))
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
+        noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
+        solve_lp(row_lp(-noisy.ys, -noisy.xs[:, 0]))
+        solve_lp(row_slack_lp(-noisy.ys, -noisy.xs[:, 0]))
+        # one data row without a slack column makes the problem mixed
+        lhs = np.hstack([noisy.ys, np.eye(120)[:, 1:]])
+        solve_lp(LpProblem(objective=np.r_[np.zeros(4), np.full(119, 1 / 120)], ineq_lhs=lhs,
+                           ineq_rhs=noisy.xs[:, 0], nonneg_vars=tuple(range(4, 123))))
+        assert calls == ["_run", "_descend", "_run"]
+
+    def test_noisy_bench_shapes_take_few_steps(self):
+        # the slack LPs of the d=4, n=400, sigma=0.1 benchmark trials,
+        # rebuilt from their (seed, trial) labels; seed 953 trial 65 row 1
+        # is where reading the violated set off residual signs cycled
+        from scipy.optimize import linprog
+
+        from reslearn.model import derive_seed
+
+        for seed, trial in ((953, 65), (1, 0), (1, 1)):
+            unit = generate_unit(NetworkGenSpec(
+                d=4, m=4, seed=derive_seed(seed, "slack-sweep", "teacher", trial)))
+            s = sample(unit, standard_mixture(4), 400, 0.1,
+                       seed=derive_seed(seed, "slack-sweep", "train", trial))
+            for row in range(4):
+                prob = row_slack_lp(-s.ys, -s.xs[:, row])
+                rep = solve_lp(prob)
+                ref = linprog(prob.objective, A_ub=-prob.ineq_lhs, b_ub=-prob.ineq_rhs,
+                              bounds=[(None, None)] * 4 + [(0, None)] * 400, method="highs")
+                label = f"seed {seed} trial {trial} row {row}"
+                assert rep.status is SolveStatus.OPTIMAL, label
+                assert rep.iterations <= 10 * 4, label
+                assert abs(rep.objective_value - ref.fun) <= 1e-9 * ref.fun, label
+
+    def test_dual_is_box_multipliers(self):
+        # lam_T on the tight rows, w on rows past their bound, 0 elsewhere;
+        # together they price the objective: lhs' dual = objective on the
+        # free columns
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
+        noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
+        prob = row_slack_lp(-noisy.ys, -noisy.xs[:, 0])
+        rep = solve_lp(prob)
+        assert rep.status is SolveStatus.OPTIMAL
+        w = 1.0 / 120
+        residual = prob.ineq_lhs[:, :4] @ rep.point[:4] - prob.ineq_rhs
+        assert rep.dual.min() >= 0.0 and rep.dual.max() <= w * (1 + 1e-12)
+        np.testing.assert_array_equal(rep.dual[residual < -1e-9], w)
+        np.testing.assert_array_equal(rep.dual[residual > 1e-9], 0.0)
+        assert np.abs(prob.ineq_lhs[:, :4].T @ rep.dual).max() <= 1e-12
+        # strong duality: b . dual = the optimal slack objective
+        assert float(prob.ineq_rhs @ rep.dual) == pytest.approx(rep.objective_value, rel=1e-12)
+
+    def test_unbounded_soft_lp_flagged(self):
+        # min -u + 1/2 (u)^+ falls without end; the box row that pins u
+        # ends up carrying the objective
+        prob = LpProblem(objective=[-1.0, 0.5], ineq_lhs=[[-1.0, 1.0]], ineq_rhs=[0.0],
+                         nonneg_vars=(1,))
+        rep = solve_lp(prob)
+        assert rep.status is SolveStatus.NUMERICAL_TROUBLE
+        assert "unbounded" in rep.message
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_soft_rows_match_loop_reference(self, seed):
+        # The unit-column scan is vectorised; the reference is its former
+        # per-column loop: per row the smallest cost / entry, ties to the
+        # first such column in column order.
+        def reference(problem):
+            lhs, cost = problem.ineq_lhs, problem.objective
+            slack, weight = np.full(problem.n_rows, -1), np.full(problem.n_rows, np.inf)
+            units = []
+            for j in problem.nonneg_vars:
+                rows = np.flatnonzero(lhs[:, j])
+                if cost[j] >= 0.0 and rows.size == 1 and lhs[rows[0], j] > 0.0:
+                    units.append(j)
+                    if cost[j] / lhs[rows[0], j] < weight[rows[0]]:
+                        slack[rows[0]], weight[rows[0]] = j, cost[j] / lhs[rows[0], j]
+            return slack, weight, np.array(units, dtype=np.int64)
+
+        g = rng(seed)
+        n_rows, k, n_units = int(g.integers(1, 8)), int(g.integers(0, 4)), int(g.integers(0, 12))
+        units = np.zeros((n_rows, n_units))
+        hit = g.integers(0, n_rows, size=n_units)
+        units[hit, np.arange(n_units)] = g.integers(-1, 3, size=n_units)
+        lhs = np.hstack([g.integers(-1, 2, size=(n_rows, k)), units])
+        cost = g.integers(-1, 3, size=k + n_units) / g.integers(1, 3, size=k + n_units)
+        nonneg = tuple(int(j) for j in np.flatnonzero(g.random(k + n_units) < 0.8))
+        problem = LpProblem(objective=cost, ineq_lhs=lhs, ineq_rhs=np.zeros(n_rows),
+                            nonneg_vars=nonneg)
+        for got, want in zip(simplex._soft_rows(problem), reference(problem)):
+            np.testing.assert_array_equal(got, want)
+
+
 def assert_point_close(got, want, name):
     want = np.asarray(want)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
@@ -319,10 +427,14 @@ def reference_lps(draw):
     "slack": k free columns and one unit column per row at cost 1/rows (the
     layer programs' soft rows), with rhs scattered about a feasible point;
     or "integer": entries in -2..2 (degenerate vertices, tied ratios, zero
-    rows) plus unit columns at cost 0-2 on random rows, some sharing one."""
+    rows) plus unit columns at cost 0-2 on random rows, some sharing one; or
+    "soft-integer": the same entries with a unit column on every row (and a
+    second on some), so that every data row is soft, and costs 0-2 on the
+    units and on the nonnegative columns."""
     k = draw(st.integers(1, 6))
     rows = draw(st.integers(3, 40))
-    kind = draw(st.sampled_from(["feasible", "infeasible", "boxed", "slack", "integer"]))
+    kind = draw(st.sampled_from(
+        ["feasible", "infeasible", "boxed", "slack", "integer", "soft-integer"]))
     g = rng(draw(st.integers(0, 2**32 - 1)))
     nonneg = tuple(int(i) for i in np.flatnonzero(g.random(k) < 0.5))
     objective = np.zeros(k)
@@ -344,6 +456,17 @@ def reference_lps(draw):
         lhs = np.hstack([g.integers(-2, 3, size=(rows, k)), units])
         rhs = g.integers(-2, 3, size=rows).astype(float)
         objective = np.concatenate([np.zeros(k), g.integers(0, 3, size=hit.size)])
+        nonneg = nonneg + tuple(range(k, k + hit.size))
+    elif kind == "soft-integer":
+        hit = np.concatenate([np.arange(rows), g.integers(0, rows, size=rows // 4)])
+        units = np.zeros((rows, hit.size))
+        units[hit, np.arange(hit.size)] = g.integers(1, 3, size=hit.size)
+        lhs = np.hstack([g.integers(-2, 3, size=(rows, k)), units])
+        rhs = g.integers(-2, 3, size=rows).astype(float)
+        # costs only on bounded columns, so the optimum stays finite
+        costs = np.zeros(k)
+        costs[list(nonneg)] = g.integers(0, 3, size=len(nonneg))
+        objective = np.concatenate([costs, g.integers(0, 3, size=hit.size)])
         nonneg = nonneg + tuple(range(k, k + hit.size))
     else:
         inner = g.standard_normal(k)
@@ -389,6 +512,22 @@ class TestSimplexAgainstHighs:
             # a positive one-sided L1 optimum of generic data is one vertex
             scale = max(1.0, float(np.abs(ref.x).max()))
             assert float(np.abs(rep.point - ref.x).max()) <= 1e-7 * scale
+
+
+    @given(reference_lps())
+    @settings(max_examples=100, deadline=None)
+    def test_bland_steps_alone_reach_the_same_optimum(self, case):
+        # Bland's rule takes over only after BLAND_AFTER zero-length descent
+        # steps, which few draws take; here it takes every descent step
+        _, problem = case
+        want = solve_lp(problem)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simplex, "BLAND_AFTER", 0)
+            got = solve_lp(problem)
+        assert got.status is want.status
+        if want.status is SolveStatus.OPTIMAL:
+            gap = abs(got.objective_value - want.objective_value)
+            assert gap <= 1e-9 * max(1.0, abs(want.objective_value))
 
 
 def traced_peak(problem):
