@@ -127,16 +127,47 @@ def sgd_batch_gradients(
 
 
 def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
-    """Train (A, B) by mini-batch SGD; deterministic given cfg.seed."""
+    """Train (A, B) by mini-batch SGD; deterministic given cfg.seed.
+
+    Each step performs the float operations of ``sgd_batch_gradients``
+    followed by ``A -= eta * grad_a; B -= eta * grad_b``, in the same order
+    and on arrays of the same layout, so the loop reproduces the published
+    reference's trajectory bit for bit: weights and loss trace are equal
+    to those of a plain loop over ``sgd_batch_gradients``. Only the memory
+    traffic differs: the epoch's shuffle is gathered once into a buffer
+    that every batch views, every intermediate lives in a buffer reused
+    through ``out=`` (``np.dot`` makes the same BLAS product as ``@`` here,
+    at less call cost), and (A, B) are views into one parameter block
+    updated in place.
+    """
     cfg = cfg or SgdConfig()
     xs, ys = samples.xs, samples.ys
     n, d = xs.shape
     m = ys.shape[1]
-    if n < cfg.batch_size:
-        raise ValueError(f"need at least one full batch: n={n} < {cfg.batch_size}")
+    bs_max = cfg.batch_size
+    if n < bs_max:
+        raise ValueError(f"need at least one full batch: n={n} < {bs_max}")
     rng = make_rng(cfg.seed)
-    a = np.maximum(rng.normal(0.0, WEIGHT_STD, size=(d, d)), 0.0)
-    b = rng.normal(0.0, WEIGHT_STD, size=(m, d))
+    params = np.empty((d + m, d))
+    a, b = params[:d], params[d:]
+    a[...] = np.maximum(rng.normal(0.0, WEIGHT_STD, size=(d, d)), 0.0)
+    b[...] = rng.normal(0.0, WEIGHT_STD, size=(m, d))
+    grads = np.empty_like(params)
+    grad_a, grad_b = grads[:d], grads[d:]
+
+    # The epoch's shuffle is gathered into xs_epoch / ys_epoch; each batch
+    # is a fixed view of those and of per-step scratch (pre, inner, d_pre,
+    # mask, resid, squares), so a step allocates nothing.
+    xs_epoch, ys_epoch = np.empty_like(xs), np.empty_like(ys)
+    scratch = [np.empty((bs_max, d)) for _ in range(4)] + [np.empty((bs_max, m)) for _ in range(2)]
+    batches = []
+    for i, start in enumerate(range(0, n, bs_max)):
+        stop = min(start + bs_max, n)
+        views = [buf[: stop - start] for buf in scratch]
+        batches.append((i, float(stop - start), xs_epoch[start:stop], ys_epoch[start:stop], *views))
+    sizes = np.array([batch[1] for batch in batches])
+    sums = np.empty(len(batches))
+    a_t, b_t = a.T, b.T
 
     trace = np.zeros((cfg.epochs, 3))
     initial_loss = None
@@ -146,14 +177,27 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
         for epoch in range(cfg.epochs):
             eta = cfg.eta0 / (1.0 + cfg.gamma * epoch)
             order = rng.permutation(n)
-            epoch_losses = []
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                loss, grad_a, grad_b = sgd_batch_gradients(a, b, xs[idx], ys[idx])
-                a -= eta * grad_a
-                b -= eta * grad_b
-                epoch_losses.append(loss)
-            mean_loss = float(np.mean(epoch_losses))
+            np.take(xs, order, axis=0, out=xs_epoch)
+            np.take(ys, order, axis=0, out=ys_epoch)
+            for i, size, xb, yb, pre, inner, d_pre, mask, resid, sq in batches:
+                np.dot(xb, a_t, out=pre)
+                np.maximum(pre, 0.0, out=inner)
+                inner += xb
+                np.dot(inner, b_t, out=resid)
+                resid -= yb
+                np.multiply(resid, resid, out=sq)
+                sums[i] = np.add.reduce(sq, axis=None)
+                np.dot(resid.T, inner, out=grad_b)
+                # the ReLU mask as 1.0 / 0.0, the same factor a bool mask
+                # is cast to when it multiplies a float array
+                np.greater(pre, 0.0, out=mask)
+                np.dot(resid, b, out=d_pre)
+                d_pre *= mask
+                np.dot(d_pre.T, xb, out=grad_a)
+                grads /= size
+                grads *= eta
+                params -= grads
+            mean_loss = float(np.mean(0.5 * sums / sizes))
             trace[epoch] = (epoch, mean_loss, eta)
             if initial_loss is None:
                 initial_loss = max(mean_loss, 1e-300)
@@ -163,4 +207,4 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
                 diverged = True
                 trace = trace[: epoch + 1]
                 break
-    return SgdResult(a_hat=a, b_hat=b, loss_trace=trace, diverged=diverged)
+    return SgdResult(a_hat=a.copy(), b_hat=b.copy(), loss_trace=trace, diverged=diverged)

@@ -8,9 +8,10 @@ experiment  run one of the canned studies (heatmap, weight_robustness,
             noise_robustness, vanilla_lr_rates) with per-cell resume
 
 ``learn`` fits through ``evaluation.fit_method``, the same dispatch every
-trial uses. The grid studies run each pending cell as a one-cell
-``evaluation.TrialGrid`` through ``evaluation.run_grid``; ``--jobs N``
-spreads a cell's trials over N worker processes, and the rows do not
+trial uses. The grid studies pose each pending cell as a one-cell
+``evaluation.TrialGrid`` and run them all through one
+``evaluation.run_grids`` call; ``--jobs N`` spreads the trials of every
+pending cell over one pool of N worker processes, and the rows do not
 depend on N because every trial is seeded by content.
 
 Exit codes: 0 success, 2 bad configuration, 3 io failure, 4 solver
@@ -44,7 +45,7 @@ from .evaluation import (
     fit_method,
     make_input_dist,
     relative_errors,
-    run_grid,
+    run_grids,
     run_success_rates,
     save_rows_csv,
 )
@@ -70,6 +71,10 @@ EXIT_EVAL = 5
 
 class ConfigError(Exception):
     pass
+
+
+# defaults of the flags that have one, applied after the config file is read
+FLAG_DEFAULTS = {"input": "mixture", "jobs": 1, "test_size": 1000, "non_scale": False}
 
 
 # --- small helpers -------------------------------------------------------
@@ -117,6 +122,15 @@ def _load_config_file(args: argparse.Namespace) -> None:
     for key, value in stored.items():
         attr = key.replace("-", "_")
         if getattr(args, attr) is None:
+            setattr(args, attr, value)
+
+
+def _apply_flag_defaults(args: argparse.Namespace) -> None:
+    """Give every declared flag that neither the command line nor the config
+    file set its default. The parser declares these flags with default None,
+    so that a config file can still set them."""
+    for attr, value in FLAG_DEFAULTS.items():
+        if getattr(args, attr, value) is None:
             setattr(args, attr, value)
 
 
@@ -270,8 +284,9 @@ def _resumable(out_dir: Path, experiment: str, run_config: dict):
 
 def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
                      methods, trials, fixed_teacher=False) -> int:
-    """Run each pending (d, n, sigma, method) cell through ``run_grid`` and
-    record it in the ledger as it finishes, so a rerun skips done cells."""
+    """Run every pending (d, n, sigma, method) cell through one ``run_grids``
+    call and record each in the ledger as it finishes, so a rerun skips
+    done cells."""
     base_seed = args.seed if args.seed is not None else 0
     eps_tol = _eps_tol(args)
     shared = {
@@ -290,28 +305,32 @@ def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
         for key in sorted(payload["cells"])
         for rec in payload["cells"][key]["rows"]
     ]
+    pending = []
     for d in dims:
         for n in sizes:
             for sigma in sigmas:
                 for method in methods:
                     cell_cfg = {"d": d, "n": n, "sigma": sigma, "method": method, **shared}
-                    key = _config_hash(cell_cfg)
-                    if key in payload["cells"]:
-                        continue
-                    grid = TrialGrid(
-                        dims=(d,), sample_sizes=(n,), noise_sigmas=(sigma,),
-                        methods=(method,), trials_per_cell=trials,
-                        test_set_size=args.test_size, base_seed=base_seed,
-                        input_kind=args.input, fixed_teacher=fixed_teacher, eps_tol=eps_tol,
-                    )
-                    rows = run_grid(grid, jobs=args.jobs)
-                    payload["cells"][key] = {
-                        "config": cell_cfg,
-                        "rows": [dataclasses.asdict(r) for r in rows],
-                    }
-                    all_rows.extend(rows)
-                    _write_json(path, payload)
-                    print(f"cell d={d} n={n} sigma={sigma} method={method}: done")
+                    if _config_hash(cell_cfg) not in payload["cells"]:
+                        pending.append(cell_cfg)
+    grids = [
+        TrialGrid(
+            dims=(cfg["d"],), sample_sizes=(cfg["n"],), noise_sigmas=(cfg["sigma"],),
+            methods=(cfg["method"],), trials_per_cell=trials,
+            test_set_size=args.test_size, base_seed=base_seed,
+            input_kind=args.input, fixed_teacher=fixed_teacher, eps_tol=eps_tol,
+        )
+        for cfg in pending
+    ]
+    for cell_cfg, rows in zip(pending, run_grids(grids, jobs=args.jobs)):
+        payload["cells"][_config_hash(cell_cfg)] = {
+            "config": cell_cfg,
+            "rows": [dataclasses.asdict(r) for r in rows],
+        }
+        all_rows.extend(rows)
+        _write_json(path, payload)
+        print(f"cell d={cell_cfg['d']} n={cell_cfg['n']} sigma={cell_cfg['sigma']} "
+              f"method={cell_cfg['method']}: done")
     aggregates = aggregate_rows(all_rows)
     _write_json(out_dir / f"{name}_aggregate.json",
                 {"experiment": name, "config": run_config, "cells": aggregates})
@@ -396,16 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--config": {"help": "JSON file with defaults for any flag"},
         "--seed": {"type": int},
         "--out": {"help": "output directory"},
-        "--input": {"choices": ["mixture", "gaussian"], "default": "mixture"},
+        "--input": {"choices": ["mixture", "gaussian"], "help": "input distribution "
+                    f"(default {FLAG_DEFAULTS['input']})"},
         "--d": {"type": int},
         "--m": {"type": int},
         "--n": {"type": int},
         "--noise-sigma": {"type": float},
         "--eps-tol": {"type": float, "help": "rescale regression residual gate"},
-        "--jobs": {"type": int, "default": 1,
-                   "help": "worker processes for an experiment cell's trials "
-                           "(results do not depend on it)"},
-        "--test-size": {"type": int, "default": 1000},
+        "--jobs": {"type": int,
+                   "help": "worker processes shared by the experiment's pending cells "
+                           f"(default {FLAG_DEFAULTS['jobs']}; results do not depend on it)"},
+        "--test-size": {"type": int, "help": f"default {FLAG_DEFAULTS['test_size']}"},
     }
 
     def flags(p, *names):
@@ -414,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a teacher and a sample set")
     flags(gen, "--d", "--m", "--n", "--noise-sigma")
-    gen.add_argument("--non-scale", action="store_true",
+    gen.add_argument("--non-scale", action="store_true", default=None,
                      help="reject scale-equivalent teachers")
     gen.set_defaults(func=cmd_generate)
 
@@ -457,6 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _load_config_file(args)
+        _apply_flag_defaults(args)
         return args.func(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, exc)

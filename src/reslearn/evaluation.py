@@ -19,6 +19,8 @@ name through ``fit_method``.
 from __future__ import annotations
 
 import csv
+import multiprocessing
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -274,14 +276,8 @@ def _run_cell_trial(args) -> TrialRow:
         )
 
 
-def run_grid(grid: TrialGrid, jobs: int = 1) -> list[TrialRow]:
-    """All trials of the grid, in deterministic cell order.
-
-    Failures come back as rows with status "failed" rather than stopping
-    the sweep. ``jobs`` > 1 distributes trials over processes; results are
-    identical either way because every trial is seeded by content.
-    """
-    tasks = [
+def _grid_tasks(grid: TrialGrid) -> list[tuple]:
+    return [
         (grid, d, n, sigma, method, trial)
         for d in grid.dims
         for n in grid.sample_sizes
@@ -289,11 +285,39 @@ def run_grid(grid: TrialGrid, jobs: int = 1) -> list[TrialRow]:
         for method in grid.methods
         for trial in range(grid.trials_per_cell)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell_trial, tasks, chunksize=1))
-    else:
-        rows = [_run_cell_trial(t) for t in tasks]
+
+
+def run_grids(grids, jobs: int = 1) -> Iterator[list[TrialRow]]:
+    """Each grid's rows in turn, yielded as soon as that grid's trials finish.
+
+    ``jobs`` > 1 starts one process pool for all the grids and queues every
+    trial up front, so workers stay busy across grid boundaries while the
+    rows still come back grid by grid in deterministic cell order.
+    """
+    if jobs <= 1:
+        for grid in grids:
+            yield [_run_cell_trial(task) for task in _grid_tasks(grid)]
+        return
+    # spawned workers import the package afresh instead of forking a
+    # process whose BLAS may already run threads
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        queued = [[pool.submit(_run_cell_trial, task) for task in _grid_tasks(grid)]
+                  for grid in grids]
+        for futures in queued:
+            yield [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_grid(grid: TrialGrid, jobs: int = 1) -> list[TrialRow]:
+    """All trials of the grid, in deterministic cell order.
+
+    Failures come back as rows with status "failed" rather than stopping
+    the sweep. ``jobs`` > 1 distributes trials over processes; results are
+    identical either way because every trial is seeded by content.
+    """
+    [rows] = run_grids([grid], jobs)
     return rows
 
 

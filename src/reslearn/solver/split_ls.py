@@ -30,9 +30,23 @@ This is an algebraic shortcut, not a different model: its solutions lie in
 the optimum set of the assembled QP over (u, w) that ``types.row_qp``
 builds for either layer's design. The test suite checks
 that on shared instances through the assembled KKT conditions and against
-an external bounded-variable least-squares solve of [F | I]. The batched
-interface solves one column per right-hand side, sharing the design
-factorization used for warm starts across the batch.
+an external bounded-variable least-squares solve of [F | I].
+
+The batched interface solves one column per right-hand side. The columns
+share the design factorization used for warm starts, the KKT tolerance
+(relative to the largest entry of F^T t, with no absolute floor, so a
+rescaled problem takes the same steps) and the Newton loop: every column
+still running takes its iteration in the same pass, and a column leaves
+the live set once it converges. Each column's own rules are those of a
+one-column run: Newton step, or a gradient step when the step fails or
+does not descend; Armijo backtracking from alpha = 1; its own stop.
+
+Cost model for an n x p design and k columns. Once per call: the
+p x p Gram matrix and its factorization, and the n x p(p+1)/2 row
+products f_a * f_b (a <= b), the only memory beyond O((n + p^2) k).
+Per iteration, for the r live columns: one (r x n) @ (n x p(p+1)/2)
+product for all Hessians, one batched p x p solve, and O(r n) work per
+backtracking round for the columns whose step is still pending.
 """
 
 from __future__ import annotations
@@ -48,39 +62,112 @@ MAX_BACKTRACKS = 60
 BACK_WEIGHT = 1e-10
 
 
-def _newton_column(f, t_col, u0, ell, tol, budget, eps):
-    """Minimize the asymmetric squared loss from u0: (u, iterations, ok)."""
-    p = f.shape[1]
-    u = u0.copy()
-    s = f @ u - t_col
-    for it in range(budget):
+def _row_products(f):
+    """Upper-triangle products f[:, a] * f[:, b] (a <= b), one column each.
+
+    Columns follow ``np.triu_indices(p)`` order, so ``w @ products`` holds
+    the upper triangle of the weighted Gram matrix F^T diag(w) F row-major.
+    """
+    n, p = f.shape
+    products = np.empty((n, p * (p + 1) // 2))
+    start = 0
+    for a in range(p):
+        np.multiply(f[:, a : a + 1], f[:, a:], out=products[:, start : start + p - a])
+        start += p - a
+    return products
+
+
+def _newton_steps(hess, grad):
+    """Steps -H_j^{-1} g_j for a stack of systems; a singular one gives NaN."""
+    try:
+        return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(grad, np.nan)
+        for j in range(len(grad)):
+            try:
+                steps[j] = -np.linalg.solve(hess[j], grad[j])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _newton_lockstep(f, t_rows, u0_rows, ell, tol, budget, eps):
+    """Minimize the asymmetric squared loss of every column from its warm start.
+
+    Columns are carried as rows here: ``t_rows`` and ``u0_rows`` are (k, n)
+    and (k, p). Every column still running takes its Newton iteration in
+    the same pass; a column leaves the live set once its KKT test passes.
+    Returns (u_rows, iterations per column, converged per column).
+    """
+    n, p = f.shape
+    k = t_rows.shape[0]
+    products = _row_products(f)
+    upper = np.triu_indices(p)
+    diagonal = np.flatnonzero(upper[0] == upper[1])
+    u_out = u0_rows.copy()
+    iterations = np.full(k, budget)
+    converged = np.zeros(k, dtype=bool)
+
+    live = np.arange(k)
+    u, t = u0_rows, t_rows
+    s = u @ f.T - t
+    for it in range(budget + 1):
         weights = np.where(s > 0.0, 1.0, eps)
-        grad = f.T @ (weights * s)
-        if float(np.abs(grad).max(initial=0.0)) <= tol:
-            return u, it, True
-        hess = (f * weights[:, None]).T @ f
-        ridge = 1e-12 * max(float(np.trace(hess)) / p, 1e-300)
-        try:
-            step = -cho_solve(cho_factor(hess + ridge * np.eye(p), lower=True), grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or float(grad @ step) >= 0.0:
-            # fall back to a plain gradient step with the global Lipschitz bound
-            step = -grad / ell
-        slope = float(grad @ step)
-        value = 0.5 * float((weights * s) @ s)
-        alpha = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            s_trial = f @ (u + alpha * step) - t_col
-            w_trial = np.where(s_trial > 0.0, 1.0, eps)
-            if 0.5 * float((w_trial * s_trial) @ s_trial) <= value + ARMIJO_SLOPE * alpha * slope:
+        weighted = weights * s
+        grad = weighted @ f
+        done = np.abs(grad).max(axis=1, initial=0.0) <= tol
+        if it == budget:
+            u_out[live] = u
+            converged[live] = done
+            break
+        if done.any():
+            u_out[live[done]] = u[done]
+            iterations[live[done]] = it
+            converged[live[done]] = True
+            keep = ~done
+            live, u, t, s = live[keep], u[keep], t[keep], s[keep]
+            weights, weighted, grad = weights[keep], weighted[keep], grad[keep]
+            if not live.size:
                 break
-            alpha *= 0.5
-        u = u + alpha * step
-        s = s_trial
-    weights = np.where(s > 0.0, 1.0, eps)
-    grad = f.T @ (weights * s)
-    return u, budget, float(np.abs(grad).max(initial=0.0)) <= tol
+        value = 0.5 * np.einsum("ij,ij->i", weighted, s)
+
+        r = live.size
+        upper_hess = weights @ products
+        ridge = 1e-12 * np.maximum(upper_hess[:, diagonal].sum(axis=1) / p, 1e-300)
+        upper_hess[:, diagonal] += ridge[:, None]
+        hess = np.empty((r, p, p))
+        hess[:, upper[0], upper[1]] = upper_hess
+        hess[:, upper[1], upper[0]] = upper_hess
+        step = _newton_steps(hess, grad)
+        slope = np.einsum("ij,ij->i", grad, step)
+        # a failed solve or a non-descent direction falls back to a plain
+        # gradient step with the global Lipschitz bound, column by column
+        fallback = ~(slope < 0.0)
+        if fallback.any():
+            step[fallback] = -grad[fallback] / ell
+            slope[fallback] = np.einsum("ij,ij->i", grad[fallback], step[fallback])
+
+        # Armijo backtracking from alpha = 1 along the residual direction;
+        # each round evaluates only the columns whose step is still pending
+        dirn = step @ f.T
+        alpha = np.ones(r)
+        pending = np.arange(r)
+        s_pending, dirn_pending = s, dirn
+        for _ in range(MAX_BACKTRACKS):
+            s_trial = s_pending + alpha[pending, None] * dirn_pending
+            w_trial = np.where(s_trial > 0.0, 1.0, eps)
+            trial_value = 0.5 * np.einsum("ij,ij->i", w_trial * s_trial, s_trial)
+            bound = value[pending] + ARMIJO_SLOPE * alpha[pending] * slope[pending]
+            rejected = ~(trial_value <= bound)
+            if not rejected.any():
+                break
+            if not rejected.all():
+                pending = pending[rejected]
+                s_pending, dirn_pending = s_pending[rejected], dirn_pending[rejected]
+            alpha[pending] *= 0.5
+        u = u + alpha[:, None] * step
+        s = u @ f.T - t
+    return u_out, iterations, converged
 
 
 def _polish_column(f, t_col, u):
@@ -96,7 +183,7 @@ def _polish_column(f, t_col, u):
     a symmetric refit on genuinely mixed-sign residuals would) gets
     rejected, making the polish a no-op on noisy data.
     """
-    scale = max(1.0, float(np.abs(t_col).max(initial=0.0)))
+    scale = float(np.abs(t_col).max(initial=0.0))
     for _ in range(2):
         s = f @ u - t_col
         pos = np.maximum(s, 0.0)
@@ -144,26 +231,30 @@ def solve_separable_ls(
     ell = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
 
     grad0 = f.T @ t
-    tol = 1e-10 * max(1.0, float(np.abs(grad0).max(initial=0.0)))
+    tol = 1e-10 * float(np.abs(grad0).max(initial=0.0))
 
-    coeffs = np.zeros((p, k))
-    iterations = 0
-    converged = True
     # plain least-squares fits make good warm starts: the residual is already
     # balanced around zero, so the initial active set is close to final
     warm = cho_solve(factor, grad0)
-    for j in range(k):
-        u, used, ok = _newton_column(f, t[:, j], warm[:, j], ell, tol, NEWTON_BUDGET, back_weight)
-        if back_weight <= 1e-9:
-            u = _polish_column(f, t[:, j], u)
-        coeffs[:, j] = u
-        iterations = max(iterations, used)
-        converged = converged and ok
+    u_rows, used, ok = _newton_lockstep(
+        f, t.T, warm.T, ell, tol, NEWTON_BUDGET, back_weight
+    )
+    if back_weight <= 1e-9:
+        for j in range(k):
+            u_rows[j] = _polish_column(f, t[:, j], u_rows[j])
+    coeffs = np.ascontiguousarray(u_rows.T)
+    iterations = int(used.max(initial=0))
+    converged = bool(ok.all())
     if not converged:
         raise SolverFailedError(
             f"split least squares did not converge in {iterations} iterations "
             f"(KKT tolerance {tol:.1e})"
         )
     nonneg = np.maximum(t - f @ coeffs, 0.0)
-    info = {"iterations": iterations, "converged": converged, "kkt_tol": tol}
+    info = {
+        "iterations": iterations,
+        "column_iterations": used.tolist(),
+        "converged": converged,
+        "kkt_tol": tol,
+    }
     return coeffs, nonneg, info

@@ -11,6 +11,7 @@ from reslearn.baselines import (
 from reslearn.model import (
     FoldedGaussianIid,
     GaussianIid,
+    WEIGHT_STD,
     ResidualUnit,
     make_rng,
     sample,
@@ -116,7 +117,41 @@ class TestSgdGradients:
                     assert num == pytest.approx(grad[i, j], rel=1e-5, abs=1e-8)
 
 
+def reference_sgd(samples, cfg):
+    """The plain SGD loop: one ``sgd_batch_gradients`` call per batch."""
+    xs, ys = samples.xs, samples.ys
+    n, d = xs.shape
+    rng = make_rng(cfg.seed)
+    a = np.maximum(rng.normal(0.0, WEIGHT_STD, size=(d, d)), 0.0)
+    b = rng.normal(0.0, WEIGHT_STD, size=(ys.shape[1], d))
+    trace = []
+    for epoch in range(cfg.epochs):
+        eta = cfg.eta0 / (1.0 + cfg.gamma * epoch)
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grad_a, grad_b = sgd_batch_gradients(a, b, xs[idx], ys[idx])
+            a -= eta * grad_a
+            b -= eta * grad_b
+            losses.append(loss)
+        trace.append((epoch, float(np.mean(losses)), eta))
+    return a, b, np.array(trace)
+
+
 class TestSgdTrain:
+    # 100 and 97 leave a short last batch, 97 one of a single row
+    @pytest.mark.parametrize("d, n", [(3, 128), (4, 100), (3, 97)])
+    def test_trajectory_is_the_plain_loop_bit_for_bit(self, d, n):
+        unit, s = gaussian_samples(np.abs(make_rng(d).normal(size=(d, d))),
+                                   make_rng(n).normal(size=(d, d)), n, seed=19, sigma=0.1)
+        cfg = SgdConfig(epochs=12, seed=20)
+        res = sgd_train(s, cfg)
+        a, b, trace = reference_sgd(s, cfg)
+        np.testing.assert_array_equal(res.a_hat, a)
+        np.testing.assert_array_equal(res.b_hat, b)
+        np.testing.assert_array_equal(res.loss_trace, trace)
+
     def test_deterministic(self):
         unit, s = gaussian_samples(A_REF, B_REF, 128, seed=8)
         cfg = SgdConfig(epochs=20, seed=9)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import reslearn.cli as cli
 import reslearn.evaluation as evaluation
 from reslearn.cli import main
 from reslearn.evaluation import cell_seed, fit_method, run_trial
@@ -169,6 +170,30 @@ class TestConfigFile:
             assert key in payload["message"]
         assert not (out / "learn_result.json").exists()
 
+    def test_config_sets_flags_that_have_defaults(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_experiment", lambda args: seen.append(args) or 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 4, "input": "gaussian", "test_size": 50, "d": 3}))
+        for argv in ((), ("--jobs", "2"), None):
+            config = () if argv is None else ("--config", str(cfg), *argv)
+            code, _, _ = run(capsys, "experiment", "heatmap", *config)
+            assert code == 0
+        got = [(a.jobs, a.input, a.test_size, a.d) for a in seen]
+        assert got == [
+            (4, "gaussian", 50, 3),      # the config file sets every key
+            (2, "gaussian", 50, 3),      # an explicit flag still wins
+            (1, "mixture", 1000, None),  # no config: the parser's defaults
+        ]
+
+    def test_config_sets_a_store_true_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 2, "n": 40, "non_scale": True}))
+        out = tmp_path / "gen"
+        code, _, _ = run(capsys, "generate", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        assert json.loads((out / "generate_config.json").read_text())["non_scale"] is True
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -246,7 +271,7 @@ class TestExperiment:
             )
             assert code == 0
             ledgers[jobs] = (out / "heatmap.json").read_text()
-        assert pools == [2, 2]  # one pool per cell, and none for --jobs 1
+        assert pools == [2]  # one pool for both pending cells, none for --jobs 1
         assert ledgers["1"] == ledgers["2"]
 
     def test_noise_robustness_rows_equal_run_trial_on_fixed_teacher(self, tmp_path, capsys):

@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reslearn.errors import DimensionMismatchError, ReslearnError
 from reslearn.evaluation import (
@@ -10,6 +13,7 @@ from reslearn.evaluation import (
     TrialRow,
     aggregate_rows,
     cell_seed,
+    full_pipeline,
     make_input_dist,
     relative_errors,
     run_grid,
@@ -29,6 +33,7 @@ from reslearn.model import (
     generate_unit,
     make_rng,
     sample,
+    standard_mixture,
 )
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -131,6 +136,35 @@ class TestRunTrial:
         unit = generate_unit(NetworkGenSpec(d=2, m=2, seed=1))
         with pytest.raises(ValueError):
             run_trial(unit, 64, 0.0, "newton", seed=0)
+
+
+@functools.lru_cache(maxsize=None)
+def qp_scale_instance():
+    """A d=4 teacher, its clean training set, a held-out set, and the QP
+    route's errors on the unscaled data."""
+    unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=11))
+    dist = standard_mixture(4)
+    train = sample(unit, dist, 400, 0.0, seed=12)
+    test = sample(unit, dist, 200, 0.0, seed=13)
+    est1, est2 = full_pipeline(train, "qp")
+    return unit, train, test, relative_errors(est1.a_hat, est2.b_hat, unit, test)
+
+
+class TestQpScaleInvariance:
+    # The unit is positively homogeneous, so x -> s x, y -> s y keeps the
+    # teacher; every solver tolerance is relative, so the QP route's
+    # estimates, and their errors, do not depend on s.
+    @given(st.floats(-6.0, 6.0))
+    @example(-6.0)
+    @example(6.0)
+    @settings(max_examples=30, deadline=None)
+    def test_errors_do_not_move_when_samples_are_rescaled(self, log_scale):
+        unit, train, test, base = qp_scale_instance()
+        scale = 10.0 ** log_scale
+        est1, est2 = full_pipeline(SampleSet(xs=train.xs * scale, ys=train.ys * scale), "qp")
+        got = relative_errors(est1.a_hat, est2.b_hat, unit, test)
+        for field in ("layer1_rel", "layer2_rel", "output_rel"):
+            assert getattr(got, field) == pytest.approx(getattr(base, field), rel=1e-9, abs=1e-12)
 
 
 class TestSeeds:

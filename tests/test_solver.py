@@ -630,6 +630,117 @@ class TestSeparableLs:
         assert info["iterations"] >= 1
 
 
+def layer_design(layer):
+    """(design, targets) the QP route poses at d=16, n=512 on clean data."""
+    unit = generate_unit(NetworkGenSpec(d=16, m=16, seed=41))
+    s = sample(unit, standard_mixture(16), 512, 0.0, seed=42)
+    if layer == "layer2":
+        return -s.ys, -s.xs
+    return s.xs, np.maximum(s.xs @ unit.a.T, 0.0)
+
+
+class TestLockstepNewton:
+    """All columns of one call step together; each must still follow its
+    own iteration: Newton step or gradient fallback, Armijo length, stop."""
+
+    @staticmethod
+    def engine_inputs(f, t):
+        """The engine's inputs, as ``solve_separable_ls`` derives them."""
+        gram = f.T @ f
+        warm = np.linalg.solve(gram, f.T @ t)
+        ell = float(np.linalg.eigvalsh(gram)[-1])
+        tol = 1e-10 * float(np.abs(f.T @ t).max())
+        return np.ascontiguousarray(t.T), warm.T, ell, tol
+
+    # The layer-1 design at back weight 1e-10 is left out: no learner poses
+    # it, and its tie-break face is so flat that rounding alone (a one-row
+    # product against a sixteen-row one) moves the stopping point ~1e-8.
+    @pytest.mark.parametrize("layer, back_weight", [
+        ("layer2", 1e-10), ("layer2", 1e-6), ("layer1", 1e-6),
+    ])
+    def test_columns_match_one_column_runs(self, layer, back_weight):
+        # at the batch's shared KKT tolerance, a column run alone takes the
+        # same iterations to the same point
+        f, t = layer_design(layer)
+        t_rows, warm, ell, tol = self.engine_inputs(f, t)
+        budget = split_ls.NEWTON_BUDGET
+        u, its, ok = split_ls._newton_lockstep(f, t_rows, warm, ell, tol, budget, back_weight)
+        assert ok.all()
+        assert len(set(its.tolist())) > 1  # columns leave the live set at different times
+        for j in range(t.shape[1]):
+            one, one_its, one_ok = split_ls._newton_lockstep(
+                f, t_rows[j : j + 1], warm[j : j + 1], ell, tol, budget, back_weight)
+            assert one_ok[0] and one_its[0] == its[j]
+            np.testing.assert_allclose(u[j], one[0], rtol=0, atol=1e-12 * np.abs(one).max())
+
+    def test_batch_mixes_converged_and_slow_columns(self):
+        g = rng(12)
+        f = g.normal(size=(60, 3))
+        t = np.column_stack([f @ g.normal(size=3), np.zeros(60), g.normal(size=(60, 2))])
+        coeffs, _, info = solve_separable_ls(f, t)
+        its = info["column_iterations"]
+        # an exactly fitted column and a zero column start at their optimum
+        assert its[:2] == [0, 0] and min(its[2:]) >= 1
+        assert info["iterations"] == max(its)
+        np.testing.assert_array_equal(coeffs[:, 1], 0.0)
+        t_rows, warm, ell, tol = self.engine_inputs(f, t)
+        for j in (2, 3):
+            one, one_its, _ = split_ls._newton_lockstep(
+                f, t_rows[j : j + 1], warm[j : j + 1], ell, tol, split_ls.NEWTON_BUDGET,
+                split_ls.BACK_WEIGHT)
+            assert one_its[0] == its[j]
+
+    def test_all_zero_targets_return_zero(self):
+        f = rng(13).normal(size=(40, 3))
+        coeffs, nonneg, info = solve_separable_ls(f, np.zeros((40, 2)))
+        assert info["converged"] and info["iterations"] == 0
+        np.testing.assert_array_equal(coeffs, 0.0)
+        np.testing.assert_array_equal(nonneg, 0.0)
+
+    @pytest.mark.parametrize("spoil", ["ascent", "failed solve"])
+    def test_fallback_is_per_column(self, monkeypatch, spoil):
+        f, t = layer_design("layer2")
+        ref, _, ref_info = solve_separable_ls(f, t)
+        real = split_ls._newton_steps
+        live = []
+
+        def spoiled(hess, grad):
+            steps = real(hess, grad)
+            if not live:  # first iteration: column 0's step is useless
+                steps[0] = -steps[0] if spoil == "ascent" else np.nan
+            live.append(len(grad))
+            return steps
+
+        monkeypatch.setattr(split_ls, "_newton_steps", spoiled)
+        got, _, info = solve_separable_ls(f, t)
+        assert live[0] == t.shape[1]
+        assert info["converged"]
+        # column 0 recovers from its gradient step; the others keep their
+        # Newton steps, so their iterations and points do not change
+        assert info["column_iterations"][1:] == ref_info["column_iterations"][1:]
+        np.testing.assert_allclose(got[:, 1:], ref[:, 1:], rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_singular_system_gives_nan_for_its_column_only(self):
+        hess = np.stack([2.0 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, 4.0])])
+        grad = np.array([[2.0, 2.0], [1.0, 1.0], [1.0, 4.0]])
+        steps = split_ls._newton_steps(hess, grad)
+        np.testing.assert_array_equal(steps[[0, 2]], -1.0)
+        assert np.isnan(steps[1]).all()
+
+    def test_call_memory_stays_within_cost_model(self):
+        import tracemalloc
+
+        f, t = layer_design("layer2")
+        tracemalloc.start()
+        try:
+            solve_separable_ls(f, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # n p(p+1)/2 row products (0.56 MB) plus a few (k, n) working arrays
+        assert peak < 2e6
+
+
 class TestEliminatedAgainstAssembled:
     # The learners solve the QP route only in its eliminated form; the
     # assembled QP over (free block, slacks) is what that form stands for.
