@@ -102,7 +102,7 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
         residual = ys @ c_hat[j] - xs[:, j]
         if slack:
             value = float(np.maximum(-residual, 0.0).mean())
-            if value > FEAS_TOL * 100:
+            if value > FEAS_TOL * 100 * float(np.abs(xs[:, j]).max()):
                 notes.append(f"row {j}: slack objective {value:.3e} (noisy fit)")
             residual = np.maximum(residual, 0.0)
         xi_hat[:, j] = residual

@@ -55,13 +55,16 @@ elimination with partial pivoting in column order, preferring rows with
 slop; a column with no usable pivot left stays at 0. A zero objective
 becomes g = sum_T a_i (lam_T = 1), or keeps lam = 0 when rows are soft. A
 nonzero one pins each of its columns by sign(g_j) e_j . c >= -M (or
-e_j . c >= 0 when c_j >= 0 and g_j > 0) at lam = |g_j|, M = BOX |rhs|/|lhs|;
-a box row that keeps a multiplier means the objective is unbounded below.
+e_j . c >= 0 when c_j >= 0 and g_j > 0) at lam = |g_j|, M = BOX |rhs|/|lhs|
+(|rhs| read as 1 when rhs = 0); a box row that keeps a multiplier means the
+objective is unbounded below. Every tolerance is relative to the data.
 
-Cost: a step of either method factors one p x p basis and scans the n
-rows: O(p^3 + n p); the descent also sorts the breakpoints of its edge,
-O(n log n). Besides the n x p kept block, only an n x (columns) boolean
-mask of the constraint matrix is built (to find unit columns).
+Cost: a step of either method factors its p x p basis once (the inverse
+gives the point, the multipliers and the step) and scans the n rows:
+O(p^3 + n p); the descent also sorts its edge's breakpoints, O(n log n). The
+set-up builds the n x p kept block, its transpose for the start and, given
+nonnegative columns, an n x (columns) boolean mask to find unit columns; it
+never copies the constraint matrix.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ import numpy as np
 
 from .types import LpProblem, SolveReport, SolveStatus
 
-FEAS_TOL = 1e-8  # feasibility tolerance, relative to max(1, |rhs|)
+FEAS_TOL = 1e-8  # feasibility tolerance, relative to |rhs|
 MAX_ITER = 20_000  # step budget
-PIVOT_TOL = 1e-9  # smallest admissible pivot, relative to max(1, |column|)
+PIVOT_TOL = 1e-9  # smallest admissible pivot, relative to its column or step's largest entry
 BOX = 1e6  # bound on objective-carrying variables, in units of |rhs| / |lhs|
 BLAND_AFTER = 8  # zero-length descent steps in a row before Bland's rule
 
@@ -106,22 +109,21 @@ def _soft_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float) -> list[tuple[int, int]]:
-    """(column, row) start pairs for the columns of a, by elimination in
-    column order; a column with no usable pivot left gets no row."""
-    work = a.copy()
-    open_rows = np.ones(a.shape[0], dtype=bool)
+    """(column, row) start pairs by elimination in column order; a pivot must
+    exceed PIVOT_TOL times its column's largest entry in a, or the column gets no row."""
+    work = a.T.copy()  # one row per column of a, so each step reads contiguous memory
+    least = PIVOT_TOL * np.abs(work).max(axis=1, initial=0.0)  # read off a, before elimination leaves rounding
     with_data = np.abs(rhs) > 1e-6 * rhs_scale
-    chosen = []
-    for q in range(a.shape[1]):
-        column = work[:, q]
+    chosen = []  # a chosen row is exactly 0 in later columns (y - (x / x) y), so never usable again
+    for q, column in enumerate(work):
         magnitude = np.abs(column)
-        usable = open_rows & (magnitude > PIVOT_TOL * max(1.0, float(magnitude.max(initial=0.0))))
-        pool = usable & with_data if (usable & with_data).any() else usable
-        if pool.any():
-            row = int(np.argmax(np.where(pool, magnitude, -1.0)))
-            chosen.append((q, row))
-            open_rows[row] = False
-            work[:, q + 1 :] -= np.outer(column / column[row], work[row, q + 1 :])
+        row = int(magnitude.argmax())
+        if not magnitude[row] > least[q]:
+            continue
+        preferred = int((magnitude * with_data).argmax())  # usable rows with data first
+        row = preferred if magnitude[preferred] > least[q] and with_data[preferred] else row
+        chosen.append((q, row))
+        work[q + 1 :] -= work[q + 1 :, row, None] * (column / column[row])
     return chosen
 
 
@@ -130,33 +132,33 @@ def _run(rows, b, w, g, basis, tol):
     basis, at_upper, lam_T, c, steps, ray); ray is set when infeasible."""
     upper = np.zeros(rows.shape[0], dtype=bool)
     h = g.copy()  # g - A_U' w_U
-    c = np.linalg.solve(rows[basis], b[basis])
-    residual = rows @ c - b
     for step in range(MAX_ITER):
-        lam = np.linalg.solve(rows[basis].T, h)
+        inverse = np.linalg.inv(rows[basis])  # the one factorisation: c, lam_T and the move
+        c = inverse @ b[basis]
+        residual = rows @ c - b
+        lam = h @ inverse
         violation = np.where(upper, residual, -residual)
         violation[basis] = 0.0
         if violation.max(initial=0.0) <= tol:
             return "optimal", basis, upper, lam, c, step, None
-        r = int(np.argmax(violation))
+        r = int(violation.argmax())
         sign = -1.0 if upper[r] else 1.0
-        move = -sign * np.linalg.solve(rows[basis].T, rows[r])  # d lam_T / dt
-        big = PIVOT_TOL * max(1.0, float(np.abs(move).max(initial=0.0)))
+        move = -sign * (rows[r] @ inverse)  # d lam_T / dt
+        size = np.abs(move)
+        big = PIVOT_TOL * size.max(initial=0.0)
         down, up = move < -big, move > big
-        room = np.full(basis.size, np.inf)
-        room[down] = np.maximum(lam[down], 0.0) / -move[down]
-        room[up] = np.maximum(w[basis][up] - lam[up], 0.0) / move[up]
+        room = np.divide(np.where(down, np.maximum(lam, 0.0), np.maximum(w[basis] - lam, 0.0)),
+                         size, out=np.full(basis.size, np.inf), where=down | up)
         t = float(room.min(initial=np.inf))
-        if np.isfinite(w[r]) and w[r] <= t:
+        if w[r] < np.inf and w[r] <= t:  # a soft row reaches its other bound first
             upper[r] = not upper[r]
             h -= sign * w[r] * rows[r]
             continue
-        if not np.isfinite(t):
+        if not t < np.inf:
             ray = np.zeros(rows.shape[0])
             ray[r], ray[basis] = 1.0, move
             return "infeasible", basis, upper, lam, c, step + 1, ray
-        ties = np.flatnonzero(room <= t * (1.0 + 1e-12))
-        k = int(ties[np.argmax(np.abs(move[ties]))])
+        k = int(np.where(room <= t * (1.0 + 1e-12), size, -1.0).argmax())  # ties: largest pivot
         leaving = basis[k]
         if up[k]:
             upper[leaving] = True
@@ -165,8 +167,6 @@ def _run(rows, b, w, g, basis, tol):
             upper[r] = False
             h += w[r] * rows[r]
         basis[k] = r
-        c = np.linalg.solve(rows[basis], b[basis])
-        residual = rows @ c - b
     return "iteration_limit", basis, upper, lam, c, MAX_ITER, None
 
 
@@ -189,7 +189,7 @@ def _descend(rows, b, w, g, basis, tol):
         outside = np.maximum(-lam, lam - w[basis])
         candidates = np.flatnonzero(outside > dual_tol)
         if candidates.size == 0:
-            return "optimal", basis, upper, lam, np.linalg.solve(rows[basis], b[basis]), step, None
+            return "optimal", basis, upper, lam, c, step, None
         bland = stalled >= BLAND_AFTER
         k = int(candidates[np.argmin(basis[candidates])] if bland else np.argmax(outside))
         release = 1.0 if lam[k] < 0.0 else -1.0  # +1: row k leaves into its satisfied side
@@ -211,7 +211,6 @@ def _descend(rows, b, w, g, basis, tol):
         upper[entering] = False
         upper[basis[k]] = release < 0.0
         basis[k] = entering
-    c = np.linalg.solve(rows[basis], b[basis])
     return "iteration_limit", basis, upper, lam, c, MAX_ITER, None
 
 
@@ -229,9 +228,9 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
     lhs, rhs, nonneg = problem.ineq_lhs, problem.ineq_rhs, list(problem.nonneg_vars)
     pull = lhs.T @ lam
     pull[nonneg] = np.maximum(pull[nonneg], 0.0)
-    if np.abs(pull).max() > 1e-6 * max(1.0, float(lhs.max()), -float(lhs.min())):
+    if np.abs(pull).max() > 1e-6 * max(float(lhs.max()), -float(lhs.min())):
         return None
-    if float(rhs @ lam) <= 1e-9 * max(1.0, float(np.abs(rhs).max())):
+    if float(rhs @ lam) <= 1e-9 * float(np.abs(rhs).max()):
         return None
     return lam
 
@@ -240,35 +239,37 @@ def solve_lp(problem: LpProblem) -> SolveReport:
     """Dual active-set solve, or the primal descent when every data row is
     soft; see the module docstring."""
     lhs, rhs, cost = problem.ineq_lhs, problem.ineq_rhs, problem.objective
-    rhs_scale = max(1.0, float(np.abs(rhs).max()))
+    rhs_scale = float(np.abs(rhs).max())
     slack, weight, units = _soft_rows(problem)
-    kept = np.setdiff1d(np.arange(problem.n_vars), units)
-    used = np.flatnonzero(weight > 0.0)
-    a = lhs[np.ix_(used, kept)]
-    g = cost[kept]
-    nonneg = np.flatnonzero(np.isin(kept, problem.nonneg_vars))
-    boxed = np.flatnonzero((g < 0.0) | ((g > 0.0) & ~np.isin(np.arange(kept.size), nonneg)))
-    box_rhs = -BOX * rhs_scale / (float(np.abs(a).max(initial=0.0)) or 1.0)
-    unit = np.eye(kept.size)
-    rows = np.vstack([a, unit[nonneg], np.sign(g[boxed, None]) * unit[boxed]])
-    b = np.concatenate([rhs[used], np.zeros(nonneg.size), np.full(boxed.size, box_rhs)])
-    w = np.concatenate([weight[used], np.full(nonneg.size + boxed.size, np.inf)])
-    first_box = used.size + nonneg.size
+    kept = np.delete(np.arange(problem.n_vars), units)
+    nonneg = np.zeros(problem.n_vars, dtype=bool)
+    nonneg[list(problem.nonneg_vars)] = True
+    nonneg, g = nonneg[kept], cost[kept]
+    boxed = (g < 0.0) | ((g > 0.0) & ~nonneg)
+    used = slice(None) if (weight > 0.0).all() else np.flatnonzero(weight > 0.0)  # a slice is a view
+    a, b, w = lhs[:, kept][used], rhs[used], weight[used]
+    n_used, first_box = b.size, b.size + int(nonneg.sum())
 
     # start basis: box rows, else the rows e_j . c >= 0, pin their columns;
     # the crash gives the other columns rows, and columns it skips stay at 0
-    pin = {int(j): first_box + k for k, j in enumerate(boxed)}
-    pin.update({int(j): used.size + k for k, j in enumerate(nonneg) if j not in pin})
-    loose = [j for j in range(kept.size) if j not in pin]
-    crash = _crash(a[:, loose], rhs[used], rhs_scale)
-    cols = np.array(sorted(pin) + [loose[q] for q, _ in crash], dtype=np.int64)
-    basis = np.array([pin[j] for j in sorted(pin)] + [row for _, row in crash], dtype=np.int64)
-    rows, g = rows[:, cols], g[cols]
-    objective_given, has_soft = bool(np.any(g != 0.0)), bool(np.isfinite(w).any())
+    pinned = boxed | nonneg
+    loose = np.flatnonzero(~pinned)
+    crash = np.array(_crash(a[:, loose], b, rhs_scale), dtype=np.int64).reshape(-1, 2)
+    cols, basis, rows = loose[crash[:, 0]], crash[:, 1], a
+    if pinned.any():  # unit rows below the data rows: e_j . c >= 0, then the box rows
+        unit = np.eye(kept.size)
+        rows = np.vstack([a, unit[nonneg], np.sign(g[boxed, None]) * unit[boxed]])
+        box_rhs = -BOX * (rhs_scale or 1.0) / (float(np.abs(a).max(initial=0.0)) or 1.0)
+        b = np.concatenate([b, np.zeros(first_box - n_used), np.full(rows.shape[0] - first_box, box_rhs)])
+        w = np.concatenate([w, np.full(rows.shape[0] - n_used, np.inf)])
+        pin_rows = np.where(boxed, first_box + np.cumsum(boxed), n_used + np.cumsum(nonneg)) - 1
+        cols, basis = np.concatenate([np.flatnonzero(pinned), cols]), np.concatenate([pin_rows[pinned], basis])
+    rows, g, soft_used = rows[:, cols], g[cols], w[:n_used] < np.inf
+    objective_given, has_soft = bool(g.any()), bool(soft_used.any())
     if not objective_given and not has_soft:
         g = rows[basis].sum(axis=0)
 
-    engine = _descend if np.isfinite(weight[used]).all() else _run
+    engine = _descend if soft_used.all() else _run
     try:
         verdict, basis, upper, lam, c, steps, ray = engine(
             rows, b, w, g, basis, FEAS_TOL * rhs_scale)
@@ -277,13 +278,12 @@ def solve_lp(problem: LpProblem) -> SolveReport:
     point = np.zeros(problem.n_vars)
     point[kept[cols]] = c
     soft = np.flatnonzero(slack >= 0)
-    gap = rhs[soft] - lhs[np.ix_(soft, kept[cols])] @ c
-    point[slack[soft]] = np.maximum(gap, 0.0) / lhs[soft, slack[soft]]
+    if soft.size:
+        gap = rhs[soft] - lhs[:, kept[cols]][soft] @ c
+        point[slack[soft]] = np.maximum(gap, 0.0) / lhs[soft, slack[soft]]
 
     violation = problem.max_violation(point)
-    if verdict == "optimal" and np.any(
-        (basis >= first_box) & (lam > FEAS_TOL * max(1.0, float(np.abs(g).max(initial=0.0))))
-    ):
+    if verdict == "optimal" and boxed.any() and ((basis >= first_box) & (lam > FEAS_TOL * np.abs(g).max())).any():
         verdict = "objective unbounded below"
     elif verdict == "optimal" and violation > FEAS_TOL * rhs_scale * 10.0:
         verdict = f"terminal basis violates the original constraints by {violation:.3e}"
@@ -294,12 +294,12 @@ def solve_lp(problem: LpProblem) -> SolveReport:
         if objective_given or has_soft:
             multipliers = np.where(upper, w, 0.0)
             multipliers[basis] = lam
-            extra["dual"][used] = np.maximum(multipliers[: used.size], 0.0)
+            extra["dual"][used] = np.maximum(multipliers[:n_used], 0.0)
     elif verdict == "iteration_limit":
         status, message = SolveStatus.ITERATION_LIMIT, "step budget exhausted"
     elif verdict == "infeasible":
         cert = np.zeros(problem.n_rows)
-        cert[used] = ray[: used.size]
+        cert[used] = ray[:n_used]
         extra["certificate"] = _verify_farkas(problem, cert)
         if extra["certificate"] is None:
             message = "unbounded dual but no verifiable infeasibility ray"

@@ -139,15 +139,30 @@ class TestRunTrial:
 
 
 @functools.lru_cache(maxsize=None)
-def qp_scale_instance():
-    """A d=4 teacher, its clean training set, a held-out set, and the QP
-    route's errors on the unscaled data."""
-    unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=11))
+def scale_instance(method, sigma, seed):
+    """A d=4 teacher, its training set at noise sigma, a held-out clean set,
+    and the method's errors on the unscaled data (or the error it raises)."""
+    unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=seed))
     dist = standard_mixture(4)
-    train = sample(unit, dist, 400, 0.0, seed=12)
+    train = sample(unit, dist, 400, sigma, seed=12)
     test = sample(unit, dist, 200, 0.0, seed=13)
-    est1, est2 = full_pipeline(train, "qp")
-    return unit, train, test, relative_errors(est1.a_hat, est2.b_hat, unit, test)
+    return unit, train, test, scaled_errors(unit, train, test, method, 1.0)
+
+
+def scaled_errors(unit, train, test, method, scale):
+    try:
+        est1, est2 = full_pipeline(SampleSet(xs=train.xs * scale, ys=train.ys * scale), method)
+    except ReslearnError as exc:
+        return type(exc).__name__
+    return relative_errors(est1.a_hat, est2.b_hat, unit, test)
+
+
+def assert_same_errors(got, base):
+    if isinstance(base, str):
+        assert got == base
+        return
+    for field in ("layer1_rel", "layer2_rel", "output_rel"):
+        assert getattr(got, field) == pytest.approx(getattr(base, field), rel=1e-9, abs=1e-12)
 
 
 class TestQpScaleInvariance:
@@ -159,12 +174,25 @@ class TestQpScaleInvariance:
     @example(6.0)
     @settings(max_examples=30, deadline=None)
     def test_errors_do_not_move_when_samples_are_rescaled(self, log_scale):
-        unit, train, test, base = qp_scale_instance()
-        scale = 10.0 ** log_scale
-        est1, est2 = full_pipeline(SampleSet(xs=train.xs * scale, ys=train.ys * scale), "qp")
-        got = relative_errors(est1.a_hat, est2.b_hat, unit, test)
-        for field in ("layer1_rel", "layer2_rel", "output_rel"):
-            assert getattr(got, field) == pytest.approx(getattr(base, field), rel=1e-9, abs=1e-12)
+        unit, train, test, base = scale_instance("qp", 0.0, 11)
+        assert_same_errors(scaled_errors(unit, train, test, "qp", 10.0 ** log_scale), base)
+
+
+class TestLpScaleInvariance:
+    # The same for the LP routes, whose tolerances are relative to the
+    # rows' data. Teacher 3 is one whose clean figures moved at s = 1e-5
+    # while the simplex kept absolute max(1, .) floors; the LP route on
+    # noisy samples raises, and must raise at every scale.
+    @pytest.mark.parametrize("method,sigma", [
+        ("lp", 0.0), ("lp", 0.1), ("slack-lp", 0.0), ("slack-lp", 0.1)])
+    @given(log_scale=st.floats(-6.0, 6.0))
+    @example(log_scale=-6.0)
+    @example(log_scale=-5.0)
+    @example(log_scale=6.0)
+    @settings(max_examples=15, deadline=None)
+    def test_errors_do_not_move_when_samples_are_rescaled(self, method, sigma, log_scale):
+        unit, train, test, base = scale_instance(method, sigma, 3)
+        assert_same_errors(scaled_errors(unit, train, test, method, 10.0 ** log_scale), base)
 
 
 class TestSeeds:

@@ -209,11 +209,11 @@ class TestSimplexInfeasibility:
             if lam.max(initial=0.0) <= 0.0:
                 return None
             lam = lam / lam.max()
-            limit = 1e-6 * max(1.0, float(np.abs(problem.ineq_lhs).max()))
+            limit = 1e-6 * float(np.abs(problem.ineq_lhs).max())
             for j, value in enumerate(problem.ineq_lhs.T @ lam):
                 if (value if j in problem.nonneg_vars else abs(value)) > limit:
                     return None
-            if problem.ineq_rhs @ lam <= 1e-9 * max(1.0, float(np.abs(problem.ineq_rhs).max())):
+            if problem.ineq_rhs @ lam <= 1e-9 * float(np.abs(problem.ineq_rhs).max()):
                 return None
             return lam
 
@@ -304,6 +304,45 @@ class TestSimplexOnLayerPrograms:
         assert rep.status is SolveStatus.OPTIMAL
         assert rep.iterations == 0
         assert_point_close(rep.point, unit.a[0], "layer-1 feasibility")
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_crash_matches_loop_reference(self, seed):
+        # The start's elimination reads each column as a contiguous row and
+        # keeps no open-row mask; the reference is its former loop, with the
+        # pivot tolerance relative to the column's largest entry in a.
+        def reference(a, rhs, rhs_scale):
+            work = a.copy()
+            open_rows = np.ones(a.shape[0], dtype=bool)
+            with_data = np.abs(rhs) > 1e-6 * rhs_scale
+            least = simplex.PIVOT_TOL * np.abs(a).max(axis=0, initial=0.0)
+            chosen = []
+            for q in range(a.shape[1]):
+                column = work[:, q]
+                magnitude = np.abs(column)
+                usable = open_rows & (magnitude > least[q])
+                pool = usable & with_data if (usable & with_data).any() else usable
+                if pool.any():
+                    row = int(np.argmax(np.where(pool, magnitude, -1.0)))
+                    chosen.append((q, row))
+                    open_rows[row] = False
+                    work[:, q + 1 :] -= np.outer(column / column[row], work[row, q + 1 :])
+            return chosen
+
+        g = rng(seed)
+        n, k = int(g.integers(1, 12)), int(g.integers(1, 7))
+        if g.random() < 0.5:  # small integers: tied magnitudes, zero columns
+            a = g.integers(-2, 3, size=(n, k)).astype(float)
+        else:
+            a = g.standard_normal((n, k)) * 10.0 ** float(g.integers(-12, 7))
+        for j in range(1, k):  # dependent columns: nothing usable once their basis is in
+            if g.random() < 0.3:
+                a[:, j] = a[:, :j] @ g.integers(-2, 3, size=j)
+        rhs = g.standard_normal(n) * 10.0 ** float(g.integers(-6, 7))
+        rhs[g.random(n) < 0.3] *= 1e-7  # below 1e-6 of the largest
+        rhs[g.random(n) < 0.2] = 0.0
+        rhs_scale = float(np.abs(rhs).max())
+        assert simplex._crash(a, rhs, rhs_scale) == reference(a, rhs, rhs_scale)
 
 
 class TestSoftRowDescent:
@@ -412,6 +451,125 @@ class TestSoftRowDescent:
                             nonneg_vars=nonneg)
         for got, want in zip(simplex._soft_rows(problem), reference(problem)):
             np.testing.assert_array_equal(got, want)
+
+
+def bench_shape_lps(seed=11):
+    """(builder, design, target) of the d=4, n=400 row LPs of one teacher:
+    clean layer-2 and layer-1 feasibility rows, and noisy (sigma=0.1)
+    layer-2 rows, whose feasibility LPs are infeasible, with their slack LPs."""
+    unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=seed))
+    clean = sample(unit, standard_mixture(4), 400, 0.0, seed=seed + 1)
+    noisy = sample(unit, standard_mixture(4), 400, 0.1, seed=seed + 1)
+    hs = np.maximum(clean.xs @ unit.a.T, 0.0)
+    lps = []
+    for j in range(4):
+        lps += [(row_lp, -clean.ys, -clean.xs[:, j]), (row_lp, clean.xs, hs[:, j]),
+                (row_lp, -noisy.ys, -noisy.xs[:, j]), (row_slack_lp, -noisy.ys, -noisy.xs[:, j])]
+    return lps
+
+
+class TestLpScaleEquivariance:
+    # Scaling by a power of two is exact in binary floating point, so an
+    # engine whose tolerances are all relative to the data takes the same
+    # steps and returns exactly scaled points; an absolute constant shows
+    # up as another step count or a point off by rounding.
+
+    def test_row_lps_scale_exactly_by_powers_of_two(self):
+        for build, design, target in bench_shape_lps():
+            base = solve_lp(build(design, target))
+            p = design.shape[1]
+            assert base.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
+            for k in range(-20, 21):
+                s = 2.0 ** k
+                # the target alone: the whole point scales by s
+                rep = solve_lp(build(design, s * target))
+                assert (rep.status, rep.iterations) == (base.status, base.iterations), k
+                np.testing.assert_array_equal(rep.point, s * base.point)
+                # design and target: u stays, the slack block scales by s
+                rep = solve_lp(build(s * design, s * target))
+                assert (rep.status, rep.iterations) == (base.status, base.iterations), k
+                np.testing.assert_array_equal(rep.point[:p], base.point[:p])
+                np.testing.assert_array_equal(rep.point[p:], s * base.point[p:])
+
+
+def record_lp_path(run):
+    """(layer, status, steps, factorisations) of each solve_lp call the layer
+    learners make while run() runs; factorisations counts the calls of the
+    linear-algebra functions the engine could factor a basis with."""
+    from reslearn import layer1, layer2
+
+    calls, factored = [], [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            factored[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording(layer):
+        def wrapper(problem):
+            before = factored[0]
+            rep = solve_lp(problem)
+            calls.append((layer, rep.status.value, rep.iterations, factored[0] - before))
+            return rep
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("inv", "solve", "lstsq", "pinv"):
+            patch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        patch.setattr(layer1, "solve_lp", recording("layer1"))
+        patch.setattr(layer2, "solve_lp", recording("layer2"))
+        run()
+    return calls
+
+
+def lp_path_runs():
+    """Benchmark-shape LP work by name: the lp-clean and slack-sweep layer
+    programs at d=4, n=400 (pipeline runs), and layer-2 row LPs at d=10 and
+    d=16, n=512."""
+    from reslearn import layer2
+    from reslearn.evaluation import full_pipeline
+
+    def pipeline(seed, sigmas, method):
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=seed))
+        for sigma in sigmas:
+            full_pipeline(sample(unit, standard_mixture(4), 400, sigma, seed=seed + 1), method)
+
+    def layer2_rows(d, seed):
+        unit = generate_unit(NetworkGenSpec(d=d, m=d, seed=seed))
+        s = sample(unit, standard_mixture(d), 512, 0.0, seed=seed + 1)
+        for j in range(d):
+            layer2.solve_lp(row_lp(-s.ys, -s.xs[:, j]))
+
+    return {
+        "lp-clean": lambda: [pipeline(seed, (0.0,), "lp") for seed in (1, 2)],
+        "slack-sweep": lambda: pipeline(11, (0.0, 0.1), "slack-lp"),
+        "layer-2 d=10": lambda: layer2_rows(10, 5),
+        "layer-2 d=16": lambda: layer2_rows(16, 5),
+    }
+
+
+class TestLpPath:
+    # The status and step count of every LP in a fixed set of benchmark-shape
+    # runs, one "<layer><status initial><steps>" per call in call order:
+    # how the engine factors a basis must move no vertex and no step. Each
+    # call factors one p x p basis per step, plus one for the start.
+    PATH = {
+        "lp-clean": "2o6 2o6 2o2 2o7 1o0 1o0 1o0 1o0 2o3 2o4 2o4 2o4 1o0 1o0 1o0 1o0",
+        "slack-sweep": "2o6 2o6 2o4 2o5 1o0 1o0 1o0 1o0 2i5 2o14 2i5 2o15 2i5 2o15 2i5 2o11 "
+                       "1o7 1o4 1o6 1o5",
+        "layer-2 d=10": "2o16 2o26 2o26 2o16 2o8 2o24 2o18 2o27 2o17 2o15",
+        "layer-2 d=16": "2o33 2o49 2o26 2o29 2o34 2o35 2o25 2o34 2o37 2o33 2o33 2o35 2o26 2o28 "
+                        "2o43 2o32",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PATH))
+    def test_steps_match_recorded_and_factor_once_per_step(self, name):
+        calls = record_lp_path(lp_path_runs()[name])
+        got = " ".join(f"{layer[-1]}{status[0]}{steps}" for layer, status, steps, _ in calls)
+        assert got == self.PATH[name]
+        for layer, status, steps, factored in calls:
+            assert factored <= steps + 1, (layer, status, steps, factored)
 
 
 def assert_point_close(got, want, name):
