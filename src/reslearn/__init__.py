@@ -21,6 +21,7 @@ from .errors import (
     DegenerateRowError,
     DimensionMismatchError,
     GenerationFailedError,
+    NonFiniteError,
     RankDeficientError,
     ReslearnError,
     SingularCHatError,
@@ -80,6 +81,7 @@ __all__ = [
     "Layer2Estimate",
     "LpProblem",
     "NetworkGenSpec",
+    "NonFiniteError",
     "QpProblem",
     "RankDeficientError",
     "ResidualUnit",

@@ -9,6 +9,10 @@ class DimensionMismatchError(ReslearnError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteError(ReslearnError, ValueError):
+    """An input holds a NaN or an infinity."""
+
+
 class RankDeficientError(ReslearnError):
     """A design matrix does not have full column rank."""
 

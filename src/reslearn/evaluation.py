@@ -19,9 +19,7 @@ name through ``fit_method``.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -298,6 +296,10 @@ def run_grids(grids, jobs: int = 1) -> Iterator[list[TrialRow]]:
         for grid in grids:
             yield [_run_cell_trial(task) for task in _grid_tasks(grid)]
         return
+    # imported here, so importing the package and serial runs skip them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # spawned workers import the package afresh instead of forking a
     # process whose BLAS may already run threads
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn"))

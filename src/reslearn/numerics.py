@@ -2,16 +2,22 @@
 
 Matrices are plain ``numpy.ndarray`` values: 2-D, float64, row-major, all
 entries finite. Vectors are 1-D arrays; batches of samples are stacked as
-rows. All functions here are pure and thread-safe.
+rows. Every factorization and solve goes through ``numpy.linalg``, so the
+package runs on numpy's own LAPACK and BLAS thread pool. All functions
+here are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatchError, NotSymmetricError, RankDeficientError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    NotSymmetricError,
+    RankDeficientError,
+)
 
 Mat = NDArray[np.float64]
 
@@ -24,7 +30,7 @@ def as_matrix(value, name: str = "matrix") -> Mat:
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 
 
@@ -55,7 +61,9 @@ def lls_solve(inputs: Mat, targets: Mat) -> Mat:
         raise RankDeficientError(
             f"design matrix is rank deficient (min |R_jj| = {diag.min():.3e})"
         )
-    coeffs_t = solve_triangular(r_fac, q_fac.T @ y)  # p x q
+    # R is upper triangular with no zero on its diagonal (the rank test),
+    # so partial pivoting swaps no rows and this is the triangular solve
+    coeffs_t = np.linalg.solve(r_fac, q_fac.T @ y)  # p x q
     return np.ascontiguousarray(coeffs_t.T)
 
 

@@ -110,7 +110,10 @@ def _soft_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float) -> list[tuple[int, int]]:
     """(column, row) start pairs by elimination in column order; a pivot must
-    exceed PIVOT_TOL times its column's largest entry in a, or the column gets no row."""
+    exceed PIVOT_TOL times its column's largest entry in a, or the column gets no row,
+    as every column does when a has no rows."""
+    if not a.shape[0]:
+        return []
     work = a.T.copy()  # one row per column of a, so each step reads contiguous memory
     least = PIVOT_TOL * np.abs(work).max(axis=1, initial=0.0)  # read off a, before elimination leaves rounding
     with_data = np.abs(rhs) > 1e-6 * rhs_scale

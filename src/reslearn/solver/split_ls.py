@@ -33,7 +33,8 @@ that on shared instances through the assembled KKT conditions and against
 an external bounded-variable least-squares solve of [F | I].
 
 The batched interface solves one column per right-hand side. The columns
-share the design factorization used for warm starts, the KKT tolerance
+share the warm start's Cholesky factor of the ridged Gram matrix (numpy's
+LAPACK, like every other dense solve in the package), the KKT tolerance
 (relative to the largest entry of F^T t, with no absolute floor, so a
 rescaled problem takes the same steps) and the Newton loop: every column
 still running takes its iteration in the same pass, and a column leaves
@@ -52,9 +53,9 @@ backtracking round for the columns whose step is still pending.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import SolverFailedError
+from ..numerics import as_matrix
 
 NEWTON_BUDGET = 200
 ARMIJO_SLOPE = 1e-4
@@ -211,31 +212,36 @@ def solve_separable_ls(
     Returns (coeffs (p x k), nonneg (n x k), info). ``coeffs`` stacks the
     free-block solutions u_j as columns; ``nonneg`` holds the eliminated
     slacks max(t_j - F u_j, 0), which satisfy their sign constraint and
-    complementarity exactly by construction. Raises SolverFailedError when
-    some column's Newton iteration ends without meeting the KKT tolerance.
+    complementarity exactly by construction. Raises NonFiniteError on a NaN
+    or infinite entry, and SolverFailedError when the ridged Gram matrix is
+    not positive definite or some column's Newton iteration ends without
+    meeting the KKT tolerance.
 
     ``back_weight`` is the tie-break strength. Callers that must stay
     essentially on the constraint surface keep the default; callers whose
     downstream correction prefers a landing point deeper toward the
     least-squares fit may raise it.
     """
-    f = np.asarray(design, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t.reshape(-1, 1)
+    f = as_matrix(design, "design")
+    t = as_matrix(targets, "targets")
     n, p = f.shape
     k = t.shape[1]
     gram = f.T @ f
     ridge = 1e-13 * max(np.trace(gram) / max(p, 1), 1e-300)
-    factor = cho_factor(gram + ridge * np.eye(p), lower=True)
+    try:
+        chol = np.linalg.cholesky(gram + ridge * np.eye(p))
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailedError(f"ridged Gram matrix of the design: {exc}") from exc
     ell = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
 
     grad0 = f.T @ t
     tol = 1e-10 * float(np.abs(grad0).max(initial=0.0))
 
     # plain least-squares fits make good warm starts: the residual is already
-    # balanced around zero, so the initial active set is close to final
-    warm = cho_solve(factor, grad0)
+    # balanced around zero, so the initial active set is close to final. The
+    # solves go through the factor, whose entries scale like F rather than
+    # F^T F: an all-zero design's subnormal ridge still leaves them finite.
+    warm = np.linalg.solve(chol.T, np.linalg.solve(chol, grad0))
     u_rows, used, ok = _newton_lockstep(
         f, t.T, warm.T, ell, tol, NEWTON_BUDGET, back_weight
     )

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import DimensionMismatchError
+from ..errors import DimensionMismatchError, NonFiniteError
 from ..numerics import Mat, as_matrix, is_psd
 
 
@@ -45,7 +45,7 @@ class SolveStatus(str, Enum):
 def _as_vector(value, name: str, length: int | None = None) -> np.ndarray:
     vec = np.asarray(value, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     if length is not None and vec.shape[0] != length:
         raise DimensionMismatchError(f"{name} has length {vec.shape[0]}, expected {length}")
     return vec

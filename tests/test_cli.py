@@ -253,14 +253,16 @@ class TestExperiment:
         assert seen == [0.5, 0.25]
 
     def test_jobs_reach_the_pool_and_keep_the_ledger(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
         pools = []
-        real_pool = evaluation.ProcessPoolExecutor
+        real_pool = concurrent.futures.ProcessPoolExecutor
 
         def recording_pool(*args, **kwargs):
             pools.append(kwargs["max_workers"])
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         ledgers = {}
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
