@@ -138,7 +138,10 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
     that every batch views, every intermediate lives in a buffer reused
     through ``out=`` (``np.dot`` makes the same BLAS product as ``@`` here,
     at less call cost), and (A, B) are views into one parameter block
-    updated in place.
+    updated in place. The batch residuals are views into one epoch-sized
+    buffer, squared and summed once after the epoch: one row-wise
+    reduction over the full batches, each row a batch's contiguous
+    residuals, adds them in the order a per-batch sum would.
     """
     cfg = cfg or SgdConfig()
     xs, ys = samples.xs, samples.ys
@@ -156,17 +159,22 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
     grad_a, grad_b = grads[:d], grads[d:]
 
     # The epoch's shuffle is gathered into xs_epoch / ys_epoch; each batch
-    # is a fixed view of those and of per-step scratch (pre, inner, d_pre,
-    # mask, resid, squares), so a step allocates nothing.
+    # is a fixed view of those, of the epoch's residuals and of per-step
+    # scratch (pre, inner, d_pre, mask), so a step allocates nothing.
     xs_epoch, ys_epoch = np.empty_like(xs), np.empty_like(ys)
-    scratch = [np.empty((bs_max, d)) for _ in range(4)] + [np.empty((bs_max, m)) for _ in range(2)]
+    resid_epoch, sq_epoch = np.empty_like(ys), np.empty_like(ys)
+    scratch = [np.empty((bs_max, d)) for _ in range(4)]
     batches = []
-    for i, start in enumerate(range(0, n, bs_max)):
+    for start in range(0, n, bs_max):
         stop = min(start + bs_max, n)
         views = [buf[: stop - start] for buf in scratch]
-        batches.append((i, float(stop - start), xs_epoch[start:stop], ys_epoch[start:stop], *views))
-    sizes = np.array([batch[1] for batch in batches])
+        batches.append((float(stop - start), xs_epoch[start:stop], ys_epoch[start:stop],
+                        resid_epoch[start:stop], *views))
+    sizes = np.array([batch[0] for batch in batches])
     sums = np.empty(len(batches))
+    full = n // bs_max
+    sq_full = sq_epoch[: full * bs_max].reshape(full, bs_max * m)
+    sq_short = sq_epoch[full * bs_max :]
     a_t, b_t = a.T, b.T
 
     trace = np.zeros((cfg.epochs, 3))
@@ -179,14 +187,12 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
             order = rng.permutation(n)
             np.take(xs, order, axis=0, out=xs_epoch)
             np.take(ys, order, axis=0, out=ys_epoch)
-            for i, size, xb, yb, pre, inner, d_pre, mask, resid, sq in batches:
+            for size, xb, yb, resid, pre, inner, d_pre, mask in batches:
                 np.dot(xb, a_t, out=pre)
                 np.maximum(pre, 0.0, out=inner)
                 inner += xb
                 np.dot(inner, b_t, out=resid)
                 resid -= yb
-                np.multiply(resid, resid, out=sq)
-                sums[i] = np.add.reduce(sq, axis=None)
                 np.dot(resid.T, inner, out=grad_b)
                 # the ReLU mask as 1.0 / 0.0, the same factor a bool mask
                 # is cast to when it multiplies a float array
@@ -197,6 +203,10 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
                 grads /= size
                 grads *= eta
                 params -= grads
+            np.multiply(resid_epoch, resid_epoch, out=sq_epoch)
+            np.add.reduce(sq_full, axis=1, out=sums[:full])
+            if sq_short.size:
+                sums[full] = np.add.reduce(sq_short, axis=None)
             mean_loss = float(np.mean(0.5 * sums / sizes))
             trace[epoch] = (epoch, mean_loss, eta)
             if initial_loss is None:

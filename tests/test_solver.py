@@ -809,6 +809,22 @@ class TestSeparableLs:
         with pytest.raises(NonFiniteError, match=f"{where} contains non-finite"):
             solve_separable_ls(f, t)
 
+    def test_gram_overflow_raises_at_once(self):
+        # finite entries whose Gram matrix overflows: the factor would be NaN
+        # without a LinAlgError, and the Newton loop would spend its budget
+        from reslearn.errors import SolverFailedError
+
+        with pytest.raises(SolverFailedError, match="overflows"):
+            solve_separable_ls(np.full((5, 2), 1e200), np.ones((5, 1)))
+        with pytest.raises(SolverFailedError, match="overflows"):
+            solve_separable_ls(rng(16).normal(size=(5, 2)), np.full((5, 1), 1e308))
+
+    @pytest.mark.parametrize("schedule", [(), (1e-6, 1e-3), (1e-6, 1e-6)])
+    def test_schedule_must_decrease(self, schedule):
+        g = rng(17)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            solve_separable_ls(g.normal(size=(10, 2)), g.normal(size=(10, 1)), back_weight=schedule)
+
     def test_info_reports_tolerance_and_iterations(self):
         g = rng(9)
         f = g.normal(size=(10, 2))
@@ -837,7 +853,7 @@ class TestLockstepNewton:
         gram = f.T @ f
         warm = np.linalg.solve(gram, f.T @ t)
         ell = float(np.linalg.eigvalsh(gram)[-1])
-        tol = 1e-10 * float(np.abs(f.T @ t).max())
+        tol = split_ls.KKT_TOL * float(np.abs(f.T @ t).max())
         return np.ascontiguousarray(t.T), warm.T, ell, tol
 
     # The layer-1 design at back weight 1e-10 is left out: no learner poses
@@ -852,12 +868,12 @@ class TestLockstepNewton:
         f, t = layer_design(layer)
         t_rows, warm, ell, tol = self.engine_inputs(f, t)
         budget = split_ls.NEWTON_BUDGET
-        u, its, ok = split_ls._newton_lockstep(f, t_rows, warm, ell, tol, budget, back_weight)
+        u, its, ok = split_ls._newton_lockstep(f, t_rows, warm, ell, tol, budget, (back_weight,))
         assert ok.all()
         assert len(set(its.tolist())) > 1  # columns leave the live set at different times
         for j in range(t.shape[1]):
             one, one_its, one_ok = split_ls._newton_lockstep(
-                f, t_rows[j : j + 1], warm[j : j + 1], ell, tol, budget, back_weight)
+                f, t_rows[j : j + 1], warm[j : j + 1], ell, tol, budget, (back_weight,))
             assert one_ok[0] and one_its[0] == its[j]
             np.testing.assert_allclose(u[j], one[0], rtol=0, atol=1e-12 * np.abs(one).max())
 
@@ -875,7 +891,7 @@ class TestLockstepNewton:
         for j in (2, 3):
             one, one_its, _ = split_ls._newton_lockstep(
                 f, t_rows[j : j + 1], warm[j : j + 1], ell, tol, split_ls.NEWTON_BUDGET,
-                split_ls.BACK_WEIGHT)
+                (split_ls.BACK_WEIGHT,))
             assert one_its[0] == its[j]
 
     def test_all_zero_targets_return_zero(self):
@@ -927,6 +943,75 @@ class TestLockstepNewton:
             tracemalloc.stop()
         # n p(p+1)/2 row products (0.56 MB) plus a few (k, n) working arrays
         assert peak < 2e6
+
+
+def soft_gate_design():
+    """(design, targets) of a layer-1 soft gate: hidden values from layer 2's
+    slack LP on sigma=0.1 samples at d=4, n=400, where the gate fires."""
+    from reslearn.layer2 import learn_layer2
+
+    unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=11))
+    s = sample(unit, standard_mixture(4), 400, 0.1, seed=12)
+    return s.xs, np.maximum(learn_layer2(s, "slack-lp").xi_hat, 0.0)
+
+
+class TestContinuation:
+    """A decreasing back-weight tuple solves one stage per weight, each
+    warm-started from the last, on one shared set-up and stop."""
+
+    SCHEDULE = (1e-3, 1e-6)
+
+    @pytest.mark.parametrize("instance", ["layer1", "soft gate"])
+    def test_schedule_lands_where_one_stage_does(self, instance):
+        f, t = layer_design("layer1") if instance == "layer1" else soft_gate_design()
+        staged, _, _ = solve_separable_ls(f, t, back_weight=self.SCHEDULE)
+        direct, _, _ = solve_separable_ls(f, t, back_weight=self.SCHEDULE[-1])
+        np.testing.assert_allclose(staged, direct, rtol=0, atol=1e-9 * np.abs(direct).max())
+
+    def test_iterations_sum_over_stages(self):
+        f, t = layer_design("layer1")
+        _, _, info = solve_separable_ls(f, t, back_weight=self.SCHEDULE)
+        t_rows, warm, ell, tol = TestLockstepNewton.engine_inputs(f, t)
+        budget = split_ls.NEWTON_BUDGET
+        u = warm
+        per_stage = []
+        for eps in self.SCHEDULE:
+            u, its, ok = split_ls._newton_lockstep(f, t_rows, u, ell, tol, budget, (eps,))
+            assert ok.all()
+            per_stage.append(its)
+        assert info["column_iterations"] == (per_stage[0] + per_stage[1]).tolist()
+        assert info["iterations"] == max(info["column_iterations"])
+        assert per_stage[0].min() >= 1 and per_stage[1].min() >= 1
+
+    @pytest.mark.parametrize("instance", ["layer1", "soft gate"])
+    def test_scales_exactly_by_powers_of_two(self, instance):
+        # as in TestLpScaleEquivariance: every tolerance is relative, so the
+        # stages take the same iterations and the points scale exactly
+        f, t = layer_design("layer1") if instance == "layer1" else soft_gate_design()
+        base, _, info = solve_separable_ls(f, t, back_weight=self.SCHEDULE)
+        _, _, first_info = solve_separable_ls(f, t, back_weight=self.SCHEDULE[:1])
+        for k in range(-20, 21):
+            s = 2.0 ** k
+            for design, scaled in ((f, s * base), (s * f, base)):
+                got, _, got_info = solve_separable_ls(design, s * t, back_weight=self.SCHEDULE)
+                assert got_info["column_iterations"] == info["column_iterations"], k
+                np.testing.assert_array_equal(got, scaled)
+                _, _, got_info = solve_separable_ls(design, s * t, back_weight=self.SCHEDULE[:1])
+                assert got_info["column_iterations"] == first_info["column_iterations"], k
+
+    @pytest.mark.parametrize("schedule", [1e-6, (1e-3, 1e-6), (1e-2, 1e-4, 1e-6)])
+    def test_row_products_built_once_per_call(self, monkeypatch, schedule):
+        f, t = layer_design("layer1")
+        calls = []
+        real = split_ls._row_products
+
+        def counting(design):
+            calls.append(design.shape)
+            return real(design)
+
+        monkeypatch.setattr(split_ls, "_row_products", counting)
+        solve_separable_ls(f, t, back_weight=schedule)
+        assert calls == [f.shape]
 
 
 class TestEliminatedAgainstAssembled:
