@@ -18,6 +18,13 @@ just special rows.
 The QP route solves all d rows as one batched eliminated program, since
 they share the design. Rows too rarely activated to support the regression
 are left at their raw scale and flagged.
+
+The LP route keeps the solver's default start, which prefers rows with
+data. Here those are the activated samples (h_j > 0), where the teacher's
+row satisfies a_j . x = h_j with equality, while along the segment of
+scaled rows every k < 1 leaves them slack, so the start lands on the
+teacher's row itself (k = 1). Unlike layer 2's orthant, these rows are
+plentiful: a row activates on about half the samples.
 """
 
 from __future__ import annotations

@@ -15,6 +15,18 @@ The QP route solves all d rows as one batched eliminated program (shared
 factorization); the LP routes run one small LP per row: m free
 coefficients against n rows, which ``solve_lp`` works on as a basis of at
 most m tight rows.
+
+Both LPs of a row start on the samples in the negative orthant, x <= 0.
+There A x <= 0 because A >= 0, so the ReLU is off, y = B x, and
+c_j . y = x_j holds with equality at the teacher for every row j: these are
+rows where the teacher's row program is tight. When they hold d linearly
+independent samples, the start is the teacher's row and the feasibility
+run takes no step, also where the feasible set is more than one point and
+another vertex would be a wrong answer that the constraints cannot rule
+out. A mixture input lands in the orthant with probability about 2^-d, so
+at n = 512 the orthant holds about 8 samples at d = 6, 2 at d = 8 and 0.5
+at d = 10: from d of about 8 it is all but empty, and the columns it does
+not fix take their rows as they would without it.
 """
 
 from __future__ import annotations
@@ -84,15 +96,16 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     c_hat = np.zeros((d, m))
     xi_hat = np.zeros((n, d))
     notes: list[str] = []
+    tight = np.all(xs <= 0, axis=1)  # the teacher's row is tight on these samples
     for j in range(d):
-        report = solve_lp(row_lp(design, targets[:, j]))
+        report = solve_lp(row_lp(design, targets[:, j]), prefer=tight)
         if slack and report.status is SolveStatus.INFEASIBLE:
             # Only an infeasible system leaves the slack program real work;
             # when the plain feasibility program closes every constraint the
             # slack optimum is exactly zero at that point, so the slack
             # solve, which would only walk to some other feasible vertex,
             # is skipped.
-            report = solve_lp(row_slack_lp(design, targets[:, j]))
+            report = solve_lp(row_slack_lp(design, targets[:, j]), prefer=tight)
         if report.status is not SolveStatus.OPTIMAL:
             raise SolverFailedError(
                 f"layer-2 LP for row {j} ended with status {report.status.value}: "

@@ -49,15 +49,21 @@ breakpoint, lowest-numbered on ties (Bland's rule for the LP with split
 residuals), which ends degenerate runs. An edge whose slope never turns is
 reported as an unbounded objective.
 
-Start: nonnegative columns sit at e_j . c = 0; the rest take rows by
-elimination with partial pivoting in column order, preferring rows with
+Start (a crash basis, as in Bixby, "Implementing the simplex method: the
+initial basis", ORSA J. Computing 1992): nonnegative columns sit at
+e_j . c = 0; the rest take rows by elimination with partial pivoting in
+column order. A caller that knows which rows are tight at the answer passes
+them as ``prefer``, and a usable one of them wins over any other row; when
+they fix every column the start is the answer and the method takes no step,
+whatever other vertices the feasible set has. Next come rows with
 |rhs| > 1e-6 of the largest, since near-zero rhs entries are often estimate
-slop; a column with no usable pivot left stays at 0. A zero objective
-becomes g = sum_T a_i (lam_T = 1), or keeps lam = 0 when rows are soft. A
-nonzero one pins each of its columns by sign(g_j) e_j . c >= -M (or
-e_j . c >= 0 when c_j >= 0 and g_j > 0) at lam = |g_j|, M = BOX |rhs|/|lhs|
-(|rhs| read as 1 when rhs = 0); a box row that keeps a multiplier means the
-objective is unbounded below. Every tolerance is relative to the data.
+slop, so an empty mask gives the same start as none. A column with no
+usable pivot left stays at 0. A zero objective becomes g = sum_T a_i
+(lam_T = 1), or keeps lam = 0 when rows are soft. A nonzero one pins each
+of its columns by sign(g_j) e_j . c >= -M (or e_j . c >= 0 when c_j >= 0
+and g_j > 0) at lam = |g_j|, M = BOX |rhs|/|lhs| (|rhs| read as 1 when
+rhs = 0); a box row that keeps a multiplier means the objective is
+unbounded below. Every tolerance is relative to the data.
 
 Cost: a step of either method factors its p x p basis once (the inverse
 gives the point, the multipliers and the step) and scans the n rows:
@@ -71,6 +77,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DimensionMismatchError
 from .types import LpProblem, SolveReport, SolveStatus
 
 FEAS_TOL = 1e-8  # feasibility tolerance, relative to |rhs|
@@ -108,23 +115,31 @@ def _soft_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return slack, weight, cand[unit]
 
 
-def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float) -> list[tuple[int, int]]:
+def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float,
+           prefer: np.ndarray | None = None) -> list[tuple[int, int]]:
     """(column, row) start pairs by elimination in column order; a pivot must
     exceed PIVOT_TOL times its column's largest entry in a, or the column gets no row,
-    as every column does when a has no rows."""
+    as every column does when a has no rows. A usable row in ``prefer`` wins
+    over any other, then a usable row with |rhs| > 1e-6 rhs_scale over one
+    without, then the larger pivot."""
     if not a.shape[0]:
         return []
     work = a.T.copy()  # one row per column of a, so each step reads contiguous memory
     least = PIVOT_TOL * np.abs(work).max(axis=1, initial=0.0)  # read off a, before elimination leaves rounding
-    with_data = np.abs(rhs) > 1e-6 * rhs_scale
+    tiers = [np.abs(rhs) > 1e-6 * rhs_scale]  # rows with data
+    if prefer is not None:
+        tiers.insert(0, prefer)
     chosen = []  # a chosen row is exactly 0 in later columns (y - (x / x) y), so never usable again
     for q, column in enumerate(work):
         magnitude = np.abs(column)
         row = int(magnitude.argmax())
         if not magnitude[row] > least[q]:
             continue
-        preferred = int((magnitude * with_data).argmax())  # usable rows with data first
-        row = preferred if magnitude[preferred] > least[q] and with_data[preferred] else row
+        for tier in tiers:  # the largest usable pivot of the first tier that has one
+            preferred = int((magnitude * tier).argmax())
+            if magnitude[preferred] > least[q] and tier[preferred]:
+                row = preferred
+                break
         chosen.append((q, row))
         work[q + 1 :] -= work[q + 1 :, row, None] * (column / column[row])
     return chosen
@@ -238,10 +253,17 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
     return lam
 
 
-def solve_lp(problem: LpProblem) -> SolveReport:
+def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveReport:
     """Dual active-set solve, or the primal descent when every data row is
-    soft; see the module docstring."""
+    soft; see the module docstring. ``prefer``, a boolean mask over the
+    inequality rows, names the rows the start tries first: rows expected
+    to be tight at the answer."""
     lhs, rhs, cost = problem.ineq_lhs, problem.ineq_rhs, problem.objective
+    if prefer is not None:
+        prefer = np.asarray(prefer, dtype=bool)
+        if prefer.shape != (problem.n_rows,):
+            raise DimensionMismatchError(
+                f"prefer has shape {prefer.shape}, expected ({problem.n_rows},)")
     rhs_scale = float(np.abs(rhs).max())
     slack, weight, units = _soft_rows(problem)
     kept = np.delete(np.arange(problem.n_vars), units)
@@ -257,7 +279,8 @@ def solve_lp(problem: LpProblem) -> SolveReport:
     # the crash gives the other columns rows, and columns it skips stay at 0
     pinned = boxed | nonneg
     loose = np.flatnonzero(~pinned)
-    crash = np.array(_crash(a[:, loose], b, rhs_scale), dtype=np.int64).reshape(-1, 2)
+    crash = np.array(_crash(a[:, loose], b, rhs_scale, None if prefer is None else prefer[used]),
+                     dtype=np.int64).reshape(-1, 2)
     cols, basis, rows = loose[crash[:, 0]], crash[:, 1], a
     if pinned.any():  # unit rows below the data rows: e_j . c >= 0, then the box rows
         unit = np.eye(kept.size)

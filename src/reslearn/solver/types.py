@@ -52,13 +52,13 @@ def _as_vector(value, name: str, length: int | None = None) -> np.ndarray:
 
 
 def _check_indices(indices, n_vars: int, name: str) -> tuple[int, ...]:
-    out = tuple(int(i) for i in indices)
-    for i in out:
-        if not 0 <= i < n_vars:
-            raise ValueError(f"{name} index {i} out of range for {n_vars} variables")
-    if len(set(out)) != len(out):
+    index = np.fromiter(indices, dtype=np.int64)
+    outside = (index < 0) | (index >= n_vars)
+    if outside.any():
+        raise ValueError(f"{name} index {index[outside][0]} out of range for {n_vars} variables")
+    if index.size and np.bincount(index).max() > 1:
         raise ValueError(f"{name} contains duplicate indices")
-    return out
+    return tuple(index.tolist())
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ coordinate sweep of the feasible polytope must collapse to a point. The
 sweep uses an external LP routine so that the filter is independent of the
 solvers under test.
 
-Measured wall time for this file is about 65 s on a 2-core x86_64 machine
+Measured wall time for this file is about 34 s on a 2-core x86_64 machine
 (numpy 2.4 with OpenBLAS at 2 threads); the d=16 table (criterion 2) takes
-about 40 s, the noise-robustness trend (criterion 6) about 17 s, and the
-solver suite (criterion 8) under a second.
+about 19 s, the noise-robustness trend (criterion 6) about 7 s, the qp/lp
+agreement (criterion 5) about 4 s, and the solver suite (criterion 8) under
+a second.
 """
 
 import time

@@ -28,9 +28,13 @@ WORKLOADS = ("lp-clean", "slack-sweep", "qp-sgd")
 
 # Per-trial counts each workload must report. d = 4 gives one LP per row
 # and layer; slack-sweep runs a clean and a noisy leg, and its noisy layer-2
-# rows add a slack LP after each infeasible feasibility LP.
+# rows add a slack LP after each infeasible feasibility LP. On clean d = 4
+# samples the negative orthant holds d independent inputs, where every
+# layer-2 row is tight at the teacher, so the layer-2 LPs start there and
+# take no step.
 EXPECTED_COUNTS = {
-    "lp-clean": {"layer2.lp_calls": lambda v: v == 4, "layer1.lp_calls": lambda v: v == 4},
+    "lp-clean": {"layer2.lp_calls": lambda v: v == 4, "layer1.lp_calls": lambda v: v == 4,
+                 "layer2.lp_pivots": lambda v: v == 0},
     "slack-sweep": {"layer1.lp_calls": lambda v: v == 8, "layer2.lp_calls": lambda v: v >= 8},
     "qp-sgd": {
         "layer2.newton_iters": lambda v: v > 0,

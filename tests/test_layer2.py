@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reslearn import layer2
 from reslearn.errors import DimensionMismatchError, ReslearnError
+from reslearn.evaluation import full_pipeline, relative_errors, run_trial
 from reslearn.layer2 import (
     learn_layer2,
     recover_b_general,
@@ -11,12 +14,14 @@ from reslearn.layer2 import (
 from reslearn.model import (
     NetworkGenSpec,
     ResidualUnit,
+    SampleSet,
+    derive_seed,
     generate_unit,
     sample,
     standard_mixture,
 )
 from reslearn.numerics import is_psd
-from reslearn.solver import row_lp, row_qp, row_slack_lp
+from reslearn.solver import row_lp, row_qp, row_slack_lp, solve_lp
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 B_REF = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -104,6 +109,60 @@ class TestNoiselessRecovery:
         est = learn_layer2(s, method="qp")
         assert est.b_hat.shape == (3, 2)
         np.testing.assert_allclose(est.b_hat, b_tall, atol=1e-5)
+
+
+class TestOrthantStart:
+    # A >= 0, so on a sample with x <= 0 the ReLU is off, y = B x, and every
+    # row program C y >= x_j is tight at the teacher. The LPs start on those
+    # rows; with d independent ones the start is the teacher's row, also
+    # where the feasible set is larger than one point.
+
+    # lp-clean benchmark trials (seed, trial) on which a start that ignored
+    # the orthant returned another vertex of a set that is not a point
+    FORMERLY_WRONG = ((302, 88), (302, 456), (303, 510), (304, 366), (304, 441),
+                      (305, 84), (306, 178), (308, 111), (310, 254))
+
+    @pytest.mark.parametrize("seed,trial", FORMERLY_WRONG)
+    def test_formerly_wrong_vertices_return_the_teacher(self, seed, trial):
+        unit = generate_unit(NetworkGenSpec(
+            d=4, m=4, seed=derive_seed(seed, "lp-clean", "teacher", trial)))
+        rep = run_trial(unit, 400, 0.0, "lp", derive_seed(seed, "lp-clean", "train", trial))
+        for field in ("layer1_rel", "layer2_rel", "output_rel"):
+            assert getattr(rep, field) <= 1e-9, field
+
+    @given(d=st.integers(2, 5), teacher=st.integers(0, 2**31 - 1),
+           train=st.integers(0, 2**31 - 1), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_start_is_the_teacher_under_permutation_and_scaling(self, d, teacher, train, data):
+        unit = generate_unit(NetworkGenSpec(d=d, m=d, seed=teacher))
+        s = sample(unit, standard_mixture(d), 400, 0.0, seed=train)
+        test = sample(unit, standard_mixture(d), 200, 0.0, seed=train + 1)
+        orthant = np.all(s.xs <= 0, axis=1)
+        assume(orthant.sum() >= d and np.linalg.matrix_rank(s.xs[orthant]) == d)
+        # x -> D P x keeps y: A -> M A M^-1 (still >= 0), B -> B M^-1, M = D P
+        order = np.array(data.draw(st.permutations(range(d))))
+        scales = 10.0 ** np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        m = scales[:, None] * np.eye(d)[order]
+        m_inv = np.linalg.inv(m)
+        moved = ResidualUnit(a=m @ unit.a @ m_inv, b=unit.b @ m_inv)
+        for u, train_set, test_set in (
+            (unit, s, test),
+            (moved, SampleSet(xs=s.xs @ m.T, ys=s.ys), SampleSet(xs=test.xs @ m.T, ys=test.ys)),
+        ):
+            steps = []
+
+            def recording(problem, prefer=None):
+                rep = solve_lp(problem, prefer)
+                steps.append(rep.iterations)
+                return rep
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(layer2, "solve_lp", recording)
+                est1, est2 = full_pipeline(train_set, "lp")
+            assert steps == [0] * d
+            rep = relative_errors(est1.a_hat, est2.b_hat, u, test_set)
+            for field in ("layer1_rel", "layer2_rel", "output_rel"):
+                assert getattr(rep, field) <= 1e-9, field
 
 
 class TestScaleRows:

@@ -15,7 +15,7 @@ from reslearn.solver import (
     row_slack_lp,
     solve_lp,
 )
-from reslearn.solver import simplex, split_ls
+from reslearn.solver import simplex, split_ls, types
 from reslearn.solver.split_ls import solve_separable_ls
 
 
@@ -46,6 +46,37 @@ class TestProblemTypes:
             LpProblem(objective=[1.0, 2.0], ineq_lhs=np.eye(3), ineq_rhs=np.zeros(3))
         with pytest.raises(DimensionMismatchError):
             LpProblem(objective=[1.0, 2.0], ineq_lhs=np.eye(2), ineq_rhs=np.zeros(3))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_index_check_matches_loop_reference(self, seed):
+        # the index check runs on numpy; the reference is its former loop,
+        # which the error messages and the returned tuple must match
+        def reference(indices, n_vars, name):
+            out = tuple(int(i) for i in indices)
+            for i in out:
+                if not 0 <= i < n_vars:
+                    raise ValueError(f"{name} index {i} out of range for {n_vars} variables")
+            if len(set(out)) != len(out):
+                raise ValueError(f"{name} contains duplicate indices")
+            return out
+
+        def outcome(check, indices, n_vars):
+            try:
+                return check(indices, n_vars, "nonneg_vars")
+            except ValueError as exc:
+                return str(exc)
+
+        g = rng(seed)
+        n_vars = int(g.integers(0, 12))
+        indices = g.integers(-2, n_vars + 3, size=int(g.integers(0, 10)))
+        if g.random() < 0.5:
+            indices = tuple(int(i) for i in indices)
+        want = outcome(reference, indices, n_vars)
+        got = outcome(types._check_indices, indices, n_vars)
+        assert got == want
+        if isinstance(want, tuple):
+            assert all(type(i) is int for i in got)
 
     def test_lp_max_violation(self):
         prob = LpProblem(objective=[0.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0], nonneg_vars=(0,))
@@ -315,23 +346,35 @@ class TestSimplexOnLayerPrograms:
         assert rep.iterations == 0
         assert_point_close(rep.point, unit.a[0], "layer-1 feasibility")
 
+    def test_prefer_mask_must_match_the_rows(self):
+        from reslearn.errors import DimensionMismatchError
+
+        prob = row_lp(np.eye(3), np.ones(3))
+        for prefer in (np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool)):
+            with pytest.raises(DimensionMismatchError):
+                solve_lp(prob, prefer)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_crash_matches_loop_reference(self, seed):
         # The start's elimination reads each column as a contiguous row and
         # keeps no open-row mask; the reference is its former loop, with the
-        # pivot tolerance relative to the column's largest entry in a.
-        def reference(a, rhs, rhs_scale):
+        # pivot tolerance relative to the column's largest entry in a, and
+        # the masked rows preferred over rows with data, and those over the rest.
+        def reference(a, rhs, rhs_scale, prefer):
             work = a.copy()
             open_rows = np.ones(a.shape[0], dtype=bool)
             with_data = np.abs(rhs) > 1e-6 * rhs_scale
+            if prefer is None:
+                prefer = np.zeros(a.shape[0], dtype=bool)
             least = simplex.PIVOT_TOL * np.abs(a).max(axis=0, initial=0.0)
             chosen = []
             for q in range(a.shape[1]):
                 column = work[:, q]
                 magnitude = np.abs(column)
                 usable = open_rows & (magnitude > least[q])
-                pool = usable & with_data if (usable & with_data).any() else usable
+                pool = usable & prefer if (usable & prefer).any() else usable & with_data
+                pool = pool if pool.any() else usable
                 if pool.any():
                     row = int(np.argmax(np.where(pool, magnitude, -1.0)))
                     chosen.append((q, row))
@@ -352,7 +395,10 @@ class TestSimplexOnLayerPrograms:
         rhs[g.random(n) < 0.3] *= 1e-7  # below 1e-6 of the largest
         rhs[g.random(n) < 0.2] = 0.0
         rhs_scale = float(np.abs(rhs).max(initial=0.0))
-        assert simplex._crash(a, rhs, rhs_scale) == reference(a, rhs, rhs_scale)
+        prefer = (None, np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                  g.random(n) < 0.3)[int(g.integers(0, 4))]
+        assert (simplex._crash(a, rhs, rhs_scale, prefer)
+                == reference(a, rhs, rhs_scale, prefer))
 
 
 class TestSoftRowDescent:
@@ -517,9 +563,9 @@ def record_lp_path(run):
         return wrapper
 
     def recording(layer):
-        def wrapper(problem):
+        def wrapper(problem, prefer=None):
             before = factored[0]
-            rep = solve_lp(problem)
+            rep = solve_lp(problem, prefer)
             calls.append((layer, rep.status.value, rep.iterations, factored[0] - before))
             return rep
         return wrapper
@@ -536,7 +582,7 @@ def record_lp_path(run):
 def lp_path_runs():
     """Benchmark-shape LP work by name: the lp-clean and slack-sweep layer
     programs at d=4, n=400 (pipeline runs), and layer-2 row LPs at d=10 and
-    d=16, n=512."""
+    d=16, n=512, with the orthant mask layer 2 passes."""
     from reslearn import layer2
     from reslearn.evaluation import full_pipeline
 
@@ -548,8 +594,9 @@ def lp_path_runs():
     def layer2_rows(d, seed):
         unit = generate_unit(NetworkGenSpec(d=d, m=d, seed=seed))
         s = sample(unit, standard_mixture(d), 512, 0.0, seed=seed + 1)
+        tight = np.all(s.xs <= 0, axis=1)
         for j in range(d):
-            layer2.solve_lp(row_lp(-s.ys, -s.xs[:, j]))
+            layer2.solve_lp(row_lp(-s.ys, -s.xs[:, j]), prefer=tight)
 
     return {
         "lp-clean": lambda: [pipeline(seed, (0.0,), "lp") for seed in (1, 2)],
@@ -565,10 +612,10 @@ class TestLpPath:
     # how the engine factors a basis must move no vertex and no step. Each
     # call factors one p x p basis per step, plus one for the start.
     PATH = {
-        "lp-clean": "2o6 2o6 2o2 2o7 1o0 1o0 1o0 1o0 2o3 2o4 2o4 2o4 1o0 1o0 1o0 1o0",
-        "slack-sweep": "2o6 2o6 2o4 2o5 1o0 1o0 1o0 1o0 2i5 2o14 2i5 2o15 2i5 2o15 2i5 2o11 "
+        "lp-clean": "2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0 2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0",
+        "slack-sweep": "2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0 2i4 2o15 2i4 2o11 2i3 2o7 2i5 2o12 "
                        "1o7 1o4 1o6 1o5",
-        "layer-2 d=10": "2o16 2o26 2o26 2o16 2o8 2o24 2o18 2o27 2o17 2o15",
+        "layer-2 d=10": "2o11 2o31 2o17 2o21 2o18 2o20 2o23 2o18 2o17 2o15",
         "layer-2 d=16": "2o33 2o49 2o26 2o29 2o34 2o35 2o25 2o34 2o37 2o33 2o33 2o35 2o26 2o28 "
                         "2o43 2o32",
     }
