@@ -21,6 +21,7 @@ from .errors import (
     DegenerateRowError,
     DimensionMismatchError,
     GenerationFailedError,
+    LpShapeError,
     NonFiniteError,
     RankDeficientError,
     ReslearnError,
@@ -33,7 +34,6 @@ from .evaluation import (
     TrialRow,
     full_pipeline,
     relative_errors,
-    run_grid,
     run_success_rates,
     run_trial,
 )
@@ -80,6 +80,7 @@ __all__ = [
     "Layer1Estimate",
     "Layer2Estimate",
     "LpProblem",
+    "LpShapeError",
     "NetworkGenSpec",
     "NonFiniteError",
     "QpProblem",
@@ -106,7 +107,6 @@ __all__ = [
     "load_samples_csv",
     "load_unit_json",
     "relative_errors",
-    "run_grid",
     "run_success_rates",
     "run_trial",
     "sample",

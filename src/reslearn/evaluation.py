@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -217,16 +217,7 @@ def run_trial(
     test = sample(unit, dist, test_set_size, 0.0, seed=derive_seed(seed, "test"))
     est_a, est_b, _ = fit_method(train, method, seed, eps_tol)
     report = relative_errors(est_a, est_b, unit, test, method=method)
-    return ErrorReport(
-        layer1_rel=report.layer1_rel,
-        layer2_rel=report.layer2_rel,
-        output_rel=report.output_rel,
-        n=n,
-        d=unit.d,
-        seed=seed,
-        method=method,
-        noise_sigma=noise_sigma,
-    )
+    return replace(report, n=n, seed=seed, noise_sigma=noise_sigma)
 
 
 # --- grids ---------------------------------------------------------------
@@ -288,9 +279,12 @@ def _grid_tasks(grid: TrialGrid) -> list[tuple]:
 def run_grids(grids, jobs: int = 1) -> Iterator[list[TrialRow]]:
     """Each grid's rows in turn, yielded as soon as that grid's trials finish.
 
-    ``jobs`` > 1 starts one process pool for all the grids and queues every
-    trial up front, so workers stay busy across grid boundaries while the
-    rows still come back grid by grid in deterministic cell order.
+    Failures come back as rows with status "failed" rather than stopping
+    the sweep, and the rows are the same for any ``jobs``, since every trial
+    is seeded by content. ``jobs`` > 1 starts one process pool for all the
+    grids and queues every trial up front, so workers stay busy across grid
+    boundaries while the rows still come back grid by grid in deterministic
+    cell order.
     """
     if jobs <= 1:
         for grid in grids:
@@ -310,17 +304,6 @@ def run_grids(grids, jobs: int = 1) -> Iterator[list[TrialRow]]:
             yield [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def run_grid(grid: TrialGrid, jobs: int = 1) -> list[TrialRow]:
-    """All trials of the grid, in deterministic cell order.
-
-    Failures come back as rows with status "failed" rather than stopping
-    the sweep. ``jobs`` > 1 distributes trials over processes; results are
-    identical either way because every trial is seeded by content.
-    """
-    [rows] = run_grids([grid], jobs)
-    return rows
 
 
 def aggregate_rows(rows: list[TrialRow]) -> list[dict]:

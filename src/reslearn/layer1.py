@@ -46,8 +46,9 @@ from .solver.split_ls import solve_separable_ls
 class HiddenSampleSet:
     """Inputs paired with (estimated) hidden ReLU outputs, both n x d.
 
-    The hidden values may carry small negative solver slack when they come
-    from an upstream estimate rather than the exact forward map.
+    The hidden values may carry negative solver slack, up to 1e-6 of their
+    largest magnitude, when they come from an upstream estimate rather than
+    the exact forward map.
     """
 
     xs: Mat
@@ -60,7 +61,7 @@ class HiddenSampleSet:
             raise DimensionMismatchError(
                 f"xs is {self.xs.shape} but hs is {self.hs.shape}; both must be n x d"
             )
-        if self.hs.min(initial=0.0) < -1e-6:
+        if self.hs.min(initial=0.0) < -1e-6 * np.abs(self.hs).max(initial=0.0):
             raise ValueError(
                 f"hidden outputs should be nonnegative up to slack, min={self.hs.min():.3e}"
             )

@@ -66,8 +66,8 @@ class ResidualUnit:
     """Weight pair (a: d x d, b: m x d) of a residual unit.
 
     Invariants enforced at construction: entries of ``a`` nonnegative (a
-    tiny negative tolerance admits learned estimates), both layers full
-    rank, and m >= d.
+    negative tolerance of 1e-6 of its largest magnitude admits learned
+    estimates), both layers full rank, and m >= d.
     """
 
     a: Mat
@@ -89,7 +89,7 @@ class ResidualUnit:
             raise DimensionMismatchError(
                 f"b must have at least {d} rows, got {b.shape[0]}"
             )
-        if a.min() < -1e-6:
+        if a.min() < -1e-6 * np.abs(a).max():
             raise ValueError(f"layer-1 weights must be nonnegative, min={a.min():.3e}")
         # Rank deficiency is only a warning: generated teachers are always
         # full rank (generate_unit rejects), but hand-built degenerate units

@@ -2,10 +2,10 @@
 
 Both layers pose one row program over a design F and a target column t,
 built by ``row_qp``, ``row_lp`` and ``row_slack_lp``. ``simplex.solve_lp``
-works over a basis of at most p tight rows, with soft rows for the slack
-columns: a bounded dual active-set method with Farkas certificates when a
-data row is hard (the feasibility runs of both LP routes), and a long-step
-primal descent when all are soft (the slack LPs).
+takes the two LP shapes those pose and works over a basis of at most p
+tight rows: a dual active-set method with Farkas certificates on hard-row
+LPs (the feasibility runs of both LP routes), and a long-step primal
+descent on slack LPs, whose slack columns make every row soft.
 ``split_ls.solve_separable_ls`` solves the QP route's eliminated
 least-squares form by semismooth Newton; ``row_qp`` assembles the PSD QP
 against whose KKT conditions the eliminated solutions are checked.

@@ -4,8 +4,9 @@ Conventions used throughout the solver package:
 
 * ``LpProblem`` encodes  min objective . v  subject to  ineq_lhs @ v >= ineq_rhs,
   with the variables listed in ``nonneg_vars`` additionally constrained >= 0
-  and all remaining variables free. An all-zero objective turns solve_lp into
-  a pure feasibility run.
+  and all remaining variables free. ``solve_lp`` takes two shapes of it: a
+  hard-row LP, with no nonnegative variables (an all-zero objective makes
+  it a pure feasibility run), and a slack LP, as ``row_slack_lp`` builds.
 * ``QpProblem`` encodes  min 1/2 v' H v + q . v  subject to v_i >= 0 for the
   indices in ``nonneg_vars``; there are no general linear constraints because
   the layer programs only ever bound the slack block.
@@ -180,9 +181,8 @@ class SolveReport:
     """Outcome of one LP solve.
 
     ``iterations`` counts the steps of the method that ran (see
-    ``simplex``). For an LP with a hard data row that is the dual method:
-    row swaps in the tight-row basis plus bound flips of soft-row
-    multipliers. For one whose data rows are all soft it is the primal
+    ``simplex``). For a hard-row LP that is the dual method: one row swap
+    in the tight-row basis per step. For a slack LP it is the primal
     descent: one per edge, however many breakpoints the edge passes.
     ``dual`` carries the multipliers of the inequality rows (set on optimal
     runs; all zero for a zero-objective feasibility run): lam_T on the

@@ -16,7 +16,7 @@ from reslearn.evaluation import (
     full_pipeline,
     make_input_dist,
     relative_errors,
-    run_grid,
+    run_grids,
     run_success_rates,
     run_trial,
     save_rows_csv,
@@ -227,7 +227,7 @@ class TestRunGrid:
             input_kind="gaussian",
             test_set_size=100,
         )
-        rows = run_grid(grid)
+        [rows] = run_grids([grid])
         assert [(r.method, r.trial) for r in rows] == [
             ("lp", 0), ("lp", 1), ("vanilla-lr", 0), ("vanilla-lr", 1)
         ]
@@ -241,7 +241,7 @@ class TestRunGrid:
             base_seed=6,
             test_set_size=100,
         )
-        assert run_grid(grid) == run_grid(grid, jobs=2)
+        assert list(run_grids([grid])) == list(run_grids([grid], jobs=2))
 
     def test_failures_become_rows(self):
         grid = TrialGrid(
@@ -253,7 +253,7 @@ class TestRunGrid:
             input_kind="gaussian",
             test_set_size=100,
         )
-        rows = run_grid(grid)
+        [rows] = run_grids([grid])
         assert len(rows) == 3
         for row in rows:
             assert row.status == "failed"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reslearn import layer1
 from reslearn.errors import DegenerateRowError, DimensionMismatchError
@@ -33,8 +35,24 @@ class TestHiddenSampleSet:
             HiddenSampleSet(xs=np.zeros((5, 2)), hs=np.zeros((5, 3)))
 
     def test_small_slack_tolerated(self):
-        s = HiddenSampleSet(xs=np.zeros((5, 2)), hs=np.full((5, 2), -1e-9))
+        # slack is small relative to the outputs: an all-negative set is not
+        hs = np.ones((5, 2))
+        hs[:, 0] = -1e-9
+        s = HiddenSampleSet(xs=np.zeros((5, 2)), hs=hs)
         assert s.n == 5 and s.d == 2
+
+    @given(st.floats(1e-6, 1e6), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_slack_verdict_is_scale_free(self, s, small):
+        # the bound is 1e-6 of the largest output, so scaling every hidden
+        # value by s > 0 keeps the verdict
+        hs = np.ones((5, 2))
+        hs[0, 0] = -1e-7 if small else -1e-5
+        if small:
+            HiddenSampleSet(xs=np.zeros((5, 2)), hs=s * hs)
+        else:
+            with pytest.raises(ValueError):
+                HiddenSampleSet(xs=np.zeros((5, 2)), hs=s * hs)
 
     def test_negative_hidden_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reslearn.errors import DimensionMismatchError, GenerationFailedError
 from reslearn.model import (
@@ -61,6 +63,18 @@ class TestResidualUnit:
 
     def test_tiny_negative_slack_tolerated(self):
         ResidualUnit(a=[[1.0, -1e-9], [0.0, 1.0]], b=B_REF)
+
+    @given(st.floats(1e-6, 1e6), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_slack_verdict_is_scale_free(self, s, small):
+        # the bound is 1e-6 of the largest weight, so scaling a by s > 0
+        # keeps the verdict
+        a = s * np.array([[1.0, -1e-7 if small else -1e-5], [0.5, 1.0]])
+        if small:
+            ResidualUnit(a=a, b=B_REF)
+        else:
+            with pytest.raises(ValueError):
+                ResidualUnit(a=a, b=B_REF)
 
     def test_rectangular_first_layer_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reslearn.errors import LpShapeError, ReslearnError
 from reslearn.model import NetworkGenSpec, generate_unit, sample, standard_mixture
 from conftest import split_ls_on_assembled
 from reslearn.numerics import is_psd
@@ -124,10 +125,10 @@ class TestRowPrograms:
 
 class TestSimplexTextbook:
     def test_hand_lp(self):
-        # max x + y s.t. x + 2y <= 4, 4x + 2y <= 12, x, y >= 0
+        # max x + y s.t. x + 2y <= 4, 4x + 2y <= 12, x, y >= 0 (as rows)
         # optimum (8/3, 2/3), value 10/3
-        lhs, rhs = leq([[1.0, 2.0], [4.0, 2.0]], [4.0, 12.0])
-        prob = LpProblem(objective=[-1.0, -1.0], ineq_lhs=lhs, ineq_rhs=rhs, nonneg_vars=(0, 1))
+        lhs, rhs = leq([[1.0, 2.0], [4.0, 2.0], [-1.0, 0.0], [0.0, -1.0]], [4.0, 12.0, 0.0, 0.0])
+        prob = LpProblem(objective=[-1.0, -1.0], ineq_lhs=lhs, ineq_rhs=rhs)
         rep = solve_lp(prob)
         assert rep.status is SolveStatus.OPTIMAL
         np.testing.assert_allclose(rep.point, [8.0 / 3.0, 2.0 / 3.0], atol=1e-9)
@@ -141,12 +142,12 @@ class TestSimplexTextbook:
         assert rep.point[0] == pytest.approx(-5.0, abs=1e-9)
 
     def test_degenerate_vertex(self):
-        # three constraints through the same optimum (0,0) of min x+y
+        # three constraints through the same optimum (0,0) of min x+y, and
+        # x, y >= 0 as two more rows through it
         prob = LpProblem(
             objective=[1.0, 1.0],
-            ineq_lhs=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-            ineq_rhs=[0.0, 0.0, 0.0],
-            nonneg_vars=(0, 1),
+            ineq_lhs=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+            ineq_rhs=[0.0, 0.0, 0.0, 0.0, 0.0],
         )
         rep = solve_lp(prob)
         assert rep.status is SolveStatus.OPTIMAL
@@ -163,18 +164,16 @@ class TestSimplexTextbook:
         assert prob.max_violation(rep.point) <= 1e-8
 
     def test_zero_cost_slack_leaves_no_row(self):
-        # the one row's slack costs 0, so it drops and the start gets a
-        # block with no rows; HiGHS calls this LP optimal at objective 0
+        # a slack at cost 0 would leave its row no weight, and the start a
+        # block with no rows; no layer program poses it, so it is rejected
         prob = LpProblem(objective=[0.0, 0.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0],
                          nonneg_vars=(1,))
-        rep = solve_lp(prob)
-        assert rep.status is SolveStatus.OPTIMAL
-        assert rep.objective_value == 0.0
-        assert prob.max_violation(rep.point) == 0.0
+        with pytest.raises(LpShapeError):
+            solve_lp(prob)
 
     def test_unbounded_flagged(self):
-        # min -v with only v >= 0: unbounded below
-        prob = LpProblem(objective=[-1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0], nonneg_vars=(0,))
+        # min -v with only v >= 0, as its one row: unbounded below
+        prob = LpProblem(objective=[-1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0])
         rep = solve_lp(prob)
         assert rep.status is SolveStatus.NUMERICAL_TROUBLE
         assert "unbounded" in rep.message
@@ -189,7 +188,9 @@ class TestSimplexTextbook:
             lhs = g.normal(size=(n_rows, n_vars))
             rhs = lhs @ g.normal(size=n_vars) - g.random(n_rows)  # feasible by construction
             obj = g.normal(size=n_vars)
-            prob = LpProblem(objective=obj, ineq_lhs=lhs, ineq_rhs=rhs, nonneg_vars=(0, 1))
+            # v_0, v_1 >= 0 as two more rows
+            prob = LpProblem(objective=obj, ineq_lhs=np.vstack([lhs, np.eye(2, n_vars)]),
+                             ineq_rhs=np.r_[rhs, 0.0, 0.0])
             ref = linprog(
                 obj, A_ub=-lhs, b_ub=-rhs,
                 bounds=[(0, None), (0, None), (None, None), (None, None)],
@@ -401,10 +402,53 @@ class TestSimplexOnLayerPrograms:
                 == reference(a, rhs, rhs_scale, prefer))
 
 
+def mixed_lp():
+    """A slack LP of a noisy layer-2 row with the first row's slack taken
+    out, so that row is hard and the others soft."""
+    unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
+    noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
+    return LpProblem(objective=np.r_[np.zeros(4), np.full(119, 1 / 120)],
+                     ineq_lhs=np.hstack([noisy.ys, np.eye(120)[:, 1:]]),
+                     ineq_rhs=noisy.xs[:, 0], nonneg_vars=tuple(range(4, 123)))
+
+
+REJECTED_LPS = {
+    "nonnegative column that is not a unit slack": lambda: LpProblem(
+        objective=[0.0, 0.0], ineq_lhs=[[1.0, 1.0], [1.0, -1.0]], ineq_rhs=[1.0, 0.0],
+        nonneg_vars=(0,)),
+    "soft and hard rows": mixed_lp,
+    "two slack columns on one row": lambda: LpProblem(
+        objective=[0.0, 1.0, 1.0, 1.0], ineq_lhs=[[1.0, 1.0, 1.0, 0.0], [2.0, 0.0, 0.0, 1.0]],
+        ineq_rhs=[1.0, 1.0], nonneg_vars=(1, 2, 3)),
+    "negative unit entry": lambda: LpProblem(
+        objective=[0.0, 1.0], ineq_lhs=[[1.0, -1.0]], ineq_rhs=[1.0], nonneg_vars=(1,)),
+    "cost on a free column of a slack LP": lambda: LpProblem(
+        objective=[1.0, 1.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0], nonneg_vars=(1,)),
+    "zero-cost slack": lambda: LpProblem(
+        objective=[0.0, 0.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0], nonneg_vars=(1,)),
+}
+
+
+class TestLpShapes:
+    # solve_lp takes hard-row LPs and slack LPs; every other shape raises
+    # one typed error before the start or either method runs
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_LPS))
+    def test_rejected_before_any_step(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("took a step")
+
+        for engine in ("_crash", "_run", "_descend"):
+            monkeypatch.setattr(simplex, engine, refuse)
+        with pytest.raises(LpShapeError) as caught:
+            solve_lp(REJECTED_LPS[name]())
+        assert isinstance(caught.value, ReslearnError) and isinstance(caught.value, ValueError)
+
+
 class TestSoftRowDescent:
-    # LPs whose data rows are all soft (one weighted slack column per row)
-    # take the long-step primal descent; any hard data row keeps the dual
-    # method, so feasibility runs and their Farkas rays do not move.
+    # Slack LPs (one weighted slack column per row, every row soft) take
+    # the long-step primal descent; hard-row LPs keep the dual method, so
+    # feasibility runs and their Farkas rays do not move.
 
     def test_dispatch_by_row_kind(self, monkeypatch):
         calls = []
@@ -421,11 +465,7 @@ class TestSoftRowDescent:
         noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
         solve_lp(row_lp(-noisy.ys, -noisy.xs[:, 0]))
         solve_lp(row_slack_lp(-noisy.ys, -noisy.xs[:, 0]))
-        # one data row without a slack column makes the problem mixed
-        lhs = np.hstack([noisy.ys, np.eye(120)[:, 1:]])
-        solve_lp(LpProblem(objective=np.r_[np.zeros(4), np.full(119, 1 / 120)], ineq_lhs=lhs,
-                           ineq_rhs=noisy.xs[:, 0], nonneg_vars=tuple(range(4, 123))))
-        assert calls == ["_run", "_descend", "_run"]
+        assert calls == ["_run", "_descend"]
 
     def test_noisy_bench_shapes_take_few_steps(self):
         # the slack LPs of the d=4, n=400, sigma=0.1 benchmark trials,
@@ -467,46 +507,6 @@ class TestSoftRowDescent:
         assert np.abs(prob.ineq_lhs[:, :4].T @ rep.dual).max() <= 1e-12
         # strong duality: b . dual = the optimal slack objective
         assert float(prob.ineq_rhs @ rep.dual) == pytest.approx(rep.objective_value, rel=1e-12)
-
-    def test_unbounded_soft_lp_flagged(self):
-        # min -u + 1/2 (u)^+ falls without end; the box row that pins u
-        # ends up carrying the objective
-        prob = LpProblem(objective=[-1.0, 0.5], ineq_lhs=[[-1.0, 1.0]], ineq_rhs=[0.0],
-                         nonneg_vars=(1,))
-        rep = solve_lp(prob)
-        assert rep.status is SolveStatus.NUMERICAL_TROUBLE
-        assert "unbounded" in rep.message
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_soft_rows_match_loop_reference(self, seed):
-        # The unit-column scan is vectorised; the reference is its former
-        # per-column loop: per row the smallest cost / entry, ties to the
-        # first such column in column order.
-        def reference(problem):
-            lhs, cost = problem.ineq_lhs, problem.objective
-            slack, weight = np.full(problem.n_rows, -1), np.full(problem.n_rows, np.inf)
-            units = []
-            for j in problem.nonneg_vars:
-                rows = np.flatnonzero(lhs[:, j])
-                if cost[j] >= 0.0 and rows.size == 1 and lhs[rows[0], j] > 0.0:
-                    units.append(j)
-                    if cost[j] / lhs[rows[0], j] < weight[rows[0]]:
-                        slack[rows[0]], weight[rows[0]] = j, cost[j] / lhs[rows[0], j]
-            return slack, weight, np.array(units, dtype=np.int64)
-
-        g = rng(seed)
-        n_rows, k, n_units = int(g.integers(1, 8)), int(g.integers(0, 4)), int(g.integers(0, 12))
-        units = np.zeros((n_rows, n_units))
-        hit = g.integers(0, n_rows, size=n_units)
-        units[hit, np.arange(n_units)] = g.integers(-1, 3, size=n_units)
-        lhs = np.hstack([g.integers(-1, 2, size=(n_rows, k)), units])
-        cost = g.integers(-1, 3, size=k + n_units) / g.integers(1, 3, size=k + n_units)
-        nonneg = tuple(int(j) for j in np.flatnonzero(g.random(k + n_units) < 0.8))
-        problem = LpProblem(objective=cost, ineq_lhs=lhs, ineq_rhs=np.zeros(n_rows),
-                            nonneg_vars=nonneg)
-        for got, want in zip(simplex._soft_rows(problem), reference(problem)):
-            np.testing.assert_array_equal(got, want)
 
 
 def bench_shape_lps(seed=11):
@@ -636,63 +636,56 @@ def assert_point_close(got, want, name):
 
 @st.composite
 def reference_lps(draw):
-    """Random small LPs: k <= 6 variables with a random nonnegative subset
-    and 3-40 rows; feasible by construction, infeasible by the
-    u.v >= 1, -u.v >= 0 pair, feasible with a box and a cost vector, or
-    "slack": k free columns and one unit column per row at cost 1/rows (the
-    layer programs' soft rows), with rhs scattered about a feasible point;
-    or "integer": entries in -2..2 (degenerate vertices, tied ratios, zero
-    rows) plus unit columns at cost 0-2 on random rows, some sharing one; or
-    "soft-integer": the same entries with a unit column on every row (and a
-    second on some), so that every data row is soft, and costs 0-2 on the
-    units and on the nonnegative columns."""
+    """Random small LPs of the two shapes solve_lp takes, k <= 6 free
+    columns and 3-40 data rows. Hard-row LPs, with v_j >= 0 for a random
+    subset of columns posed as more rows: feasible by construction,
+    infeasible by the u.v >= 1, -u.v >= 0 pair, feasible with a box and a
+    cost vector, or "integer": entries in -2..2 (degenerate vertices, tied
+    ratios, zero rows) with a cost in -2..2 and a box |v_j| <= 3. Slack LPs,
+    one unit column per row: "slack", Gaussian rows at cost 1/rows (the
+    layer programs' soft rows) with rhs scattered about a feasible point, or
+    "slack-integer", entries in -2..2, unit entries 1-2 and costs 1-2."""
     k = draw(st.integers(1, 6))
     rows = draw(st.integers(3, 40))
     kind = draw(st.sampled_from(
-        ["feasible", "infeasible", "boxed", "slack", "integer", "soft-integer"]))
+        ["feasible", "infeasible", "boxed", "integer", "slack", "slack-integer"]))
     g = rng(draw(st.integers(0, 2**32 - 1)))
-    nonneg = tuple(int(i) for i in np.flatnonzero(g.random(k) < 0.5))
+    nonneg = np.flatnonzero(g.random(k) < 0.5)
     objective = np.zeros(k)
+    if kind in ("slack", "slack-integer"):
+        if kind == "slack":
+            lhs = g.standard_normal((rows, k))
+            rhs = lhs @ g.standard_normal(k) + g.standard_normal(rows)
+            units, costs = np.ones(rows), np.full(rows, 1.0 / rows)
+        else:
+            lhs = g.integers(-2, 3, size=(rows, k)).astype(float)
+            rhs = g.integers(-2, 3, size=rows).astype(float)
+            units, costs = g.integers(1, 3, size=rows), g.integers(1, 3, size=rows)
+        lhs = np.hstack([lhs, np.diag(units)])
+        objective = np.concatenate([np.zeros(k), costs])
+        return kind, LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs,
+                               nonneg_vars=tuple(range(k, k + rows)))
     if kind == "infeasible":
         u = g.standard_normal(k)
         extra = g.standard_normal((rows - 2, k))
         lhs = np.vstack([u, -u, extra])
         rhs = np.concatenate([[1.0, 0.0], -np.abs(g.standard_normal(rows - 2)) - 5.0])
-    elif kind == "slack":
-        lhs = g.standard_normal((rows, k))
-        rhs = lhs @ g.standard_normal(k) + g.standard_normal(rows)
-        lhs = np.hstack([lhs, np.eye(rows)])
-        objective = np.concatenate([np.zeros(k), np.full(rows, 1.0 / rows)])
-        nonneg = tuple(range(k, k + rows))
     elif kind == "integer":
-        hit = g.integers(0, rows, size=rows // 2)
-        units = np.zeros((rows, hit.size))
-        units[hit, np.arange(hit.size)] = g.integers(1, 3, size=hit.size)
-        lhs = np.hstack([g.integers(-2, 3, size=(rows, k)), units])
-        rhs = g.integers(-2, 3, size=rows).astype(float)
-        objective = np.concatenate([np.zeros(k), g.integers(0, 3, size=hit.size)])
-        nonneg = nonneg + tuple(range(k, k + hit.size))
-    elif kind == "soft-integer":
-        hit = np.concatenate([np.arange(rows), g.integers(0, rows, size=rows // 4)])
-        units = np.zeros((rows, hit.size))
-        units[hit, np.arange(hit.size)] = g.integers(1, 3, size=hit.size)
-        lhs = np.hstack([g.integers(-2, 3, size=(rows, k)), units])
-        rhs = g.integers(-2, 3, size=rows).astype(float)
-        # costs only on bounded columns, so the optimum stays finite
-        costs = np.zeros(k)
-        costs[list(nonneg)] = g.integers(0, 3, size=len(nonneg))
-        objective = np.concatenate([costs, g.integers(0, 3, size=hit.size)])
-        nonneg = nonneg + tuple(range(k, k + hit.size))
+        lhs = np.vstack([g.integers(-2, 3, size=(rows, k)), np.eye(k), -np.eye(k)])
+        rhs = np.concatenate([g.integers(-2, 3, size=rows), np.full(2 * k, -3.0)])
+        objective = g.integers(-2, 3, size=k).astype(float)
     else:
         inner = g.standard_normal(k)
-        inner[list(nonneg)] = np.abs(inner[list(nonneg)])
+        inner[nonneg] = np.abs(inner[nonneg])
         lhs = g.standard_normal((rows, k))
         rhs = lhs @ inner - g.random(rows)
         if kind == "boxed":
             lhs = np.vstack([lhs, np.eye(k), -np.eye(k)])
             rhs = np.concatenate([rhs, np.full(2 * k, -10.0)])
             objective = g.standard_normal(k)
-    return kind, LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs, nonneg_vars=nonneg)
+    lhs = np.vstack([lhs, np.eye(k)[nonneg]])  # v_j >= 0 as rows
+    rhs = np.concatenate([rhs, np.zeros(nonneg.size)])
+    return kind, LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs)
 
 
 class TestSimplexAgainstHighs:
