@@ -30,18 +30,17 @@ from .errors import (
 )
 from .evaluation import (
     ErrorReport,
-    TrialGrid,
+    TrialCell,
     TrialRow,
     full_pipeline,
     relative_errors,
-    run_success_rates,
     run_trial,
+    success_rate,
 )
 from .layer1 import HiddenSampleSet, Layer1Estimate, learn_layer1
 from .layer2 import Layer2Estimate, learn_layer2
 from .methods import ConvexMethod
 from .model import (
-    FoldedGaussianIid,
     GaussianIid,
     GaussUniformMixture,
     NetworkGenSpec,
@@ -72,7 +71,6 @@ __all__ = [
     "DegenerateRowError",
     "DimensionMismatchError",
     "ErrorReport",
-    "FoldedGaussianIid",
     "GaussUniformMixture",
     "GaussianIid",
     "GenerationFailedError",
@@ -94,7 +92,7 @@ __all__ = [
     "SolveReport",
     "SolveStatus",
     "SolverFailedError",
-    "TrialGrid",
+    "TrialCell",
     "TrialRow",
     "VanillaLrResult",
     "derive_seed",
@@ -107,12 +105,12 @@ __all__ = [
     "load_samples_csv",
     "load_unit_json",
     "relative_errors",
-    "run_success_rates",
     "run_trial",
     "sample",
     "save_samples_csv",
     "save_unit_json",
     "solve_lp",
     "standard_mixture",
+    "success_rate",
     "vanilla_lr",
 ]

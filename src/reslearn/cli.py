@@ -7,19 +7,32 @@ learn       fit a dataset with any method, write estimates and errors
 experiment  run one of the canned studies (heatmap, weight_robustness,
             noise_robustness, vanilla_lr_rates) with per-cell resume
 
-``learn`` fits through ``evaluation.fit_method``, the same dispatch every
-trial uses. The grid studies pose each pending cell as a one-cell
-``evaluation.TrialGrid`` and run them all through one
-``evaluation.run_grids`` call; ``--jobs N`` spreads the trials of every
-pending cell over one pool of N worker processes, and the rows do not
-depend on N because every trial is seeded by content.
+``learn`` fits through ``evaluation.fit_method`` and scores through
+``evaluation.score_held_out``, as every trial does. A study is a list of
+cells. The grid studies build one ``evaluation.TrialCell`` per (d, n,
+sigma, method) and run every pending one through one
+``evaluation.run_cells`` call; ``--jobs N`` spreads their trials over one
+pool of N worker processes, and the rows do not depend on N because every
+trial is seeded by content. vanilla_lr_rates makes one
+``evaluation.success_rate`` call per (d, n).
+
+Every flag has one default, shown by ``--help``. ``--config FILE`` names a
+JSON object whose keys are flags of the subcommand (``test_size`` or
+``test-size``); its values replace those defaults, so a flag given on the
+command line still wins, and a key that is not such a flag is a
+configuration error.
 
 Exit codes: 0 success, 2 bad configuration, 3 io failure, 4 solver
 failure, 5 evaluation/stage failure. Failures also print a single-line
 JSON object to stderr with the error class and message, so wrappers can
 branch without parsing prose. Every artifact embeds the config that
-produced it; experiment outputs are keyed by a hash of each cell's config
-and completed cells are skipped when rerun.
+produced it. A study's ledger ``<name>.json`` maps a hash of each cell's
+config to that config and its outcome, and a rerun skips the cells it
+holds. A grid cell's config is its ``TrialCell`` fields (d, n,
+noise_sigma, method, trials, test_set_size, base_seed, input_kind,
+fixed_teacher, eps_tol) and its outcome is its trial rows; a
+vanilla_lr_rates cell's config is ``success_rate``'s arguments (d, n,
+trials, base_seed, input_mean) and its outcome is the rate record.
 """
 
 from __future__ import annotations
@@ -39,15 +52,15 @@ from .errors import (
     SolverFailedError,
 )
 from .evaluation import (
-    TrialGrid,
+    TrialCell,
     TrialRow,
     aggregate_rows,
     fit_method,
     make_input_dist,
-    relative_errors,
-    run_grids,
-    run_success_rates,
+    run_cells,
     save_rows_csv,
+    score_held_out,
+    success_rate,
 )
 from .layer2 import EPS_TOL
 from .methods import ALL_METHODS, CONVEX_METHODS
@@ -73,24 +86,21 @@ class ConfigError(Exception):
     pass
 
 
-# defaults of the flags that have one, applied after the config file is read
-FLAG_DEFAULTS = {"input": "mixture", "jobs": 1, "test_size": 1000, "non_scale": False}
-
-
 # --- small helpers -------------------------------------------------------
 
-def _int_list(text: str) -> list[int]:
+def _numbers(text: str, kind=int) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"expected comma-separated {kind.__name__} values, got {text!r}") from exc
+    if not values:
+        raise ConfigError(f"expected at least one {kind.__name__} value, got {text!r}")
+    return values
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+def _pick(value, default):
+    """A flag's value when given, zero included; else ``default``."""
+    return default if value is None else value
 
 
 def _config_hash(payload: dict) -> str:
@@ -103,47 +113,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_config_file(args: argparse.Namespace) -> None:
-    """Fill unset args from a JSON config file; explicit flags win, and a
+def _read_config(args: argparse.Namespace) -> dict:
+    """The flag defaults a JSON config file sets, keyed by flag attribute; a
     key that is not a flag of the subcommand is a ConfigError."""
-    if not getattr(args, "config", None):
-        return
     try:
         stored = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(stored, dict):
         raise ConfigError("config file must hold a JSON object")
-    declared = set(vars(args)) - {"func"}
-    unknown = [key for key in stored if key.replace("-", "_") not in declared]
+    stored = {key.replace("-", "_"): value for key, value in stored.items()}
+    # the subcommand's own flags; not the parser's bookkeeping, which a key
+    # could otherwise overwrite
+    declared = set(vars(args)) - {"func", "command", "config"}
+    unknown = [key for key in stored if key not in declared]
     if unknown:
         raise ConfigError(f"{args.command} takes no {', '.join(map(repr, unknown))} "
                           f"(config keys must name its flags)")
-    for key, value in stored.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-
-
-def _apply_flag_defaults(args: argparse.Namespace) -> None:
-    """Give every declared flag that neither the command line nor the config
-    file set its default. The parser declares these flags with default None,
-    so that a config file can still set them."""
-    for attr, value in FLAG_DEFAULTS.items():
-        if getattr(args, attr, value) is None:
-            setattr(args, attr, value)
-
-
-def _methods(args: argparse.Namespace, default: list[str]) -> list[str]:
-    methods = args.methods.split(",") if args.methods else default
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ConfigError(f"unknown method {m!r}")
-    return methods
-
-
-def _eps_tol(args: argparse.Namespace) -> float:
-    return args.eps_tol if args.eps_tol is not None else EPS_TOL
+    return stored
 
 
 # --- generate ------------------------------------------------------------
@@ -151,16 +138,15 @@ def _eps_tol(args: argparse.Namespace) -> float:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.d is None or args.n is None:
         raise ConfigError("generate requires --d and --n")
-    m = args.m if args.m is not None else args.d
-    seed = args.seed if args.seed is not None else 0
-    sigma = args.noise_sigma or 0.0
-    out = Path(args.out or ".")
+    m = _pick(args.m, args.d)
+    seed = _pick(args.seed, 0)
+    out = Path(args.out)
     spec = NetworkGenSpec(
         d=args.d, m=m, seed=seed, require_non_scale_transform=args.non_scale
     )
     unit = generate_unit(spec)
     dist = make_input_dist(args.input, args.d)
-    samples = sample(unit, dist, args.n, sigma, seed=derive_seed(seed, "samples"))
+    samples = sample(unit, dist, args.n, args.noise_sigma, seed=derive_seed(seed, "samples"))
     out.mkdir(parents=True, exist_ok=True)
     save_unit_json(out / "teacher.json", unit)
     save_samples_csv(out / "samples.csv", samples)
@@ -172,13 +158,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "m": m,
             "n": args.n,
             "seed": seed,
-            "noise_sigma": sigma,
+            "noise_sigma": args.noise_sigma,
             "input": args.input,
             "non_scale": bool(args.non_scale),
         },
     )
     print(f"wrote {out / 'teacher.json'} and {out / 'samples.csv'} "
-          f"(d={args.d}, m={m}, n={args.n}, sigma={sigma})")
+          f"(d={args.d}, m={m}, n={args.n}, sigma={args.noise_sigma})")
     return EXIT_OK
 
 
@@ -228,14 +214,14 @@ def cmd_learn(args: argparse.Namespace) -> int:
     data_path = Path(args.data)
     if not data_path.exists():
         raise FileNotFoundError(f"dataset not found: {data_path}")
-    method = args.method or "qp"
+    method = args.method
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; pick one of {ALL_METHODS}")
     samples = load_samples_csv(data_path)
-    seed = args.seed if args.seed is not None else (samples.seed or 0)
-    est_a, est_b, result = fit_method(samples, method, seed, _eps_tol(args))
+    seed = _pick(args.seed, samples.seed or 0)
+    est_a, est_b, result = fit_method(samples, method, seed, args.eps_tol)
 
-    out = Path(args.out or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "command": "learn",
@@ -250,13 +236,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         if not teacher_path.exists():
             raise FileNotFoundError(f"teacher not found: {teacher_path}")
         unit = load_unit_json(teacher_path)
-        dist = make_input_dist(args.input, unit.d)
-        # score against the clean function, matching run_trial's convention
-        test = sample(
-            unit, dist, args.test_size, 0.0,
-            seed=derive_seed(seed, "test"),
-        )
-        report = relative_errors(est_a, est_b, unit, test, method=method)
+        report = score_held_out(est_a, est_b, unit, seed, method, args.test_size, args.input)
         payload["error_report"] = dataclasses.asdict(report)
         print(
             f"{method}: layer1_rel={report.layer1_rel:.6g} "
@@ -269,132 +249,90 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 # --- experiments ---------------------------------------------------------
 
-def _resumable(out_dir: Path, experiment: str, run_config: dict):
-    """Load or start the experiment ledger; returns (path, payload)."""
-    path = out_dir / f"{experiment}.json"
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = None
-        if payload and payload.get("config") == run_config:
-            return path, payload
-    return path, {"experiment": experiment, "config": run_config, "cells": {}}
+def _ledger(out_dir: Path, name: str, configs: list[dict]) -> tuple[Path, dict, list[str]]:
+    """(path, ledger, keys) of a study's cell configs, keys in their order.
+    The ledger keeps the stored record of each config already done, so a
+    rerun skips it, and drops the records of every other config."""
+    path = out_dir / f"{name}.json"
+    try:
+        stored = json.loads(path.read_text())["cells"]
+    except (FileNotFoundError, json.JSONDecodeError):
+        stored = {}
+    keys = [_config_hash(config) for config in configs]
+    kept = {key: stored[key] for key in keys if key in stored}
+    return path, {"experiment": name, "cells": kept}, keys
 
 
 def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
                      methods, trials, fixed_teacher=False) -> int:
-    """Run every pending (d, n, sigma, method) cell through one ``run_grids``
-    call and record each in the ledger as it finishes, so a rerun skips
-    done cells."""
-    base_seed = args.seed if args.seed is not None else 0
-    eps_tol = _eps_tol(args)
-    shared = {
-        "trials": trials, "base_seed": base_seed,
-        "test_set_size": args.test_size, "input": args.input,
-        "fixed_teacher": fixed_teacher,
-        "eps_tol": args.eps_tol,
-    }
-    run_config = {
-        "dims": dims, "sample_sizes": sizes, "noise_sigmas": sigmas,
-        "methods": methods, **shared,
-    }
-    path, payload = _resumable(out_dir, name, run_config)
-    all_rows = [
-        TrialRow(**rec)
-        for key in sorted(payload["cells"])
-        for rec in payload["cells"][key]["rows"]
+    """Run every pending cell of the d x n x sigma x method grid through one
+    ``run_cells`` call and record each in the ledger as it finishes, so a
+    rerun skips done cells."""
+    cells = [
+        TrialCell(d=d, n=n, noise_sigma=sigma, method=method, trials=trials,
+                  test_set_size=args.test_size, base_seed=_pick(args.seed, 0),
+                  input_kind=args.input, fixed_teacher=fixed_teacher, eps_tol=args.eps_tol)
+        for d in dims for n in sizes for sigma in sigmas for method in methods
     ]
-    pending = []
-    for d in dims:
-        for n in sizes:
-            for sigma in sigmas:
-                for method in methods:
-                    cell_cfg = {"d": d, "n": n, "sigma": sigma, "method": method, **shared}
-                    if _config_hash(cell_cfg) not in payload["cells"]:
-                        pending.append(cell_cfg)
-    grids = [
-        TrialGrid(
-            dims=(cfg["d"],), sample_sizes=(cfg["n"],), noise_sigmas=(cfg["sigma"],),
-            methods=(cfg["method"],), trials_per_cell=trials,
-            test_set_size=args.test_size, base_seed=base_seed,
-            input_kind=args.input, fixed_teacher=fixed_teacher, eps_tol=eps_tol,
-        )
-        for cfg in pending
-    ]
-    for cell_cfg, rows in zip(pending, run_grids(grids, jobs=args.jobs)):
-        payload["cells"][_config_hash(cell_cfg)] = {
-            "config": cell_cfg,
+    configs = [dataclasses.asdict(cell) for cell in cells]
+    path, ledger, keys = _ledger(out_dir, name, configs)
+    pending = [i for i, key in enumerate(keys) if key not in ledger["cells"]]
+    for i, rows in zip(pending, run_cells([cells[i] for i in pending], jobs=args.jobs)):
+        ledger["cells"][keys[i]] = {
+            "config": configs[i],
             "rows": [dataclasses.asdict(r) for r in rows],
         }
-        all_rows.extend(rows)
-        _write_json(path, payload)
-        print(f"cell d={cell_cfg['d']} n={cell_cfg['n']} sigma={cell_cfg['sigma']} "
-              f"method={cell_cfg['method']}: done")
-    aggregates = aggregate_rows(all_rows)
+        _write_json(path, ledger)
+        print(f"cell d={cells[i].d} n={cells[i].n} sigma={cells[i].noise_sigma} "
+              f"method={cells[i].method}: done")
+    _write_json(path, ledger)
+    rows = [TrialRow(**rec) for key in keys for rec in ledger["cells"][key]["rows"]]
     _write_json(out_dir / f"{name}_aggregate.json",
-                {"experiment": name, "config": run_config, "cells": aggregates})
-    save_rows_csv(out_dir / f"{name}_trials.csv", all_rows)
+                {"experiment": name, "config": configs, "cells": aggregate_rows(rows)})
+    save_rows_csv(out_dir / f"{name}_trials.csv", rows)
     print(f"wrote {path}, {out_dir / (name + '_aggregate.json')}, "
           f"{out_dir / (name + '_trials.csv')}")
     return EXIT_OK
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out or ".")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name
     if name == "heatmap":
-        dims = _int_list(args.dims) if args.dims else [2, 4, 8]
-        sizes = _int_list(args.sample_sizes) if args.sample_sizes else [64, 128, 256, 512]
-        methods = _methods(args, ["qp", "sgd"])
-        trials = args.trials or 8
         return _experiment_grid(
-            args, out_dir, "heatmap", dims, sizes, [0.0], methods, trials
+            args, out_dir, name, _numbers(_pick(args.dims, "2,4,8")),
+            _numbers(_pick(args.sample_sizes, "64,128,256,512")), [0.0],
+            _pick(args.methods, "qp,sgd").split(","), _pick(args.trials, 8),
         )
     if name == "weight_robustness":
-        d = args.d or 8
-        n = args.n or 512
-        units = args.trials or 32
-        methods = _methods(args, ["qp", "sgd"])
         # one trial per teacher: the spread across units is the study
         return _experiment_grid(
-            args, out_dir, "weight_robustness", [d], [n], [0.0], methods, units
+            args, out_dir, name, [_pick(args.d, 8)], [_pick(args.n, 512)], [0.0],
+            _pick(args.methods, "qp,sgd").split(","), _pick(args.trials, 32),
         )
     if name == "noise_robustness":
-        d = args.d or 10
-        n = args.n or 512
-        sigmas = _float_list(args.noise_sigmas) if args.noise_sigmas else [0.0, 0.05, 0.1, 0.2]
-        methods = _methods(args, ["sgd", "qp", "slack-lp"])
-        trials = args.trials or 8
         return _experiment_grid(
-            args, out_dir, "noise_robustness", [d], [n], sigmas, methods, trials,
+            args, out_dir, name, [_pick(args.d, 10)], [_pick(args.n, 512)],
+            _numbers(_pick(args.noise_sigmas, "0,0.05,0.1,0.2"), float),
+            _pick(args.methods, "sgd,qp,slack-lp").split(","), _pick(args.trials, 8),
             fixed_teacher=True,
         )
     if name == "vanilla_lr_rates":
-        dims = _int_list(args.dims) if args.dims else [4, 6]
-        sizes = _int_list(args.sample_sizes) if args.sample_sizes else [100, 500, 1000]
-        trials = args.trials or 200
-        base_seed = args.seed if args.seed is not None else 0
-        mean = args.input_mean or 0.0
-        run_config = {
-            "dims": dims, "sample_sizes": sizes, "trials": trials,
-            "base_seed": base_seed, "input_mean": mean,
-        }
-        path, payload = _resumable(out_dir, "vanilla_lr_rates", run_config)
-        for d in dims:
-            for n in sizes:
-                cell_cfg = {"d": d, "n": n, "trials": trials,
-                            "base_seed": base_seed, "input_mean": mean}
-                key = _config_hash(cell_cfg)
-                if key in payload["cells"]:
-                    continue
-                [record] = run_success_rates(
-                    [d], [n], trials, base_seed=base_seed, input_mean=mean
-                )
-                payload["cells"][key] = {"config": cell_cfg, "result": record}
-                _write_json(path, payload)
-                print(f"cell d={d} n={n}: rate {record['rate']:.3f}")
+        configs = [
+            {"d": d, "n": n, "trials": _pick(args.trials, 200),
+             "base_seed": _pick(args.seed, 0), "input_mean": args.input_mean}
+            for d in _numbers(_pick(args.dims, "4,6"))
+            for n in _numbers(_pick(args.sample_sizes, "100,500,1000"))
+        ]
+        path, ledger, keys = _ledger(out_dir, name, configs)
+        for key, config in zip(keys, configs):
+            if key not in ledger["cells"]:
+                record = success_rate(**config)
+                ledger["cells"][key] = {"config": config, "result": record}
+                _write_json(path, ledger)
+                print(f"cell d={config['d']} n={config['n']}: rate {record['rate']:.3f}")
+        _write_json(path, ledger)
         print(f"wrote {path}")
         return EXIT_OK
     raise ConfigError(f"unknown experiment {name!r}")
@@ -402,7 +340,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 # --- entry point ---------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The parser; ``defaults`` (a config file's values, by flag attribute)
+    replace the declared defaults of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="reslearn",
         description="Learn two-layer ReLU residual units by convex programming.",
@@ -412,20 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
     # every subcommand declares only the flags it reads, so a flag it would
     # ignore is a parse error (exit 2) rather than silently dropped
     flag_specs = {
-        "--config": {"help": "JSON file with defaults for any flag"},
+        "--config": {"help": "JSON file whose keys replace the defaults of these flags"},
         "--seed": {"type": int},
-        "--out": {"help": "output directory"},
-        "--input": {"choices": ["mixture", "gaussian"], "help": "input distribution "
-                    f"(default {FLAG_DEFAULTS['input']})"},
+        "--out": {"default": ".", "help": "output directory (default %(default)s)"},
+        "--input": {"choices": ["mixture", "gaussian"], "default": "mixture",
+                    "help": "input distribution (default %(default)s)"},
         "--d": {"type": int},
         "--m": {"type": int},
         "--n": {"type": int},
-        "--noise-sigma": {"type": float},
-        "--eps-tol": {"type": float, "help": "rescale regression residual gate"},
-        "--jobs": {"type": int,
+        "--noise-sigma": {"type": float, "default": 0.0,
+                          "help": "label noise std (default %(default)s)"},
+        "--eps-tol": {"type": float, "default": EPS_TOL,
+                      "help": "rescale regression residual gate (default %(default)s)"},
+        "--jobs": {"type": int, "default": 1,
                    "help": "worker processes shared by the experiment's pending cells "
-                           f"(default {FLAG_DEFAULTS['jobs']}; results do not depend on it)"},
-        "--test-size": {"type": int, "help": f"default {FLAG_DEFAULTS['test_size']}"},
+                           "(default %(default)s; results do not depend on it)"},
+        "--test-size": {"type": int, "default": 1000,
+                        "help": "held-out samples (default %(default)s)"},
     }
 
     def flags(p, *names):
@@ -434,16 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a teacher and a sample set")
     flags(gen, "--d", "--m", "--n", "--noise-sigma")
-    gen.add_argument("--non-scale", action="store_true", default=None,
+    gen.add_argument("--non-scale", action="store_true",
                      help="reject scale-equivalent teachers")
-    gen.set_defaults(func=cmd_generate)
 
     learn = sub.add_parser("learn", help="fit a dataset, write estimates")
     flags(learn, "--eps-tol", "--test-size")
     learn.add_argument("--data", help="samples CSV path")
     learn.add_argument("--teacher", help="teacher JSON path (enables error report)")
-    learn.add_argument("--method", choices=ALL_METHODS)
-    learn.set_defaults(func=cmd_learn)
+    learn.add_argument("--method", choices=ALL_METHODS, default="qp",
+                       help="(default %(default)s)")
 
     exp = sub.add_parser("experiment", help="run a canned study")
     flags(exp, "--d", "--n", "--eps-tol", "--jobs", "--test-size")
@@ -457,9 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated noise levels")
     exp.add_argument("--methods", help="comma-separated methods")
     exp.add_argument("--trials", type=int)
-    exp.add_argument("--input-mean", dest="input_mean", type=float,
-                     help="gaussian input mean for vanilla_lr_rates")
-    exp.set_defaults(func=cmd_experiment)
+    exp.add_argument("--input-mean", dest="input_mean", type=float, default=0.0,
+                     help="gaussian input mean for vanilla_lr_rates (default %(default)s)")
+
+    for p, func in ((gen, cmd_generate), (learn, cmd_learn), (exp, cmd_experiment)):
+        p.set_defaults(func=func, **(defaults or {}))
     return parser
 
 
@@ -473,15 +417,12 @@ def _fail(code: int, exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _load_config_file(args)
-        _apply_flag_defaults(args)
+        if args.config:
+            args = build_parser(_read_config(args)).parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, exc)
-    except (ValueError, DimensionMismatchError) as exc:
+    except (ConfigError, ValueError, DimensionMismatchError) as exc:
         return _fail(EXIT_CONFIG, exc)
     except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
         return _fail(EXIT_IO, exc)

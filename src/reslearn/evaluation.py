@@ -7,13 +7,14 @@ labels are always drawn without noise, even when training labels were
 noisy: the score measures distance to the true function rather than to one
 more noisy draw, and every method is scored against the same clean target.
 
-Seeding is content-addressed: each (d, n, sigma, method, trial) cell hashes
-to its own seed, so any cell can be reproduced in isolation and results do
+Seeding is content-addressed: each (d, n, sigma, method, trial) hashes to
+its own seed, so any trial can be reproduced in isolation and results do
 not depend on execution order. Teachers are derived from (d, trial) only,
 which keeps them fixed while n, sigma, or the method vary — the shape the
-robustness and consistency studies need; a fixed-teacher grid derives them
-from d alone. Every trial, grid cell, and CLI fit dispatches on the method
-name through ``fit_method``.
+robustness and consistency studies need; a fixed-teacher cell derives them
+from d alone. Every trial, cell, and CLI fit dispatches on the method name
+through ``fit_method``, and every trial and CLI fit is scored by
+``score_held_out``.
 """
 
 from __future__ import annotations
@@ -57,21 +58,28 @@ class ErrorReport:
     noise_sigma: float = 0.0
 
 
+def _require_counts(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
-class TrialGrid:
-    """A full experiment grid; every list axis is crossed with the others.
+class TrialCell:
+    """One experiment cell: ``trials`` seeded trials of one method at one
+    (d, n, noise_sigma).
 
     Teachers vary with (d, trial) unless ``fixed_teacher`` is set, in which
-    case every trial of a dimension learns the same teacher, so the spread
+    case every trial of the cell learns the same teacher, so the spread
     across trials comes from the sampled data alone. ``eps_tol`` (the
     layer-2 rescale gate) reaches every convex-method trial.
     """
 
-    dims: tuple[int, ...]
-    sample_sizes: tuple[int, ...]
-    noise_sigmas: tuple[float, ...] = (0.0,)
-    methods: tuple[str, ...] = ("qp",)
-    trials_per_cell: int = 16
+    d: int
+    n: int
+    noise_sigma: float = 0.0
+    method: str = "qp"
+    trials: int = 16
     test_set_size: int = 1000
     base_seed: int = 0
     input_kind: str = "mixture"  # "mixture" or "gaussian"
@@ -79,19 +87,16 @@ class TrialGrid:
     eps_tol: float = EPS_TOL
 
     def __post_init__(self):
-        for name in ("dims", "sample_sizes", "noise_sigmas", "methods"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        for m in self.methods:
-            if m not in ALL_METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {ALL_METHODS}")
+        _require_counts(d=self.d, n=self.n, trials=self.trials)
+        if self.method not in ALL_METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {ALL_METHODS}")
         if self.input_kind not in ("mixture", "gaussian"):
             raise ValueError(f"unknown input_kind {self.input_kind!r}")
 
 
 @dataclass(frozen=True)
 class TrialRow:
-    """One trial's outcome inside a grid; failures keep their cell visible."""
+    """One trial's outcome inside a cell; failures keep their cell visible."""
 
     d: int
     n: int
@@ -193,6 +198,25 @@ def fit_method(
     return result.a_hat, result.b_hat, result
 
 
+def score_held_out(
+    est_a, est_b, unit: ResidualUnit, seed: int, method: str,
+    test_set_size: int = 1000, input_kind: str = "mixture",
+) -> ErrorReport:
+    """Score an estimate on a held-out set drawn from ``unit`` at
+    ``derive_seed(seed, "test")``, with clean labels.
+
+    The held-out set is drawn without label noise: the score measures how
+    close the learned function is to the true one, and noisy per-sample
+    normalization would instead be dominated by test points whose noisy
+    label happens to land near zero norm. ``sample`` and
+    ``relative_errors`` are read as module attributes at call time, so a
+    caller that swaps them (to trace or check the scoring) sees every call.
+    """
+    dist = make_input_dist(input_kind, unit.d)
+    test = sample(unit, dist, test_set_size, 0.0, seed=derive_seed(seed, "test"))
+    return relative_errors(est_a, est_b, unit, test, method=method)
+
+
 def run_trial(
     unit: ResidualUnit,
     n: int,
@@ -205,25 +229,20 @@ def run_trial(
 ) -> ErrorReport:
     """Draw a training set, learn with one method, score on fresh data.
 
-    The training set uses ``seed`` directly; the held-out set derives its
-    own seed from it, so recording (unit, seed) reproduces both exactly.
-    The held-out set is drawn without label noise: the score measures how
-    close the learned function is to the true one, and noisy per-sample
-    normalization would instead be dominated by test points whose noisy
-    label happens to land near zero norm.
+    The training set uses ``seed`` directly and ``score_held_out`` derives
+    the held-out seed from it, so recording (unit, seed) reproduces both
+    exactly.
     """
-    dist = make_input_dist(input_kind, unit.d)
-    train = sample(unit, dist, n, noise_sigma, seed=seed)
-    test = sample(unit, dist, test_set_size, 0.0, seed=derive_seed(seed, "test"))
+    train = sample(unit, make_input_dist(input_kind, unit.d), n, noise_sigma, seed=seed)
     est_a, est_b, _ = fit_method(train, method, seed, eps_tol)
-    report = relative_errors(est_a, est_b, unit, test, method=method)
+    report = score_held_out(est_a, est_b, unit, seed, method, test_set_size, input_kind)
     return replace(report, n=n, seed=seed, noise_sigma=noise_sigma)
 
 
-# --- grids ---------------------------------------------------------------
+# --- cells ---------------------------------------------------------------
 
 def cell_seed(base_seed: int, d: int, n: int, sigma: float, method: str, trial: int) -> int:
-    """Content hash of one grid cell; the per-trial RNG root."""
+    """Content hash of one trial of a cell; the per-trial RNG root."""
     return derive_seed(base_seed, d, n, float(sigma), method, trial)
 
 
@@ -232,63 +251,42 @@ def teacher_seed(base_seed: int, d: int, trial: int) -> int:
     return derive_seed(base_seed, "teacher", d, trial)
 
 
-def _grid_teacher(grid: TrialGrid, d: int, trial: int) -> ResidualUnit:
-    if grid.fixed_teacher:
-        seed = derive_seed(grid.base_seed, "fixed-teacher", d)
+def _cell_teacher(cell: TrialCell, trial: int) -> ResidualUnit:
+    if cell.fixed_teacher:
+        seed = derive_seed(cell.base_seed, "fixed-teacher", cell.d)
     else:
-        seed = teacher_seed(grid.base_seed, d, trial)
-    return generate_unit(NetworkGenSpec(d=d, m=d, seed=seed))
+        seed = teacher_seed(cell.base_seed, cell.d, trial)
+    return generate_unit(NetworkGenSpec(d=cell.d, m=cell.d, seed=seed))
 
 
-def _run_cell_trial(args) -> TrialRow:
-    grid, d, n, sigma, method, trial = args
-    seed = cell_seed(grid.base_seed, d, n, sigma, method, trial)
+def _run_cell_trial(cell: TrialCell, trial: int) -> TrialRow:
+    seed = cell_seed(cell.base_seed, cell.d, cell.n, cell.noise_sigma, cell.method, trial)
     try:
-        unit = _grid_teacher(grid, d, trial)
         report = run_trial(
-            unit, n, sigma, method, seed,
-            test_set_size=grid.test_set_size,
-            input_kind=grid.input_kind,
-            eps_tol=grid.eps_tol,
+            _cell_teacher(cell, trial), cell.n, cell.noise_sigma, cell.method, seed,
+            test_set_size=cell.test_set_size,
+            input_kind=cell.input_kind,
+            eps_tol=cell.eps_tol,
         )
-        return TrialRow(
-            d=d, n=n, noise_sigma=sigma, method=method, trial=trial, seed=seed,
-            layer1_rel=report.layer1_rel,
-            layer2_rel=report.layer2_rel,
-            output_rel=report.output_rel,
-        )
+        figures, status, message = (report.layer1_rel, report.layer2_rel, report.output_rel), "ok", ""
     except ReslearnError as exc:
-        return TrialRow(
-            d=d, n=n, noise_sigma=sigma, method=method, trial=trial, seed=seed,
-            layer1_rel=float("nan"), layer2_rel=float("nan"), output_rel=float("nan"),
-            status="failed", message=str(exc),
-        )
+        figures, status, message = (float("nan"),) * 3, "failed", str(exc)
+    return TrialRow(cell.d, cell.n, cell.noise_sigma, cell.method, trial, seed,
+                    *figures, status, message)
 
 
-def _grid_tasks(grid: TrialGrid) -> list[tuple]:
-    return [
-        (grid, d, n, sigma, method, trial)
-        for d in grid.dims
-        for n in grid.sample_sizes
-        for sigma in grid.noise_sigmas
-        for method in grid.methods
-        for trial in range(grid.trials_per_cell)
-    ]
-
-
-def run_grids(grids, jobs: int = 1) -> Iterator[list[TrialRow]]:
-    """Each grid's rows in turn, yielded as soon as that grid's trials finish.
+def run_cells(cells, jobs: int = 1) -> Iterator[list[TrialRow]]:
+    """Each cell's rows in turn, yielded as soon as that cell's trials finish.
 
     Failures come back as rows with status "failed" rather than stopping
     the sweep, and the rows are the same for any ``jobs``, since every trial
     is seeded by content. ``jobs`` > 1 starts one process pool for all the
-    grids and queues every trial up front, so workers stay busy across grid
-    boundaries while the rows still come back grid by grid in deterministic
-    cell order.
+    cells and queues every trial up front, so workers stay busy across cell
+    boundaries while the rows still come back cell by cell, in order.
     """
     if jobs <= 1:
-        for grid in grids:
-            yield [_run_cell_trial(task) for task in _grid_tasks(grid)]
+        for cell in cells:
+            yield [_run_cell_trial(cell, trial) for trial in range(cell.trials)]
         return
     # imported here, so importing the package and serial runs skip them
     import multiprocessing
@@ -298,8 +296,8 @@ def run_grids(grids, jobs: int = 1) -> Iterator[list[TrialRow]]:
     # process whose BLAS may already run threads
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn"))
     try:
-        queued = [[pool.submit(_run_cell_trial, task) for task in _grid_tasks(grid)]
-                  for grid in grids]
+        queued = [[pool.submit(_run_cell_trial, cell, trial) for trial in range(cell.trials)]
+                  for cell in cells]
         for futures in queued:
             yield [future.result() for future in futures]
     finally:
@@ -340,42 +338,32 @@ def aggregate_rows(rows: list[TrialRow]) -> list[dict]:
 
 # --- success-rate study --------------------------------------------------
 
-def run_success_rates(
-    dims,
-    sample_sizes,
-    trials: int,
-    base_seed: int = 0,
-    input_mean: float = 0.0,
-) -> list[dict]:
-    """Success rate of the two-orthant regression per (d, n) cell.
+def success_rate(
+    d: int, n: int, trials: int, base_seed: int = 0, input_mean: float = 0.0
+) -> dict:
+    """Success rate of the two-orthant regression over ``trials`` teachers
+    of dimension d, each fit on n samples.
 
     Inputs are i.i.d. N(input_mean, 1); a nonzero mean skews the orthant
-    probabilities and drives the rates down, which is itself one of the
+    probabilities and drives the rate down, which is itself one of the
     study's findings.
     """
-    out = []
-    for d in dims:
-        for n in sample_sizes:
-            successes = 0
-            for trial in range(trials):
-                unit = generate_unit(
-                    NetworkGenSpec(d=d, m=d, seed=teacher_seed(base_seed, d, trial))
-                )
-                seed = derive_seed(base_seed, "vlr", d, n, float(input_mean), trial)
-                train = sample(unit, GaussianIid(dim=d, mean=input_mean), n, 0.0, seed=seed)
-                if vanilla_lr(train).success:
-                    successes += 1
-            out.append(
-                {
-                    "d": d,
-                    "n": n,
-                    "trials": trials,
-                    "successes": successes,
-                    "rate": successes / trials,
-                    "input_mean": input_mean,
-                }
-            )
-    return out
+    _require_counts(d=d, n=n, trials=trials)
+    successes = 0
+    for trial in range(trials):
+        unit = generate_unit(NetworkGenSpec(d=d, m=d, seed=teacher_seed(base_seed, d, trial)))
+        seed = derive_seed(base_seed, "vlr", d, n, float(input_mean), trial)
+        train = sample(unit, GaussianIid(dim=d, mean=input_mean), n, 0.0, seed=seed)
+        if vanilla_lr(train).success:
+            successes += 1
+    return {
+        "d": d,
+        "n": n,
+        "trials": trials,
+        "successes": successes,
+        "rate": successes / trials,
+        "input_mean": input_mean,
+    }
 
 
 # --- serialization -------------------------------------------------------

@@ -33,7 +33,7 @@ GENERATION_RETRY_BUDGET = 100
 WEIGHT_STD = 1.0
 
 #: Standard deviation of the Gaussian inputs; ``GaussianIid`` varies only
-#: its mean, and ``FoldedGaussianIid`` folds a zero-mean draw.
+#: its mean.
 INPUT_STD = 1.0
 
 #: Branches of the standard mixture: N(mean, std^2) and U(lo, hi).
@@ -147,16 +147,6 @@ class GaussianIid:
 
 
 @dataclass(frozen=True)
-class FoldedGaussianIid:
-    """Coordinates i.i.d. |N(0, INPUT_STD^2)| (entrywise absolute value)."""
-
-    dim: int
-
-    def draw(self, rng: np.random.Generator, n: int) -> Mat:
-        return np.abs(rng.normal(0.0, INPUT_STD, size=(n, self.dim)))
-
-
-@dataclass(frozen=True)
 class GaussUniformMixture:
     """Each coordinate independently N(-0.1, 1) or U(-0.9, 1.1).
 
@@ -173,7 +163,7 @@ class GaussUniformMixture:
         return np.where(pick_gauss, gauss, unif)
 
 
-InputDistribution = GaussianIid | FoldedGaussianIid | GaussUniformMixture
+InputDistribution = GaussianIid | GaussUniformMixture
 
 
 def standard_mixture(dim: int) -> GaussUniformMixture:

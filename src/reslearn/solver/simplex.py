@@ -99,14 +99,11 @@ def _slack_columns(problem: LpProblem) -> tuple[np.ndarray, np.ndarray] | None:
 def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float,
            prefer: np.ndarray | None = None) -> list[tuple[int, int]]:
     """(column, row) start pairs by elimination in column order; a pivot must
-    exceed PIVOT_TOL times its column's largest entry in a, or the column gets no row,
-    as every column does when a has no rows. A usable row in ``prefer`` wins
-    over any other, then a usable row with |rhs| > 1e-6 rhs_scale over one
-    without, then the larger pivot."""
-    if not a.shape[0]:
-        return []
+    exceed PIVOT_TOL times its column's largest entry in a, or the column gets
+    no row. A usable row in ``prefer`` wins over any other, then a usable row
+    with |rhs| > 1e-6 rhs_scale over one without, then the larger pivot."""
     work = a.T.copy()  # one row per column of a, so each step reads contiguous memory
-    least = PIVOT_TOL * np.abs(work).max(axis=1, initial=0.0)  # read off a, before elimination leaves rounding
+    least = PIVOT_TOL * np.abs(work).max(axis=1)  # read off a, before elimination leaves rounding
     tiers = [np.abs(rhs) > 1e-6 * rhs_scale]  # rows with data
     if prefer is not None:
         tiers.insert(0, prefer)
@@ -202,18 +199,16 @@ def _descend(rows, b, w, basis, tol):
 def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
     """Clean up and check a candidate infeasibility ray; None if it fails.
 
-    A valid ray has lam >= 0, lhs' lam = 0 on free variables, <= 0 on
-    nonnegative ones, and rhs . lam > 0.
+    A valid ray has lam >= 0, lhs' lam = 0 and rhs . lam > 0: only a
+    hard-row LP, whose variables are all free, runs the dual method.
     """
     lam = np.where(lam > 0.0, lam, 0.0)
     norm = float(lam.max(initial=0.0))
     if norm <= 0.0:
         return None
     lam = lam / norm
-    lhs, rhs, nonneg = problem.ineq_lhs, problem.ineq_rhs, list(problem.nonneg_vars)
-    pull = lhs.T @ lam
-    pull[nonneg] = np.maximum(pull[nonneg], 0.0)
-    if np.abs(pull).max() > 1e-6 * max(float(lhs.max()), -float(lhs.min())):
+    lhs, rhs = problem.ineq_lhs, problem.ineq_rhs
+    if np.abs(lhs.T @ lam).max() > 1e-6 * max(float(lhs.max()), -float(lhs.min())):
         return None
     if float(rhs @ lam) <= 1e-9 * float(np.abs(rhs).max()):
         return None

@@ -187,8 +187,8 @@ class SolveReport:
     ``dual`` carries the multipliers of the inequality rows (set on optimal
     runs; all zero for a zero-objective feasibility run): lam_T on the
     tight rows, a soft row's weight on rows past their bound, 0 elsewhere.
-    ``certificate`` is only set on infeasible runs: a ray lam >= 0 with
-    lhs' lam vanishing on free variables, nonpositive on bounded ones, and
+    ``certificate`` is only set on infeasible runs, which only hard-row LPs
+    (every variable free) have: a ray lam >= 0 with lhs' lam = 0 and
     rhs . lam > 0, proving that no feasible point exists.
     """
 

@@ -27,7 +27,7 @@ from scipy.optimize import linprog
 
 from conftest import record_acceptance, split_ls_on_assembled
 from reslearn.baselines import expected_sample_bound
-from reslearn.evaluation import cell_seed, full_pipeline, relative_errors, run_success_rates, run_trial
+from reslearn.evaluation import cell_seed, full_pipeline, relative_errors, run_trial, success_rate
 from reslearn.layer2 import learn_layer2
 from reslearn.model import (
     GaussianIid,
@@ -142,7 +142,7 @@ def test_criterion_3():
     # two-orthant regression success rates, 300 trials per cell
     t0 = time.time()
     rates = {
-        (d, n): run_success_rates([d], [n], 300, base_seed=0)[0]["rate"]
+        (d, n): success_rate(d, n, 300, base_seed=0)["rate"]
         for d, n in ((4, 500), (4, 100), (6, 1000))
     }
     elapsed = time.time() - t0

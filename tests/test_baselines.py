@@ -9,10 +9,11 @@ from reslearn.baselines import (
     vanilla_lr,
 )
 from reslearn.model import (
-    FoldedGaussianIid,
     GaussianIid,
     WEIGHT_STD,
     ResidualUnit,
+    SampleSet,
+    forward_batch,
     make_rng,
     sample,
 )
@@ -48,9 +49,9 @@ class TestVanillaLr:
         assert 0 < res.n_pos_used <= 200
 
     def test_no_negative_orthant_fails(self):
-        # folded inputs never reach the all-negative orthant
-        unit = ResidualUnit(a=A_REF, b=B_REF)
-        s = sample(unit, FoldedGaussianIid(dim=2), 400, 0.0, seed=4)
+        # folded Gaussian inputs never reach the all-negative orthant
+        xs = np.abs(make_rng(4).normal(0.0, 1.0, size=(400, 2)))
+        s = SampleSet(xs=xs, ys=forward_batch(A_REF, B_REF, xs))
         res = vanilla_lr(s)
         assert not res.success
         assert res.a_hat is None and res.b_hat is None

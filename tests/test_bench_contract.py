@@ -12,7 +12,9 @@ fail or report ``"correct": false``.
 The per-layer counts on the run's last line guard the trace points
 themselves: each layer module must call ``solve_lp`` and
 ``solve_separable_ls`` through its own module attributes, or the wrapped
-names see no calls and the counts read zero.
+names see no calls and the counts read zero. Likewise ``run_trial`` must
+reach ``sample`` and ``relative_errors`` as ``evaluation`` attributes: the
+untraced run checks the figures by swapping ``relative_errors``.
 """
 
 import json
@@ -22,6 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+
+import reslearn.evaluation as evaluation
+from reslearn.model import NetworkGenSpec, generate_unit
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("lp-clean", "slack-sweep", "qp-sgd")
@@ -72,3 +77,18 @@ def test_traced_trial_reaches_every_layer_solver(bench_runs, workload):
     metrics = json.loads(bench_runs[workload].stdout.strip().splitlines()[-1])["metrics"]
     for name, expected in EXPECTED_COUNTS[workload].items():
         assert expected(metrics[name]["value"]), (name, metrics[name]["value"])
+
+
+def test_run_trial_samples_and_scores_through_module_attributes(monkeypatch):
+    calls = {"sample": 0, "relative_errors": 0}
+    for name in calls:
+        real = getattr(evaluation, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    unit = generate_unit(NetworkGenSpec(d=2, m=2, seed=1))
+    evaluation.run_trial(unit, 64, 0.0, "lp", 5)
+    assert calls == {"sample": 2, "relative_errors": 1}

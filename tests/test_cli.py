@@ -7,6 +7,7 @@ import reslearn.cli as cli
 import reslearn.evaluation as evaluation
 from reslearn.cli import main
 from reslearn.evaluation import cell_seed, fit_method, run_trial
+from reslearn.layer2 import EPS_TOL
 from reslearn.model import (
     NetworkGenSpec,
     derive_seed,
@@ -139,6 +140,16 @@ class TestLearn:
         payload = json.loads((out / "learn_result.json").read_text())
         assert payload["eps_tol"] == 0.5
 
+    def test_default_eps_tol_recorded(self, dataset, tmp_path, capsys):
+        # the value the fit used, not the absence of a flag
+        out = tmp_path / "fit"
+        code, _, _ = run(
+            capsys, "learn", "--data", str(dataset / "samples.csv"),
+            "--method", "qp", "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "learn_result.json").read_text())["eps_tol"] == EPS_TOL
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
@@ -185,6 +196,27 @@ class TestConfigFile:
             (2, "gaussian", 50, 3),      # an explicit flag still wins
             (1, "mixture", 1000, None),  # no config: the parser's defaults
         ]
+
+    @pytest.mark.parametrize("key", ["command", "config", "func"])
+    def test_parser_internal_key_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "learn", "d": 2, "n": 20}))
+        out = tmp_path / "gen"
+        code, _, err = run(capsys, "generate", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert repr(key) in payload["message"]
+        assert not out.exists()
+
+    def test_help_shows_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for shown in ("(default 1;", "(default 1000)", f"(default {EPS_TOL})",
+                      "(default mixture)", "(default .)", "(default 0.0)"):
+            assert shown in text
 
     def test_config_sets_a_store_true_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -309,6 +341,46 @@ class TestExperiment:
         [cell] = ledger["cells"].values()
         assert cell["result"]["trials"] == 3
         assert 0.0 <= cell["result"]["rate"] <= 1.0
+
+    def test_ledger_records_the_cell_fields(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        code, _, _ = run(
+            capsys, "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64",
+            "--methods", "lp", "--trials", "1", "--out", str(out),
+        )
+        assert code == 0
+        [cell] = json.loads((out / "heatmap.json").read_text())["cells"].values()
+        assert cell["config"] == {
+            "d": 2, "n": 64, "noise_sigma": 0.0, "method": "lp", "trials": 1,
+            "test_set_size": 1000, "base_seed": 0, "input_kind": "mixture",
+            "fixed_teacher": False, "eps_tol": EPS_TOL,
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["vanilla_lr_rates", "--trials", "0"],
+        ["heatmap", "--trials", "0"],
+        ["weight_robustness", "--d", "0"],
+        ["noise_robustness", "--n", "0"],
+    ])
+    def test_explicit_zero_is_kept_and_rejected(self, tmp_path, capsys, argv):
+        # a zero is a value, not a missing flag: it must not fall back to the
+        # study's default (200 vanilla-LR trials, d = 8, ...)
+        out = tmp_path / "exp"
+        code, stdout, err = run(capsys, "experiment", *argv, "--out", str(out))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ValueError"
+        assert argv[1].lstrip("-") in payload["message"]
+        assert stdout == ""
+        assert [p.name for p in out.iterdir()] == []
+
+    @pytest.mark.parametrize("flag", ["--dims", "--sample-sizes"])
+    def test_empty_list_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "exp"
+        code, _, err = run(capsys, "experiment", "vanilla_lr_rates", flag, " ", "--out", str(out))
+        assert code == 2
+        assert stderr_payload(err)["error"] == "ConfigError"
+        assert [p.name for p in out.iterdir()] == []
 
     def test_unknown_experiment_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 from reslearn.errors import DimensionMismatchError, ReslearnError
 from reslearn.evaluation import (
-    TrialGrid,
+    TrialCell,
     TrialRow,
     aggregate_rows,
     cell_seed,
     full_pipeline,
     make_input_dist,
     relative_errors,
-    run_grids,
-    run_success_rates,
+    run_cells,
     run_trial,
     save_rows_csv,
+    success_rate,
     teacher_seed,
 )
 from reslearn.model import (
@@ -218,42 +218,24 @@ class TestSeeds:
 
 class TestRunGrid:
     def test_rows_and_order(self):
-        grid = TrialGrid(
-            dims=(2,),
-            sample_sizes=(64,),
-            methods=("lp", "vanilla-lr"),
-            trials_per_cell=2,
-            base_seed=6,
-            input_kind="gaussian",
-            test_set_size=100,
-        )
-        [rows] = run_grids([grid])
+        cells = [
+            TrialCell(d=2, n=64, method=method, trials=2, base_seed=6,
+                      input_kind="gaussian", test_set_size=100)
+            for method in ("lp", "vanilla-lr")
+        ]
+        rows = [row for cell_rows in run_cells(cells) for row in cell_rows]
         assert [(r.method, r.trial) for r in rows] == [
             ("lp", 0), ("lp", 1), ("vanilla-lr", 0), ("vanilla-lr", 1)
         ]
 
     def test_deterministic_and_parallel_equal(self):
-        grid = TrialGrid(
-            dims=(2,),
-            sample_sizes=(64,),
-            methods=("lp",),
-            trials_per_cell=2,
-            base_seed=6,
-            test_set_size=100,
-        )
-        assert list(run_grids([grid])) == list(run_grids([grid], jobs=2))
+        cell = TrialCell(d=2, n=64, method="lp", trials=2, base_seed=6, test_set_size=100)
+        assert list(run_cells([cell])) == list(run_cells([cell], jobs=2))
 
     def test_failures_become_rows(self):
-        grid = TrialGrid(
-            dims=(4,),
-            sample_sizes=(16,),
-            methods=("vanilla-lr",),
-            trials_per_cell=3,
-            base_seed=11,
-            input_kind="gaussian",
-            test_set_size=100,
-        )
-        [rows] = run_grids([grid])
+        cell = TrialCell(d=4, n=16, method="vanilla-lr", trials=3, base_seed=11,
+                         input_kind="gaussian", test_set_size=100)
+        [rows] = run_cells([cell])
         assert len(rows) == 3
         for row in rows:
             assert row.status == "failed"
@@ -262,11 +244,16 @@ class TestRunGrid:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            TrialGrid(dims=(), sample_sizes=(64,))
+            TrialCell(d=2, n=64, method="newton")
         with pytest.raises(ValueError):
-            TrialGrid(dims=(2,), sample_sizes=(64,), methods=("newton",))
-        with pytest.raises(ValueError):
-            TrialGrid(dims=(2,), sample_sizes=(64,), input_kind="cauchy")
+            TrialCell(d=2, n=64, input_kind="cauchy")
+
+    @pytest.mark.parametrize("field", ["d", "n", "trials"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrialCell(**{"d": 2, "n": 64, "trials": 1, field: 0})
+        with pytest.raises(ValueError, match=field):
+            success_rate(**{"d": 2, "n": 64, "trials": 1, field: 0})
 
 
 def synthetic_rows():
@@ -326,19 +313,16 @@ class TestSerialization:
 
 class TestSuccessRates:
     def test_structure_and_determinism(self):
-        out = run_success_rates([2], [64], trials=5, base_seed=3)
-        assert out == run_success_rates([2], [64], trials=5, base_seed=3)
-        rec = out[0]
+        rec = success_rate(2, 64, trials=5, base_seed=3)
+        assert rec == success_rate(2, 64, trials=5, base_seed=3)
         assert rec["trials"] == 5
         assert rec["rate"] == rec["successes"] / 5
 
     def test_easy_cell_always_succeeds(self):
-        out = run_success_rates([2], [64], trials=20, base_seed=3)
-        assert out[0]["rate"] == 1.0
+        assert success_rate(2, 64, trials=20, base_seed=3)["rate"] == 1.0
 
     def test_shifted_inputs_starve_negative_orthant(self):
-        out = run_success_rates([2], [64], trials=10, base_seed=3, input_mean=3.0)
-        assert out[0]["rate"] == 0.0
+        assert success_rate(2, 64, trials=10, base_seed=3, input_mean=3.0)["rate"] == 0.0
 
 
 class TestMakeInputDist:

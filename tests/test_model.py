@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from reslearn.errors import DimensionMismatchError, GenerationFailedError
 from reslearn.model import (
-    FoldedGaussianIid,
     GaussianIid,
     GaussUniformMixture,
     NetworkGenSpec,
@@ -139,15 +138,11 @@ class TestScaleRows:
 
 class TestDistributions:
     def test_shapes_and_determinism(self):
-        for dist in (GaussianIid(dim=3), FoldedGaussianIid(dim=3), GaussUniformMixture(dim=3)):
+        for dist in (GaussianIid(dim=3), GaussUniformMixture(dim=3)):
             a = dist.draw(make_rng(5), 100)
             b = dist.draw(make_rng(5), 100)
             assert a.shape == (100, 3)
             np.testing.assert_array_equal(a, b)
-
-    def test_folded_nonnegative(self):
-        draws = FoldedGaussianIid(dim=4).draw(make_rng(1), 1000)
-        assert draws.min() >= 0.0
 
     def test_mixture_moments(self):
         # mean of the equal mixture: (-0.1 + 0.1)/2 = 0

@@ -243,17 +243,18 @@ class TestSimplexInfeasibility:
     @settings(max_examples=300, deadline=None)
     def test_farkas_check_matches_loop_reference(self, seed, noise):
         # The check is vectorised; the reference is its former per-column
-        # loop. Candidates are rays of a u.v >= 1, -u.v >= 0 pair, sometimes
-        # on a bounded column or with a noisy or negative entry, so both
-        # verdicts occur.
+        # loop. Candidates are rays of a u.v >= 1, -u.v >= 0 pair over free
+        # columns (only hard-row LPs, which have no bounded column, reach the
+        # check), sometimes with a noisy or negative entry, so both verdicts
+        # occur.
         def reference(problem, lam):
             lam = np.where(lam > 0.0, lam, 0.0)
             if lam.max(initial=0.0) <= 0.0:
                 return None
             lam = lam / lam.max()
             limit = 1e-6 * float(np.abs(problem.ineq_lhs).max())
-            for j, value in enumerate(problem.ineq_lhs.T @ lam):
-                if (value if j in problem.nonneg_vars else abs(value)) > limit:
+            for value in problem.ineq_lhs.T @ lam:
+                if abs(value) > limit:
                     return None
             if problem.ineq_rhs @ lam <= 1e-9 * float(np.abs(problem.ineq_rhs).max()):
                 return None
@@ -264,8 +265,7 @@ class TestSimplexInfeasibility:
         u = g.standard_normal(k)
         lhs = np.vstack([u, -u * (1.0 + noise * g.standard_normal()), g.standard_normal((extra, k))])
         rhs = np.concatenate([g.standard_normal(2), g.standard_normal(extra)])
-        nonneg = tuple(int(j) for j in np.flatnonzero(g.random(k) < 0.5))
-        problem = LpProblem(objective=np.zeros(k), ineq_lhs=lhs, ineq_rhs=rhs, nonneg_vars=nonneg)
+        problem = LpProblem(objective=np.zeros(k), ineq_lhs=lhs, ineq_rhs=rhs)
         lam = np.concatenate([[1.0, 1.0], g.standard_normal(extra) * (g.random() < 0.3)])
         got, want = simplex._verify_farkas(problem, lam), reference(problem, lam)
         assert (got is None) == (want is None)
@@ -384,7 +384,7 @@ class TestSimplexOnLayerPrograms:
             return chosen
 
         g = rng(seed)
-        n, k = int(g.integers(0, 12)), int(g.integers(1, 7))  # n = 0: every row dropped
+        n, k = int(g.integers(1, 12)), int(g.integers(1, 7))
         if g.random() < 0.5:  # small integers: tied magnitudes, zero columns
             a = g.integers(-2, 3, size=(n, k)).astype(float)
         else:
