@@ -19,8 +19,9 @@ trial is seeded by content. vanilla_lr_rates makes one
 Every flag has one default, shown by ``--help``. ``--config FILE`` names a
 JSON object whose keys are flags of the subcommand (``test_size`` or
 ``test-size``); its values replace those defaults, so a flag given on the
-command line still wins, and a key that is not such a flag is a
-configuration error.
+command line still wins. Each value goes through its flag's type and
+choices, as a command-line token would, and a bad value or a key that is
+not such a flag is a configuration error.
 
 Exit codes: 0 success, 2 bad configuration, 3 io failure, 4 solver
 failure, 5 evaluation/stage failure. Failures also print a single-line
@@ -113,9 +114,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _read_config(args: argparse.Namespace) -> dict:
-    """The flag defaults a JSON config file sets, keyed by flag attribute; a
-    key that is not a flag of the subcommand is a ConfigError."""
+def _config_value(action: argparse.Action, value):
+    """A config file's value for one flag, checked as the flag's own token
+    would be: through its ``type`` and ``choices``. JSON null stands for the
+    flag's declared default."""
+    if value is None:
+        return action.default
+    if action.nargs == 0:  # a switch: true or false, not a token
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {action.dest!r} takes true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"config key {action.dest!r} takes a string or a number, got {value!r}")
+    try:
+        value = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {action.dest!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {action.dest!r} takes one of {list(action.choices)}, "
+                          f"got {value!r}")
+    return value
+
+
+def _read_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """The flag defaults a JSON config file sets, keyed by flag attribute and
+    checked as ``_config_value`` does; a key that is not a flag of the
+    subcommand is a ConfigError."""
     try:
         stored = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
@@ -125,12 +149,13 @@ def _read_config(args: argparse.Namespace) -> dict:
     stored = {key.replace("-", "_"): value for key, value in stored.items()}
     # the subcommand's own flags; not the parser's bookkeeping, which a key
     # could otherwise overwrite
-    declared = set(vars(args)) - {"func", "command", "config"}
-    unknown = [key for key in stored if key not in declared]
+    actions = {action.dest: action for action in parser.commands[args.command]._actions
+               if action.dest not in ("help", "config")}
+    unknown = [key for key in stored if key not in actions]
     if unknown:
         raise ConfigError(f"{args.command} takes no {', '.join(map(repr, unknown))} "
                           f"(config keys must name its flags)")
-    return stored
+    return {key: _config_value(actions[key], value) for key, value in stored.items()}
 
 
 # --- generate ------------------------------------------------------------
@@ -404,6 +429,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     for p, func in ((gen, cmd_generate), (learn, cmd_learn), (exp, cmd_experiment)):
         p.set_defaults(func=func, **(defaults or {}))
+    parser.commands = sub.choices  # subcommand parsers by name, for _read_config
     return parser
 
 
@@ -417,10 +443,11 @@ def _fail(code: int, exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            args = build_parser(_read_config(args)).parse_args(argv)
+            args = build_parser(_read_config(args, parser)).parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError, DimensionMismatchError) as exc:
         return _fail(EXIT_CONFIG, exc)

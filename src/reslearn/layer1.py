@@ -150,7 +150,11 @@ def _scale_fit_misfit(xs: Mat, hs: Mat, raw_a: Mat) -> float:
             continue
         if np.abs(response).max() <= roundoff * np.abs(h_j[active]).max():
             return np.inf
-        worst = max(worst, fit[1] / max(float(np.var(response)), 1e-30))
+        spread = float(np.var(response))
+        if spread > 0.0:
+            worst = max(worst, fit[1] / spread)
+        elif fit[1] > 0.0:  # a constant response off the line; zero residual is an exact line
+            return np.inf
     return worst
 
 

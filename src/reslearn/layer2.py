@@ -12,9 +12,15 @@ half-line and divides the scale back out before B is read off by least
 squares.
 
 The QP route solves all d rows as one batched eliminated program (shared
-factorization); the LP routes run one small LP per row: m free
+factorization); the LP routes pose one small LP per row: m free
 coefficients against n rows, which ``solve_lp`` works on as a basis of at
-most m tight rows.
+most m tight rows. The d feasibility LPs share the design and the start
+mask, so ``shared_start`` starts them together, and a row its start closes
+takes its coefficients and hidden column from that start. Only the other
+rows go to ``solve_lp``: rows the start leaves violated (noisy rows, each
+followed by its slack LP on the slack route, and rows of a sparse orthant),
+and every row when m > d, where Y has rank d and the crash leaves columns
+without a pivot.
 
 Both LPs of a row start on the samples in the negative orthant, x <= 0.
 There A x <= 0 because A >= 0, so the ReLU is off, y = B x, and
@@ -46,7 +52,7 @@ from .methods import ConvexMethod
 from .model import SampleSet
 from .numerics import Mat, lls_solve, origin_fit
 from .solver import SolveStatus, row_lp, row_slack_lp
-from .solver.simplex import FEAS_TOL, solve_lp
+from .solver.simplex import FEAS_TOL, shared_start, solve_lp
 from .solver.split_ls import solve_separable_ls
 
 
@@ -97,22 +103,27 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     xi_hat = np.zeros((n, d))
     notes: list[str] = []
     tight = np.all(xs <= 0, axis=1)  # the teacher's row is tight on these samples
-    for j in range(d):
-        report = solve_lp(row_lp(design, targets[:, j]), prefer=tight)
-        if slack and report.status is SolveStatus.INFEASIBLE:
-            # Only an infeasible system leaves the slack program real work;
-            # when the plain feasibility program closes every constraint the
-            # slack optimum is exactly zero at that point, so the slack
-            # solve, which would only walk to some other feasible vertex,
-            # is skipped.
-            report = solve_lp(row_slack_lp(design, targets[:, j]), prefer=tight)
-        if report.status is not SolveStatus.OPTIMAL:
-            raise SolverFailedError(
-                f"layer-2 LP for row {j} ended with status {report.status.value}: "
-                f"{report.message}"
-            )
-        c_hat[j] = report.point[:m]
-        residual = ys @ c_hat[j] - xs[:, j]
+    starts, surplus = shared_start(design, targets, prefer=tight)
+    for j, report in enumerate(starts):
+        if report is not None:  # the start closes every row: no engine run
+            c_hat[j] = report.point
+            residual = surplus[:, j]
+        else:
+            report = solve_lp(row_lp(design, targets[:, j]), prefer=tight)
+            if slack and report.status is SolveStatus.INFEASIBLE:
+                # Only an infeasible system leaves the slack program real
+                # work; when the plain feasibility program closes every
+                # constraint the slack optimum is exactly zero at that
+                # point, so the slack solve, which would only walk to some
+                # other feasible vertex, is skipped.
+                report = solve_lp(row_slack_lp(design, targets[:, j]), prefer=tight)
+            if report.status is not SolveStatus.OPTIMAL:
+                raise SolverFailedError(
+                    f"layer-2 LP for row {j} ended with status {report.status.value}: "
+                    f"{report.message}"
+                )
+            c_hat[j] = report.point[:m]
+            residual = ys @ c_hat[j] - xs[:, j]
         if slack:
             value = float(np.maximum(-residual, 0.0).mean())
             if value > FEAS_TOL * 100 * float(np.abs(xs[:, j]).max()):
@@ -153,8 +164,8 @@ def rescale_layer2(samples: SampleSet, c_hat: Mat, eps_tol: float = EPS_TOL) -> 
             continue
         slope, mse = fit
         spread = float(np.var(cy_neg))
-        if mse > eps_tol * max(spread, 1e-30):
-            continue  # gate: residual too large, not a scale row
+        if mse > eps_tol * spread:
+            continue  # gate: residual too large (zero spread and residual: an exact line)
         if slope < K_MIN:
             warnings.warn(
                 f"row {j}: degenerate scale estimate {slope:.3e}, left at 1",

@@ -50,12 +50,22 @@ by sign(g_j) e_j . c >= -M at lam = |g_j|, M = BOX |rhs|/|lhs| (|rhs| read
 as 1 when rhs = 0); a box row that keeps a multiplier means the objective
 is unbounded below. Every tolerance is relative to the data.
 
+``shared_start`` starts a family of feasibility runs row_lp(F, t_j) over one
+design at once. The crash reads t_j only through its tier-2 mask, so it runs
+once per distinct mask; one stacked inverse factors the d bases and one
+stacked product checks every row. A row whose start passes the dual
+method's stop and the terminal check gets the zero-step report its own
+``solve_lp`` call would give, bit for bit: the products are per-row
+matrix-vector products, as the engine's are. Any other row, and every row of
+a crash that leaves a column without a pivot, is left to ``solve_lp``.
+
 Cost: a step of either method factors its p x p basis once (the inverse
 gives the point, the multipliers and the step) and scans the n rows:
 O(p^3 + n p); the descent also sorts its edge's breakpoints, O(n log n). The
 set-up builds the n x p kept block and its transpose for the start and, for
 a slack LP, an n x (columns) boolean mask to find the unit columns; it
-never copies the constraint matrix.
+never copies the constraint matrix. ``shared_start`` costs one crash per
+mask, O(d m^3) for the inverses and O(d n m) for the check.
 """
 
 from __future__ import annotations
@@ -123,7 +133,20 @@ def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float,
     return chosen
 
 
-def _run(rows, b, g, basis, tol):
+def _stops(off_basis_gap: np.ndarray, rhs_scale) -> np.ndarray:
+    """The dual method's stop, over the last axis of the gaps rhs - lhs @ c
+    with the basis rows' gaps set to 0: every other row within FEAS_TOL of
+    |rhs|."""
+    return off_basis_gap.max(axis=-1, initial=0.0) <= FEAS_TOL * rhs_scale
+
+
+def _violates(violation: float, rhs_scale: float) -> bool:
+    """``solve_lp``'s terminal check on a point its method calls optimal: a
+    row violated by more than 10 FEAS_TOL |rhs| makes it numerical trouble."""
+    return violation > FEAS_TOL * rhs_scale * 10.0
+
+
+def _run(rows, b, g, basis, rhs_scale):
     """The dual method from a basis. Returns (verdict, c, steps, lam), lam
     over the rows: the multipliers when optimal, the Farkas ray when
     infeasible."""
@@ -133,7 +156,7 @@ def _run(rows, b, g, basis, tol):
         violation = b - rows @ c
         lam = g @ inverse
         violation[basis] = 0.0
-        if violation.max(initial=0.0) <= tol:
+        if _stops(violation, rhs_scale):
             multipliers = np.zeros(rows.shape[0])
             multipliers[basis] = lam
             return "optimal", c, step, multipliers
@@ -251,7 +274,7 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
 
     try:
         if slacks is None:
-            verdict, c, steps, lam = _run(rows, b, g, basis, FEAS_TOL * rhs_scale)
+            verdict, c, steps, lam = _run(rows, b, g, basis, rhs_scale)
         else:
             verdict, c, steps, lam = _descend(rows, b, slacks[1], basis, FEAS_TOL * rhs_scale)
     except np.linalg.LinAlgError:
@@ -265,7 +288,7 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
     violation = problem.max_violation(point)
     if verdict == "optimal" and boxed.any() and (lam[n:] > FEAS_TOL * np.abs(g).max()).any():
         verdict = "objective unbounded below"
-    elif verdict == "optimal" and violation > FEAS_TOL * rhs_scale * 10.0:
+    elif verdict == "optimal" and _violates(violation, rhs_scale):
         verdict = f"terminal basis violates the original constraints by {violation:.3e}"
     status, message, extra = SolveStatus.NUMERICAL_TROUBLE, verdict, {}
     if verdict == "optimal":
@@ -281,3 +304,63 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
             status, message = SolveStatus.INFEASIBLE, "Farkas ray verified against the original constraints"
     value = float("nan") if status is SolveStatus.INFEASIBLE else float(cost @ point)
     return SolveReport(point, value, float(violation), steps, status, message=message, **extra)
+
+
+def shared_start(design: np.ndarray, targets: np.ndarray, prefer: np.ndarray | None = None
+                 ) -> tuple[list[SolveReport | None], np.ndarray]:
+    """The starts of the row LPs ``row_lp(design, targets[:, j])``, all at once.
+
+    Each row's report is the zero-step one ``solve_lp(row_lp(design,
+    targets[:, j]), prefer)`` returns when its start closes every row, and
+    None otherwise: when the start leaves a row violated, when the crash
+    leaves a column without a pivot, or when a basis is singular. Also
+    returns the surplus t - F u of every row system at its start (n x d,
+    nan in columns whose report is None).
+
+    The crash depends on a row's target only through its tier-2 mask, so it
+    runs once per distinct mask; one stacked inverse factors the d bases and
+    one stacked product checks every row. Each row gets the bits its own
+    ``solve_lp`` call would give.
+    """
+    lhs = np.ascontiguousarray(-np.asarray(design, dtype=np.float64))  # as LpProblem holds it
+    rhs = -np.asarray(targets, dtype=np.float64).T
+    (n, m), d = lhs.shape, rhs.shape[0]
+    if prefer is not None:
+        prefer = np.asarray(prefer, dtype=bool)
+        if prefer.shape != (n,):
+            raise DimensionMismatchError(f"prefer has shape {prefer.shape}, expected ({n},)")
+    scale = np.abs(rhs).max(axis=1)
+    masks = np.abs(rhs) > 1e-6 * scale[:, None]  # _crash's second tier, row by row
+    crashes: dict[bytes, list[int]] = {}  # basis rows, in column order
+    ok, basis = [], []
+    for j in range(d):
+        key = masks[j].tobytes()
+        if key not in crashes:
+            crashes[key] = [row for _, row in _crash(lhs, rhs[j], scale[j], prefer)]
+        if len(crashes[key]) == m:  # every column has its row
+            ok.append(j)
+            basis.append(crashes[key])
+
+    reports: list[SolveReport | None] = [None] * d
+    surplus = np.full((n, d), np.nan)
+    if not ok:
+        return reports, surplus
+    basis, b = np.array(basis), rhs[ok]
+    try:
+        inverse = np.linalg.inv(lhs[basis])
+    except np.linalg.LinAlgError:
+        return reports, surplus
+    # stacked products run one matrix-vector product per row, as solve_lp does
+    c = np.matmul(inverse, np.take_along_axis(b, basis, axis=1)[..., None])
+    product = np.matmul(lhs[None], c)[..., 0]
+    gap = b - product
+    off_basis = gap.copy()
+    np.put_along_axis(off_basis, basis, 0.0, axis=1)
+    stops = _stops(off_basis, scale[ok])
+    for i, j in enumerate(ok):
+        violation = max(float(gap[i].max(initial=0.0)), 0.0)  # LpProblem.max_violation
+        if stops[i] and not _violates(violation, float(scale[j])):
+            reports[j] = SolveReport(c[i, :, 0].copy(), 0.0, violation, 0, SolveStatus.OPTIMAL,
+                                     dual=np.zeros(n))
+            surplus[:, j] = product[i] - b[i]
+    return reports, surplus

@@ -226,6 +226,44 @@ class TestConfigFile:
         assert code == 0
         assert json.loads((out / "generate_config.json").read_text())["non_scale"] is True
 
+    @pytest.mark.parametrize("stored", [
+        {"jobs": 2.5}, {"trials": 1.5}, {"jobs": True}, {"test_size": "many"},
+        {"input": "uniform"}, {"name": "bogus"}, {"dims": [2, 3]},
+    ])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, monkeypatch, stored):
+        # a value the flag's type or choices would refuse on the command
+        # line is a configuration error, not a traceback from the run
+        monkeypatch.setattr(cli, "cmd_experiment", lambda args: 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(stored))
+        code, _, err = run(capsys, "experiment", "heatmap", "--config", str(cfg))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert repr(next(iter(stored))) in payload["message"]
+
+    def test_config_values_take_their_flags_types(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_experiment", lambda args: seen.append(args) or 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"test_size": "50", "eps_tol": 1, "trials": 3, "dims": 4,
+                                   "jobs": None}))
+        code, _, _ = run(capsys, "experiment", "heatmap", "--config", str(cfg))
+        assert code == 0
+        args = seen[0]
+        assert (args.test_size, args.eps_tol, args.trials, args.dims, args.jobs) == (
+            50, 1.0, 3, "4", 1)
+        assert type(args.eps_tol) is float and type(args.test_size) is int
+
+    def test_config_switch_takes_a_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 2, "n": 40, "non_scale": 1}))
+        out = tmp_path / "gen"
+        code, _, err = run(capsys, "generate", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert stderr_payload(err)["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

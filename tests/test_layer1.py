@@ -234,6 +234,15 @@ class TestSoftGate:
         assert misfit(np.diag([0.5, 0.8]) @ A_REF) <= 1e-20
 
 
+    def test_misfit_does_not_depend_on_the_units(self):
+        # the misfit is a ratio of two squared scales; an absolute floor on
+        # the variance would shrink it once the data are small enough
+        s = hidden_from(A_REF, n=300, seed=12, noise=0.05)
+        unit = _scale_fit_misfit(s.xs, s.hs, A_REF)
+        assert 0.0 < unit < np.inf
+        assert _scale_fit_misfit(1e-20 * s.xs, 1e-20 * s.hs, A_REF) == pytest.approx(unit, rel=1e-9)
+
+
 class TestDiagnostics:
     def test_zero_row_left_unscaled(self):
         a = np.array([[0.0, 0.0], [1.0, 2.0]])

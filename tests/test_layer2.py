@@ -22,6 +22,7 @@ from reslearn.model import (
 )
 from reslearn.numerics import is_psd
 from reslearn.solver import row_lp, row_qp, row_slack_lp, solve_lp
+from reslearn.solver.simplex import shared_start
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 B_REF = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -149,20 +150,96 @@ class TestOrthantStart:
             (unit, s, test),
             (moved, SampleSet(xs=s.xs @ m.T, ys=s.ys), SampleSet(xs=test.xs @ m.T, ys=test.ys)),
         ):
-            steps = []
+            steps = []  # of every row, closed by the shared start or by the engine
 
             def recording(problem, prefer=None):
                 rep = solve_lp(problem, prefer)
                 steps.append(rep.iterations)
                 return rep
 
+            def starting(design, targets, prefer=None):
+                reports, surplus = shared_start(design, targets, prefer)
+                steps.extend(rep.iterations for rep in reports if rep is not None)
+                return reports, surplus
+
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(layer2, "solve_lp", recording)
+                patch.setattr(layer2, "shared_start", starting)
                 est1, est2 = full_pipeline(train_set, "lp")
             assert steps == [0] * d
             rep = relative_errors(est1.a_hat, est2.b_hat, u, test_set)
             for field in ("layer1_rel", "layer2_rel", "output_rel"):
                 assert getattr(rep, field) <= 1e-9, field
+
+
+def bits(value):
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
+def per_row_lps(samples, slack, prefer):
+    """Layer 2's row LPs the way the layer posed them before the shared
+    start: one engine run per row, then the slack LP of an infeasible row.
+    Returns (c_hat, xi_hat) as ``_solve_c_lp`` would, or the error type."""
+    ys, xs = samples.ys, samples.xs
+    c_hat, xi_hat = np.zeros((samples.d, samples.m)), np.zeros((samples.n, samples.d))
+    for j in range(samples.d):
+        report = solve_lp(row_lp(-ys, -xs[:, j]), prefer=prefer)
+        if slack and report.status.value == "infeasible":
+            report = solve_lp(row_slack_lp(-ys, -xs[:, j]), prefer=prefer)
+        if report.status.value != "optimal":
+            return ReslearnError
+        c_hat[j] = report.point[:samples.m]
+        residual = ys @ c_hat[j] - xs[:, j]
+        xi_hat[:, j] = np.maximum(residual, 0.0) if slack else residual
+    return c_hat, xi_hat
+
+
+class TestSharedStart:
+    # shared_start closes a row exactly as that row's own solve_lp call
+    # would, or leaves it to the engine, and the layer's answer is the one
+    # the per-row engine runs gave
+
+    @given(d=st.integers(2, 6), extra=st.sampled_from([0, 2]), n=st.integers(20, 200),
+           sigma=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**31 - 1),
+           zeros=st.floats(0.05, 0.5), column=st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_a_start_is_the_row_lp_or_none(self, d, extra, n, sigma, seed, zeros, column):
+        unit = generate_unit(NetworkGenSpec(d=d, m=d + extra, seed=seed))
+        rng = np.random.default_rng(seed)
+        xs = standard_mixture(d).draw(rng, n)
+        xs[rng.random(n) < zeros, column % d] = 0.0  # a second tier-2 mask
+        ys = xs @ unit.b.T + np.maximum(xs @ unit.a.T, 0.0) @ unit.b.T
+        ys = ys + sigma * rng.standard_normal(ys.shape)
+        samples = SampleSet(xs=xs, ys=ys)
+        orthant = np.all(xs <= 0, axis=1)
+
+        reports, surplus = shared_start(-ys, -xs, prefer=orthant)
+        assert len(reports) == d and surplus.shape == (n, d)
+        for j, start in enumerate(reports):
+            if start is None:
+                assert np.isnan(surplus[:, j]).all()
+                continue
+            want = solve_lp(row_lp(-ys, -xs[:, j]), prefer=orthant)
+            assert (start.status, start.iterations, start.message) == (
+                want.status, want.iterations, want.message)
+            for field in ("point", "objective_value", "max_infeasibility", "dual", "certificate"):
+                assert bits(getattr(start, field)) == bits(getattr(want, field)), (j, field)
+            assert bits(surplus[:, j]) == bits(ys @ want.point - xs[:, j])
+
+        for slack in (False, True):
+            want = per_row_lps(samples, slack, orthant)
+            try:
+                got = layer2._solve_c_lp(samples, slack)[:2]
+            except ReslearnError:
+                got = ReslearnError
+            if want is ReslearnError or got is ReslearnError:
+                assert got is want
+            else:
+                assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+
+    def test_prefer_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            shared_start(np.eye(3), np.ones((3, 2)), prefer=np.ones(4, dtype=bool))
 
 
 class TestScaleRows:
@@ -219,6 +296,17 @@ class TestScaleRows:
         assert rescale_layer2(s, shrunk)[0] == 1.0
         monkeypatch.setattr(layer2, "SHRINK_TOL", 1e-3)
         assert rescale_layer2(s, shrunk)[0] == pytest.approx(0.995, abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["qp", "lp"])
+    def test_scale_factors_do_not_depend_on_the_units(self, method):
+        # the gate compares a residual with a spread, both squared scales; an
+        # absolute floor on the spread passed every row once both were tiny
+        for seed in range(20):
+            unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=seed))
+            s = sample(unit, standard_mixture(4), 400, 0.0, seed=seed + 100)
+            tiny = SampleSet(xs=1e-20 * s.xs, ys=1e-20 * s.ys)
+            np.testing.assert_array_equal(learn_layer2(tiny, method).k_hat,
+                                          learn_layer2(s, method).k_hat)
 
     def test_eps_tol_must_be_positive(self):
         unit, s = make_samples(self.A_SCALE, B_REF, n=400, seed=8)

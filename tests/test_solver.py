@@ -549,9 +549,12 @@ class TestLpScaleEquivariance:
 
 
 def record_lp_path(run):
-    """(layer, status, steps, factorisations) of each solve_lp call the layer
-    learners make while run() runs; factorisations counts the calls of the
-    linear-algebra functions the engine could factor a basis with."""
+    """(layer, status, steps, factorisations) of each row LP the layer
+    learners close while run() runs: each solve_lp call, and each row that
+    layer 2's shared start closes (optimal in 0 steps, in row order, each
+    credited with all of that start's factorisations); factorisations counts
+    the calls of the linear-algebra functions the engine could factor a
+    basis with."""
     from reslearn import layer1, layer2
 
     calls, factored = [], [0]
@@ -570,11 +573,19 @@ def record_lp_path(run):
             return rep
         return wrapper
 
+    def starting(design, targets, prefer=None):
+        before = factored[0]
+        reports, surplus = simplex.shared_start(design, targets, prefer)
+        calls.extend(("layer2", rep.status.value, rep.iterations, factored[0] - before)
+                     for rep in reports if rep is not None)
+        return reports, surplus
+
     with pytest.MonkeyPatch.context() as patch:
         for name in ("inv", "solve", "lstsq", "pinv"):
             patch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         patch.setattr(layer1, "solve_lp", recording("layer1"))
         patch.setattr(layer2, "solve_lp", recording("layer2"))
+        patch.setattr(layer2, "shared_start", starting)
         run()
     return calls
 
