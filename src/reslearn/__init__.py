@@ -21,7 +21,6 @@ from .errors import (
     DegenerateRowError,
     DimensionMismatchError,
     GenerationFailedError,
-    LpShapeError,
     NonFiniteError,
     RankDeficientError,
     ReslearnError,
@@ -78,7 +77,6 @@ __all__ = [
     "Layer1Estimate",
     "Layer2Estimate",
     "LpProblem",
-    "LpShapeError",
     "NetworkGenSpec",
     "NonFiniteError",
     "QpProblem",

@@ -13,10 +13,6 @@ class NonFiniteError(ReslearnError, ValueError):
     """An input holds a NaN or an infinity."""
 
 
-class LpShapeError(ReslearnError, ValueError):
-    """An LP is neither a hard-row LP nor a slack LP (see ``simplex``)."""
-
-
 class RankDeficientError(ReslearnError):
     """A design matrix does not have full column rank."""
 

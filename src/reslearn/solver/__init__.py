@@ -5,7 +5,8 @@ built by ``row_qp``, ``row_lp`` and ``row_slack_lp``. ``simplex.solve_lp``
 takes the two LP shapes those pose and works over a basis of at most p
 tight rows: a dual active-set method with Farkas certificates on hard-row
 LPs (the feasibility runs of both LP routes), and a long-step primal
-descent on slack LPs, whose slack columns make every row soft.
+descent on soft LPs, which ``row_slack_lp`` marks with ``soft``: every row
+may be missed at weight 1/n, and no slack column is stored.
 ``split_ls.solve_separable_ls`` solves the QP route's eliminated
 least-squares form by semismooth Newton; ``row_qp`` assembles the PSD QP
 against whose KKT conditions the eliminated solutions are checked.

@@ -1,16 +1,15 @@
 """Two active-set methods for the package's two LP shapes, on one reduced form.
 
-``solve_lp`` takes  min objective . v  s.t.  lhs @ v >= rhs,  v[nonneg] >= 0
-in one of two shapes, and raises ``LpShapeError`` before any step on others:
+``solve_lp`` takes an ``LpProblem``, whose ``soft`` flag names its shape:
 
-* a hard-row LP has no nonnegative variables and any objective: a zero one
+* a hard-row LP,  min g . c  s.t.  lhs @ c >= rhs  over free c: a zero g
   is a ``row_lp`` feasibility run, a nonzero one a min/max of c_j;
-* a slack LP (``row_slack_lp``) gives every row exactly one nonnegative unit
-  column, with a positive entry and a positive cost, and its free columns
-  cost 0. The slack leaves v and its row becomes soft, weight cost / entry.
+* a soft LP (``row_slack_lp``),  min 1/n sum_i (b_i - a_i . c)^+: every row
+  is soft at weight 1/n and the free columns cost 0. Its slacks are read
+  off the residuals at the end; no method ever holds a slack column.
 
 Both reduce to  min g . c + sum_i w_i (b_i - a_i . c)^+  over free c, with
-w = inf on every row of a hard-row LP and g = 0 in a slack LP. The layer LPs
+w = inf on every row of a hard-row LP and g = 0 in a soft LP. The layer LPs
 have m <= 16 free coefficients and n = 400-512 rows. Both methods keep
 p <= m tight rows T, A_T c = b_T, and the set U of rows past their bound;
 the multipliers of T solve A_T' lam_T = g - A_U' w_U. The dual of the
@@ -23,7 +22,7 @@ whose multiplier reaches 0, ties going to the largest pivot. A row with
 nothing in reach gives the Farkas ray lam_r = 1, lam_T = -A_T^-T a_r.
 
 Primal descent (Barrodale & Roberts' L1 descent; Koenker & d'Orey, AS 229),
-for slack LPs: c stays a vertex and the objective never rises. Each step
+for soft LPs: c stays a vertex and the objective never rises. Each step
 releases the tight row k whose lam_k is furthest outside [0, w_k] along the
 edge A_T d = +e_k (into its satisfied side, slope lam_k) or -e_k (past its
 bound, slope w_k - lam_k). The breakpoints tau_i = -r_i / (a_i . d) of the
@@ -62,9 +61,9 @@ a crash that leaves a column without a pivot, is left to ``solve_lp``.
 Cost: a step of either method factors its p x p basis once (the inverse
 gives the point, the multipliers and the step) and scans the n rows:
 O(p^3 + n p); the descent also sorts its edge's breakpoints, O(n log n). The
-set-up builds the n x p kept block and its transpose for the start and, for
-a slack LP, an n x (columns) boolean mask to find the unit columns; it
-never copies the constraint matrix. ``shared_start`` costs one crash per
+set-up copies the n x p constraint matrix into basis column order, and the
+start reads a transposed copy; a soft LP's slacks come last, as one vector of
+n residuals. Nothing is n x n. ``shared_start`` costs one crash per
 mask, O(d m^3) for the inverses and O(d n m) for the check.
 """
 
@@ -72,7 +71,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, LpShapeError
+from ..errors import DimensionMismatchError
 from .types import LpProblem, SolveReport, SolveStatus
 
 FEAS_TOL = 1e-8  # feasibility tolerance, relative to |rhs|
@@ -82,28 +81,14 @@ BOX = 1e6  # bound on objective-carrying variables, in units of |rhs| / |lhs|
 BLAND_AFTER = 8  # zero-length descent steps in a row before Bland's rule
 
 
-def _slack_columns(problem: LpProblem) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per row of a slack LP its slack column and weight cost / entry; None
-    for a hard-row LP. Any other shape raises LpShapeError."""
-    lhs, cost = problem.ineq_lhs, problem.objective
-    cand = np.asarray(problem.nonneg_vars, dtype=np.int64)
-    if cand.size == 0:
+def _row_mask(prefer, n_rows: int) -> np.ndarray | None:
+    """``prefer`` as a boolean mask over the n_rows inequality rows."""
+    if prefer is None:
         return None
-    # (row, column) of every nonzero; a column's one row is its only entry
-    nz_rows, nz_cols = divmod(np.flatnonzero(lhs != 0.0), lhs.shape[1])
-    first = np.zeros(lhs.shape[1], dtype=np.int64)
-    first[nz_cols] = nz_rows
-    rows, free = first[cand], np.delete(cost, cand)
-    unit = (np.bincount(nz_cols, minlength=lhs.shape[1])[cand] == 1) & (lhs[rows, cand] > 0.0)
-    if not (unit.all() and (cost[cand] > 0.0).all() and not free.any()
-            and np.array_equal(np.sort(rows), np.arange(problem.n_rows))):
-        raise LpShapeError(
-            "solve_lp takes a hard-row LP (no nonnegative variables) or a slack LP (one "
-            "nonnegative unit column per row, with a positive entry and a positive cost, "
-            "and free columns at cost 0)")
-    slack = np.empty(problem.n_rows, dtype=np.int64)
-    slack[rows] = cand
-    return slack, cost[slack] / lhs[np.arange(problem.n_rows), slack]
+    prefer = np.asarray(prefer, dtype=bool)
+    if prefer.shape != (n_rows,):
+        raise DimensionMismatchError(f"prefer has shape {prefer.shape}, expected ({n_rows},)")
+    return prefer
 
 
 def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float,
@@ -239,21 +224,17 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
 
 
 def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveReport:
-    """The dual method on a hard-row LP, the primal descent on a slack LP;
+    """The dual method on a hard-row LP, the primal descent on a soft LP;
     see the module docstring. ``prefer``, a boolean mask over the inequality
     rows, names the rows the start tries first: rows expected to be tight at
     the answer."""
-    lhs, rhs, cost = problem.ineq_lhs, problem.ineq_rhs, problem.objective
-    if prefer is not None:
-        prefer = np.asarray(prefer, dtype=bool)
-        if prefer.shape != (problem.n_rows,):
-            raise DimensionMismatchError(
-                f"prefer has shape {prefer.shape}, expected ({problem.n_rows},)")
-    slacks = _slack_columns(problem)
-    rhs_scale, n, kept = float(np.abs(rhs).max()), problem.n_rows, np.arange(problem.n_vars)
-    if slacks is not None:
-        kept = np.delete(kept, slacks[0])
-    a, b, g = lhs[:, kept], rhs, cost[kept]
+    a, rhs, cost = problem.ineq_lhs, problem.ineq_rhs, problem.objective
+    prefer = _row_mask(prefer, problem.n_rows)
+    rhs_scale, n, soft = float(np.abs(rhs).max()), problem.n_rows, problem.soft
+    b, g = rhs, cost
+    if soft:  # every row weighs 1/n, and the cost covers the whole point [c | zeta]
+        weights = np.full(n, 1.0 / n)
+        cost = np.concatenate([cost, weights])
 
     # start basis: box rows pin the columns with a cost; the crash gives
     # the other columns rows, and columns it skips stay at 0
@@ -262,28 +243,27 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
     crash = np.array(_crash(a[:, loose], b, rhs_scale, prefer), dtype=np.int64).reshape(-1, 2)
     cols, basis, rows = loose[crash[:, 0]], crash[:, 1], a
     if boxed.any():  # box rows below the data rows
-        rows = np.vstack([a, np.sign(g[boxed, None]) * np.eye(kept.size)[boxed]])
+        rows = np.vstack([a, np.sign(g[boxed, None]) * np.eye(g.size)[boxed]])
         box_rhs = -BOX * (rhs_scale or 1.0) / (float(np.abs(a).max(initial=0.0)) or 1.0)
         b = np.concatenate([b, np.full(rows.shape[0] - n, box_rhs)])
         cols = np.concatenate([np.flatnonzero(boxed), cols])
         basis = np.concatenate([n + np.arange(boxed.sum()), basis])
     rows, g = rows[:, cols], g[cols]
-    feasibility_run = slacks is None and not g.any()
+    feasibility_run = not soft and not g.any()
     if feasibility_run:
         g = rows[basis].sum(axis=0)
 
     try:
-        if slacks is None:
-            verdict, c, steps, lam = _run(rows, b, g, basis, rhs_scale)
+        if soft:
+            verdict, c, steps, lam = _descend(rows, b, weights, basis, FEAS_TOL * rhs_scale)
         else:
-            verdict, c, steps, lam = _descend(rows, b, slacks[1], basis, FEAS_TOL * rhs_scale)
+            verdict, c, steps, lam = _run(rows, b, g, basis, rhs_scale)
     except np.linalg.LinAlgError:
         verdict, c, steps = "singular basis", np.zeros(cols.size), 0
     point = np.zeros(problem.n_vars)
-    point[kept[cols]] = c
-    if slacks is not None:  # each slack closes its row's gap, read C-ordered: layout moves rounding
-        gap = rhs - np.ascontiguousarray(lhs[:, kept[cols]]) @ c
-        point[slacks[0]] = np.maximum(gap, 0.0) / lhs[np.arange(n), slacks[0]]
+    point[cols] = c
+    if soft:  # each slack closes its row's gap, read C-ordered: layout moves rounding
+        point[a.shape[1]:] = np.maximum(rhs - np.ascontiguousarray(a[:, cols]) @ c, 0.0)
 
     violation = problem.max_violation(point)
     if verdict == "optimal" and boxed.any() and (lam[n:] > FEAS_TOL * np.abs(g).max()).any():
@@ -325,10 +305,7 @@ def shared_start(design: np.ndarray, targets: np.ndarray, prefer: np.ndarray | N
     lhs = np.ascontiguousarray(-np.asarray(design, dtype=np.float64))  # as LpProblem holds it
     rhs = -np.asarray(targets, dtype=np.float64).T
     (n, m), d = lhs.shape, rhs.shape[0]
-    if prefer is not None:
-        prefer = np.asarray(prefer, dtype=bool)
-        if prefer.shape != (n,):
-            raise DimensionMismatchError(f"prefer has shape {prefer.shape}, expected ({n},)")
+    prefer = _row_mask(prefer, n)
     scale = np.abs(rhs).max(axis=1)
     masks = np.abs(rhs) > 1e-6 * scale[:, None]  # _crash's second tier, row by row
     crashes: dict[bytes, list[int]] = {}  # basis rows, in column order

@@ -2,11 +2,11 @@
 
 Conventions used throughout the solver package:
 
-* ``LpProblem`` encodes  min objective . v  subject to  ineq_lhs @ v >= ineq_rhs,
-  with the variables listed in ``nonneg_vars`` additionally constrained >= 0
-  and all remaining variables free. ``solve_lp`` takes two shapes of it: a
-  hard-row LP, with no nonnegative variables (an all-zero objective makes
-  it a pure feasibility run), and a slack LP, as ``row_slack_lp`` builds.
+* ``LpProblem`` encodes  min objective . u  subject to  ineq_lhs @ u >= ineq_rhs
+  over free u: a hard-row LP (an all-zero objective makes it a pure
+  feasibility run). With ``soft`` set, every row may be missed at a price:
+  min 1/n sum zeta  s.t.  ineq_lhs @ u + zeta >= ineq_rhs, zeta >= 0, with
+  the slacks implied by the flag and never stored.
 * ``QpProblem`` encodes  min 1/2 v' H v + q . v  subject to v_i >= 0 for the
   indices in ``nonneg_vars``; there are no general linear constraints because
   the layer programs only ever bound the slack block.
@@ -17,7 +17,8 @@ variable vector:
 
 * ``row_qp``:        min 1/2n ||F u + w - t||^2  over (u, w >= 0);
 * ``row_lp``:        F u <= t  (a feasibility run);
-* ``row_slack_lp``:  min 1/n sum zeta  s.t.  F u - zeta <= t, zeta >= 0.
+* ``row_slack_lp``:  min 1/n sum zeta  s.t.  F u - zeta <= t, zeta >= 0
+  (``row_lp`` with ``soft`` set).
 
 Layer 2 poses them with F = -Y and t = -x_j (so C y >= x), layer 1 with
 F = X and t = h_j (so A x <= h). The learners solve ``row_qp`` only in its
@@ -101,12 +102,17 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . v  s.t.  ineq_lhs @ v >= ineq_rhs, v[nonneg_vars] >= 0."""
+    """min objective . u  s.t.  ineq_lhs @ u >= ineq_rhs, over free u.
+
+    A ``soft`` LP is  min 1/n sum zeta  s.t.  ineq_lhs @ u + zeta >= ineq_rhs,
+    zeta >= 0: its variables are [u | zeta], one slack per row, so
+    ``n_vars`` counts p + n, and its free columns carry no cost.
+    """
 
     objective: np.ndarray
     ineq_lhs: Mat
     ineq_rhs: np.ndarray
-    nonneg_vars: tuple[int, ...] = ()
+    soft: bool = False
 
     def __post_init__(self):
         lhs = as_matrix(self.ineq_lhs, "ineq_lhs")
@@ -114,16 +120,15 @@ class LpProblem:
             raise DimensionMismatchError("need at least one inequality row")
         obj = _as_vector(self.objective, "objective", lhs.shape[1])
         rhs = _as_vector(self.ineq_rhs, "ineq_rhs", lhs.shape[0])
+        if self.soft and obj.any():
+            raise ValueError("a soft LP's objective is its slack total: its free columns cost 0")
         object.__setattr__(self, "ineq_lhs", lhs)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "ineq_rhs", rhs)
-        object.__setattr__(
-            self, "nonneg_vars", _check_indices(self.nonneg_vars, lhs.shape[1], "nonneg_vars")
-        )
 
     @property
     def n_vars(self) -> int:
-        return self.ineq_lhs.shape[1]
+        return self.ineq_lhs.shape[1] + (self.n_rows if self.soft else 0)
 
     @property
     def n_rows(self) -> int:
@@ -132,11 +137,11 @@ class LpProblem:
     def max_violation(self, v: np.ndarray) -> float:
         """Largest constraint violation of v (0 when feasible)."""
         v = np.asarray(v, dtype=np.float64).reshape(-1)
-        gap = self.ineq_rhs - self.ineq_lhs @ v
-        worst = float(gap.max(initial=0.0))
-        if self.nonneg_vars:
-            worst = max(worst, float(-v[list(self.nonneg_vars)].min(initial=0.0)))
-        return max(worst, 0.0)
+        p = self.ineq_lhs.shape[1]
+        gap = self.ineq_rhs - self.ineq_lhs @ v[:p]
+        if self.soft:  # a row's slack closes its gap and is itself >= 0
+            gap = np.maximum(gap - v[p:], -v[p:])
+        return max(float(gap.max(initial=0.0)), 0.0)
 
 
 def row_qp(design: Mat, target: np.ndarray) -> QpProblem:
@@ -164,16 +169,8 @@ def row_lp(design: Mat, target: np.ndarray) -> LpProblem:
 
 def row_slack_lp(design: Mat, target: np.ndarray) -> LpProblem:
     """min 1/n sum zeta over [u (p, free) | zeta (n, >= 0)], F u - zeta <= t."""
-    n, p = design.shape
-    lhs = np.zeros((n, p + n))
-    np.negative(design, out=lhs[:, :p])
-    np.fill_diagonal(lhs[:, p:], 1.0)
-    return LpProblem(
-        objective=np.concatenate([np.zeros(p), np.full(n, 1.0 / n)]),
-        ineq_lhs=lhs,
-        ineq_rhs=-target,
-        nonneg_vars=tuple(range(p, p + n)),
-    )
+    return LpProblem(objective=np.zeros(design.shape[1]), ineq_lhs=-design, ineq_rhs=-target,
+                     soft=True)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Shared test plumbing: a collected pass/fail line per acceptance run, and
-the check of the eliminated QP solver against the assembled row QP."""
+"""Shared test plumbing: a collected pass/fail line per acceptance run, the
+check of the eliminated QP solver against the assembled row QP, and the
+HiGHS form of an LP."""
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -62,3 +63,19 @@ def split_ls_on_assembled(design, target, back_weight):
         "objective": objective,
         "bvls_gap": objective - prob.objective(ref.x),
     }
+
+
+def linprog_args(problem):
+    """``scipy.optimize.linprog`` arguments for a hard or soft ``LpProblem``.
+
+    A hard-row LP keeps its free columns. A soft LP gets its n slacks as
+    explicit columns [u | zeta], zeta >= 0 at cost 1/n each, so HiGHS's
+    point lines up with the report's.
+    """
+    lhs, rhs = problem.ineq_lhs, problem.ineq_rhs
+    n, p = lhs.shape
+    if not problem.soft:
+        return {"c": problem.objective, "A_ub": -lhs, "b_ub": -rhs, "bounds": [(None, None)] * p}
+    return {"c": np.concatenate([problem.objective, np.full(n, 1.0 / n)]),
+            "A_ub": -np.hstack([lhs, np.eye(n)]), "b_ub": -rhs,
+            "bounds": [(None, None)] * p + [(0, None)] * n}

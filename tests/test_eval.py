@@ -4,10 +4,10 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reslearn.errors import DimensionMismatchError, ReslearnError
+from reslearn.errors import DimensionMismatchError, ReslearnError, SolverFailedError
 from reslearn.evaluation import (
     TrialCell,
     TrialRow,
@@ -193,6 +193,85 @@ class TestLpScaleInvariance:
     def test_errors_do_not_move_when_samples_are_rescaled(self, method, sigma, log_scale):
         unit, train, test, base = scale_instance(method, sigma, 3)
         assert_same_errors(scaled_errors(unit, train, test, method, 10.0 ** log_scale), base)
+
+
+# (method, sigma) of the invariance tests; lp's rows at sigma 0.1 are
+# infeasible, so that leg must fail the same way on both sides
+CONVEX_LEGS = (("qp", 0.0), ("qp", 0.1), ("slack-lp", 0.0), ("slack-lp", 0.1),
+               ("lp", 0.0), ("lp", 0.1))
+# relative Frobenius gap allowed between the moved estimates and the mapped
+# ones. Over 300 random draws per leg (d=4, n=400, maps of condition below
+# 50) the worst was 5.8e-12 under a permutation and 3.0e-11 under an output
+# map, except qp at sigma 0.1 under an output map: 2.5e-9, and 7.1e-9 over
+# 5,000 draws, where the split-LS stop pins each solve to about 1e-9.
+MAP_TOL = 1e-8
+
+
+def pipeline_or_error(samples, method):
+    """(A_hat, B_hat) from ``full_pipeline``, or the message it failed with."""
+    try:
+        est1, est2 = full_pipeline(samples, method)
+    except SolverFailedError as exc:
+        return str(exc)
+    return est1.a_hat, est2.b_hat
+
+
+def assert_mapped(moved, base, method, sigma, a_map, b_map):
+    """moved is base with a_map, b_map applied, or the same failure."""
+    if (method, sigma) == ("lp", 0.1):
+        assert isinstance(base, str)
+    if isinstance(base, str):
+        assert moved == base
+        return
+    for got, want in zip(moved, (a_map(base[0]), b_map(base[1]))):
+        assert np.linalg.norm(got - want) <= MAP_TOL * np.linalg.norm(want)
+
+
+class TestPipelineMaps:
+    # The convex pipeline sees x and y only through its row programs, so a
+    # relabelling of the input coordinates, x -> P x, is the teacher
+    # A -> P A P', B -> B P', and an invertible output map, y -> M y, is
+    # B -> M B with A unchanged; the estimates move the same way. The draws
+    # are fixed (derandomized): about 1 in 5,000 random output maps leaves
+    # qp's layer-2 split-LS unconverged on the mapped side only, the case
+    # test_output_map_keeps_split_ls_converging keeps as a known failure.
+
+    @pytest.mark.parametrize("method,sigma", CONVEX_LEGS)
+    @given(teacher=st.integers(0, 2**31 - 1), train=st.integers(0, 2**31 - 1),
+           order=st.permutations(range(4)))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_input_permutation(self, method, sigma, teacher, train, order):
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=teacher))
+        s = sample(unit, standard_mixture(4), 400, sigma, seed=train)
+        p = np.eye(4)[list(order)]
+        moved = pipeline_or_error(SampleSet(xs=s.xs @ p.T, ys=s.ys, noise_sigma=sigma), method)
+        assert_mapped(moved, pipeline_or_error(s, method), method, sigma,
+                      lambda a: p @ a @ p.T, lambda b: b @ p.T)
+
+    @pytest.mark.parametrize("method,sigma", CONVEX_LEGS)
+    @given(teacher=st.integers(0, 2**31 - 1), train=st.integers(0, 2**31 - 1),
+           entries=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_output_map(self, method, sigma, teacher, train, entries):
+        m = make_rng(entries).standard_normal((4, 4))
+        assume(np.linalg.cond(m) < 50.0)
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=teacher))
+        s = sample(unit, standard_mixture(4), 400, sigma, seed=train)
+        moved = pipeline_or_error(SampleSet(xs=s.xs, ys=s.ys @ m.T, noise_sigma=sigma), method)
+        assert_mapped(moved, pipeline_or_error(s, method), method, sigma,
+                      lambda a: a, lambda b: m @ b)
+
+    @pytest.mark.xfail(strict=True, raises=SolverFailedError,
+                       reason="layer 2's split-LS does not converge on the mapped design")
+    def test_output_map_keeps_split_ls_converging(self):
+        # a random draw (condition 5.9) on which the unmapped qp run takes 7
+        # Newton steps and the mapped one ends unconverged after 200
+        m = make_rng(2159633094).standard_normal((4, 4))
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=268866470))
+        s = sample(unit, standard_mixture(4), 400, 0.1, seed=1921746239)
+        base = pipeline_or_error(s, "qp")
+        est1, est2 = full_pipeline(SampleSet(xs=s.xs, ys=s.ys @ m.T, noise_sigma=0.1), "qp")
+        assert_mapped((est1.a_hat, est2.b_hat), base, "qp", 0.1, lambda a: a, lambda b: m @ b)
 
 
 class TestSeeds:

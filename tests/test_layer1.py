@@ -86,17 +86,18 @@ class TestAssembly:
         prob = row_lp(s.xs, s.hs[:, 1])
         np.testing.assert_array_equal(prob.ineq_lhs, -s.xs)
         np.testing.assert_array_equal(prob.ineq_rhs, -s.hs[:, 1])
-        assert prob.nonneg_vars == ()
+        assert (prob.n_rows, prob.n_vars) == (7, 2)
+        assert not prob.soft
         assert prob.max_violation(A_REF[1]) <= 1e-12
 
     def test_slack_lp_layout(self):
+        # the feasibility rows made soft: variables [a_row (2) | zeta (5)]
         s = hidden_from(A_REF, n=5)
         prob = row_slack_lp(s.xs, s.hs[:, 0])
-        assert prob.n_vars == 2 + 5
-        np.testing.assert_array_equal(prob.ineq_lhs[:, :2], -s.xs)
-        np.testing.assert_array_equal(prob.ineq_lhs[:, 2:], np.eye(5))
-        np.testing.assert_array_equal(prob.objective[2:], 1.0 / 5)
-        assert prob.nonneg_vars == tuple(range(2, 7))
+        assert prob.soft
+        assert (prob.n_rows, prob.n_vars) == (5, 2 + 5)
+        np.testing.assert_array_equal(prob.ineq_lhs, -s.xs)
+        np.testing.assert_array_equal(prob.ineq_rhs, -s.hs[:, 0])
 
 
 class TestExactRecovery:

@@ -65,21 +65,21 @@ class TestProgramAssembly:
         # the LP reads Y c >= x_j, and the true row of C satisfies it
         unit, s = make_samples(A_REF, B_REF, n=7)
         prob = row_lp(-s.ys, -s.xs[:, 1])
-        assert prob.n_vars == 2 and prob.n_rows == 7
-        assert prob.nonneg_vars == ()
+        assert (prob.n_rows, prob.n_vars) == (7, 2)
+        assert not prob.soft
         np.testing.assert_array_equal(prob.ineq_lhs, s.ys)
         np.testing.assert_array_equal(prob.ineq_rhs, s.xs[:, 1])
         np.testing.assert_array_equal(prob.objective, 0.0)
         assert prob.max_violation(np.linalg.inv(unit.b)[1]) <= 1e-12
 
     def test_slack_lp_layout(self):
+        # the feasibility rows made soft: variables [c_row (2) | zeta (6)]
         _, s = make_samples(A_REF, B_REF, n=6)
         prob = row_slack_lp(-s.ys, -s.xs[:, 0])
-        assert prob.n_vars == 2 + 6
-        assert prob.nonneg_vars == tuple(range(2, 8))
-        np.testing.assert_array_equal(prob.ineq_lhs[:, :2], s.ys)
-        np.testing.assert_array_equal(prob.ineq_lhs[:, 2:], np.eye(6))
-        np.testing.assert_array_equal(prob.objective[2:], 1.0 / 6)
+        assert prob.soft
+        assert (prob.n_rows, prob.n_vars) == (6, 2 + 6)
+        np.testing.assert_array_equal(prob.ineq_lhs, s.ys)
+        np.testing.assert_array_equal(prob.ineq_rhs, s.xs[:, 0])
 
 
 class TestNoiselessRecovery:

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reslearn.errors import LpShapeError, ReslearnError
 from reslearn.model import NetworkGenSpec, generate_unit, sample, standard_mixture
-from conftest import split_ls_on_assembled
+from conftest import linprog_args, split_ls_on_assembled
 from reslearn.numerics import is_psd
 from reslearn.solver import (
     LpProblem,
@@ -80,10 +79,22 @@ class TestProblemTypes:
             assert all(type(i) is int for i in got)
 
     def test_lp_max_violation(self):
-        prob = LpProblem(objective=[0.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0], nonneg_vars=(0,))
-        assert prob.max_violation([3.0]) == 0.0
-        assert prob.max_violation([1.0]) == pytest.approx(1.0)
-        assert prob.max_violation([-1.0]) == pytest.approx(3.0)
+        # v >= 2 as a hard row over [v], and as a soft row v + zeta >= 2,
+        # zeta >= 0 over [v | zeta]
+        hard = LpProblem(objective=[0.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0])
+        assert (hard.n_rows, hard.n_vars) == (1, 1)
+        assert hard.max_violation([3.0]) == 0.0
+        assert hard.max_violation([1.0]) == pytest.approx(1.0)
+        soft = LpProblem(objective=[0.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0], soft=True)
+        assert (soft.n_rows, soft.n_vars) == (1, 2)
+        assert soft.max_violation([1.0, 1.0]) == 0.0
+        assert soft.max_violation([1.0, 0.25]) == pytest.approx(0.75)
+        assert soft.max_violation([3.0, -0.5]) == pytest.approx(0.5)
+
+    def test_soft_lp_carries_no_objective(self):
+        # a soft LP's objective is its slack total; a cost on u is not posed
+        with pytest.raises(ValueError):
+            LpProblem(objective=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0], soft=True)
 
     def test_qp_objective_includes_constant(self):
         prob = QpProblem(hessian=np.eye(1), linear=[-1.0], constant=0.5)
@@ -111,16 +122,15 @@ class TestRowPrograms:
         assert prob.objective(np.concatenate([u, w])) == pytest.approx(r @ r / 12, rel=1e-12)
 
     def test_slack_lp_layout(self):
+        # row_lp with every row soft: the slacks are implied, not stored
         g = rng(42)
         f, t = g.standard_normal((5, 2)), g.standard_normal(5)
         prob = row_slack_lp(f, t)
-        assert prob.n_vars == 2 + 5
-        assert prob.nonneg_vars == tuple(range(2, 7))
-        np.testing.assert_array_equal(prob.ineq_lhs[:, :2], -f)
-        np.testing.assert_array_equal(prob.ineq_lhs[:, 2:], np.eye(5))
+        assert prob.soft
+        assert (prob.n_rows, prob.n_vars) == (5, 2 + 5)
+        np.testing.assert_array_equal(prob.ineq_lhs, -f)
         np.testing.assert_array_equal(prob.ineq_rhs, -t)
-        np.testing.assert_array_equal(prob.objective[:2], 0.0)
-        np.testing.assert_array_equal(prob.objective[2:], 1.0 / 5)
+        np.testing.assert_array_equal(prob.objective, 0.0)
 
 
 class TestSimplexTextbook:
@@ -162,14 +172,6 @@ class TestSimplexTextbook:
         rep = solve_lp(prob)
         assert rep.status is SolveStatus.OPTIMAL
         assert prob.max_violation(rep.point) <= 1e-8
-
-    def test_zero_cost_slack_leaves_no_row(self):
-        # a slack at cost 0 would leave its row no weight, and the start a
-        # block with no rows; no layer program poses it, so it is rejected
-        prob = LpProblem(objective=[0.0, 0.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0],
-                         nonneg_vars=(1,))
-        with pytest.raises(LpShapeError):
-            solve_lp(prob)
 
     def test_unbounded_flagged(self):
         # min -v with only v >= 0, as its one row: unbounded below
@@ -402,53 +404,10 @@ class TestSimplexOnLayerPrograms:
                 == reference(a, rhs, rhs_scale, prefer))
 
 
-def mixed_lp():
-    """A slack LP of a noisy layer-2 row with the first row's slack taken
-    out, so that row is hard and the others soft."""
-    unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
-    noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
-    return LpProblem(objective=np.r_[np.zeros(4), np.full(119, 1 / 120)],
-                     ineq_lhs=np.hstack([noisy.ys, np.eye(120)[:, 1:]]),
-                     ineq_rhs=noisy.xs[:, 0], nonneg_vars=tuple(range(4, 123)))
-
-
-REJECTED_LPS = {
-    "nonnegative column that is not a unit slack": lambda: LpProblem(
-        objective=[0.0, 0.0], ineq_lhs=[[1.0, 1.0], [1.0, -1.0]], ineq_rhs=[1.0, 0.0],
-        nonneg_vars=(0,)),
-    "soft and hard rows": mixed_lp,
-    "two slack columns on one row": lambda: LpProblem(
-        objective=[0.0, 1.0, 1.0, 1.0], ineq_lhs=[[1.0, 1.0, 1.0, 0.0], [2.0, 0.0, 0.0, 1.0]],
-        ineq_rhs=[1.0, 1.0], nonneg_vars=(1, 2, 3)),
-    "negative unit entry": lambda: LpProblem(
-        objective=[0.0, 1.0], ineq_lhs=[[1.0, -1.0]], ineq_rhs=[1.0], nonneg_vars=(1,)),
-    "cost on a free column of a slack LP": lambda: LpProblem(
-        objective=[1.0, 1.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0], nonneg_vars=(1,)),
-    "zero-cost slack": lambda: LpProblem(
-        objective=[0.0, 0.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0], nonneg_vars=(1,)),
-}
-
-
-class TestLpShapes:
-    # solve_lp takes hard-row LPs and slack LPs; every other shape raises
-    # one typed error before the start or either method runs
-
-    @pytest.mark.parametrize("name", sorted(REJECTED_LPS))
-    def test_rejected_before_any_step(self, name, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("took a step")
-
-        for engine in ("_crash", "_run", "_descend"):
-            monkeypatch.setattr(simplex, engine, refuse)
-        with pytest.raises(LpShapeError) as caught:
-            solve_lp(REJECTED_LPS[name]())
-        assert isinstance(caught.value, ReslearnError) and isinstance(caught.value, ValueError)
-
-
 class TestSoftRowDescent:
-    # Slack LPs (one weighted slack column per row, every row soft) take
-    # the long-step primal descent; hard-row LPs keep the dual method, so
-    # feasibility runs and their Farkas rays do not move.
+    # Soft LPs (every row soft at weight 1/n) take the long-step primal
+    # descent; hard-row LPs keep the dual method, so feasibility runs and
+    # their Farkas rays do not move.
 
     def test_dispatch_by_row_kind(self, monkeypatch):
         calls = []
@@ -483,8 +442,7 @@ class TestSoftRowDescent:
             for row in range(4):
                 prob = row_slack_lp(-s.ys, -s.xs[:, row])
                 rep = solve_lp(prob)
-                ref = linprog(prob.objective, A_ub=-prob.ineq_lhs, b_ub=-prob.ineq_rhs,
-                              bounds=[(None, None)] * 4 + [(0, None)] * 400, method="highs")
+                ref = linprog(**linprog_args(prob), method="highs")
                 label = f"seed {seed} trial {trial} row {row}"
                 assert rep.status is SolveStatus.OPTIMAL, label
                 assert rep.iterations <= 10 * 4, label
@@ -500,11 +458,11 @@ class TestSoftRowDescent:
         rep = solve_lp(prob)
         assert rep.status is SolveStatus.OPTIMAL
         w = 1.0 / 120
-        residual = prob.ineq_lhs[:, :4] @ rep.point[:4] - prob.ineq_rhs
+        residual = prob.ineq_lhs @ rep.point[:4] - prob.ineq_rhs
         assert rep.dual.min() >= 0.0 and rep.dual.max() <= w * (1 + 1e-12)
         np.testing.assert_array_equal(rep.dual[residual < -1e-9], w)
         np.testing.assert_array_equal(rep.dual[residual > 1e-9], 0.0)
-        assert np.abs(prob.ineq_lhs[:, :4].T @ rep.dual).max() <= 1e-12
+        assert np.abs(prob.ineq_lhs.T @ rep.dual).max() <= 1e-12
         # strong duality: b . dual = the optimal slack objective
         assert float(prob.ineq_rhs @ rep.dual) == pytest.approx(rep.objective_value, rel=1e-12)
 
@@ -652,10 +610,9 @@ def reference_lps(draw):
     subset of columns posed as more rows: feasible by construction,
     infeasible by the u.v >= 1, -u.v >= 0 pair, feasible with a box and a
     cost vector, or "integer": entries in -2..2 (degenerate vertices, tied
-    ratios, zero rows) with a cost in -2..2 and a box |v_j| <= 3. Slack LPs,
-    one unit column per row: "slack", Gaussian rows at cost 1/rows (the
-    layer programs' soft rows) with rhs scattered about a feasible point, or
-    "slack-integer", entries in -2..2, unit entries 1-2 and costs 1-2."""
+    ratios, zero rows) with a cost in -2..2 and a box |v_j| <= 3. Soft LPs,
+    every row at weight 1/rows: "slack", Gaussian rows with rhs scattered
+    about a feasible point, or "slack-integer", entries and rhs in -2..2."""
     k = draw(st.integers(1, 6))
     rows = draw(st.integers(3, 40))
     kind = draw(st.sampled_from(
@@ -667,15 +624,10 @@ def reference_lps(draw):
         if kind == "slack":
             lhs = g.standard_normal((rows, k))
             rhs = lhs @ g.standard_normal(k) + g.standard_normal(rows)
-            units, costs = np.ones(rows), np.full(rows, 1.0 / rows)
         else:
             lhs = g.integers(-2, 3, size=(rows, k)).astype(float)
             rhs = g.integers(-2, 3, size=rows).astype(float)
-            units, costs = g.integers(1, 3, size=rows), g.integers(1, 3, size=rows)
-        lhs = np.hstack([lhs, np.diag(units)])
-        objective = np.concatenate([np.zeros(k), costs])
-        return kind, LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs,
-                               nonneg_vars=tuple(range(k, k + rows)))
+        return kind, LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs, soft=True)
     if kind == "infeasible":
         u = g.standard_normal(k)
         extra = g.standard_normal((rows - 2, k))
@@ -706,22 +658,16 @@ class TestSimplexAgainstHighs:
         from scipy.optimize import linprog
 
         kind, problem = case
-        bounds = [(0, None) if j in problem.nonneg_vars else (None, None)
-                  for j in range(problem.n_vars)]
-        ref = linprog(problem.objective, A_ub=-problem.ineq_lhs, b_ub=-problem.ineq_rhs,
-                      bounds=bounds, method="highs")
+        ref = linprog(**linprog_args(problem), method="highs")
         assert ref.status in (0, 2)
         rep = solve_lp(problem)
-        if ref.status == 2:
+        if ref.status == 2:  # only hard-row LPs, every column free, can be infeasible
             assert rep.status is SolveStatus.INFEASIBLE
             lam, lhs, rhs = rep.certificate, problem.ineq_lhs, problem.ineq_rhs
-            pull = lhs.T @ lam
             limit = 1e-6 * max(1.0, float(np.abs(lam).max()))
-            free = [j for j in range(problem.n_vars) if j not in problem.nonneg_vars]
             assert lam.min() >= -1e-9
             assert float(rhs @ lam) > 0.0
-            assert float(np.abs(pull[free]).max(initial=0.0)) <= limit
-            assert float(pull[list(problem.nonneg_vars)].max(initial=0.0)) <= limit
+            assert float(np.abs(lhs.T @ lam).max()) <= limit
             return
         assert rep.status is SolveStatus.OPTIMAL
         assert abs(rep.objective_value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
@@ -749,38 +695,47 @@ class TestSimplexAgainstHighs:
             assert gap <= 1e-9 * max(1.0, abs(want.objective_value))
 
 
-def traced_peak(problem):
-    """Report and peak bytes allocated while solving an already built LP."""
+def traced_peak(run):
+    """run()'s result and the peak bytes allocated while it ran."""
     import tracemalloc
 
     tracemalloc.start()
     try:
-        rep = solve_lp(problem)
+        result = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return rep, peak
+    return result, peak
 
 
 class TestCostModel:
     # one n x n float array at n=2000 is 32 MB; the solver's own arrays are
-    # n x (d + 1) and, for slack LPs, one n x (n + d) boolean mask (4 MB)
+    # n x (d + 1), and a soft LP stores no slack column at all
 
     def test_layer1_feasibility_lp_allocates_no_square_array(self):
         g = rng(11)
         xs = g.standard_normal((2000, 4))
         hs = np.maximum(xs @ np.abs(g.standard_normal((4, 4))).T, 0.0)
-        rep, peak = traced_peak(row_lp(xs, hs[:, 0]))
+        prob = row_lp(xs, hs[:, 0])
+        rep, peak = traced_peak(lambda: solve_lp(prob))
         assert rep.status is SolveStatus.OPTIMAL
         assert peak < 4e6
 
     def test_slack_lp_allocates_no_square_array(self):
         unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=12))
         noisy = sample(unit, standard_mixture(4), 2000, 0.1, seed=13)
-        rep, peak = traced_peak(row_slack_lp(-noisy.ys, -noisy.xs[:, 0]))
+        prob = row_slack_lp(-noisy.ys, -noisy.xs[:, 0])
+        rep, peak = traced_peak(lambda: solve_lp(prob))
         assert rep.status is SolveStatus.OPTIMAL
         assert rep.objective_value > 0.0
-        assert peak < 8e6
+        assert peak < 1e6
+
+    def test_slack_lp_builds_no_square_array(self):
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=12))
+        noisy = sample(unit, standard_mixture(4), 2000, 0.1, seed=13)
+        prob, peak = traced_peak(lambda: row_slack_lp(-noisy.ys, -noisy.xs[:, 0]))
+        assert (prob.n_rows, prob.n_vars) == (2000, 4 + 2000)
+        assert peak < 1e6
 
 
 class TestSeparableLs:
