@@ -57,7 +57,6 @@ from .model import (
 )
 from .solver import (
     LpProblem,
-    QpProblem,
     SolveReport,
     SolveStatus,
     solve_lp,
@@ -79,7 +78,6 @@ __all__ = [
     "LpProblem",
     "NetworkGenSpec",
     "NonFiniteError",
-    "QpProblem",
     "RankDeficientError",
     "ResidualUnit",
     "ReslearnError",

@@ -104,36 +104,16 @@ class SgdResult:
     diverged: bool = False
 
 
-def sgd_batch_gradients(
-    a: Mat, b: Mat, xb: Mat, yb: Mat
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean squared-error loss over one batch and its gradients in (A, B).
-
-    The ReLU subgradient at exactly zero is taken as zero. Exposed
-    separately so the analytic gradients can be checked against finite
-    differences.
-    """
-    bs = xb.shape[0]
-    pre = xb @ a.T
-    hid = np.maximum(pre, 0.0)
-    inner = hid + xb
-    resid = inner @ b.T - yb
-    loss = 0.5 * float(np.sum(resid * resid)) / bs
-    grad_b = resid.T @ inner / bs
-    d_inner = resid @ b
-    d_pre = d_inner * (pre > 0.0)
-    grad_a = d_pre.T @ xb / bs
-    return loss, grad_a, grad_b
-
-
 def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
     """Train (A, B) by mini-batch SGD; deterministic given cfg.seed.
 
-    Each step performs the float operations of ``sgd_batch_gradients``
-    followed by ``A -= eta * grad_a; B -= eta * grad_b``, in the same order
-    and on arrays of the same layout, so the loop reproduces the published
-    reference's trajectory bit for bit: weights and loss trace are equal
-    to those of a plain loop over ``sgd_batch_gradients``. Only the memory
+    Each step takes the mean squared-error loss of its batch and the
+    gradients in (A, B), with the ReLU's subgradient at 0 taken as 0, then
+    ``A -= eta * grad_a; B -= eta * grad_b``. It performs the float
+    operations of the plain reference loop in ``tests/test_baselines.py``
+    in the same order and on arrays of the same layout, so it reproduces
+    the published reference's trajectory bit for bit: weights and loss
+    trace are equal to that loop's. Only the memory
     traffic differs: the epoch's shuffle is gathered once into a buffer
     that every batch views, every intermediate lives in a buffer reused
     through ``out=`` (``np.dot`` makes the same BLAS product as ``@`` here,

@@ -277,11 +277,16 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def _ledger(out_dir: Path, name: str, configs: list[dict]) -> tuple[Path, dict, list[str]]:
     """(path, ledger, keys) of a study's cell configs, keys in their order.
     The ledger keeps the stored record of each config already done, so a
-    rerun skips it, and drops the records of every other config."""
+    rerun skips it, and drops the records of every other config. A ledger
+    that does not parse, or is not an object holding a "cells" object, counts
+    as empty."""
     path = out_dir / f"{name}.json"
     try:
-        stored = json.loads(path.read_text())["cells"]
+        stored = json.loads(path.read_text())
     except (FileNotFoundError, json.JSONDecodeError):
+        stored = {}
+    stored = stored.get("cells") if isinstance(stored, dict) else None
+    if not isinstance(stored, dict):
         stored = {}
     keys = [_config_hash(config) for config in configs]
     kept = {key: stored[key] for key in keys if key in stored}

@@ -17,10 +17,6 @@ class RankDeficientError(ReslearnError):
     """A design matrix does not have full column rank."""
 
 
-class NotSymmetricError(ReslearnError):
-    """A matrix expected to be symmetric is not, beyond tolerance."""
-
-
 class GenerationFailedError(ReslearnError):
     """Teacher generation exhausted its retry budget."""
 

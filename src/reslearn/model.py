@@ -306,6 +306,9 @@ def save_unit_json(path, unit: ResidualUnit) -> None:
 
 def load_unit_json(path) -> ResidualUnit:
     payload = json.loads(Path(path).read_text())
+    for field in ("a", "b"):
+        if not isinstance(payload, dict) or field not in payload:
+            raise ValueError(f"{path}: teacher JSON has no field {field!r}")
     return ResidualUnit(a=np.array(payload["a"]), b=np.array(payload["b"]))
 
 
@@ -332,6 +335,9 @@ def load_samples_csv(path) -> SampleSet:
             key, _, value = item.partition("=")
             fields[key.strip()] = value.strip()
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    for field in ("d", "m", "n", "sigma"):
+        if field not in fields:
+            raise ValueError(f"{path}: metadata header has no field {field!r}")
     d = int(fields["d"])
     m = int(fields["m"])
     n = int(fields["n"])

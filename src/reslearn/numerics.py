@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteError,
-    NotSymmetricError,
-    RankDeficientError,
-)
+from .errors import DimensionMismatchError, NonFiniteError, RankDeficientError
 
 Mat = NDArray[np.float64]
 
@@ -79,27 +74,3 @@ def origin_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
         return None
     slope = float(x @ y) / denom
     return slope, float(np.mean((y - slope * x) ** 2))
-
-
-def is_psd(m: Mat, tol: float = 1e-8) -> bool:
-    """True iff all eigenvalues of the symmetrized matrix are >= -tol.
-
-    Implemented as a Cholesky factorization of ``m + tol*I`` (cheaper than a
-    full eigendecomposition). Raises NotSymmetricError when the asymmetry
-    exceeds ``tol`` relative to the largest entry.
-    """
-    a = as_matrix(m, "matrix")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if float(np.abs(a - a.T).max()) > tol * scale:
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (a + a.T)
-    shifted = sym + tol * scale * np.eye(sym.shape[0])
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        # Cholesky can fail on semidefinite edge cases the shift did not
-        # clear; fall back to the spectrum before declaring indefinite.
-        return bool(np.linalg.eigvalsh(sym).min() >= -tol * scale)
-    return True

@@ -2,38 +2,39 @@
 
 ``solve_lp`` takes an ``LpProblem``, whose ``soft`` flag names its shape:
 
-* a hard-row LP,  min g . c  s.t.  lhs @ c >= rhs  over free c: a zero g
-  is a ``row_lp`` feasibility run, a nonzero one a min/max of c_j;
-* a soft LP (``row_slack_lp``),  min 1/n sum_i (b_i - a_i . c)^+: every row
-  is soft at weight 1/n and the free columns cost 0. Its slacks are read
-  off the residuals at the end; no method ever holds a slack column.
+* a feasibility run (``row_lp``): some c with lhs @ c >= rhs, c free;
+* a soft LP (``row_slack_lp``): the c of least mean slack
+  1/n sum_i (b_i - a_i . c)^+, every row soft at weight 1/n. Its slacks
+  are read off the residuals at the end; no method ever holds a slack column.
 
-Both reduce to  min g . c + sum_i w_i (b_i - a_i . c)^+  over free c, with
-w = inf on every row of a hard-row LP and g = 0 in a soft LP. The layer LPs
-have m <= 16 free coefficients and n = 400-512 rows. Both methods keep
-p <= m tight rows T, A_T c = b_T, and the set U of rows past their bound;
-the multipliers of T solve A_T' lam_T = g - A_U' w_U. The dual of the
-reduced form is  max b . lam  s.t.  A' lam = g,  0 <= lam <= w.
+Both are cast as  min g . c + sum_i w_i (b_i - a_i . c)^+  over free c. A
+feasibility run has w = inf on every row and g = sum_T a_i over its start
+basis T, which prices each start row at lam = 1; a soft LP has w = 1/n and
+g = 0. The layer LPs have m <= 16 free coefficients and n = 400-512 rows.
+Both methods keep p <= m tight rows T, A_T c = b_T, and the set U of rows
+past their bound; the multipliers of T solve A_T' lam_T = g - A_U' w_U. The
+dual of the reduced form is  max b . lam  s.t.  A' lam = g,  0 <= lam <= w.
 
-Dual method (Lemke's), for hard-row LPs: lam_T >= 0 and U is empty. Each
-step enters the most violated other row r; raising lam_r from 0 by t moves
-lam_T by -t A_T^-T a_r, and the ratio test swaps r for the first basic row
-whose multiplier reaches 0, ties going to the largest pivot. A row with
-nothing in reach gives the Farkas ray lam_r = 1, lam_T = -A_T^-T a_r.
+Dual method (Lemke's), for feasibility runs: lam_T >= 0 and U is empty.
+Each step enters the most violated other row r; raising lam_r from 0 by t
+moves lam_T by -t A_T^-T a_r, and the ratio test swaps r for the first
+basic row whose multiplier reaches 0, ties going to the largest pivot. A row
+with nothing in reach gives the Farkas ray lam_r = 1, lam_T = -A_T^-T a_r.
 
 Primal descent (Barrodale & Roberts' L1 descent; Koenker & d'Orey, AS 229),
-for soft LPs: c stays a vertex and the objective never rises. Each step
+for soft LPs: c stays a vertex and the mean slack never rises. Each step
 releases the tight row k whose lam_k is furthest outside [0, w_k] along the
 edge A_T d = +e_k (into its satisfied side, slope lam_k) or -e_k (past its
 bound, slope w_k - lam_k). The breakpoints tau_i = -r_i / (a_i . d) of the
 rows that cross on that edge are passed in order while the slope plus
 w_i |a_i . d| stays negative, each toggling its row in U; the row where the
 slope turns replaces T[k]. U is state the steps update: read back off
-residual signs, rounding re-admits rows and the objective can rise and
+residual signs, rounding re-admits rows and the mean slack can rise and
 cycle. After BLAND_AFTER zero-length steps in a row a step releases the
 lowest-numbered row and stops at the first breakpoint, lowest-numbered on
 ties (Bland's rule for the LP with split residuals), which ends degenerate
-runs. An edge whose slope never turns is reported as an unbounded objective.
+runs. The mean slack is bounded below by 0, so an edge whose slope never
+turns comes only from rounding; the run ends there as numerical trouble.
 
 Start (a crash basis, as in Bixby, "Implementing the simplex method: the
 initial basis", ORSA J. Computing 1992): columns take rows by elimination
@@ -43,11 +44,8 @@ wins over any other row; when they fix every column the start is the answer
 and the method takes no step, whatever other vertices the feasible set has.
 Next come rows with |rhs| > 1e-6 of the largest, since near-zero rhs
 entries are often estimate slop, so an empty mask gives the same start as
-none. A column with no usable pivot left stays at 0. A zero objective
-becomes g = sum_T a_i (lam_T = 1). A nonzero one pins each of its columns
-by sign(g_j) e_j . c >= -M at lam = |g_j|, M = BOX |rhs|/|lhs| (|rhs| read
-as 1 when rhs = 0); a box row that keeps a multiplier means the objective
-is unbounded below. Every tolerance is relative to the data.
+none. A column with no usable pivot left stays at 0. Every tolerance is
+relative to the data.
 
 ``shared_start`` starts a family of feasibility runs row_lp(F, t_j) over one
 design at once. The crash reads t_j only through its tier-2 mask, so it runs
@@ -77,7 +75,6 @@ from .types import LpProblem, SolveReport, SolveStatus
 FEAS_TOL = 1e-8  # feasibility tolerance, relative to |rhs|
 MAX_ITER = 20_000  # step budget
 PIVOT_TOL = 1e-9  # smallest admissible pivot, relative to its column or step's largest entry
-BOX = 1e6  # bound on objective-carrying variables, in units of |rhs| / |lhs|
 BLAND_AFTER = 8  # zero-length descent steps in a row before Bland's rule
 
 
@@ -131,10 +128,11 @@ def _violates(violation: float, rhs_scale: float) -> bool:
     return violation > FEAS_TOL * rhs_scale * 10.0
 
 
-def _run(rows, b, g, basis, rhs_scale):
-    """The dual method from a basis. Returns (verdict, c, steps, lam), lam
-    over the rows: the multipliers when optimal, the Farkas ray when
-    infeasible."""
+def _run(rows, b, basis, rhs_scale):
+    """The dual method from a basis, priced at g = sum of its rows. Returns
+    (verdict, c, steps, lam), lam over the rows: the multipliers when
+    optimal, the Farkas ray when infeasible."""
+    g = rows[basis].sum(axis=0)
     for step in range(MAX_ITER):
         inverse = np.linalg.inv(rows[basis])  # the one factorisation: c, lam_T and the move
         c = inverse @ b[basis]
@@ -208,7 +206,7 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
     """Clean up and check a candidate infeasibility ray; None if it fails.
 
     A valid ray has lam >= 0, lhs' lam = 0 and rhs . lam > 0: only a
-    hard-row LP, whose variables are all free, runs the dual method.
+    feasibility run, whose variables are all free, runs the dual method.
     """
     lam = np.where(lam > 0.0, lam, 0.0)
     norm = float(lam.max(initial=0.0))
@@ -224,60 +222,44 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
 
 
 def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveReport:
-    """The dual method on a hard-row LP, the primal descent on a soft LP;
+    """The dual method on a feasibility run, the primal descent on a soft LP;
     see the module docstring. ``prefer``, a boolean mask over the inequality
     rows, names the rows the start tries first: rows expected to be tight at
     the answer."""
-    a, rhs, cost = problem.ineq_lhs, problem.ineq_rhs, problem.objective
-    prefer = _row_mask(prefer, problem.n_rows)
-    rhs_scale, n, soft = float(np.abs(rhs).max()), problem.n_rows, problem.soft
-    b, g = rhs, cost
-    if soft:  # every row weighs 1/n, and the cost covers the whole point [c | zeta]
-        weights = np.full(n, 1.0 / n)
-        cost = np.concatenate([cost, weights])
+    a, b, n, soft = problem.ineq_lhs, problem.ineq_rhs, problem.n_rows, problem.soft
+    p = a.shape[1]
+    prefer = _row_mask(prefer, n)
+    rhs_scale = float(np.abs(b).max())
+    cost = np.zeros(problem.n_vars)  # over the point [c | zeta]; a feasibility run has no zeta
+    cost[p:] = 1.0 / n  # a soft LP's row weights
 
-    # start basis: box rows pin the columns with a cost; the crash gives
-    # the other columns rows, and columns it skips stay at 0
-    boxed = g != 0.0
-    loose = np.flatnonzero(~boxed)
-    crash = np.array(_crash(a[:, loose], b, rhs_scale, prefer), dtype=np.int64).reshape(-1, 2)
-    cols, basis, rows = loose[crash[:, 0]], crash[:, 1], a
-    if boxed.any():  # box rows below the data rows
-        rows = np.vstack([a, np.sign(g[boxed, None]) * np.eye(g.size)[boxed]])
-        box_rhs = -BOX * (rhs_scale or 1.0) / (float(np.abs(a).max(initial=0.0)) or 1.0)
-        b = np.concatenate([b, np.full(rows.shape[0] - n, box_rhs)])
-        cols = np.concatenate([np.flatnonzero(boxed), cols])
-        basis = np.concatenate([n + np.arange(boxed.sum()), basis])
-    rows, g = rows[:, cols], g[cols]
-    feasibility_run = not soft and not g.any()
-    if feasibility_run:
-        g = rows[basis].sum(axis=0)
-
+    # start basis: the crash gives columns rows, and columns it skips stay at 0
+    crash = np.array(_crash(a, b, rhs_scale, prefer), dtype=np.int64).reshape(-1, 2)
+    cols, basis = crash[:, 0], crash[:, 1]
+    rows = a[:, cols]
     try:
         if soft:
-            verdict, c, steps, lam = _descend(rows, b, weights, basis, FEAS_TOL * rhs_scale)
+            verdict, c, steps, lam = _descend(rows, b, cost[p:], basis, FEAS_TOL * rhs_scale)
         else:
-            verdict, c, steps, lam = _run(rows, b, g, basis, rhs_scale)
+            verdict, c, steps, lam = _run(rows, b, basis, rhs_scale)
     except np.linalg.LinAlgError:
         verdict, c, steps = "singular basis", np.zeros(cols.size), 0
     point = np.zeros(problem.n_vars)
     point[cols] = c
     if soft:  # each slack closes its row's gap, read C-ordered: layout moves rounding
-        point[a.shape[1]:] = np.maximum(rhs - np.ascontiguousarray(a[:, cols]) @ c, 0.0)
+        point[p:] = np.maximum(b - np.ascontiguousarray(rows) @ c, 0.0)
 
     violation = problem.max_violation(point)
-    if verdict == "optimal" and boxed.any() and (lam[n:] > FEAS_TOL * np.abs(g).max()).any():
-        verdict = "objective unbounded below"
-    elif verdict == "optimal" and _violates(violation, rhs_scale):
+    if verdict == "optimal" and _violates(violation, rhs_scale):
         verdict = f"terminal basis violates the original constraints by {violation:.3e}"
     status, message, extra = SolveStatus.NUMERICAL_TROUBLE, verdict, {}
     if verdict == "optimal":
         status, message = SolveStatus.OPTIMAL, ""
-        extra["dual"] = np.zeros(n) if feasibility_run else np.maximum(lam[:n], 0.0)
+        extra["dual"] = np.maximum(lam, 0.0) if soft else np.zeros(n)
     elif verdict == "iteration_limit":
         status, message = SolveStatus.ITERATION_LIMIT, "step budget exhausted"
     elif verdict == "infeasible":
-        extra["certificate"] = _verify_farkas(problem, lam[:n])
+        extra["certificate"] = _verify_farkas(problem, lam)
         if extra["certificate"] is None:
             message = "unbounded dual but no verifiable infeasibility ray"
         else:

@@ -37,10 +37,11 @@ d=16, n=512 and back weight 1e-6, one stage and the two-stage schedule
 stopped at 1e-14, where a stop at 1e-10 left the path showing at 5e-5.
 
 This is an algebraic shortcut, not a different model: its solutions lie in
-the optimum set of the assembled QP over (u, w) that ``types.row_qp``
-builds for either layer's design. The test suite checks
-that on shared instances through the assembled KKT conditions and against
-an external bounded-variable least-squares solve of [F | I].
+the optimum set of the assembled QP  min 1/2n ||F u + w - t||^2  over
+(u, w >= 0) for either layer's design. The test suite assembles that QP
+(``assembled_row_qp`` in ``tests/conftest.py``) and checks the solutions on
+shared instances through its KKT conditions and against an external
+bounded-variable least-squares solve of [F | I].
 
 The batched interface solves one column per right-hand side. The columns
 share the warm start's Cholesky factor of the ridged Gram matrix (numpy's

@@ -1,29 +1,24 @@
 """Problem descriptions, the layer row programs, and the LP engine's report.
 
-Conventions used throughout the solver package:
+``LpProblem`` holds the rows  ineq_lhs @ u >= ineq_rhs  over free u. Without
+``soft`` it is a feasibility system: any u that satisfies every row will do.
+With ``soft`` set, every row may be missed by a slack zeta_i >= 0,
+ineq_lhs @ u + zeta >= ineq_rhs, and the answer is the point whose mean
+slack 1/n sum zeta is least; the slacks are implied by the flag and never
+stored.
 
-* ``LpProblem`` encodes  min objective . u  subject to  ineq_lhs @ u >= ineq_rhs
-  over free u: a hard-row LP (an all-zero objective makes it a pure
-  feasibility run). With ``soft`` set, every row may be missed at a price:
-  min 1/n sum zeta  s.t.  ineq_lhs @ u + zeta >= ineq_rhs, zeta >= 0, with
-  the slacks implied by the flag and never stored.
-* ``QpProblem`` encodes  min 1/2 v' H v + q . v  subject to v_i >= 0 for the
-  indices in ``nonneg_vars``; there are no general linear constraints because
-  the layer programs only ever bound the slack block.
-
-Both layers pose one row program over an n x p design F and a target
+Both layers pose their row programs over an n x p design F and a target
 column t of length n, with the p free coefficients u first in every
 variable vector:
 
-* ``row_qp``:        min 1/2n ||F u + w - t||^2  over (u, w >= 0);
 * ``row_lp``:        F u <= t  (a feasibility run);
-* ``row_slack_lp``:  min 1/n sum zeta  s.t.  F u - zeta <= t, zeta >= 0
+* ``row_slack_lp``:  F u - zeta <= t, zeta >= 0, least mean slack
   (``row_lp`` with ``soft`` set).
 
 Layer 2 poses them with F = -Y and t = -x_j (so C y >= x), layer 1 with
-F = X and t = h_j (so A x <= h). The learners solve ``row_qp`` only in its
-eliminated least-squares form (``split_ls``); the assembled QP is what
-those solutions are checked against.
+F = X and t = h_j (so A x <= h). The QP route poses its row program over
+the same (F, t) and solves it only in the eliminated least-squares form of
+``split_ls``.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import DimensionMismatchError, NonFiniteError
-from ..numerics import Mat, as_matrix, is_psd
+from ..numerics import Mat, as_matrix
 
 
 class SolveStatus(str, Enum):
@@ -44,72 +39,15 @@ class SolveStatus(str, Enum):
     NUMERICAL_TROUBLE = "numerical_trouble"
 
 
-def _as_vector(value, name: str, length: int | None = None) -> np.ndarray:
-    vec = np.asarray(value, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    if length is not None and vec.shape[0] != length:
-        raise DimensionMismatchError(f"{name} has length {vec.shape[0]}, expected {length}")
-    return vec
-
-
-def _check_indices(indices, n_vars: int, name: str) -> tuple[int, ...]:
-    index = np.fromiter(indices, dtype=np.int64)
-    outside = (index < 0) | (index >= n_vars)
-    if outside.any():
-        raise ValueError(f"{name} index {index[outside][0]} out of range for {n_vars} variables")
-    if index.size and np.bincount(index).max() > 1:
-        raise ValueError(f"{name} contains duplicate indices")
-    return tuple(index.tolist())
-
-
-@dataclass(frozen=True)
-class QpProblem:
-    """min 1/2 v' hessian v + linear . v + constant, s.t. v[i] >= 0 for i in
-    nonneg_vars.
-
-    ``constant`` carries the data-dependent offset of least-squares
-    objectives so that objective_value matches the modeled risk (zero at a
-    perfect noiseless fit) instead of a shifted copy of it.
-    """
-
-    hessian: Mat
-    linear: np.ndarray
-    nonneg_vars: tuple[int, ...] = ()
-    constant: float = 0.0
-
-    def __post_init__(self):
-        h = as_matrix(self.hessian, "hessian")
-        if h.shape[0] != h.shape[1]:
-            raise DimensionMismatchError(f"hessian must be square, got {h.shape}")
-        if not is_psd(h, tol=1e-8):
-            raise ValueError("hessian is not positive semidefinite within 1e-8")
-        q = _as_vector(self.linear, "linear", h.shape[0])
-        object.__setattr__(self, "hessian", h)
-        object.__setattr__(self, "linear", q)
-        object.__setattr__(
-            self, "nonneg_vars", _check_indices(self.nonneg_vars, h.shape[0], "nonneg_vars")
-        )
-
-    @property
-    def n_vars(self) -> int:
-        return self.hessian.shape[0]
-
-    def objective(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        return float(0.5 * v @ self.hessian @ v + self.linear @ v + self.constant)
-
-
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . u  s.t.  ineq_lhs @ u >= ineq_rhs, over free u.
+    """The rows  ineq_lhs @ u >= ineq_rhs  over free u: a feasibility system.
 
-    A ``soft`` LP is  min 1/n sum zeta  s.t.  ineq_lhs @ u + zeta >= ineq_rhs,
-    zeta >= 0: its variables are [u | zeta], one slack per row, so
-    ``n_vars`` counts p + n, and its free columns carry no cost.
+    A ``soft`` LP adds one slack per row, ineq_lhs @ u + zeta >= ineq_rhs,
+    zeta >= 0, and asks for the least mean slack: its variables are
+    [u | zeta], so ``n_vars`` counts p + n.
     """
 
-    objective: np.ndarray
     ineq_lhs: Mat
     ineq_rhs: np.ndarray
     soft: bool = False
@@ -118,12 +56,13 @@ class LpProblem:
         lhs = as_matrix(self.ineq_lhs, "ineq_lhs")
         if lhs.shape[0] < 1:
             raise DimensionMismatchError("need at least one inequality row")
-        obj = _as_vector(self.objective, "objective", lhs.shape[1])
-        rhs = _as_vector(self.ineq_rhs, "ineq_rhs", lhs.shape[0])
-        if self.soft and obj.any():
-            raise ValueError("a soft LP's objective is its slack total: its free columns cost 0")
+        rhs = np.asarray(self.ineq_rhs, dtype=np.float64).reshape(-1)
+        if not np.all(np.isfinite(rhs)):
+            raise NonFiniteError("ineq_rhs contains non-finite entries")
+        if rhs.shape[0] != lhs.shape[0]:
+            raise DimensionMismatchError(
+                f"ineq_rhs has length {rhs.shape[0]}, expected {lhs.shape[0]}")
         object.__setattr__(self, "ineq_lhs", lhs)
-        object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "ineq_rhs", rhs)
 
     @property
@@ -144,33 +83,14 @@ class LpProblem:
         return max(float(gap.max(initial=0.0)), 0.0)
 
 
-def row_qp(design: Mat, target: np.ndarray) -> QpProblem:
-    """min 1/2n ||F u + w - t||^2 over [u (p, free) | w (n, >= 0)].
-
-    The Hessian (1/n) [F | I]'[F | I] depends only on the design, so every
-    row of one layer shares it. ``constant`` makes the objective the
-    modeled risk: zero at a perfect noiseless fit.
-    """
-    n, p = design.shape
-    top = np.hstack([design.T @ design, design.T])
-    bot = np.hstack([design, np.eye(n)])
-    return QpProblem(
-        hessian=np.vstack([top, bot]) / n,
-        linear=np.concatenate([-design.T @ target, -target]) / n,
-        nonneg_vars=tuple(range(p, p + n)),
-        constant=float(target @ target) / (2 * n),
-    )
-
-
 def row_lp(design: Mat, target: np.ndarray) -> LpProblem:
     """Feasibility system F u <= t over free u, as -F u >= -t."""
-    return LpProblem(objective=np.zeros(design.shape[1]), ineq_lhs=-design, ineq_rhs=-target)
+    return LpProblem(ineq_lhs=-design, ineq_rhs=-target)
 
 
 def row_slack_lp(design: Mat, target: np.ndarray) -> LpProblem:
-    """min 1/n sum zeta over [u (p, free) | zeta (n, >= 0)], F u - zeta <= t."""
-    return LpProblem(objective=np.zeros(design.shape[1]), ineq_lhs=-design, ineq_rhs=-target,
-                     soft=True)
+    """F u - zeta <= t over [u (p, free) | zeta (n, >= 0)], least mean slack."""
+    return LpProblem(ineq_lhs=-design, ineq_rhs=-target, soft=True)
 
 
 @dataclass(frozen=True)
@@ -178,15 +98,16 @@ class SolveReport:
     """Outcome of one LP solve.
 
     ``iterations`` counts the steps of the method that ran (see
-    ``simplex``). For a hard-row LP that is the dual method: one row swap
-    in the tight-row basis per step. For a slack LP it is the primal
+    ``simplex``). For a feasibility run that is the dual method: one row
+    swap in the tight-row basis per step. For a soft LP it is the primal
     descent: one per edge, however many breakpoints the edge passes.
-    ``dual`` carries the multipliers of the inequality rows (set on optimal
-    runs; all zero for a zero-objective feasibility run): lam_T on the
-    tight rows, a soft row's weight on rows past their bound, 0 elsewhere.
-    ``certificate`` is only set on infeasible runs, which only hard-row LPs
-    (every variable free) have: a ray lam >= 0 with lhs' lam = 0 and
-    rhs . lam > 0, proving that no feasible point exists.
+    ``objective_value`` is 0 for a feasibility run and the mean slack
+    1/n sum zeta for a soft LP (nan when infeasible). ``dual`` carries the
+    multipliers of the inequality rows on optimal runs: all zero for a
+    feasibility run; for a soft LP, lam_T on the tight rows, the weight 1/n
+    on rows past their bound and 0 elsewhere. ``certificate`` is only set on
+    infeasible runs, which only feasibility runs have: a ray lam >= 0 with
+    lhs' lam = 0 and rhs . lam > 0, proving that no feasible point exists.
     """
 
     point: np.ndarray

@@ -39,7 +39,7 @@ from reslearn.model import (
     sample,
     standard_mixture,
 )
-from reslearn.solver import LpProblem, SolveStatus, row_slack_lp, solve_lp
+from reslearn.solver import LpProblem, SolveStatus, row_lp, row_slack_lp, solve_lp
 
 
 def solution_is_unique(samples, tol=1e-7):
@@ -296,7 +296,7 @@ def test_criterion_8():
         # u.v >= 1 and -u.v >= 0 can never both hold; extras stay satisfiable
         rhs = np.concatenate(
             [[1.0, 0.0], -np.abs(gen.standard_normal(extra.shape[0])) - 5.0])
-        rep = solve_lp(LpProblem(objective=np.zeros(k), ineq_lhs=lhs, ineq_rhs=rhs))
+        rep = solve_lp(LpProblem(ineq_lhs=lhs, ineq_rhs=rhs))
         if rep.status is SolveStatus.INFEASIBLE:
             detected += 1
             lam = rep.certificate
@@ -335,10 +335,12 @@ def test_criterion_8():
 
 
 def test_criterion_9():
-    # d=1 teachers: the solver's feasible interval for c matches both a
-    # brute-force membership scan and the closed form [1/(1+a), 1] / b
+    # d=1 teachers: the feasible interval for c, swept to both ends by HiGHS,
+    # matches both a brute-force membership scan and the closed form
+    # [1/(1+a), 1] / b, and the package's own feasibility run lands in it
     g = make_rng(77)
     worst_gap = 0.0
+    inside = True
     checked = 0
     for i in range(5):
         a = float(np.abs(g.standard_normal())) + 0.05
@@ -347,22 +349,25 @@ def test_criterion_9():
         s = sample(unit, GaussianIid(dim=1), 60, 0.0, seed=derive_seed(803, i))
         ends = []
         for sign in (1.0, -1.0):
-            rep = solve_lp(LpProblem(
-                objective=[sign], ineq_lhs=s.ys, ineq_rhs=s.xs[:, 0]))
-            assert rep.status is SolveStatus.OPTIMAL
-            ends.append(float(rep.point[0]))
+            res = linprog([sign], A_ub=-s.ys, b_ub=-s.xs[:, 0], bounds=[(None, None)],
+                          method="highs")
+            assert res.status == 0
+            ends.append(float(res.x[0]))
         lo_lp, hi_lp = ends
         grid = np.arange(0.0, 2.0 / b, 1e-4)
         member = np.min(grid[None, :] * s.ys - s.xs[:, :1], axis=0) >= -1e-9
         lo_scan, hi_scan = grid[member][0], grid[member][-1]
         lo_th, hi_th = 1.0 / ((1.0 + a) * b), 1.0 / b
+        rep = solve_lp(row_lp(-s.ys, -s.xs[:, 0]))
+        inside = inside and rep.status is SolveStatus.OPTIMAL and (
+            lo_th * (1.0 - 1e-12) <= rep.point[0] <= hi_th * (1.0 + 1e-12))
         worst_gap = max(
             worst_gap,
             abs(lo_lp - lo_scan), abs(hi_lp - hi_scan),
             abs(lo_lp - lo_th), abs(hi_lp - hi_th),
         )
         checked += 1
-    ok = checked == 5 and worst_gap <= 1e-3
+    ok = checked == 5 and worst_gap <= 1e-3 and inside
     record_acceptance(9, ok, (
         f"scale interval: {checked} d=1 teachers, worst endpoint gap between "
         f"solver, scan, and closed form {worst_gap:.2e} (<=1e-3)"

@@ -4,7 +4,6 @@ import pytest
 from reslearn.baselines import (
     SgdConfig,
     expected_sample_bound,
-    sgd_batch_gradients,
     sgd_train,
     vanilla_lr,
 )
@@ -116,6 +115,26 @@ class TestSgdGradients:
                     else:
                         num = (loss_at(a, up) - loss_at(a, dn)) / (2 * h)
                     assert num == pytest.approx(grad[i, j], rel=1e-5, abs=1e-8)
+
+
+def sgd_batch_gradients(a, b, xb, yb):
+    """Mean squared-error loss over one batch and its gradients in (A, B).
+
+    The ReLU subgradient at exactly zero is taken as zero. ``sgd_train``
+    performs these float operations in this order, so ``reference_sgd``
+    reproduces its trajectory bit for bit.
+    """
+    bs = xb.shape[0]
+    pre = xb @ a.T
+    hid = np.maximum(pre, 0.0)
+    inner = hid + xb
+    resid = inner @ b.T - yb
+    loss = 0.5 * float(np.sum(resid * resid)) / bs
+    grad_b = resid.T @ inner / bs
+    d_inner = resid @ b
+    d_pre = d_inner * (pre > 0.0)
+    grad_a = d_pre.T @ xb / bs
+    return loss, grad_a, grad_b
 
 
 def reference_sgd(samples, cfg):

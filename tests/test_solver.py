@@ -5,17 +5,14 @@ from hypothesis import strategies as st
 
 from reslearn.model import NetworkGenSpec, generate_unit, sample, standard_mixture
 from conftest import linprog_args, split_ls_on_assembled
-from reslearn.numerics import is_psd
 from reslearn.solver import (
     LpProblem,
-    QpProblem,
     SolveStatus,
     row_lp,
-    row_qp,
     row_slack_lp,
     solve_lp,
 )
-from reslearn.solver import simplex, split_ls, types
+from reslearn.solver import simplex, split_ls
 from reslearn.solver.split_ls import solve_separable_ls
 
 
@@ -23,103 +20,33 @@ def rng(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def leq(lhs, rhs):
-    """Rows 'lhs v <= rhs' in the package's >= convention."""
-    return -np.asarray(lhs, dtype=float), -np.asarray(rhs, dtype=float)
-
-
 class TestProblemTypes:
-    def test_qp_rejects_indefinite_hessian(self):
-        with pytest.raises(ValueError):
-            QpProblem(hessian=[[1.0, 2.0], [2.0, 1.0]], linear=[0.0, 0.0])
-
-    def test_qp_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            QpProblem(hessian=np.eye(2), linear=np.zeros(2), nonneg_vars=(5,))
-        with pytest.raises(ValueError):
-            QpProblem(hessian=np.eye(2), linear=np.zeros(2), nonneg_vars=(0, 0))
-
     def test_lp_shape_checks(self):
         from reslearn.errors import DimensionMismatchError
 
         with pytest.raises(DimensionMismatchError):
-            LpProblem(objective=[1.0, 2.0], ineq_lhs=np.eye(3), ineq_rhs=np.zeros(3))
+            LpProblem(ineq_lhs=np.eye(2), ineq_rhs=np.zeros(3))
         with pytest.raises(DimensionMismatchError):
-            LpProblem(objective=[1.0, 2.0], ineq_lhs=np.eye(2), ineq_rhs=np.zeros(3))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_index_check_matches_loop_reference(self, seed):
-        # the index check runs on numpy; the reference is its former loop,
-        # which the error messages and the returned tuple must match
-        def reference(indices, n_vars, name):
-            out = tuple(int(i) for i in indices)
-            for i in out:
-                if not 0 <= i < n_vars:
-                    raise ValueError(f"{name} index {i} out of range for {n_vars} variables")
-            if len(set(out)) != len(out):
-                raise ValueError(f"{name} contains duplicate indices")
-            return out
-
-        def outcome(check, indices, n_vars):
-            try:
-                return check(indices, n_vars, "nonneg_vars")
-            except ValueError as exc:
-                return str(exc)
-
-        g = rng(seed)
-        n_vars = int(g.integers(0, 12))
-        indices = g.integers(-2, n_vars + 3, size=int(g.integers(0, 10)))
-        if g.random() < 0.5:
-            indices = tuple(int(i) for i in indices)
-        want = outcome(reference, indices, n_vars)
-        got = outcome(types._check_indices, indices, n_vars)
-        assert got == want
-        if isinstance(want, tuple):
-            assert all(type(i) is int for i in got)
+            LpProblem(ineq_lhs=np.zeros((0, 2)), ineq_rhs=np.zeros(0))
 
     def test_lp_max_violation(self):
         # v >= 2 as a hard row over [v], and as a soft row v + zeta >= 2,
         # zeta >= 0 over [v | zeta]
-        hard = LpProblem(objective=[0.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0])
+        hard = LpProblem(ineq_lhs=[[1.0]], ineq_rhs=[2.0])
         assert (hard.n_rows, hard.n_vars) == (1, 1)
         assert hard.max_violation([3.0]) == 0.0
         assert hard.max_violation([1.0]) == pytest.approx(1.0)
-        soft = LpProblem(objective=[0.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0], soft=True)
+        soft = LpProblem(ineq_lhs=[[1.0]], ineq_rhs=[2.0], soft=True)
         assert (soft.n_rows, soft.n_vars) == (1, 2)
         assert soft.max_violation([1.0, 1.0]) == 0.0
         assert soft.max_violation([1.0, 0.25]) == pytest.approx(0.75)
         assert soft.max_violation([3.0, -0.5]) == pytest.approx(0.5)
-
-    def test_soft_lp_carries_no_objective(self):
-        # a soft LP's objective is its slack total; a cost on u is not posed
-        with pytest.raises(ValueError):
-            LpProblem(objective=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0], soft=True)
-
-    def test_qp_objective_includes_constant(self):
-        prob = QpProblem(hessian=np.eye(1), linear=[-1.0], constant=0.5)
-        assert prob.objective([1.0]) == pytest.approx(0.0)
 
 
 class TestRowPrograms:
     # Both layers pose these programs over their own design and target
     # (layer 2: F = -Y, t = -x_j; layer 1: F = X, t = h_j), so the layouts
     # are checked once on a generic design.
-
-    def test_qp_layout_and_psd(self):
-        g = rng(41)
-        f, t = g.standard_normal((6, 2)), g.standard_normal(6)
-        prob = row_qp(f, t)
-        assert prob.n_vars == 2 + 6
-        assert prob.nonneg_vars == tuple(range(2, 8))
-        assert is_psd(prob.hessian)
-        np.testing.assert_allclose(prob.hessian[:2, :2], f.T @ f / 6)
-        np.testing.assert_allclose(prob.hessian[2:, :2], f / 6)
-        np.testing.assert_allclose(prob.hessian[2:, 2:], np.eye(6) / 6)
-        # the objective is 1/2n ||F u + w - t||^2 exactly, constant included
-        u, w = g.standard_normal(2), np.abs(g.standard_normal(6))
-        r = f @ u + w - t
-        assert prob.objective(np.concatenate([u, w])) == pytest.approx(r @ r / 12, rel=1e-12)
 
     def test_slack_lp_layout(self):
         # row_lp with every row soft: the slacks are implied, not stored
@@ -130,42 +57,26 @@ class TestRowPrograms:
         assert (prob.n_rows, prob.n_vars) == (5, 2 + 5)
         np.testing.assert_array_equal(prob.ineq_lhs, -f)
         np.testing.assert_array_equal(prob.ineq_rhs, -t)
-        np.testing.assert_array_equal(prob.objective, 0.0)
 
 
 class TestSimplexTextbook:
-    def test_hand_lp(self):
-        # max x + y s.t. x + 2y <= 4, 4x + 2y <= 12, x, y >= 0 (as rows)
-        # optimum (8/3, 2/3), value 10/3
-        lhs, rhs = leq([[1.0, 2.0], [4.0, 2.0], [-1.0, 0.0], [0.0, -1.0]], [4.0, 12.0, 0.0, 0.0])
-        prob = LpProblem(objective=[-1.0, -1.0], ineq_lhs=lhs, ineq_rhs=rhs)
-        rep = solve_lp(prob)
-        assert rep.status is SolveStatus.OPTIMAL
-        np.testing.assert_allclose(rep.point, [8.0 / 3.0, 2.0 / 3.0], atol=1e-9)
-        assert rep.objective_value == pytest.approx(-10.0 / 3.0, abs=1e-9)
-
-    def test_free_variable_lp(self):
-        # min v s.t. v >= -5 (v free): optimum -5
-        prob = LpProblem(objective=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[-5.0])
-        rep = solve_lp(prob)
-        assert rep.status is SolveStatus.OPTIMAL
-        assert rep.point[0] == pytest.approx(-5.0, abs=1e-9)
-
     def test_degenerate_vertex(self):
-        # three constraints through the same optimum (0,0) of min x+y, and
-        # x, y >= 0 as two more rows through it
+        # five rows through (1, 1), the only feasible point: x >= 1, y >= 1,
+        # x + y >= 2, x + y <= 2 and x >= y; the larger pivots of the loose
+        # rows x, y >= -2 win the start, so the run pivots onto the vertex
         prob = LpProblem(
-            objective=[1.0, 1.0],
-            ineq_lhs=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
-            ineq_rhs=[0.0, 0.0, 0.0, 0.0, 0.0],
+            ineq_lhs=[[5.0, 0.0], [0.0, 5.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, -1.0],
+                      [1.0, -1.0]],
+            ineq_rhs=[-10.0, -10.0, 1.0, 1.0, 2.0, -2.0, 0.0],
         )
         rep = solve_lp(prob)
         assert rep.status is SolveStatus.OPTIMAL
-        assert rep.objective_value == pytest.approx(0.0, abs=1e-9)
+        assert rep.iterations > 0
+        np.testing.assert_allclose(rep.point, [1.0, 1.0], atol=1e-12)
+        assert rep.objective_value == 0.0
 
     def test_feasibility_run(self):
         prob = LpProblem(
-            objective=[0.0, 0.0],
             ineq_lhs=[[1.0, 1.0], [1.0, -1.0]],
             ineq_rhs=[1.0, 0.0],
         )
@@ -173,44 +84,11 @@ class TestSimplexTextbook:
         assert rep.status is SolveStatus.OPTIMAL
         assert prob.max_violation(rep.point) <= 1e-8
 
-    def test_unbounded_flagged(self):
-        # min -v with only v >= 0, as its one row: unbounded below
-        prob = LpProblem(objective=[-1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0])
-        rep = solve_lp(prob)
-        assert rep.status is SolveStatus.NUMERICAL_TROUBLE
-        assert "unbounded" in rep.message
-
-    def test_matches_reference_solver_on_random_lps(self):
-        from scipy.optimize import linprog
-
-        hits = 0
-        for seed in range(20):
-            g = rng(seed)
-            n_rows, n_vars = 12, 4
-            lhs = g.normal(size=(n_rows, n_vars))
-            rhs = lhs @ g.normal(size=n_vars) - g.random(n_rows)  # feasible by construction
-            obj = g.normal(size=n_vars)
-            # v_0, v_1 >= 0 as two more rows
-            prob = LpProblem(objective=obj, ineq_lhs=np.vstack([lhs, np.eye(2, n_vars)]),
-                             ineq_rhs=np.r_[rhs, 0.0, 0.0])
-            ref = linprog(
-                obj, A_ub=-lhs, b_ub=-rhs,
-                bounds=[(0, None), (0, None), (None, None), (None, None)],
-                method="highs",
-            )
-            rep = solve_lp(prob)
-            if not ref.success:
-                continue  # unbounded draws are not the point of this test
-            hits += 1
-            assert rep.status is SolveStatus.OPTIMAL
-            assert rep.objective_value == pytest.approx(ref.fun, abs=1e-7)
-        assert hits >= 10
-
 
 class TestSimplexInfeasibility:
     def test_contradiction_detected_with_certificate(self):
         # x >= 1 and -x >= 0 cannot both hold
-        prob = LpProblem(objective=[0.0], ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[1.0, 0.0])
+        prob = LpProblem(ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[1.0, 0.0])
         rep = solve_lp(prob)
         assert rep.status is SolveStatus.INFEASIBLE
         lam = rep.certificate
@@ -231,7 +109,7 @@ class TestSimplexInfeasibility:
             extra = g.normal(size=(3, n_vars))
             lhs = np.vstack([row, -row, extra])
             rhs = np.concatenate([[c], [1.0 - c], extra @ u - 1.0 - g.random(3)])
-            prob = LpProblem(objective=np.zeros(n_vars), ineq_lhs=lhs, ineq_rhs=rhs)
+            prob = LpProblem(ineq_lhs=lhs, ineq_rhs=rhs)
             rep = solve_lp(prob)
             if rep.status is SolveStatus.INFEASIBLE:
                 detected += 1
@@ -246,8 +124,8 @@ class TestSimplexInfeasibility:
     def test_farkas_check_matches_loop_reference(self, seed, noise):
         # The check is vectorised; the reference is its former per-column
         # loop. Candidates are rays of a u.v >= 1, -u.v >= 0 pair over free
-        # columns (only hard-row LPs, which have no bounded column, reach the
-        # check), sometimes with a noisy or negative entry, so both verdicts
+        # columns (only feasibility runs, which have no bounded column, reach
+        # the check), sometimes with a noisy or negative entry, so both verdicts
         # occur.
         def reference(problem, lam):
             lam = np.where(lam > 0.0, lam, 0.0)
@@ -267,7 +145,7 @@ class TestSimplexInfeasibility:
         u = g.standard_normal(k)
         lhs = np.vstack([u, -u * (1.0 + noise * g.standard_normal()), g.standard_normal((extra, k))])
         rhs = np.concatenate([g.standard_normal(2), g.standard_normal(extra)])
-        problem = LpProblem(objective=np.zeros(k), ineq_lhs=lhs, ineq_rhs=rhs)
+        problem = LpProblem(ineq_lhs=lhs, ineq_rhs=rhs)
         lam = np.concatenate([[1.0, 1.0], g.standard_normal(extra) * (g.random() < 0.3)])
         got, want = simplex._verify_farkas(problem, lam), reference(problem, lam)
         assert (got is None) == (want is None)
@@ -406,8 +284,8 @@ class TestSimplexOnLayerPrograms:
 
 class TestSoftRowDescent:
     # Soft LPs (every row soft at weight 1/n) take the long-step primal
-    # descent; hard-row LPs keep the dual method, so feasibility runs and
-    # their Farkas rays do not move.
+    # descent; feasibility runs keep the dual method, so they and their
+    # Farkas rays do not move.
 
     def test_dispatch_by_row_kind(self, monkeypatch):
         calls = []
@@ -606,20 +484,18 @@ def assert_point_close(got, want, name):
 @st.composite
 def reference_lps(draw):
     """Random small LPs of the two shapes solve_lp takes, k <= 6 free
-    columns and 3-40 data rows. Hard-row LPs, with v_j >= 0 for a random
+    columns and 3-40 data rows. Feasibility runs, with v_j >= 0 for a random
     subset of columns posed as more rows: feasible by construction,
-    infeasible by the u.v >= 1, -u.v >= 0 pair, feasible with a box and a
-    cost vector, or "integer": entries in -2..2 (degenerate vertices, tied
-    ratios, zero rows) with a cost in -2..2 and a box |v_j| <= 3. Soft LPs,
-    every row at weight 1/rows: "slack", Gaussian rows with rhs scattered
-    about a feasible point, or "slack-integer", entries and rhs in -2..2."""
+    infeasible by the u.v >= 1, -u.v >= 0 pair, or "integer": entries and
+    rhs in -2..2 (degenerate vertices, tied ratios, zero rows) with a box
+    |v_j| <= 3. Soft LPs, every row at weight 1/rows: "slack", Gaussian rows
+    with rhs scattered about a feasible point, or "slack-integer", entries
+    and rhs in -2..2."""
     k = draw(st.integers(1, 6))
     rows = draw(st.integers(3, 40))
-    kind = draw(st.sampled_from(
-        ["feasible", "infeasible", "boxed", "integer", "slack", "slack-integer"]))
+    kind = draw(st.sampled_from(["feasible", "infeasible", "integer", "slack", "slack-integer"]))
     g = rng(draw(st.integers(0, 2**32 - 1)))
     nonneg = np.flatnonzero(g.random(k) < 0.5)
-    objective = np.zeros(k)
     if kind in ("slack", "slack-integer"):
         if kind == "slack":
             lhs = g.standard_normal((rows, k))
@@ -627,7 +503,7 @@ def reference_lps(draw):
         else:
             lhs = g.integers(-2, 3, size=(rows, k)).astype(float)
             rhs = g.integers(-2, 3, size=rows).astype(float)
-        return kind, LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs, soft=True)
+        return kind, LpProblem(ineq_lhs=lhs, ineq_rhs=rhs, soft=True)
     if kind == "infeasible":
         u = g.standard_normal(k)
         extra = g.standard_normal((rows - 2, k))
@@ -636,19 +512,14 @@ def reference_lps(draw):
     elif kind == "integer":
         lhs = np.vstack([g.integers(-2, 3, size=(rows, k)), np.eye(k), -np.eye(k)])
         rhs = np.concatenate([g.integers(-2, 3, size=rows), np.full(2 * k, -3.0)])
-        objective = g.integers(-2, 3, size=k).astype(float)
     else:
         inner = g.standard_normal(k)
         inner[nonneg] = np.abs(inner[nonneg])
         lhs = g.standard_normal((rows, k))
         rhs = lhs @ inner - g.random(rows)
-        if kind == "boxed":
-            lhs = np.vstack([lhs, np.eye(k), -np.eye(k)])
-            rhs = np.concatenate([rhs, np.full(2 * k, -10.0)])
-            objective = g.standard_normal(k)
     lhs = np.vstack([lhs, np.eye(k)[nonneg]])  # v_j >= 0 as rows
     rhs = np.concatenate([rhs, np.zeros(nonneg.size)])
-    return kind, LpProblem(objective=objective, ineq_lhs=lhs, ineq_rhs=rhs)
+    return kind, LpProblem(ineq_lhs=lhs, ineq_rhs=rhs)
 
 
 class TestSimplexAgainstHighs:
@@ -661,7 +532,7 @@ class TestSimplexAgainstHighs:
         ref = linprog(**linprog_args(problem), method="highs")
         assert ref.status in (0, 2)
         rep = solve_lp(problem)
-        if ref.status == 2:  # only hard-row LPs, every column free, can be infeasible
+        if ref.status == 2:  # only feasibility runs, every column free, can be infeasible
             assert rep.status is SolveStatus.INFEASIBLE
             lam, lhs, rhs = rep.certificate, problem.ineq_lhs, problem.ineq_rhs
             limit = 1e-6 * max(1.0, float(np.abs(lam).max()))
