@@ -18,7 +18,6 @@ from .baselines import (
     vanilla_lr,
 )
 from .errors import (
-    DegenerateRowError,
     DimensionMismatchError,
     GenerationFailedError,
     NonFiniteError,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvexMethod",
-    "DegenerateRowError",
     "DimensionMismatchError",
     "ErrorReport",
     "GaussUniformMixture",

@@ -46,7 +46,6 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    DegenerateRowError,
     DimensionMismatchError,
     ReslearnError,
     SingularCHatError,
@@ -274,12 +273,28 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 # --- experiments ---------------------------------------------------------
 
-def _ledger(out_dir: Path, name: str, configs: list[dict]) -> tuple[Path, dict, list[str]]:
+def _holds_rows(record) -> bool:
+    """Whether a grid cell's record holds its outcome, a list of TrialRow
+    dicts; building each TrialRow checks that a row has exactly its fields."""
+    try:
+        return isinstance(record["rows"], list) and all(TrialRow(**row) for row in record["rows"])
+    except (TypeError, KeyError):
+        return False
+
+
+def _holds_result(record) -> bool:
+    """Whether a vanilla_lr_rates cell's record holds its rate record."""
+    return isinstance(record, dict) and isinstance(record.get("result"), dict)
+
+
+def _ledger(out_dir: Path, name: str, configs: list[dict],
+            finished) -> tuple[Path, dict, list[str]]:
     """(path, ledger, keys) of a study's cell configs, keys in their order.
     The ledger keeps the stored record of each config already done, so a
     rerun skips it, and drops the records of every other config. A ledger
     that does not parse, or is not an object holding a "cells" object, counts
-    as empty."""
+    as empty, and a cell whose record ``finished`` rejects (one that is not
+    an object holding its outcome) counts as pending."""
     path = out_dir / f"{name}.json"
     try:
         stored = json.loads(path.read_text())
@@ -289,7 +304,7 @@ def _ledger(out_dir: Path, name: str, configs: list[dict]) -> tuple[Path, dict, 
     if not isinstance(stored, dict):
         stored = {}
     keys = [_config_hash(config) for config in configs]
-    kept = {key: stored[key] for key in keys if key in stored}
+    kept = {key: stored[key] for key in keys if key in stored and finished(stored[key])}
     return path, {"experiment": name, "cells": kept}, keys
 
 
@@ -305,7 +320,7 @@ def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
         for d in dims for n in sizes for sigma in sigmas for method in methods
     ]
     configs = [dataclasses.asdict(cell) for cell in cells]
-    path, ledger, keys = _ledger(out_dir, name, configs)
+    path, ledger, keys = _ledger(out_dir, name, configs, _holds_rows)
     pending = [i for i, key in enumerate(keys) if key not in ledger["cells"]]
     for i, rows in zip(pending, run_cells([cells[i] for i in pending], jobs=args.jobs)):
         ledger["cells"][keys[i]] = {
@@ -355,7 +370,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             for d in _numbers(_pick(args.dims, "4,6"))
             for n in _numbers(_pick(args.sample_sizes, "100,500,1000"))
         ]
-        path, ledger, keys = _ledger(out_dir, name, configs)
+        path, ledger, keys = _ledger(out_dir, name, configs, _holds_result)
         for key, config in zip(keys, configs):
             if key not in ledger["cells"]:
                 record = success_rate(**config)
@@ -458,7 +473,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, exc)
     except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
         return _fail(EXIT_IO, exc)
-    except (SolverFailedError, SingularCHatError, DegenerateRowError) as exc:
+    except (SolverFailedError, SingularCHatError) as exc:
         return _fail(EXIT_SOLVER, exc)
     except ReslearnError as exc:
         return _fail(EXIT_EVAL, exc)

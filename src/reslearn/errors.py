@@ -35,10 +35,3 @@ class SingularCHatError(ReslearnError):
         super().__init__(message)
         self.condition = condition
 
-
-class DegenerateRowError(ReslearnError):
-    """Too few usable samples to estimate a per-row scale factor."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row

@@ -16,8 +16,10 @@ layer's gated variant) because the downscaling affects every teacher, not
 just special rows.
 
 The QP route solves all d rows as one batched eliminated program, since
-they share the design. Rows too rarely activated to support the regression
-are left at their raw scale and flagged.
+they share the design. The d scale regressions run in one pass
+(``estimate_row_scale``), which also measures the slack route's soft-gate
+misfit. Rows too rarely activated to support the regression are left at
+their raw scale and flagged.
 
 The LP route keeps the solver's default start, which prefers rows with
 data. Here those are the activated samples (h_j > 0), where the teacher's
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRowError, DimensionMismatchError, SolverFailedError
+from .errors import DimensionMismatchError, SolverFailedError
 from .methods import ConvexMethod
-from .numerics import Mat, as_matrix, origin_fit
+from .numerics import Mat, as_matrix, origin_fits
 from .solver import SolveStatus, row_lp
 from .solver.simplex import solve_lp
 from .solver.split_ls import solve_separable_ls
@@ -80,14 +82,15 @@ class HiddenSampleSet:
 # count the roundoff that a layer-2 estimate leaves on inactive samples,
 # and so would a median-relative one whenever fewer than half the samples
 # activate (the median is then zero). Slopes above 1 by more than K_TOL are
-# clamped to 1 with a warning; a slope at or below K_MIN, like fewer than
-# MIN_POS_SAMPLES activated samples, raises DegenerateRowError, so the row
-# stays unscaled and is listed rather than blown up by 1/K_MIN. SOFT_GATE
-# bounds the relative scale-regression residual above which the slack route
-# stops trusting the hard feasibility vertex (see learn_layer1); a row whose
-# response over the activated samples is at roundoff next to h_j (n * eps
-# times its largest activated value) counts as above any gate, because the
-# vertex then sits at the trivial a = 0 rather than on a scaled row.
+# clamped to 1 with a note; a slope at or below K_MIN, like fewer than
+# MIN_POS_SAMPLES activated samples or no slope at all, leaves the row
+# unscaled and listed, with a note, rather than blown up by 1/K_MIN.
+# SOFT_GATE bounds the relative scale-regression residual above which the
+# slack route stops trusting the hard feasibility vertex (see learn_layer1);
+# a row whose response over the activated samples is at roundoff next to h_j
+# (n * eps times its largest activated value) counts as above any gate,
+# because the vertex then sits at the trivial a = 0 rather than on a scaled
+# row.
 ACTIVATION_REL = 1e-8
 MIN_POS_SAMPLES = 10
 K_MIN = 1e-4
@@ -120,77 +123,75 @@ class Layer1Estimate:
 
 # --- learning ------------------------------------------------------------
 
-def _activated(h_j: np.ndarray) -> np.ndarray:
-    """Mask of the samples whose hidden value counts as activated."""
-    threshold = ACTIVATION_REL * float(np.abs(h_j).max(initial=0.0))
-    return h_j > threshold
+def _activated(hs: np.ndarray) -> np.ndarray:
+    """Mask of the samples whose hidden value counts as activated, per column."""
+    threshold = ACTIVATION_REL * np.abs(hs).max(axis=0, initial=0.0)
+    return hs > threshold
 
 
-def _scale_fit_misfit(xs: Mat, hs: Mat, raw_a: Mat) -> float:
-    """Worst relative residual of the per-row scale regressions.
+def estimate_row_scale(
+    xs: Mat, hs: Mat, raw_a: Mat
+) -> tuple[np.ndarray, tuple[int, ...], float, list[str]]:
+    """Scale factors of all d learned rows, from activated samples only.
 
-    On clean hidden samples the relation (raw row) . x = k * h_j holds
-    exactly over the activated samples of every row, so this is ~0 there
-    and grows with label noise carried into h. The slack route uses it to
-    decide whether the hard feasibility vertex still reflects the
-    scaled-row structure. A row whose activated response is at roundoff
-    next to h_j (the trivial vertex a = 0, exactly or up to solver noise)
-    carries no scaled-row structure at all, so its misfit is infinite.
-    """
-    worst = 0.0
-    roundoff = xs.shape[0] * np.finfo(np.float64).eps
-    for j in range(raw_a.shape[0]):
-        h_j = hs[:, j]
-        active = _activated(h_j)
-        if int(active.sum()) < MIN_POS_SAMPLES:
-            continue
-        response = xs[active] @ raw_a[j]
-        fit = origin_fit(h_j[active], response)
-        if fit is None:
-            continue
-        if np.abs(response).max() <= roundoff * np.abs(h_j[active]).max():
-            return np.inf
-        spread = float(np.var(response))
-        if spread > 0.0:
-            worst = max(worst, fit[1] / spread)
-        elif fit[1] > 0.0:  # a constant response off the line; zero residual is an exact line
-            return np.inf
-    return worst
+    Fits (raw row j) . x = k_j h_j through the origin over the samples where
+    h_j is meaningfully positive, every row in one ``origin_fits`` pass; by
+    construction of the convex programs the relation is exact there, so the
+    slope is the factor. Returns (k_hat, unscaled_rows, misfit, notes). A row
+    with too few activated samples, no defined slope, or a slope at or below
+    K_MIN keeps k = 1 and is listed in ``unscaled_rows``; a slope above 1 by
+    more than K_TOL is clamped to 1. Each of these rows gets one note.
 
-
-def estimate_row_scale(xs: Mat, hs: Mat, raw_row, row: int) -> float:
-    """Scale factor of one learned row, from activated samples only.
-
-    Fits (raw_row . x) = k * h_j through the origin over the samples where
-    h_j is meaningfully positive; by construction of the convex programs
-    the relation is exact there, so the slope is the factor.
+    The misfit is the worst relative residual (mean squared residual over
+    the response's variance) of the rows with a slope. On clean hidden
+    samples the relation holds exactly for every row, so it is ~0 there and
+    grows with label noise carried into h; the slack route uses it to decide
+    whether the hard feasibility vertex still reflects the scaled-row
+    structure. A row whose activated response is at roundoff next to h_j
+    (the trivial vertex a = 0, exactly or up to solver noise), or is a
+    constant off the line, carries no such structure, so the misfit is
+    infinite.
     """
     xs = as_matrix(xs, "xs")
     hs = as_matrix(hs, "hs")
-    raw = np.asarray(raw_row, dtype=np.float64).reshape(-1)
-    h_j = hs[:, row]
-    active = _activated(h_j)
-    count = int(active.sum())
-    if count < MIN_POS_SAMPLES:
-        raise DegenerateRowError(
-            f"row {row}: only {count} activated samples "
-            f"(need {MIN_POS_SAMPLES}) for the scale regression",
-            row=row,
+    raw_a = as_matrix(raw_a, "raw_a")
+    n, d = xs.shape
+    if hs.shape != (n, d) or raw_a.shape != (d, d):
+        raise DimensionMismatchError(
+            f"xs is {xs.shape}, hs is {hs.shape} and raw_a is {raw_a.shape}; "
+            "need n x d, n x d and d x d"
         )
-    fit = origin_fit(h_j[active], xs[active] @ raw)
-    if fit is None:
-        raise DegenerateRowError(f"row {row}: activated h values are all zero", row=row)
-    slope = fit[0]
-    if slope <= K_MIN:
-        raise DegenerateRowError(
-            f"row {row}: scale estimate {slope:.3e} at or below {K_MIN:.0e}", row=row
-        )
-    if slope > 1.0 + K_TOL:
-        warnings.warn(
-            f"row {row}: scale estimate {slope:.6f} above 1, clamped", stacklevel=2
-        )
-        slope = 1.0
-    return min(slope, 1.0)
+    active = _activated(hs)
+    response = xs @ raw_a.T
+    count, slope, mse, spread = origin_fits(hs, response, active)
+    few = count < MIN_POS_SAMPLES
+    fitted = ~few & ~np.isnan(slope)
+
+    roundoff = n * np.finfo(np.float64).eps
+    trivial = np.where(active, np.abs(response), 0.0).max(axis=0) <= (
+        roundoff * np.where(active, hs, 0.0).max(axis=0))
+    constant_off_line = (spread <= 0.0) & (mse > 0.0)  # zero spread and residual: an exact line
+    if np.any(fitted & (trivial | constant_off_line)):
+        misfit = np.inf
+    else:
+        varied = fitted & (spread > 0.0)
+        misfit = float((mse[varied] / spread[varied]).max(initial=0.0))
+
+    unscaled = ~fitted | (slope <= K_MIN)
+    clamped = ~unscaled & (slope > 1.0 + K_TOL)
+    notes = []
+    for j in np.flatnonzero(unscaled | clamped):
+        if few[j]:
+            notes.append(f"row {j}: only {count[j]} activated samples "
+                         f"(need {MIN_POS_SAMPLES}) for the scale regression")
+        elif not fitted[j]:
+            notes.append(f"row {j}: activated h values are all zero")
+        elif unscaled[j]:
+            notes.append(f"row {j}: scale estimate {slope[j]:.3e} at or below {K_MIN:.0e}")
+        else:
+            notes.append(f"row {j}: scale estimate {slope[j]:.6f} above 1, clamped")
+    k_hat = np.where(unscaled, 1.0, np.minimum(slope, 1.0))
+    return k_hat, tuple(int(j) for j in np.flatnonzero(unscaled)), misfit, notes
 
 
 def learn_layer1(
@@ -232,38 +233,27 @@ def learn_layer1(
                     f"{report.message}"
                 )
             raw_a[j] = report.point[:d]
-        if method is ConvexMethod.SLACK_LP:
-            misfit = _scale_fit_misfit(xs, hs, raw_a)
-            if misfit > SOFT_GATE:
-                # Noise in h shrinks the feasible polytope sample by sample
-                # and the LP vertex lands at an extreme corner of it;
-                # softening the constraints into one-sided penalties moves
-                # the landing to the noise-averaged interior instead. On
-                # clean samples the two answers agree (the misfit is ~0 and
-                # the vertex is kept), so the slack route stays exact there.
-                notes.append(
-                    f"scale fit misfit {misfit:.2e} above gate; "
-                    "soft penalties replace the feasibility vertex"
-                )
-                coeffs, _phi, _info = solve_separable_ls(xs, hs, back_weight=BACK_WEIGHTS)
-                raw_a = coeffs.T.copy()
 
-    k_hat = np.ones(d)
-    unscaled: list[int] = []
-    for j in range(d):
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                k_hat[j] = estimate_row_scale(xs, hs, raw_a[j], j)
-            notes.extend(str(w.message) for w in caught)
-        except DegenerateRowError as exc:
-            unscaled.append(j)
-            notes.append(str(exc))
+    k_hat, unscaled, misfit, row_notes = estimate_row_scale(xs, hs, raw_a)
+    if method is ConvexMethod.SLACK_LP and misfit > SOFT_GATE:
+        # Noise in h shrinks the feasible polytope sample by sample and the
+        # LP vertex lands at an extreme corner of it; softening the
+        # constraints into one-sided penalties moves the landing to the
+        # noise-averaged interior instead. On clean samples the two answers
+        # agree (the misfit is ~0 and the vertex is kept), so the slack
+        # route stays exact there.
+        notes.append(
+            f"scale fit misfit {misfit:.2e} above gate; "
+            "soft penalties replace the feasibility vertex"
+        )
+        coeffs, _phi, _info = solve_separable_ls(xs, hs, back_weight=BACK_WEIGHTS)
+        raw_a = coeffs.T.copy()
+        k_hat, unscaled, _, row_notes = estimate_row_scale(xs, hs, raw_a)
     a_hat = np.maximum(raw_a / k_hat[:, None], 0.0)
     return Layer1Estimate(
         a_hat=a_hat,
         k_hat=k_hat,
         raw_a=raw_a,
-        unscaled_rows=tuple(unscaled),
-        notes=tuple(notes),
+        unscaled_rows=unscaled,
+        notes=tuple(notes + row_notes),
     )

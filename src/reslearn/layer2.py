@@ -50,24 +50,25 @@ from .errors import (
 )
 from .methods import ConvexMethod
 from .model import SampleSet
-from .numerics import Mat, lls_solve, origin_fit
+from .numerics import Mat, lls_solve, origin_fits
 from .solver import SolveStatus, row_lp, row_slack_lp
 from .solver.simplex import FEAS_TOL, shared_start, solve_lp
 from .solver.split_ls import solve_separable_ls
 
 
-# Scale-row detector. A row is accepted as scale-equivalent (and its factor
-# divided out) only when the origin-line fit of [C y]_j on x_j over negative
-# x_j leaves a mean squared residual at most eps_tol times the sample
-# variance of [C y]_j; otherwise the factor stays 1. EPS_TOL is the default
-# eps_tol: it leaves room for the QP path, whose tie-break lands a hair off
-# the pure-multiple segment, while genuinely coupled rows measure orders of
-# magnitude above it either way. Rows with fewer than MIN_NEG_SAMPLES
-# negative samples, or a slope below K_MIN, are left at 1 with a warning.
-# Slopes within SHRINK_TOL of 1 are treated as exactly 1: a row whose factor
-# is that close to unity needs no correction, and dividing by a noisy
-# near-unit estimate would push an already-correct solution off the
-# constraint surface by the estimation error.
+# Scale-row detector, one pass over the d rows. A row is accepted as
+# scale-equivalent (and its factor divided out) only when the origin-line
+# fit of [C y]_j on x_j over negative x_j leaves a mean squared residual at
+# most eps_tol times the sample variance of [C y]_j; otherwise the factor
+# stays 1. EPS_TOL is the default eps_tol: it leaves room for the QP path,
+# whose tie-break lands a hair off the pure-multiple segment, while
+# genuinely coupled rows measure orders of magnitude above it either way.
+# Rows with fewer than MIN_NEG_SAMPLES negative samples, or a slope below
+# K_MIN, are left at 1 with a warning. Slopes within SHRINK_TOL of 1 (or
+# above it) are treated as exactly 1: a row whose factor is that close to
+# unity needs no correction, and dividing by a noisy near-unit estimate
+# would push an already-correct solution off the constraint surface by the
+# estimation error.
 EPS_TOL = 1e-3
 MIN_NEG_SAMPLES = 10
 K_MIN = 1e-4
@@ -139,43 +140,29 @@ def rescale_layer2(samples: SampleSet, c_hat: Mat, eps_tol: float = EPS_TOL) -> 
     For a scale-equivalent row j, [C y]_j equals k_j x_j exactly whenever
     x_j < 0, so the through-origin regression has residual ~0 and its slope
     is the factor. A residual above ``eps_tol`` times the variance means the
-    row is genuinely coupled, and the factor defaults to 1.
+    row is genuinely coupled, and the factor defaults to 1. All d rows are
+    fitted in one ``origin_fits`` pass; rows flagged by the sample count or
+    the slope floor warn, one warning each, in row order.
     """
-    xs = samples.xs
-    cy = samples.ys @ np.asarray(c_hat).T
-    d = xs.shape[1]
-    if np.asarray(c_hat).shape[0] != d:
+    c_hat = np.asarray(c_hat)
+    if c_hat.shape != (samples.d, samples.m):
         raise DimensionMismatchError(
-            f"c_hat has {np.asarray(c_hat).shape[0]} rows, samples have d={d}"
+            f"c_hat is {c_hat.shape}, samples need (d, m) = ({samples.d}, {samples.m})"
         )
-    k_hat = np.ones(d)
-    for j in range(d):
-        neg = xs[:, j] < 0
-        count = int(neg.sum())
-        if count < MIN_NEG_SAMPLES:
-            warnings.warn(
-                f"row {j}: only {count} negative samples, scale factor left at 1",
-                stacklevel=2,
-            )
-            continue
-        cy_neg = cy[neg, j]
-        fit = origin_fit(xs[neg, j], cy_neg)
-        if fit is None:
-            continue
-        slope, mse = fit
-        spread = float(np.var(cy_neg))
-        if mse > eps_tol * spread:
-            continue  # gate: residual too large (zero spread and residual: an exact line)
-        if slope < K_MIN:
-            warnings.warn(
-                f"row {j}: degenerate scale estimate {slope:.3e}, left at 1",
-                stacklevel=2,
-            )
-            continue
-        if slope >= 1.0 - SHRINK_TOL:
-            continue  # no detectable shrink; dividing would only add noise
-        k_hat[j] = min(slope, 1.0)
-    return k_hat
+    xs = samples.xs
+    count, slope, mse, spread = origin_fits(xs, samples.ys @ c_hat.T, xs < 0)
+    few = count < MIN_NEG_SAMPLES
+    # gate: residual within eps_tol of the spread (zero spread and residual: an exact line)
+    fitted = ~few & ~np.isnan(slope) & (mse <= eps_tol * spread)
+    degenerate = fitted & (slope < K_MIN)
+    for j in np.flatnonzero(few | degenerate):
+        warnings.warn(
+            f"row {j}: only {count[j]} negative samples, scale factor left at 1" if few[j]
+            else f"row {j}: degenerate scale estimate {slope[j]:.3e}, left at 1",
+            stacklevel=2,
+        )
+    shrunk = fitted & ~degenerate & (slope < 1.0 - SHRINK_TOL)
+    return np.where(shrunk, slope, 1.0)
 
 
 def recover_b_general(samples: SampleSet, c_hat: Mat, k_hat) -> Mat:

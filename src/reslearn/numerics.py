@@ -3,8 +3,9 @@
 Matrices are plain ``numpy.ndarray`` values: 2-D, float64, row-major, all
 entries finite. Vectors are 1-D arrays; batches of samples are stacked as
 rows. Every factorization and solve goes through ``numpy.linalg``, so the
-package runs on numpy's own LAPACK and BLAS thread pool. All functions
-here are pure and thread-safe.
+package runs on numpy's own LAPACK and BLAS thread pool. The scale stages
+of both layers share ``origin_fits``, which fits every column of a batch in
+one vectorised pass. All functions here are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -62,15 +63,25 @@ def lls_solve(inputs: Mat, targets: Mat) -> Mat:
     return np.ascontiguousarray(coeffs_t.T)
 
 
-def origin_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """Through-origin regression of ``y`` on ``x``: (slope, mean squared
-    residual), or None when ``x @ x`` is not positive (no slope defined).
+def origin_fits(x: Mat, y: Mat, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Through-origin regressions of ``y`` on ``x``, one per column, over the
+    samples ``mask`` selects.
 
-    The scale detectors of both layers use this on the samples where their
-    relation is exactly linear, so the residual doubles as their gate.
+    ``x``, ``y`` and ``mask`` are n x d. Returns four length-d arrays: the
+    masked sample count, the slope (nan where the masked sum of x^2 is not
+    positive, so no slope is defined), the mean squared residual and the
+    spread (the variance of the masked y). The scale stages of both layers
+    make one call over the samples where their relation is exactly linear,
+    so the residual doubles as their gate.
     """
-    denom = float(x @ x)
-    if denom <= 0.0:
-        return None
-    slope = float(x @ y) / denom
-    return slope, float(np.mean((y - slope * x) ** 2))
+    count = np.count_nonzero(mask, axis=0)
+    xm = np.where(mask, x, 0.0)
+    ym = np.where(mask, y, 0.0)
+    denom = np.einsum("ij,ij->j", xm, xm)  # column-wise dot products
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(denom > 0.0, np.einsum("ij,ij->j", xm, ym) / denom, np.nan)
+        resid = ym - slope * xm
+        mse = np.einsum("ij,ij->j", resid, resid) / count
+        centred = np.where(mask, y - np.einsum("ij->j", ym) / count, 0.0)
+        spread = np.einsum("ij,ij->j", centred, centred) / count
+    return count, slope, mse, spread

@@ -1,6 +1,6 @@
 """Shared test plumbing: a collected pass/fail line per acceptance run, the
-assembled row QP and the check of the eliminated QP solver against it, and
-the HiGHS form of an LP."""
+assembled row QP and the check of the eliminated QP solver against it, the
+HiGHS form of an LP, and the one-column reference of ``origin_fits``."""
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -95,3 +95,14 @@ def linprog_args(problem):
     return {"c": np.concatenate([np.zeros(p), np.full(n, 1.0 / n)]),
             "A_ub": -np.hstack([lhs, np.eye(n)]), "b_ub": -rhs,
             "bounds": [(None, None)] * p + [(0, None)] * n}
+
+
+def origin_fit(x, y):
+    """Through-origin regression of ``y`` on ``x``, one column at a time:
+    (slope, mean squared residual), or None when ``x @ x`` is not positive
+    (no slope defined). The reference for ``numerics.origin_fits``."""
+    denom = float(x @ x)
+    if denom <= 0.0:
+        return None
+    slope = float(x @ y) / denom
+    return slope, float(np.mean((y - slope * x) ** 2))

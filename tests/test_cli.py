@@ -334,6 +334,28 @@ class TestExperiment:
         assert "done" in stdout
         assert len(json.loads((out / "heatmap.json").read_text())["cells"]) == 1
 
+    @pytest.mark.parametrize("name, argv, outcome", [
+        ("heatmap", ("--dims", "2", "--sample-sizes", "64", "--methods", "lp"), "rows"),
+        ("vanilla_lr_rates", ("--dims", "2", "--sample-sizes", "64"), "result"),
+    ])
+    @pytest.mark.parametrize("record", [5, {"config": {}}, {"rows": [5], "result": 5}])
+    def test_cell_record_of_another_shape_is_recomputed(self, tmp_path, capsys, name, argv,
+                                                        outcome, record):
+        # a record that is not an object holding its outcome counts as pending
+        argv = ("experiment", name, *argv, "--trials", "2")
+        fresh = tmp_path / "fresh"
+        assert run(capsys, *argv, "--out", str(fresh))[0] == 0
+        ledger = json.loads((fresh / f"{name}.json").read_text())
+        [key] = ledger["cells"]
+        out = tmp_path / "resumed"
+        out.mkdir()
+        (out / f"{name}.json").write_text(json.dumps({"experiment": name, "cells": {key: record}}))
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+        resumed = json.loads((out / f"{name}.json").read_text())
+        assert resumed == ledger
+        assert outcome in resumed["cells"][key]
+
     def test_eps_tol_reaches_run_trial_and_keys_cells(self, tmp_path, capsys, monkeypatch):
         seen = []
         real_run_trial = evaluation.run_trial

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslearn import layer1
-from reslearn.errors import DegenerateRowError, DimensionMismatchError
+from reslearn.errors import DimensionMismatchError
 from reslearn.layer1 import (
     K_MIN,
     SOFT_GATE,
     HiddenSampleSet,
-    _scale_fit_misfit,
     estimate_row_scale,
     learn_layer1,
 )
@@ -27,6 +26,11 @@ def hidden_from(a, n=300, seed=0, noise=0.0):
     if noise:
         hs = np.maximum(hs + noise * make_rng(derive_seed(seed, "z")).standard_normal(hs.shape), 0.0)
     return HiddenSampleSet(xs=xs, hs=hs)
+
+
+def misfit_of(xs, hs, raw_a):
+    """The soft-gate misfit that the all-rows scale regression measures."""
+    return estimate_row_scale(xs, hs, raw_a)[2]
 
 
 class TestHiddenSampleSet:
@@ -133,20 +137,29 @@ class TestExactRecovery:
 class TestScaleEstimation:
     def test_exact_slope(self):
         s = hidden_from(A_REF, n=200, seed=7)
-        k = estimate_row_scale(s.xs, s.hs, 0.6 * A_REF[1], 1)
-        assert k == pytest.approx(0.6, abs=1e-12)
+        k, unscaled, misfit, notes = estimate_row_scale(s.xs, s.hs, np.diag([1.0, 0.6]) @ A_REF)
+        assert k[0] == pytest.approx(1.0, abs=1e-12)
+        assert k[1] == pytest.approx(0.6, abs=1e-12)
+        assert (unscaled, notes) == ((), [])
+        assert misfit <= 1e-20
 
     def test_slope_above_one_clamped(self):
         s = hidden_from(A_REF, n=200, seed=8)
-        with pytest.warns(UserWarning, match="above 1"):
-            k = estimate_row_scale(s.xs, s.hs, 1.5 * A_REF[0], 0)
-        assert k == 1.0
+        k, unscaled, _, notes = estimate_row_scale(s.xs, s.hs, np.diag([1.5, 1.0]) @ A_REF)
+        assert k[0] == 1.0
+        assert unscaled == ()
+        assert notes == ["row 0: scale estimate 1.500000 above 1, clamped"]
 
     def test_slope_at_or_below_k_min_flagged(self):
         s = hidden_from(A_REF, n=200, seed=9)
         for factor in (1e-6, K_MIN, -0.5):
-            with pytest.raises(DegenerateRowError, match="at or below"):
-                estimate_row_scale(s.xs, s.hs, factor * A_REF[0], 0)
+            k, unscaled, _, notes = estimate_row_scale(
+                s.xs, s.hs, np.diag([factor, 0.5]) @ A_REF)
+            assert unscaled == (0,)
+            assert k[0] == 1.0 and k[1] == pytest.approx(0.5, abs=1e-12)
+            assert len(notes) == 1
+            assert notes[0].startswith("row 0: scale estimate")
+            assert notes[0].endswith("at or below 1e-04")
 
     def test_learner_leaves_flagged_row_unscaled(self, monkeypatch):
         # a raw row at 1e-6 of the teacher's would be divided by K_MIN, a
@@ -158,18 +171,58 @@ class TestScaleEstimation:
         assert est.unscaled_rows == (0,)
         assert est.k_hat[0] == 1.0 and est.k_hat[1] == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(est.a_hat[0], 1e-6 * A_REF[0])
+        assert est.notes == ("row 0: scale estimate 1.000e-06 at or below 1e-04",)
 
     def test_never_activated_row_degenerate(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
         s = hidden_from(a, n=100, seed=10)
-        with pytest.raises(DegenerateRowError):
-            estimate_row_scale(s.xs, s.hs, a[0], 0)
+        k, unscaled, _, notes = estimate_row_scale(s.xs, s.hs, a)
+        assert unscaled == (0,) and k[0] == 1.0
+        assert notes == ["row 0: only 0 activated samples (need 10) for the scale regression"]
 
     def test_too_few_activated_degenerate(self):
         xs = np.vstack([np.full((5, 1), 1.0), np.full((40, 1), -1.0)])
         hs = np.maximum(xs * 2.0, 0.0)
-        with pytest.raises(DegenerateRowError):
-            estimate_row_scale(xs, hs, [2.0], 0)
+        k, unscaled, misfit, notes = estimate_row_scale(xs, hs, [[2.0]])
+        assert (k.tolist(), unscaled, misfit) == ([1.0], (0,), 0.0)
+        assert notes == ["row 0: only 5 activated samples (need 10) for the scale regression"]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (1, 2)])
+    def test_raw_a_of_the_wrong_shape_is_a_typed_error(self, shape):
+        s = hidden_from(A_REF, n=50, seed=7)
+        with pytest.raises(DimensionMismatchError, match="raw_a"):
+            estimate_row_scale(s.xs, s.hs, np.ones(shape))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.randoms(use_true_random=False),
+           st.lists(st.sampled_from([1.0, 0.6, 0.3, 1.5, 1e-6, -0.5, 0.0]),
+                    min_size=5, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_permute_with_the_rows_of_raw_a(self, seed, d, shuffle, factors):
+        # permuting raw_a's rows with hs's columns permutes k_hat and the
+        # unscaled rows, and leaves the misfit where it was
+        a = np.abs(make_rng(seed).standard_normal((d, d)))
+        s = hidden_from(a, n=200, seed=seed, noise=0.01 * (seed % 2))
+        raw_a = np.diag(factors[:d]) @ a
+        perm = list(range(d))
+        shuffle.shuffle(perm)
+        k, unscaled, misfit, _ = estimate_row_scale(s.xs, s.hs, raw_a)
+        k_p, unscaled_p, misfit_p, _ = estimate_row_scale(s.xs, s.hs[:, perm], raw_a[perm])
+        np.testing.assert_allclose(k_p, k[perm], rtol=1e-12)
+        assert unscaled_p == tuple(i for i in range(d) if perm[i] in unscaled)
+        assert misfit_p == pytest.approx(misfit, rel=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-10, 1e10),
+           st.lists(st.sampled_from([1.0, 0.6, 0.3, 1.5, 1e-6, 0.0]), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_the_data_keeps_the_factors(self, seed, scale, factors):
+        a = np.abs(make_rng(seed).standard_normal((3, 3)))
+        s = hidden_from(a, n=200, seed=seed, noise=0.01 * (seed % 2))
+        raw_a = np.diag(factors) @ a
+        k, unscaled, misfit, _ = estimate_row_scale(s.xs, s.hs, raw_a)
+        k_s, unscaled_s, misfit_s, _ = estimate_row_scale(scale * s.xs, scale * s.hs, raw_a)
+        np.testing.assert_allclose(k_s, k, rtol=1e-12)
+        assert unscaled_s == unscaled
+        assert misfit_s == pytest.approx(misfit, rel=1e-9)
 
 
 class TestSoftGate:
@@ -208,7 +261,7 @@ class TestSoftGate:
         hs[inactive] = 1e-13 * make_rng(21).random(int(inactive.sum()))
         for j in range(2):
             np.testing.assert_array_equal(layer1._activated(hs[:, j]), ~inactive[:, j])
-        assert _scale_fit_misfit(xs, hs, 0.5 * a) <= 1e-20
+        assert misfit_of(xs, hs, 0.5 * a) <= 1e-20
         est = learn_layer1(HiddenSampleSet(xs, hs), method="slack-lp")
         assert not any("soft penalties" in note for note in est.notes)
         np.testing.assert_allclose(est.a_hat, a, atol=1e-9)
@@ -220,7 +273,7 @@ class TestSoftGate:
         s = hidden_from(A_REF, n=300, seed=19)
 
         def misfit(raw_a):
-            return _scale_fit_misfit(scale * s.xs, scale * s.hs, raw_a)
+            return misfit_of(scale * s.xs, scale * s.hs, raw_a)
 
         assert misfit(np.zeros((2, 2))) > SOFT_GATE
         assert misfit(1e-16 * make_rng(18).standard_normal((2, 2))) > SOFT_GATE
@@ -231,9 +284,9 @@ class TestSoftGate:
         # the misfit is a ratio of two squared scales; an absolute floor on
         # the variance would shrink it once the data are small enough
         s = hidden_from(A_REF, n=300, seed=12, noise=0.05)
-        unit = _scale_fit_misfit(s.xs, s.hs, A_REF)
+        unit = misfit_of(s.xs, s.hs, A_REF)
         assert 0.0 < unit < np.inf
-        assert _scale_fit_misfit(1e-20 * s.xs, 1e-20 * s.hs, A_REF) == pytest.approx(unit, rel=1e-9)
+        assert misfit_of(1e-20 * s.xs, 1e-20 * s.hs, A_REF) == pytest.approx(unit, rel=1e-9)
 
 
 class TestDiagnostics:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -292,6 +294,54 @@ class TestScaleRows:
             tiny = SampleSet(xs=1e-20 * s.xs, ys=1e-20 * s.ys)
             np.testing.assert_array_equal(learn_layer2(tiny, method).k_hat,
                                           learn_layer2(s, method).k_hat)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
+    def test_c_hat_of_the_wrong_shape_is_a_typed_error(self, shape):
+        _, s = make_samples(self.A_SCALE, B_REF, n=50, seed=8)
+        with pytest.raises(DimensionMismatchError, match="c_hat"):
+            rescale_layer2(s, np.ones(shape))
+
+    @staticmethod
+    def scale_case(seed, n, scale_rows, factors):
+        """Samples of a d = 4 teacher whose chosen rows are scale rows, and
+        the true C with each row multiplied by its factor."""
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=seed))
+        a = unit.a * np.where(np.array(scale_rows)[:, None], np.eye(4), 1.0)
+        unit, s = make_samples(a, unit.b, n=n, seed=seed)
+        return s, np.diag(factors) @ np.linalg.inv(unit.b)
+
+    @staticmethod
+    def rescale_and_flagged_rows(samples, c_hat):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            k = rescale_layer2(samples, c_hat)
+        return k, {int(str(w.message).split(":")[0].removeprefix("row ")) for w in caught}
+
+    SCALE_CASES = (st.integers(0, 2**16), st.sampled_from([12, 400]),
+                   st.lists(st.booleans(), min_size=4, max_size=4),
+                   st.lists(st.sampled_from([1.0, 0.5, 0.3, 0.995, 1e-6]), min_size=4, max_size=4))
+
+    @given(*SCALE_CASES, st.permutations(range(4)))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_permute_with_the_input_coordinates(self, seed, n, scale_rows, factors, perm):
+        # row j fits [C y]_j on x_j: permuting C's rows with the columns of
+        # xs permutes the factors and the flagged rows
+        s, c_hat = self.scale_case(seed, n, scale_rows, factors)
+        k, flagged = self.rescale_and_flagged_rows(s, c_hat)
+        k_p, flagged_p = self.rescale_and_flagged_rows(
+            SampleSet(xs=s.xs[:, perm], ys=s.ys), c_hat[perm])
+        np.testing.assert_allclose(k_p, k[perm], rtol=1e-12)
+        assert flagged_p == {i for i in range(4) if perm[i] in flagged}
+
+    @given(*SCALE_CASES, st.floats(1e-10, 1e10))
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_the_data_keeps_the_factors(self, seed, n, scale_rows, factors, scale):
+        s, c_hat = self.scale_case(seed, n, scale_rows, factors)
+        k, flagged = self.rescale_and_flagged_rows(s, c_hat)
+        k_s, flagged_s = self.rescale_and_flagged_rows(
+            SampleSet(xs=scale * s.xs, ys=scale * s.ys), c_hat)
+        np.testing.assert_allclose(k_s, k, rtol=1e-12)
+        assert flagged_s == flagged
 
     def test_eps_tol_must_be_positive(self):
         unit, s = make_samples(self.A_SCALE, B_REF, n=400, seed=8)

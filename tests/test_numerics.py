@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import origin_fit
 from reslearn.errors import DimensionMismatchError, RankDeficientError
-from reslearn.numerics import as_matrix, lls_solve, origin_fit
+from reslearn.layer1 import estimate_row_scale
+from reslearn.layer2 import rescale_layer2
+from reslearn.model import SampleSet
+from reslearn.numerics import as_matrix, lls_solve, origin_fits
 
 
 def rng(seed=0):
@@ -70,28 +76,65 @@ class TestLlsSolve:
 class TestOriginFit:
     @pytest.mark.parametrize("k", [0.5, -2.0, 0.0, 0.125])
     def test_exact_line(self, k):
-        x = np.array([1.0, -2.0, 3.0, 4.0])
-        slope, mse = origin_fit(x, k * x)
-        assert slope == k
-        assert mse == 0.0
+        x = np.array([[1.0, 1.0], [-2.0, 5.0], [3.0, -7.0], [4.0, 9.0]])
+        mask = np.array([[True, True], [True, False], [True, True], [True, False]])
+        count, slope, mse, spread = origin_fits(x, k * x, mask)
+        np.testing.assert_array_equal(count, [4, 2])
+        np.testing.assert_array_equal(slope, [k, k])
+        np.testing.assert_array_equal(mse, [0.0, 0.0])
+        np.testing.assert_allclose(spread, [np.var(k * x[:, 0]), np.var(k * x[[0, 2], 1])])
 
     def test_no_slope_without_spread(self):
-        from reslearn.errors import DegenerateRowError
-        from reslearn.layer1 import _scale_fit_misfit, estimate_row_scale
-        from reslearn.layer2 import rescale_layer2
-        from reslearn.model import SampleSet
-
-        assert origin_fit(np.zeros(5), np.ones(5)) is None
         tiny = np.full(20, 1e-170)  # squares underflow: x @ x == 0
+        x = np.column_stack([np.zeros(20), tiny, np.ones(20)])
+        mask = np.ones((20, 3), dtype=bool)
+        mask[:, 2] = False  # an empty column has no slope either
+        count, slope, mse, _ = origin_fits(x, np.ones((20, 3)), mask)
+        np.testing.assert_array_equal(count, [20, 20, 0])
+        assert np.isnan(slope).all() and np.isnan(mse).all()
+        assert origin_fit(np.zeros(5), np.ones(5)) is None
         assert origin_fit(tiny, np.ones(20)) is None
 
         # each caller keeps its own outcome for a row with no defined slope:
         # the layer-2 factor stays 1, the layer-1 misfit skips the row, and
-        # the layer-1 scale regression reports a degenerate row
+        # the layer-1 scale regression lists the row as unscaled
         samples = SampleSet(xs=-tiny.reshape(-1, 1), ys=rng(1).normal(size=(20, 1)))
         np.testing.assert_array_equal(rescale_layer2(samples, np.eye(1)), [1.0])
         xs = rng(2).normal(size=(20, 1))
-        hs = tiny.reshape(-1, 1)
-        assert _scale_fit_misfit(xs, hs, np.eye(1)) == 0.0
-        with pytest.raises(DegenerateRowError, match="all zero"):
-            estimate_row_scale(xs, hs, [1.0], 0)
+        k, unscaled, misfit, notes = estimate_row_scale(xs, tiny.reshape(-1, 1), np.eye(1))
+        assert (k.tolist(), unscaled, misfit) == ([1.0], (0,), 0.0)
+        assert notes == ["row 0: activated h values are all zero"]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 50),
+           st.lists(st.sampled_from(["fit", "empty", "zero_x", "single"]), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_one_column_reference(self, seed, n, kinds):
+        # x and y keep one sign per column, as on the samples both layers fit,
+        # so no sum cancels; the residual and spread are compared relative
+        # to the mean y^2, since a one-sample fit leaves only roundoff there
+        g = rng(seed)
+        d = len(kinds)
+        sign = np.where(g.random(d) < 0.5, -1.0, 1.0)
+        x = sign * g.uniform(0.1, 2.0, size=(n, d))
+        y = sign * g.uniform(0.1, 2.0, size=(n, d))
+        mask = g.random((n, d)) < g.uniform(0.2, 1.0, size=d)
+        for j, kind in enumerate(kinds):
+            if kind == "empty":
+                mask[:, j] = False
+            elif kind == "zero_x":
+                x[:, j] = 0.0
+            elif kind == "single":
+                mask[:, j] = np.arange(n) == g.integers(n)
+        count, slope, mse, spread = origin_fits(x, y, mask)
+        for j in range(d):
+            col = mask[:, j]
+            assert count[j] == col.sum()
+            ref = origin_fit(x[col, j], y[col, j])
+            if ref is None:
+                assert np.isnan(slope[j]) and np.isnan(mse[j])
+                assert np.isnan(spread[j]) == (not col.any())
+                continue
+            floor = 1e-12 * float(np.mean(y[col, j] ** 2))
+            assert slope[j] == pytest.approx(ref[0], rel=1e-12)
+            assert mse[j] == pytest.approx(ref[1], rel=1e-12, abs=floor)
+            assert spread[j] == pytest.approx(np.var(y[col, j]), rel=1e-12, abs=floor)
