@@ -16,11 +16,11 @@ factorization); the LP routes pose one small LP per row: m free
 coefficients against n rows, which ``solve_lp`` works on as a basis of at
 most m tight rows. The d feasibility LPs share the design and the start
 mask, so ``shared_start`` starts them together, and a row its start closes
-takes its coefficients and hidden column from that start. Only the other
-rows go to ``solve_lp``: rows the start leaves violated (noisy rows, each
-followed by its slack LP on the slack route, and rows of a sparse orthant),
-and every row when m > d, where Y has rank d and the crash leaves columns
-without a pivot.
+takes its coefficients from that start. Only the other rows go to
+``solve_lp``: rows the start leaves violated (noisy rows, each followed by
+its slack LP on the slack route, and rows of a sparse orthant), and every
+row when m > d, where Y has rank d and the crash leaves columns without a
+pivot. Every row then reads its hidden column off its coefficients.
 
 Both LPs of a row start on the samples in the negative orthant, x <= 0.
 There A x <= 0 because A >= 0, so the ReLU is off, y = B x, and
@@ -104,12 +104,8 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     xi_hat = np.zeros((n, d))
     notes: list[str] = []
     tight = np.all(xs <= 0, axis=1)  # the teacher's row is tight on these samples
-    starts, surplus = shared_start(design, targets, prefer=tight)
-    for j, report in enumerate(starts):
-        if report is not None:  # the start closes every row: no engine run
-            c_hat[j] = report.point
-            residual = surplus[:, j]
-        else:
+    for j, report in enumerate(shared_start(design, targets, prefer=tight)):
+        if report is None:  # the start does not close this row: the engine runs
             report = solve_lp(row_lp(design, targets[:, j]), prefer=tight)
             if slack and report.status is SolveStatus.INFEASIBLE:
                 # Only an infeasible system leaves the slack program real
@@ -123,8 +119,8 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
                     f"layer-2 LP for row {j} ended with status {report.status.value}: "
                     f"{report.message}"
                 )
-            c_hat[j] = report.point[:m]
-            residual = ys @ c_hat[j] - xs[:, j]
+        c_hat[j] = report.point[:m]
+        residual = ys @ c_hat[j] - xs[:, j]
         if slack:
             value = float(np.maximum(-residual, 0.0).mean())
             if value > FEAS_TOL * 100 * float(np.abs(xs[:, j]).max()):

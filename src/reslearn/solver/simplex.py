@@ -35,6 +35,9 @@ lowest-numbered row and stops at the first breakpoint, lowest-numbered on
 ties (Bland's rule for the LP with split residuals), which ends degenerate
 runs. The mean slack is bounded below by 0, so an edge whose slope never
 turns comes only from rounding; the run ends there as numerical trouble.
+A step whose point misses no row by more than the breakpoint tolerance
+ends the run at once with lam = 0, a valid dual at zero mean slack: on
+clean data that face is highly degenerate, and crossing it would crawl.
 
 Start (a crash basis, as in Bixby, "Implementing the simplex method: the
 initial basis", ORSA J. Computing 1992): columns take rows by elimination
@@ -54,7 +57,8 @@ stacked product checks every row. A row whose start passes the dual
 method's stop and the terminal check gets the zero-step report its own
 ``solve_lp`` call would give, bit for bit: the products are per-row
 matrix-vector products, as the engine's are. Any other row, and every row of
-a crash that leaves a column without a pivot, is left to ``solve_lp``.
+a crash that leaves a column without a pivot, is left to ``solve_lp``. Only
+the reports come back: a caller reads a row's residuals off its point.
 
 Cost: a step of either method factors its p x p basis once (the inverse
 gives the point, the multipliers and the step) and scans the n rows:
@@ -168,6 +172,8 @@ def _descend(rows, b, w, basis, tol):
         inverse = np.linalg.inv(rows[basis])
         c = inverse @ b[basis]
         residual = rows @ c - b
+        if -residual.min() <= flat:  # no row misses: zero slack, and lam = 0 is dual
+            return "optimal", c, step, np.zeros(rows.shape[0])
         if step == 0:  # U: read off the start, then kept as state
             upper = residual < 0.0
             upper[basis] = False
@@ -269,15 +275,13 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
 
 
 def shared_start(design: np.ndarray, targets: np.ndarray, prefer: np.ndarray | None = None
-                 ) -> tuple[list[SolveReport | None], np.ndarray]:
+                 ) -> list[SolveReport | None]:
     """The starts of the row LPs ``row_lp(design, targets[:, j])``, all at once.
 
     Each row's report is the zero-step one ``solve_lp(row_lp(design,
     targets[:, j]), prefer)`` returns when its start closes every row, and
     None otherwise: when the start leaves a row violated, when the crash
-    leaves a column without a pivot, or when a basis is singular. Also
-    returns the surplus t - F u of every row system at its start (n x d,
-    nan in columns whose report is None).
+    leaves a column without a pivot, or when a basis is singular.
 
     The crash depends on a row's target only through its tier-2 mask, so it
     runs once per distinct mask; one stacked inverse factors the d bases and
@@ -301,18 +305,14 @@ def shared_start(design: np.ndarray, targets: np.ndarray, prefer: np.ndarray | N
             basis.append(crashes[key])
 
     reports: list[SolveReport | None] = [None] * d
-    surplus = np.full((n, d), np.nan)
-    if not ok:
-        return reports, surplus
-    basis, b = np.array(basis), rhs[ok]
+    basis, b = np.array(basis, dtype=np.int64).reshape(len(ok), m), rhs[ok]
     try:
         inverse = np.linalg.inv(lhs[basis])
     except np.linalg.LinAlgError:
-        return reports, surplus
+        return reports
     # stacked products run one matrix-vector product per row, as solve_lp does
     c = np.matmul(inverse, np.take_along_axis(b, basis, axis=1)[..., None])
-    product = np.matmul(lhs[None], c)[..., 0]
-    gap = b - product
+    gap = b - np.matmul(lhs[None], c)[..., 0]
     off_basis = gap.copy()
     np.put_along_axis(off_basis, basis, 0.0, axis=1)
     stops = _stops(off_basis, scale[ok])
@@ -321,5 +321,4 @@ def shared_start(design: np.ndarray, targets: np.ndarray, prefer: np.ndarray | N
         if stops[i] and not _violates(violation, float(scale[j])):
             reports[j] = SolveReport(c[i, :, 0].copy(), 0.0, violation, 0, SolveStatus.OPTIMAL,
                                      dual=np.zeros(n))
-            surplus[:, j] = product[i] - b[i]
-    return reports, surplus
+    return reports

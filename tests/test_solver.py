@@ -326,6 +326,21 @@ class TestSoftRowDescent:
                 assert rep.iterations <= 10 * 4, label
                 assert abs(rep.objective_value - ref.fun) <= 1e-9 * ref.fun, label
 
+    def test_clean_soft_lps_stop_at_zero_slack(self):
+        # on clean data the zero-slack face is highly degenerate; the descent
+        # stops once no row misses instead of crawling across it
+        d, n = 10, 512
+        for t in range(10):
+            unit = generate_unit(NetworkGenSpec(d, d, seed=1000 + t))
+            s = sample(unit, standard_mixture(d), n, 0.0, seed=5000 + t)
+            tight = np.all(s.xs <= 0, axis=1)
+            for j in range(d):
+                rep = solve_lp(row_slack_lp(-s.ys, -s.xs[:, j]), prefer=tight)
+                label = f"teacher {t} row {j}"
+                assert rep.status is SolveStatus.OPTIMAL, label
+                assert rep.iterations <= 100, label
+                assert rep.objective_value <= 1e-12 * np.abs(s.xs[:, j]).max(), label
+
     def test_dual_is_box_multipliers(self):
         # lam_T on the tight rows, w on rows past their bound, 0 elsewhere;
         # together they price the objective: lhs' dual = objective on the
@@ -411,10 +426,10 @@ def record_lp_path(run):
 
     def starting(design, targets, prefer=None):
         before = factored[0]
-        reports, surplus = simplex.shared_start(design, targets, prefer)
+        reports = simplex.shared_start(design, targets, prefer)
         calls.extend(("layer2", rep.status.value, rep.iterations, factored[0] - before)
                      for rep in reports if rep is not None)
-        return reports, surplus
+        return reports
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("inv", "solve", "lstsq", "pinv"):
