@@ -105,7 +105,9 @@ class SolveReport:
     1/n sum zeta for a soft LP (nan when infeasible). ``dual`` carries the
     multipliers of the inequality rows on optimal runs: all zero for a
     feasibility run; for a soft LP, lam_T on the tight rows, the weight 1/n
-    on rows past their bound and 0 elsewhere. ``certificate`` is only set on
+    on rows past their bound and 0 elsewhere, except where the descent stops
+    at zero slack: there the dual is all zero, and rows missed by at most the
+    breakpoint tolerance count as on their bound. ``certificate`` is only set on
     infeasible runs, which only feasibility runs have: a ray lam >= 0 with
     lhs' lam = 0 and rhs . lam > 0, proving that no feasible point exists.
     """

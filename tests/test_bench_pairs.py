@@ -75,6 +75,7 @@ class TestLastJson:
 STUB = '''
 import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+assert args["--seconds"] == "1", "run length is BENCHMARK.json's run_seconds"
 rate = {RATE} + int(args["--seed"])
 correct = not ({FAIL} and args["--seed"] == "4243")
 if not correct:
@@ -92,6 +93,7 @@ def stub_checkout(root, rate, fail):
     (root / "bench" / "run.py").write_text(STUB.format(RATE=rate, FAIL=fail))
     (root / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "bench/run.py"],
+        "run_seconds": 1,
         "workloads": [{"name": "lp-clean"}],
         "end_to_end": [
             {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -108,7 +110,7 @@ class TestMain:
     def test_reports_each_metric_and_exits_0(self, tmp_path, capsys):
         parent = stub_checkout(tmp_path / "parent", 100, False)
         change = stub_checkout(tmp_path / "change", 200, False)
-        assert bench_pairs.main([str(parent), str(change), "--pairs", "2", "--seconds", "1"]) == 0
+        assert bench_pairs.main([str(parent), str(change), "--pairs", "2"]) == 0
         out = capsys.readouterr().out
         assert ("trials_per_s   parent 4342 [4342, 4343]  change 4442  wins 2/2  gain yes  "
                 "worse no") in out
@@ -118,7 +120,9 @@ class TestMain:
     def test_a_failed_run_is_listed_and_exits_1(self, tmp_path, capsys):
         parent = stub_checkout(tmp_path / "parent", 100, False)
         change = stub_checkout(tmp_path / "change", 100, True)
-        assert bench_pairs.main([str(parent), str(change), "--pairs", "2", "--seconds", "1"]) == 1
+        assert bench_pairs.main([str(parent), str(change), "--pairs", "2"]) == 1
         out = capsys.readouterr().out
         assert ("RUN FAILED: lp-clean seed 4243 change: exit 1: "
                 "CHECK FAILED: trial 3 leg lp@0: SolverFailedError") in out
+        # the failed seed's figures are left out: only the pair at seed 4242 counts
+        assert "trials_per_s   parent 4342 [4342, 4342]  change 4342  wins 0/1" in out

@@ -335,11 +335,16 @@ class TestSoftRowDescent:
             s = sample(unit, standard_mixture(d), n, 0.0, seed=5000 + t)
             tight = np.all(s.xs <= 0, axis=1)
             for j in range(d):
-                rep = solve_lp(row_slack_lp(-s.ys, -s.xs[:, j]), prefer=tight)
+                prob = row_slack_lp(-s.ys, -s.xs[:, j])
+                rep = solve_lp(prob, prefer=tight)
                 label = f"teacher {t} row {j}"
                 assert rep.status is SolveStatus.OPTIMAL, label
                 assert rep.iterations <= 100, label
                 assert rep.objective_value <= 1e-12 * np.abs(s.xs[:, j]).max(), label
+                # zero multipliers price the near-zero objective
+                assert not rep.dual.any(), label
+                assert abs(prob.ineq_rhs @ rep.dual - rep.objective_value) <= 1e-12 * np.abs(
+                    s.xs[:, j]).max(), label
 
     def test_dual_is_box_multipliers(self):
         # lam_T on the tight rows, w on rows past their bound, 0 elsewhere;

@@ -2,15 +2,14 @@
 
 Run from anywhere, with two checkouts of the repository:
 
-    python3 tools/bench_pairs.py PARENT CHANGE [--pairs 10] [--seconds 30]
-        [--workloads lp-clean slack-sweep qp-sgd]
+    python3 tools/bench_pairs.py PARENT CHANGE [--pairs 10]
 
 Each side is copied once into a temporary directory, and every run starts
 with no ``bench/out`` there, so no run loads the ledger an earlier run at the
-same seed left behind. Pair i runs the command that PARENT's
-``BENCHMARK.json`` declares with ``--workload W --seed S_i --seconds T
---trace 0`` on both sides, with S_i = FIRST_SEED + i; the side that runs
-first alternates from pair to pair.
+same seed left behind. For every workload PARENT's ``BENCHMARK.json``
+lists, pair i runs the command it declares with ``--workload W --seed S_i
+--seconds T --trace 0`` on both sides, with S_i = FIRST_SEED + i and T its
+``run_seconds``; the side that runs first alternates from pair to pair.
 
 For every end-to-end metric in ``BENCHMARK.json`` the last JSON line of
 each run gives one value. The report shows the parent's median and
@@ -23,8 +22,8 @@ neither side), and two verdicts:
 * worse: the change's median is worse than the parent's by more than the
   metric's bound, a share of the parent's median.
 
-A run that exits nonzero or reports ``"correct": false`` is listed, and the
-command then exits 1. Standard library only; nothing in either checkout is
+A run that exits nonzero or reports ``"correct": false`` is listed, its
+pair is left out of the figures, and the command then exits 1. Standard library only; nothing in either checkout is
 written.
 """
 
@@ -135,8 +134,6 @@ def parse_args(argv=None):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", nargs="+")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -146,7 +143,6 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
     problems = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -154,7 +150,7 @@ def main(argv=None) -> int:
             "parent": copy_checkout(args.parent, Path(tmp) / "parent"),
             "change": copy_checkout(args.change, Path(tmp) / "change"),
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             values = {m["name"]: [] for m in metrics}
             for i in range(args.pairs):
                 seed = FIRST_SEED + i
@@ -162,10 +158,10 @@ def main(argv=None) -> int:
                 got = {}
                 for side in order:
                     result, problem = run_once(spec["command"], roots[side], workload, seed,
-                                               args.seconds)
+                                               spec["run_seconds"])
                     if problem:
                         problems.append(f"{workload} seed {seed} {side}: {problem}")
-                    got[side] = (result or {}).get("metrics", {})
+                    got[side] = {} if problem else result.get("metrics", {})
                     print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
                           + (problem or "ok"), file=sys.stderr, flush=True)
                 for m in metrics:
