@@ -341,6 +341,8 @@ def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs takes a count of at least 1, got {args.jobs}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name

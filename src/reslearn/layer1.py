@@ -21,11 +21,11 @@ they share the design. The d scale regressions run in one pass
 misfit. Rows too rarely activated to support the regression are left at
 their raw scale and flagged.
 
-The LP route keeps the solver's default start, which prefers rows with
-data. Here those are the activated samples (h_j > 0), where the teacher's
-row satisfies a_j . x = h_j with equality, while along the segment of
-scaled rows every k < 1 leaves them slack, so the start lands on the
-teacher's row itself (k = 1). Unlike layer 2's orthant, these rows are
+The LP route passes each row's activated samples (h_j > 0, the same mask
+as the scale regression's) to the solver as ``prefer``. On them the
+teacher's row satisfies a_j . x = h_j with equality, while along the
+segment of scaled rows every k < 1 leaves them slack, so the start lands on
+the teacher's row itself (k = 1). Unlike layer 2's orthant, these rows are
 plentiful: a row activates on about half the samples.
 """
 
@@ -225,8 +225,9 @@ def learn_layer1(
         # objective minimum is always zero and both LP routes share the
         # plain feasibility solve.
         raw_a = np.zeros((d, d))
+        active = _activated(hs)
         for j in range(d):
-            report = solve_lp(row_lp(xs, hs[:, j]))
+            report = solve_lp(row_lp(xs, hs[:, j]), prefer=active[:, j])
             if report.status is not SolveStatus.OPTIMAL:
                 raise SolverFailedError(
                     f"layer-1 LP for row {j} ended with status {report.status.value}: "

@@ -45,28 +45,26 @@ with partial pivoting in column order. A caller that knows which rows are
 tight at the answer passes them as ``prefer``, and a usable one of them
 wins over any other row; when they fix every column the start is the answer
 and the method takes no step, whatever other vertices the feasible set has.
-Next come rows with |rhs| > 1e-6 of the largest, since near-zero rhs
-entries are often estimate slop, so an empty mask gives the same start as
-none. A column with no usable pivot left stays at 0. Every tolerance is
-relative to the data.
+Otherwise the larger pivot wins. A column with no usable pivot left stays
+at 0. Every tolerance is relative to the data.
 
 ``shared_start`` starts a family of feasibility runs row_lp(F, t_j) over one
-design at once. The crash reads t_j only through its tier-2 mask, so it runs
-once per distinct mask; one stacked inverse factors the d bases and one
-stacked product checks every row. A row whose start passes the dual
-method's stop and the terminal check gets the zero-step report its own
-``solve_lp`` call would give, bit for bit: the products are per-row
-matrix-vector products, as the engine's are. Any other row, and every row of
-a crash that leaves a column without a pivot, is left to ``solve_lp``. Only
-the reports come back: a caller reads a row's residuals off its point.
+design at once. The crash reads only the design and ``prefer``, so one crash
+and one inverse serve the whole family, and one stacked product checks every
+row. A row whose start passes the dual method's stop and the terminal check
+gets the zero-step report its own ``solve_lp`` call would give, bit for bit:
+the products are per-row matrix-vector products, as the engine's are. Any
+other row, and every row when the crash leaves a column without a pivot, is
+left to ``solve_lp``. Only the reports come back: a caller reads a row's
+residuals off its point.
 
 Cost: a step of either method factors its p x p basis once (the inverse
 gives the point, the multipliers and the step) and scans the n rows:
 O(p^3 + n p); the descent also sorts its edge's breakpoints, O(n log n). The
 set-up copies the n x p constraint matrix into basis column order, and the
 start reads a transposed copy; a soft LP's slacks come last, as one vector of
-n residuals. Nothing is n x n. ``shared_start`` costs one crash per
-mask, O(d m^3) for the inverses and O(d n m) for the check.
+n residuals. Nothing is n x n. ``shared_start`` costs one crash, O(m^3) for
+the inverse and O(d n m) for the check.
 """
 
 from __future__ import annotations
@@ -92,28 +90,23 @@ def _row_mask(prefer, n_rows: int) -> np.ndarray | None:
     return prefer
 
 
-def _crash(a: np.ndarray, rhs: np.ndarray, rhs_scale: float,
-           prefer: np.ndarray | None = None) -> list[tuple[int, int]]:
+def _crash(a: np.ndarray, prefer: np.ndarray | None) -> list[tuple[int, int]]:
     """(column, row) start pairs by elimination in column order; a pivot must
     exceed PIVOT_TOL times its column's largest entry in a, or the column gets
-    no row. A usable row in ``prefer`` wins over any other, then a usable row
-    with |rhs| > 1e-6 rhs_scale over one without, then the larger pivot."""
+    no row. A usable row in ``prefer`` wins over any other, then the larger
+    pivot."""
     work = a.T.copy()  # one row per column of a, so each step reads contiguous memory
     least = PIVOT_TOL * np.abs(work).max(axis=1)  # read off a, before elimination leaves rounding
-    tiers = [np.abs(rhs) > 1e-6 * rhs_scale]  # rows with data
-    if prefer is not None:
-        tiers.insert(0, prefer)
     chosen = []  # a chosen row is exactly 0 in later columns (y - (x / x) y), so never usable again
     for q, column in enumerate(work):
         magnitude = np.abs(column)
         row = int(magnitude.argmax())
         if not magnitude[row] > least[q]:
             continue
-        for tier in tiers:  # the largest usable pivot of the first tier that has one
-            preferred = int((magnitude * tier).argmax())
-            if magnitude[preferred] > least[q] and tier[preferred]:
+        if prefer is not None:  # the largest usable preferred pivot, if there is one
+            preferred = int((magnitude * prefer).argmax())
+            if magnitude[preferred] > least[q] and prefer[preferred]:
                 row = preferred
-                break
         chosen.append((q, row))
         work[q + 1 :] -= work[q + 1 :, row, None] * (column / column[row])
     return chosen
@@ -240,7 +233,7 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
     cost[p:] = 1.0 / n  # a soft LP's row weights
 
     # start basis: the crash gives columns rows, and columns it skips stay at 0
-    crash = np.array(_crash(a, b, rhs_scale, prefer), dtype=np.int64).reshape(-1, 2)
+    crash = np.array(_crash(a, prefer), dtype=np.int64).reshape(-1, 2)
     cols, basis = crash[:, 0], crash[:, 1]
     rows = a[:, cols]
     try:
@@ -283,9 +276,8 @@ def shared_start(design: np.ndarray, targets: np.ndarray, prefer: np.ndarray | N
     None otherwise: when the start leaves a row violated, when the crash
     leaves a column without a pivot, or when a basis is singular.
 
-    The crash depends on a row's target only through its tier-2 mask, so it
-    runs once per distinct mask; one stacked inverse factors the d bases and
-    one stacked product checks every row. Each row gets the bits its own
+    The crash reads no target, so one crash and one inverse serve every row,
+    and one stacked product checks them all. Each row gets the bits its own
     ``solve_lp`` call would give.
     """
     lhs = np.ascontiguousarray(-np.asarray(design, dtype=np.float64))  # as LpProblem holds it
@@ -293,32 +285,23 @@ def shared_start(design: np.ndarray, targets: np.ndarray, prefer: np.ndarray | N
     (n, m), d = lhs.shape, rhs.shape[0]
     prefer = _row_mask(prefer, n)
     scale = np.abs(rhs).max(axis=1)
-    masks = np.abs(rhs) > 1e-6 * scale[:, None]  # _crash's second tier, row by row
-    crashes: dict[bytes, list[int]] = {}  # basis rows, in column order
-    ok, basis = [], []
-    for j in range(d):
-        key = masks[j].tobytes()
-        if key not in crashes:
-            crashes[key] = [row for _, row in _crash(lhs, rhs[j], scale[j], prefer)]
-        if len(crashes[key]) == m:  # every column has its row
-            ok.append(j)
-            basis.append(crashes[key])
-
     reports: list[SolveReport | None] = [None] * d
-    basis, b = np.array(basis, dtype=np.int64).reshape(len(ok), m), rhs[ok]
+    basis = np.array([row for _, row in _crash(lhs, prefer)], dtype=np.int64)
+    if basis.size < m:  # a column without a pivot
+        return reports
     try:
         inverse = np.linalg.inv(lhs[basis])
     except np.linalg.LinAlgError:
         return reports
-    # stacked products run one matrix-vector product per row, as solve_lp does
-    c = np.matmul(inverse, np.take_along_axis(b, basis, axis=1)[..., None])
-    gap = b - np.matmul(lhs[None], c)[..., 0]
+    # the stacked products run one matrix-vector product per row, as solve_lp does
+    c = np.matmul(inverse, rhs[:, basis, None])
+    gap = rhs - np.matmul(lhs[None], c)[..., 0]
     off_basis = gap.copy()
-    np.put_along_axis(off_basis, basis, 0.0, axis=1)
-    stops = _stops(off_basis, scale[ok])
-    for i, j in enumerate(ok):
-        violation = max(float(gap[i].max(initial=0.0)), 0.0)  # LpProblem.max_violation
-        if stops[i] and not _violates(violation, float(scale[j])):
-            reports[j] = SolveReport(c[i, :, 0].copy(), 0.0, violation, 0, SolveStatus.OPTIMAL,
+    off_basis[:, basis] = 0.0
+    stops = _stops(off_basis, scale)
+    for j in range(d):
+        violation = max(float(gap[j].max(initial=0.0)), 0.0)  # LpProblem.max_violation
+        if stops[j] and not _violates(violation, float(scale[j])):
+            reports[j] = SolveReport(c[j, :, 0].copy(), 0.0, violation, 0, SolveStatus.OPTIMAL,
                                      dual=np.zeros(n))
     return reports

@@ -51,6 +51,21 @@ class TestVerdict:
         v = verdict(parent, [change] * 10, "lower", 0.05)
         assert (v["worse"], v["gain"]) == (worse, gain)
 
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        # quartiles 85 and 115 around a median of 100: a spread of 0.3,
+        # wider than the bound of 0.24
+        parent = [70.0, 80.0, 90.0, 100.0, 100.0, 100.0, 110.0, 120.0, 130.0]
+        v = verdict(parent, [95.0] * 9, "higher", 0.24)
+        assert (v["worse"], v["unresolved"]) == (False, True)
+        v = verdict(parent, [70.0] * 9, "higher", 0.24)  # the median is past the bound
+        assert (v["worse"], v["unresolved"]) == (True, False)
+        v = verdict(parent, [131.0] * 9, "higher", 0.24)  # every change run beats every parent run
+        assert (v["worse"], v["unresolved"]) == (False, False)
+        v = verdict(parent, [69.0] * 9, "lower", 0.24)
+        assert (v["worse"], v["unresolved"]) == (False, False)
+        v = verdict(parent, [70.0] * 9, "lower", 0.24)  # ties with the best parent run
+        assert (v["worse"], v["unresolved"]) == (False, True)
+
     def test_one_pair_is_its_own_quartiles(self):
         v = verdict([2.0], [1.0], "lower", 0.25)
         assert v["parent_quartiles"] == (2.0, 2.0)

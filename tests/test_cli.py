@@ -406,6 +406,19 @@ class TestExperiment:
         assert pools == [2]  # one pool for both pending cells, none for --jobs 1
         assert ledgers["1"] == ledgers["2"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch, jobs):
+        calls = []
+        monkeypatch.setattr(cli, "run_cells", lambda cells, jobs: calls.append(jobs) or [])
+        code, stdout, err = run(
+            capsys, "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64",
+            "--methods", "lp", "--trials", "1", "--jobs", jobs, "--out", str(tmp_path / "exp"),
+        )
+        assert code == 2
+        assert stderr_payload(err)["error"] == "ConfigError"
+        assert "--jobs" in stderr_payload(err)["message"]
+        assert calls == [] and stdout == ""
+
     def test_noise_robustness_rows_equal_run_trial_on_fixed_teacher(self, tmp_path, capsys):
         out = tmp_path / "exp"
         code, _, _ = run(

@@ -14,7 +14,7 @@ from reslearn.layer1 import (
 )
 from reslearn.model import derive_seed, make_rng, standard_mixture
 from conftest import assembled_row_qp
-from reslearn.solver import row_lp, row_slack_lp
+from reslearn.solver import row_lp, row_slack_lp, solve_lp
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -132,6 +132,40 @@ class TestExactRecovery:
         est = learn_layer1(s, method="lp")
         rel = np.linalg.norm(est.a_hat - a) / np.linalg.norm(a)
         assert rel <= 1e-8
+
+
+class TestActivatedStart:
+    # At the teacher, row j's LP is tight exactly on the samples that
+    # activate row j. The LP route prefers them, so every start is the
+    # teacher's row, the engine takes no step, and the scale is 1.
+
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           shuffle=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_start_is_the_teacher_under_permutation_and_scaling(self, d, seed, shuffle, data):
+        a = np.abs(make_rng(seed).standard_normal((d, d)))
+        s = hidden_from(a, n=400, seed=seed)
+        # x -> D x with D > 0 diagonal keeps h when A -> A D^-1
+        scales = 10.0 ** np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        order = make_rng(shuffle).permutation(s.n)
+        for teacher, samples in (
+            (a, s),
+            (a / scales, HiddenSampleSet(xs=(s.xs * scales)[order], hs=s.hs[order])),
+        ):
+            steps = []
+
+            def recording(problem, prefer=None):
+                report = solve_lp(problem, prefer)
+                steps.append(report.iterations)
+                return report
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(layer1, "solve_lp", recording)
+                est = learn_layer1(samples, method="lp")
+            assert steps == [0] * d
+            assert est.unscaled_rows == ()
+            np.testing.assert_allclose(est.k_hat, 1.0, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(est.a_hat, teacher, rtol=1e-9, atol=1e-12 * teacher.max())
 
 
 class TestScaleEstimation:

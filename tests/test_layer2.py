@@ -201,7 +201,7 @@ class TestSharedStart:
         unit = generate_unit(NetworkGenSpec(d=d, m=d + extra, seed=seed))
         rng = np.random.default_rng(seed)
         xs = standard_mixture(d).draw(rng, n)
-        xs[rng.random(n) < zeros, column % d] = 0.0  # a second tier-2 mask
+        xs[rng.random(n) < zeros, column % d] = 0.0  # one row LP with zero targets on some samples
         ys = xs @ unit.b.T + np.maximum(xs @ unit.a.T, 0.0) @ unit.b.T
         ys = ys + sigma * rng.standard_normal(ys.shape)
         samples = SampleSet(xs=xs, ys=ys)

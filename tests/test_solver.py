@@ -217,12 +217,13 @@ class TestSimplexOnLayerPrograms:
 
     def test_start_interpolates_rows_with_data(self):
         # The layer-1 feasible set is a segment of scaled rows, so any of
-        # its points is correct; the start's preference for rows with
-        # nonzero rhs (activated samples) lands on the teacher row itself.
+        # its points is correct; preferring the rows with data (the
+        # activated samples, tight at the teacher) lands on the teacher row
+        # itself.
         unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=3))
         clean = sample(unit, standard_mixture(4), 120, 0.0, seed=5)
         hs = np.maximum(clean.xs @ unit.a.T, 0.0)
-        rep = solve_lp(row_lp(clean.xs, hs[:, 0]))
+        rep = solve_lp(row_lp(clean.xs, hs[:, 0]), prefer=hs[:, 0] > 0.0)
         assert rep.status is SolveStatus.OPTIMAL
         assert rep.iterations == 0
         assert_point_close(rep.point, unit.a[0], "layer-1 feasibility")
@@ -241,11 +242,10 @@ class TestSimplexOnLayerPrograms:
         # The start's elimination reads each column as a contiguous row and
         # keeps no open-row mask; the reference is its former loop, with the
         # pivot tolerance relative to the column's largest entry in a, and
-        # the masked rows preferred over rows with data, and those over the rest.
-        def reference(a, rhs, rhs_scale, prefer):
+        # the masked rows preferred over the rest.
+        def reference(a, prefer):
             work = a.copy()
             open_rows = np.ones(a.shape[0], dtype=bool)
-            with_data = np.abs(rhs) > 1e-6 * rhs_scale
             if prefer is None:
                 prefer = np.zeros(a.shape[0], dtype=bool)
             least = simplex.PIVOT_TOL * np.abs(a).max(axis=0, initial=0.0)
@@ -254,8 +254,7 @@ class TestSimplexOnLayerPrograms:
                 column = work[:, q]
                 magnitude = np.abs(column)
                 usable = open_rows & (magnitude > least[q])
-                pool = usable & prefer if (usable & prefer).any() else usable & with_data
-                pool = pool if pool.any() else usable
+                pool = usable & prefer if (usable & prefer).any() else usable
                 if pool.any():
                     row = int(np.argmax(np.where(pool, magnitude, -1.0)))
                     chosen.append((q, row))
@@ -272,14 +271,9 @@ class TestSimplexOnLayerPrograms:
         for j in range(1, k):  # dependent columns: nothing usable once their basis is in
             if g.random() < 0.3:
                 a[:, j] = a[:, :j] @ g.integers(-2, 3, size=j)
-        rhs = g.standard_normal(n) * 10.0 ** float(g.integers(-6, 7))
-        rhs[g.random(n) < 0.3] *= 1e-7  # below 1e-6 of the largest
-        rhs[g.random(n) < 0.2] = 0.0
-        rhs_scale = float(np.abs(rhs).max(initial=0.0))
         prefer = (None, np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
                   g.random(n) < 0.3)[int(g.integers(0, 4))]
-        assert (simplex._crash(a, rhs, rhs_scale, prefer)
-                == reference(a, rhs, rhs_scale, prefer))
+        assert simplex._crash(a, prefer) == reference(a, prefer)
 
 
 class TestSoftRowDescent:

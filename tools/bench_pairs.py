@@ -19,8 +19,11 @@ neither side), and two verdicts:
 * gain: the change wins at least nine tenths of the pairs, and the medians
   differ, in the better direction, by more than the distance between the
   parent's quartiles;
-* worse: the change's median is worse than the parent's by more than the
-  metric's bound, a share of the parent's median.
+* worse: "yes" when the change's median is worse than the parent's by more
+  than the metric's bound, a share of the parent's median. Otherwise
+  "unresolved" when the parent's spread (its quartile distance over its
+  median) is wider than the bound, unless every change run beats every
+  parent run; else "no".
 
 A run that exits nonzero or reports ``"correct": false`` is listed, its
 pair is left out of the figures, and the command then exits 1. Standard library only; nothing in either checkout is
@@ -60,6 +63,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
+    worse = sign * (c_med - p_med) < -bound * abs(p_med)
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "parent_median": p_med,
         "parent_quartiles": (q1, q3),
@@ -67,7 +72,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
         "wins": wins,
         "pairs": len(parent),
         "gain": wins >= 0.9 * len(parent) and sign * (c_med - p_med) > q3 - q1,
-        "worse": sign * (c_med - p_med) < -bound * abs(p_med),
+        "worse": worse,
+        "unresolved": not worse and q3 - q1 > bound * abs(p_med) and not beats_all,
     }
 
 
@@ -123,7 +129,8 @@ def report(workload: str, metrics: list[dict], values: dict) -> list[str]:
         lines.append(
             f"  {name:14s} parent {fmt(v['parent_median'])} [{fmt(q1)}, {fmt(q3)}]"
             f"  change {fmt(v['change_median'])}  wins {v['wins']}/{v['pairs']}"
-            f"  gain {'yes' if v['gain'] else 'no'}  worse {'yes' if v['worse'] else 'no'}"
+            f"  gain {'yes' if v['gain'] else 'no'}"
+            f"  worse {'yes' if v['worse'] else 'unresolved' if v['unresolved'] else 'no'}"
             f"  ({metric['unit']}, {metric['better']} is better, bound {metric['bound']:g})"
         )
     return lines
