@@ -4,24 +4,33 @@ Commands
 --------
 generate    draw a teacher unit and a sample set, write both to disk
 learn       fit a dataset with any method, write estimates and errors
-experiment  run one of the canned studies (heatmap, weight_robustness,
-            noise_robustness, vanilla_lr_rates) with per-cell resume
+experiment  run one canned study with per-cell resume:
+            ``reslearn experiment <study> [flags]``, flags after the study
 
 ``learn`` fits through ``evaluation.fit_method`` and scores through
-``evaluation.score_held_out``, as every trial does. A study is a list of
-cells. The grid studies build one ``evaluation.TrialCell`` per (d, n,
-sigma, method) and run every pending one through one
-``evaluation.run_cells`` call; ``--jobs N`` spreads their trials over one
-pool of N worker processes, and the rows do not depend on N because every
-trial is seeded by content. vanilla_lr_rates makes one
-``evaluation.success_rate`` call per (d, n).
+``evaluation.score_held_out``, as every trial does. Each study is its own
+parser and declares only the flags it reads:
 
-Every flag has one default, shown by ``--help``. ``--config FILE`` names a
-JSON object whose keys are flags of the subcommand (``test_size`` or
-``test-size``); its values replace those defaults, so a flag given on the
-command line still wins. Each value goes through its flag's type and
-choices, as a command-line token would, and a bad value or a key that is
-not such a flag is a configuration error.
+heatmap, weight_robustness   --dims --sample-sizes --methods --trials
+noise_robustness             the same and --noise-sigmas
+                             (all three: --seed --out --input --jobs --test-size)
+vanilla_lr_rates             --seed --out --dims --sample-sizes --trials --input-mean
+
+The grid studies are presets of one command, ``cmd_grid``, with their
+defaults in ``GRID_STUDIES``; one without --noise-sigmas runs at sigma = 0.
+A grid study builds one ``evaluation.TrialCell`` per (d, n, sigma, method)
+and runs every pending one through one ``evaluation.run_cells`` call;
+``--jobs N`` spreads their trials over one pool of N worker processes, and
+the rows do not depend on N because every trial is seeded by content.
+vanilla_lr_rates makes one ``evaluation.success_rate`` call per (d, n).
+
+Every flag has one default, shown by ``--help``; ``learn``'s ``--seed``
+defaults to the dataset's seed. No parser matches abbreviated flags.
+``--config FILE`` names a JSON object whose keys are flags of the
+subcommand or study (``test_size`` or ``test-size``); its values replace
+those defaults, so a flag given on the command line still wins. Each value
+goes through its flag's type and choices, as a command-line token would,
+and a bad value or a key that is not such a flag is a configuration error.
 
 Exit codes: 0 success, 2 bad configuration, 3 io failure, 4 solver
 failure, 5 evaluation/stage failure. Failures also print a single-line
@@ -31,7 +40,7 @@ produced it. A study's ledger ``<name>.json`` maps a hash of each cell's
 config to that config and its outcome, and a rerun skips the cells it
 holds. A grid cell's config is its ``TrialCell`` fields (d, n,
 noise_sigma, method, trials, test_set_size, base_seed, input_kind,
-fixed_teacher, eps_tol) and its outcome is its trial rows; a
+fixed_teacher) and its outcome is its trial rows; a
 vanilla_lr_rates cell's config is ``success_rate``'s arguments (d, n,
 trials, base_seed, input_mean) and its outcome is the rate record.
 """
@@ -62,7 +71,6 @@ from .evaluation import (
     score_held_out,
     success_rate,
 )
-from .layer2 import EPS_TOL
 from .methods import ALL_METHODS, CONVEX_METHODS
 from .model import (
     NetworkGenSpec,
@@ -135,10 +143,10 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
-def _read_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _read_config(args: argparse.Namespace) -> dict:
     """The flag defaults a JSON config file sets, keyed by flag attribute and
-    checked as ``_config_value`` does; a key that is not a flag of the
-    subcommand is a ConfigError."""
+    checked as ``_config_value`` does; a key that is not a flag of the leaf
+    parser (``generate``, ``learn`` or the study) is a ConfigError."""
     try:
         stored = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
@@ -146,13 +154,13 @@ def _read_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> d
     if not isinstance(stored, dict):
         raise ConfigError("config file must hold a JSON object")
     stored = {key.replace("-", "_"): value for key, value in stored.items()}
-    # the subcommand's own flags; not the parser's bookkeeping, which a key
-    # could otherwise overwrite
-    actions = {action.dest: action for action in parser.commands[args.command]._actions
+    # the leaf's own flags; not the parser's bookkeeping, which a key could
+    # otherwise overwrite
+    actions = {action.dest: action for action in args.leaf._actions
                if action.dest not in ("help", "config")}
     unknown = [key for key in stored if key not in actions]
     if unknown:
-        raise ConfigError(f"{args.command} takes no {', '.join(map(repr, unknown))} "
+        raise ConfigError(f"{args.leaf.prog} takes no {', '.join(map(repr, unknown))} "
                           f"(config keys must name its flags)")
     return {key: _config_value(actions[key], value) for key, value in stored.items()}
 
@@ -163,14 +171,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.d is None or args.n is None:
         raise ConfigError("generate requires --d and --n")
     m = _pick(args.m, args.d)
-    seed = _pick(args.seed, 0)
     out = Path(args.out)
     spec = NetworkGenSpec(
-        d=args.d, m=m, seed=seed, require_non_scale_transform=args.non_scale
+        d=args.d, m=m, seed=args.seed, require_non_scale_transform=args.non_scale
     )
     unit = generate_unit(spec)
     dist = make_input_dist(args.input, args.d)
-    samples = sample(unit, dist, args.n, args.noise_sigma, seed=derive_seed(seed, "samples"))
+    samples = sample(unit, dist, args.n, args.noise_sigma,
+                     seed=derive_seed(args.seed, "samples"))
     out.mkdir(parents=True, exist_ok=True)
     save_unit_json(out / "teacher.json", unit)
     save_samples_csv(out / "samples.csv", samples)
@@ -181,7 +189,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "d": args.d,
             "m": m,
             "n": args.n,
-            "seed": seed,
+            "seed": args.seed,
             "noise_sigma": args.noise_sigma,
             "input": args.input,
             "non_scale": bool(args.non_scale),
@@ -239,11 +247,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if not data_path.exists():
         raise FileNotFoundError(f"dataset not found: {data_path}")
     method = args.method
-    if method not in ALL_METHODS:
-        raise ConfigError(f"unknown method {method!r}; pick one of {ALL_METHODS}")
     samples = load_samples_csv(data_path)
     seed = _pick(args.seed, samples.seed or 0)
-    est_a, est_b, result = fit_method(samples, method, seed, args.eps_tol)
+    est_a, est_b, result = fit_method(samples, method, seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,7 +258,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "method": method,
         "data": str(data_path),
         "seed": seed,
-        "eps_tol": args.eps_tol,
         "estimates": _artifacts(method, result),
     }
     if args.teacher:
@@ -308,16 +313,34 @@ def _ledger(out_dir: Path, name: str, configs: list[dict],
     return path, {"experiment": name, "cells": kept}, keys
 
 
-def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
-                     methods, trials, fixed_teacher=False) -> int:
-    """Run every pending cell of the d x n x sigma x method grid through one
-    ``run_cells`` call and record each in the ledger as it finishes, so a
-    rerun skips done cells."""
+# Each grid study's axis defaults, and whether every trial of a cell learns
+# the same teacher; a study without "noise_sigmas" has no --noise-sigmas.
+GRID_STUDIES = {
+    "heatmap": {"dims": "2,4,8", "sample_sizes": "64,128,256,512", "methods": "qp,sgd",
+                "trials": 8, "fixed_teacher": False},
+    # one trial per teacher: the spread across units is the study
+    "weight_robustness": {"dims": "8", "sample_sizes": "512", "methods": "qp,sgd",
+                          "trials": 32, "fixed_teacher": False},
+    "noise_robustness": {"dims": "10", "sample_sizes": "512", "noise_sigmas": "0,0.05,0.1,0.2",
+                         "methods": "sgd,qp,slack-lp", "trials": 8, "fixed_teacher": True},
+}
+
+
+def cmd_grid(args: argparse.Namespace) -> int:
+    """Run every pending cell of a grid study's d x n x sigma x method grid
+    through one ``run_cells`` call and record each in the ledger as it
+    finishes, so a rerun skips done cells."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs takes a count of at least 1, got {args.jobs}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    name = args.study
     cells = [
-        TrialCell(d=d, n=n, noise_sigma=sigma, method=method, trials=trials,
-                  test_set_size=args.test_size, base_seed=_pick(args.seed, 0),
-                  input_kind=args.input, fixed_teacher=fixed_teacher, eps_tol=args.eps_tol)
-        for d in dims for n in sizes for sigma in sigmas for method in methods
+        TrialCell(d=d, n=n, noise_sigma=sigma, method=method, trials=args.trials,
+                  test_set_size=args.test_size, base_seed=args.seed,
+                  input_kind=args.input, fixed_teacher=args.fixed_teacher)
+        for d in _numbers(args.dims) for n in _numbers(args.sample_sizes)
+        for sigma in _numbers(args.noise_sigmas, float) for method in args.methods.split(",")
     ]
     configs = [dataclasses.asdict(cell) for cell in cells]
     path, ledger, keys = _ledger(out_dir, name, configs, _holds_rows)
@@ -340,67 +363,47 @@ def _experiment_grid(args, out_dir: Path, name: str, dims, sizes, sigmas,
     return EXIT_OK
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs takes a count of at least 1, got {args.jobs}")
+def cmd_rates(args: argparse.Namespace) -> int:
+    """vanilla_lr_rates: one ``success_rate`` record per (d, n), resumed
+    through the ledger as the grid studies are."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = args.name
-    if name == "heatmap":
-        return _experiment_grid(
-            args, out_dir, name, _numbers(_pick(args.dims, "2,4,8")),
-            _numbers(_pick(args.sample_sizes, "64,128,256,512")), [0.0],
-            _pick(args.methods, "qp,sgd").split(","), _pick(args.trials, 8),
-        )
-    if name == "weight_robustness":
-        # one trial per teacher: the spread across units is the study
-        return _experiment_grid(
-            args, out_dir, name, [_pick(args.d, 8)], [_pick(args.n, 512)], [0.0],
-            _pick(args.methods, "qp,sgd").split(","), _pick(args.trials, 32),
-        )
-    if name == "noise_robustness":
-        return _experiment_grid(
-            args, out_dir, name, [_pick(args.d, 10)], [_pick(args.n, 512)],
-            _numbers(_pick(args.noise_sigmas, "0,0.05,0.1,0.2"), float),
-            _pick(args.methods, "sgd,qp,slack-lp").split(","), _pick(args.trials, 8),
-            fixed_teacher=True,
-        )
-    if name == "vanilla_lr_rates":
-        configs = [
-            {"d": d, "n": n, "trials": _pick(args.trials, 200),
-             "base_seed": _pick(args.seed, 0), "input_mean": args.input_mean}
-            for d in _numbers(_pick(args.dims, "4,6"))
-            for n in _numbers(_pick(args.sample_sizes, "100,500,1000"))
-        ]
-        path, ledger, keys = _ledger(out_dir, name, configs, _holds_result)
-        for key, config in zip(keys, configs):
-            if key not in ledger["cells"]:
-                record = success_rate(**config)
-                ledger["cells"][key] = {"config": config, "result": record}
-                _write_json(path, ledger)
-                print(f"cell d={config['d']} n={config['n']}: rate {record['rate']:.3f}")
-        _write_json(path, ledger)
-        print(f"wrote {path}")
-        return EXIT_OK
-    raise ConfigError(f"unknown experiment {name!r}")
+    configs = [
+        {"d": d, "n": n, "trials": args.trials, "base_seed": args.seed,
+         "input_mean": args.input_mean}
+        for d in _numbers(args.dims) for n in _numbers(args.sample_sizes)
+    ]
+    path, ledger, keys = _ledger(out_dir, args.study, configs, _holds_result)
+    for key, config in zip(keys, configs):
+        if key not in ledger["cells"]:
+            record = success_rate(**config)
+            ledger["cells"][key] = {"config": config, "result": record}
+            _write_json(path, ledger)
+            print(f"cell d={config['d']} n={config['n']}: rate {record['rate']:.3f}")
+    _write_json(path, ledger)
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 # --- entry point ---------------------------------------------------------
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The parser; ``defaults`` (a config file's values, by flag attribute)
-    replace the declared defaults of every subcommand."""
+    replace the declared defaults of every leaf parser: ``generate``,
+    ``learn`` and each study under ``experiment``."""
     parser = argparse.ArgumentParser(
         prog="reslearn",
         description="Learn two-layer ReLU residual units by convex programming.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # every subcommand declares only the flags it reads, so a flag it would
-    # ignore is a parse error (exit 2) rather than silently dropped
+    # every leaf parser declares only the flags it reads, so a flag it would
+    # ignore is a parse error (exit 2) rather than silently dropped; prefix
+    # matching would let one flag's abbreviation stand for another's
     flag_specs = {
         "--config": {"help": "JSON file whose keys replace the defaults of these flags"},
-        "--seed": {"type": int},
+        "--seed": {"type": int, "default": 0, "help": "root seed (default %(default)s)"},
         "--out": {"default": ".", "help": "output directory (default %(default)s)"},
         "--input": {"choices": ["mixture", "gaussian"], "default": "mixture",
                     "help": "input distribution (default %(default)s)"},
@@ -409,49 +412,50 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         "--n": {"type": int},
         "--noise-sigma": {"type": float, "default": 0.0,
                           "help": "label noise std (default %(default)s)"},
-        "--eps-tol": {"type": float, "default": EPS_TOL,
-                      "help": "rescale regression residual gate (default %(default)s)"},
         "--jobs": {"type": int, "default": 1,
-                   "help": "worker processes shared by the experiment's pending cells "
+                   "help": "worker processes shared by the study's pending cells "
                            "(default %(default)s; results do not depend on it)"},
         "--test-size": {"type": int, "default": 1000,
                         "help": "held-out samples (default %(default)s)"},
+        "--dims": {"help": "comma-separated dimensions (default %(default)s)"},
+        "--sample-sizes": {"help": "comma-separated sample counts (default %(default)s)"},
+        "--noise-sigmas": {"help": "comma-separated noise levels (default %(default)s)"},
+        "--methods": {"help": "comma-separated methods (default %(default)s)"},
+        "--trials": {"type": int, "help": "trials per cell (default %(default)s)"},
+        "--input-mean": {"type": float, "default": 0.0,
+                         "help": "gaussian input mean (default %(default)s)"},
     }
 
-    def flags(p, *names):
-        for name in ("--config", "--seed", "--out", "--input", *names):
-            p.add_argument(name, **flag_specs[name])
+    def leaf(subparsers, name, summary, func, *names, **preset):
+        p = subparsers.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in ("--config", "--out", *names):
+            p.add_argument(flag, **flag_specs[flag])
+        p.set_defaults(func=func, leaf=p, **{**preset, **(defaults or {})})
+        return p
 
-    gen = sub.add_parser("generate", help="write a teacher and a sample set")
-    flags(gen, "--d", "--m", "--n", "--noise-sigma")
+    gen = leaf(sub, "generate", "write a teacher and a sample set", cmd_generate,
+               "--seed", "--input", "--d", "--m", "--n", "--noise-sigma")
     gen.add_argument("--non-scale", action="store_true",
                      help="reject scale-equivalent teachers")
 
-    learn = sub.add_parser("learn", help="fit a dataset, write estimates")
-    flags(learn, "--eps-tol", "--test-size")
+    learn = leaf(sub, "learn", "fit a dataset, write estimates", cmd_learn,
+                 "--input", "--test-size")
+    learn.add_argument("--seed", type=int, help="root seed (default: the dataset's seed)")
     learn.add_argument("--data", help="samples CSV path")
     learn.add_argument("--teacher", help="teacher JSON path (enables error report)")
     learn.add_argument("--method", choices=ALL_METHODS, default="qp",
                        help="(default %(default)s)")
 
-    exp = sub.add_parser("experiment", help="run a canned study")
-    flags(exp, "--d", "--n", "--eps-tol", "--jobs", "--test-size")
-    exp.add_argument("name", choices=[
-        "heatmap", "weight_robustness", "noise_robustness", "vanilla_lr_rates",
-    ])
-    exp.add_argument("--dims", help="comma-separated dimensions")
-    exp.add_argument("--sample-sizes", dest="sample_sizes",
-                     help="comma-separated sample counts")
-    exp.add_argument("--noise-sigmas", dest="noise_sigmas",
-                     help="comma-separated noise levels")
-    exp.add_argument("--methods", help="comma-separated methods")
-    exp.add_argument("--trials", type=int)
-    exp.add_argument("--input-mean", dest="input_mean", type=float, default=0.0,
-                     help="gaussian input mean for vanilla_lr_rates (default %(default)s)")
-
-    for p, func in ((gen, cmd_generate), (learn, cmd_learn), (exp, cmd_experiment)):
-        p.set_defaults(func=func, **(defaults or {}))
-    parser.commands = sub.choices  # subcommand parsers by name, for _read_config
+    exp = sub.add_parser("experiment", help="run a canned study", allow_abbrev=False)
+    studies = exp.add_subparsers(dest="study", required=True)
+    for name, preset in GRID_STUDIES.items():
+        sigmas = ("--noise-sigmas",) if "noise_sigmas" in preset else ()
+        leaf(studies, name, f"grid over d x n x {'sigma x ' * bool(sigmas)}method", cmd_grid,
+             "--seed", "--input", "--jobs", "--test-size", "--dims", "--sample-sizes",
+             *sigmas, "--methods", "--trials", **{"noise_sigmas": "0", **preset})
+    leaf(studies, "vanilla_lr_rates", "two-orthant regression success rates", cmd_rates,
+         "--seed", "--dims", "--sample-sizes", "--trials", "--input-mean",
+         dims="4,6", sample_sizes="100,500,1000", trials=200)
     return parser
 
 
@@ -465,11 +469,10 @@ def _fail(code: int, exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
-            args = build_parser(_read_config(args, parser)).parse_args(argv)
+            args = build_parser(_read_config(args)).parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError, DimensionMismatchError) as exc:
         return _fail(EXIT_CONFIG, exc)

@@ -28,7 +28,7 @@ import numpy as np
 from .baselines import SgdConfig, sgd_train, vanilla_lr
 from .errors import DimensionMismatchError, ReslearnError
 from .layer1 import HiddenSampleSet, Layer1Estimate, learn_layer1
-from .layer2 import EPS_TOL, Layer2Estimate, learn_layer2
+from .layer2 import Layer2Estimate, learn_layer2
 from .methods import ALL_METHODS, CONVEX_METHODS, ConvexMethod
 from .model import (
     GaussianIid,
@@ -71,8 +71,7 @@ class TrialCell:
 
     Teachers vary with (d, trial) unless ``fixed_teacher`` is set, in which
     case every trial of the cell learns the same teacher, so the spread
-    across trials comes from the sampled data alone. ``eps_tol`` (the
-    layer-2 rescale gate) reaches every convex-method trial.
+    across trials comes from the sampled data alone.
     """
 
     d: int
@@ -84,7 +83,6 @@ class TrialCell:
     base_seed: int = 0
     input_kind: str = "mixture"  # "mixture" or "gaussian"
     fixed_teacher: bool = False
-    eps_tol: float = EPS_TOL
 
     def __post_init__(self):
         _require_counts(d=self.d, n=self.n, trials=self.trials)
@@ -157,32 +155,30 @@ def relative_errors(
 def full_pipeline(
     samples: SampleSet,
     method: ConvexMethod | str = ConvexMethod.QP,
-    eps_tol: float = EPS_TOL,
 ) -> tuple[Layer1Estimate, Layer2Estimate]:
     """Learn layer 2 from (x, y), then layer 1 from the recovered hidden
-    outputs. The second stage consumes the first stage's xi estimates as its
-    h samples, clipped at zero so downstream validation holds. ``eps_tol``
-    is layer 2's rescale gate."""
+    outputs. The second stage consumes the first stage's xi estimates, which
+    layer 2 returns nonnegative, as its h samples."""
     method = ConvexMethod.parse(method)
-    est2 = learn_layer2(samples, method, eps_tol=eps_tol)
-    hidden = HiddenSampleSet(xs=samples.xs, hs=np.maximum(est2.xi_hat, 0.0))
+    est2 = learn_layer2(samples, method)
+    hidden = HiddenSampleSet(xs=samples.xs, hs=est2.xi_hat)
     est1 = learn_layer1(hidden, method)
     return est1, est2
 
 
 def fit_method(
-    samples: SampleSet, method: str, seed: int, eps_tol: float = EPS_TOL
+    samples: SampleSet, method: str, seed: int
 ) -> tuple[np.ndarray, np.ndarray, object]:
     """Fit one method to a training set; returns (a_hat, b_hat, result).
 
     ``result`` is what the method's learner returned: the (Layer1Estimate,
     Layer2Estimate) pair for the convex methods, an SgdResult, or a
-    VanillaLrResult. SGD derives its initialisation seed from ``seed``;
-    ``eps_tol`` reaches the convex methods only. A failed two-orthant
-    regression raises, so every returned result carries both estimates.
+    VanillaLrResult. SGD derives its initialisation seed from ``seed``. A
+    failed two-orthant regression raises, so every returned result carries
+    both estimates.
     """
     if method in CONVEX_METHODS:
-        result = full_pipeline(samples, method, eps_tol)
+        result = full_pipeline(samples, method)
         return result[0].a_hat, result[1].b_hat, result
     if method == "sgd":
         result = sgd_train(samples, SgdConfig(seed=derive_seed(seed, "sgd")))
@@ -225,7 +221,6 @@ def run_trial(
     seed: int,
     test_set_size: int = 1000,
     input_kind: str = "mixture",
-    eps_tol: float = EPS_TOL,
 ) -> ErrorReport:
     """Draw a training set, learn with one method, score on fresh data.
 
@@ -234,7 +229,7 @@ def run_trial(
     exactly.
     """
     train = sample(unit, make_input_dist(input_kind, unit.d), n, noise_sigma, seed=seed)
-    est_a, est_b, _ = fit_method(train, method, seed, eps_tol)
+    est_a, est_b, _ = fit_method(train, method, seed)
     report = score_held_out(est_a, est_b, unit, seed, method, test_set_size, input_kind)
     return replace(report, n=n, seed=seed, noise_sigma=noise_sigma)
 
@@ -266,7 +261,6 @@ def _run_cell_trial(cell: TrialCell, trial: int) -> TrialRow:
             _cell_teacher(cell, trial), cell.n, cell.noise_sigma, cell.method, seed,
             test_set_size=cell.test_set_size,
             input_kind=cell.input_kind,
-            eps_tol=cell.eps_tol,
         )
         figures, status, message = (report.layer1_rel, report.layer2_rel, report.output_rel), "ok", ""
     except ReslearnError as exc:

@@ -59,10 +59,10 @@ from .solver.split_ls import solve_separable_ls
 # Scale-row detector, one pass over the d rows. A row is accepted as
 # scale-equivalent (and its factor divided out) only when the origin-line
 # fit of [C y]_j on x_j over negative x_j leaves a mean squared residual at
-# most eps_tol times the sample variance of [C y]_j; otherwise the factor
-# stays 1. EPS_TOL is the default eps_tol: it leaves room for the QP path,
-# whose tie-break lands a hair off the pure-multiple segment, while
-# genuinely coupled rows measure orders of magnitude above it either way.
+# most EPS_TOL times the sample variance of [C y]_j; otherwise the factor
+# stays 1. EPS_TOL leaves room for the QP path, whose tie-break lands a
+# hair off the pure-multiple segment, while genuinely coupled rows measure
+# orders of magnitude above it either way.
 # Rows with fewer than MIN_NEG_SAMPLES negative samples, or a slope below
 # K_MIN, are left at 1 with a warning. Slopes within SHRINK_TOL of 1 (or
 # above it) are treated as exactly 1: a row whose factor is that close to
@@ -80,8 +80,9 @@ class Layer2Estimate:
     """Result of second-layer learning.
 
     ``xi_hat`` stacks the per-sample hidden-output estimates as rows (n x
-    d). ``k_hat`` holds the per-row scale factors actually divided out (all
-    ones when nothing was detected). ``notes`` carries human-readable
+    d); it is nonnegative, as a ReLU output is, since every route clips it
+    at zero. ``k_hat`` holds the per-row scale factors actually divided out
+    (all ones when nothing was detected). ``notes`` carries human-readable
     diagnostics: underdetermination warnings, rescale gate decisions, and
     slack objectives of noisy rows.
     """
@@ -130,12 +131,12 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     return c_hat, xi_hat, notes
 
 
-def rescale_layer2(samples: SampleSet, c_hat: Mat, eps_tol: float = EPS_TOL) -> np.ndarray:
+def rescale_layer2(samples: SampleSet, c_hat: Mat) -> np.ndarray:
     """Per-row scale factors of c_hat, detected on the negative half-lines.
 
     For a scale-equivalent row j, [C y]_j equals k_j x_j exactly whenever
     x_j < 0, so the through-origin regression has residual ~0 and its slope
-    is the factor. A residual above ``eps_tol`` times the variance means the
+    is the factor. A residual above ``EPS_TOL`` times the variance means the
     row is genuinely coupled, and the factor defaults to 1. All d rows are
     fitted in one ``origin_fits`` pass; rows flagged by the sample count or
     the slope floor warn, one warning each, in row order.
@@ -148,8 +149,8 @@ def rescale_layer2(samples: SampleSet, c_hat: Mat, eps_tol: float = EPS_TOL) -> 
     xs = samples.xs
     count, slope, mse, spread = origin_fits(xs, samples.ys @ c_hat.T, xs < 0)
     few = count < MIN_NEG_SAMPLES
-    # gate: residual within eps_tol of the spread (zero spread and residual: an exact line)
-    fitted = ~few & ~np.isnan(slope) & (mse <= eps_tol * spread)
+    # gate: residual within EPS_TOL of the spread (zero spread and residual: an exact line)
+    fitted = ~few & ~np.isnan(slope) & (mse <= EPS_TOL * spread)
     degenerate = fitted & (slope < K_MIN)
     for j in np.flatnonzero(few | degenerate):
         warnings.warn(
@@ -182,20 +183,18 @@ def recover_b_general(samples: SampleSet, c_hat: Mat, k_hat) -> Mat:
 def learn_layer2(
     samples: SampleSet,
     method: ConvexMethod | str = ConvexMethod.QP,
-    eps_tol: float = EPS_TOL,
 ) -> Layer2Estimate:
     """Estimate C and B from samples; see the module docstring for the model.
 
     Every method runs the same three stages: solve the row programs for C
     and the hidden estimates, divide out the scale factors that
     ``rescale_layer2`` detects, and read B off by least squares
-    (``recover_b_general``); ``eps_tol`` is the rescale gate and must be
-    positive. Raises SolverFailedError when a row program fails and
-    SingularCHatError when the projected samples lose rank.
+    (``recover_b_general``). The scale-corrected hidden estimates are
+    clipped at zero on every route, so layer 1 gets them as they are.
+    Raises SolverFailedError when a row program fails and SingularCHatError
+    when the projected samples lose rank.
     """
     method = ConvexMethod.parse(method)
-    if eps_tol <= 0:
-        raise ValueError("eps_tol must be positive")
     notes: list[str] = []
     d, m, n = samples.d, samples.m, samples.n
     if m < d:
@@ -215,18 +214,16 @@ def learn_layer2(
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        k_hat = rescale_layer2(samples, c_hat, eps_tol)
+        k_hat = rescale_layer2(samples, c_hat)
     notes.extend(str(w.message) for w in caught)
 
     b_hat = recover_b_general(samples, c_hat, k_hat)
     corrected_c = c_hat / k_hat[:, None]
     corrected_xi = (xi_hat + samples.xs) / k_hat[None, :] - samples.xs
-    if method is ConvexMethod.SLACK_LP:
-        corrected_xi = np.maximum(corrected_xi, 0.0)
     return Layer2Estimate(
         c_hat=corrected_c,
         b_hat=b_hat,
-        xi_hat=corrected_xi,
+        xi_hat=np.maximum(corrected_xi, 0.0),
         k_hat=k_hat,
         notes=tuple(notes),
     )

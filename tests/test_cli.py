@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import reslearn.cli as cli
-import reslearn.evaluation as evaluation
 from reslearn.cli import main
 from reslearn.evaluation import cell_seed, fit_method, run_trial
-from reslearn.layer2 import EPS_TOL
 from reslearn.model import (
     NetworkGenSpec,
     derive_seed,
@@ -65,15 +63,39 @@ class TestGenerate:
         assert stderr_payload(err)["error"] == "ConfigError"
 
 
+# a token for each flag that some study reads, or that the experiment
+# command once took for every study
+EXPERIMENT_FLAGS = {
+    "--d": "4", "--n": "64", "--eps-tol": "0.5", "--dims": "2", "--sample-sizes": "64",
+    "--noise-sigmas": "0.1", "--methods": "qp", "--trials": "1", "--input": "gaussian",
+    "--jobs": "2", "--test-size": "50", "--input-mean": "3",
+}
+GRID_FLAGS = {"--dims", "--sample-sizes", "--methods", "--trials", "--input", "--jobs",
+              "--test-size"}
+STUDY_FLAGS = {
+    "heatmap": GRID_FLAGS,
+    "weight_robustness": GRID_FLAGS,
+    "noise_robustness": GRID_FLAGS | {"--noise-sigmas"},
+    "vanilla_lr_rates": {"--dims", "--sample-sizes", "--trials", "--input-mean"},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["learn", "--data", "samples.csv", "--noise-sigma", "0.1"],
     ["generate", "--d", "2", "--n", "50", "--jobs", "2"],
+    *(pytest.param(["experiment", study, flag, token], id=f"{study} {flag}")
+      for study, reads in STUDY_FLAGS.items()
+      for flag, token in EXPERIMENT_FLAGS.items() if flag not in reads),
 ])
-def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path):
-    # a flag the command would ignore must not parse
+def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, monkeypatch):
+    # a flag the command would ignore must not parse, and no cell starts
+    started = []
+    monkeypatch.setattr(cli, "run_cells", lambda cells, jobs: started.append(cells) or [])
+    monkeypatch.setattr(cli, "success_rate", lambda **config: started.append(config))
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
+    assert started == []
     assert not any(tmp_path.iterdir())
 
 
@@ -154,26 +176,6 @@ class TestLearn:
             main(["learn", "--data", str(dataset / "samples.csv"), "--method", "newton"])
         assert exc.value.code == 2
 
-    def test_eps_tol_recorded(self, dataset, tmp_path, capsys):
-        out = tmp_path / "fit"
-        code, _, _ = run(
-            capsys, "learn", "--data", str(dataset / "samples.csv"),
-            "--method", "qp", "--eps-tol", "0.5", "--out", str(out),
-        )
-        assert code == 0
-        payload = json.loads((out / "learn_result.json").read_text())
-        assert payload["eps_tol"] == 0.5
-
-    def test_default_eps_tol_recorded(self, dataset, tmp_path, capsys):
-        # the value the fit used, not the absence of a flag
-        out = tmp_path / "fit"
-        code, _, _ = run(
-            capsys, "learn", "--data", str(dataset / "samples.csv"),
-            "--method", "qp", "--out", str(out),
-        )
-        assert code == 0
-        assert json.loads((out / "learn_result.json").read_text())["eps_tol"] == EPS_TOL
-
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
@@ -207,18 +209,18 @@ class TestConfigFile:
 
     def test_config_sets_flags_that_have_defaults(self, tmp_path, capsys, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "cmd_experiment", lambda args: seen.append(args) or 0)
+        monkeypatch.setattr(cli, "cmd_grid", lambda args: seen.append(args) or 0)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jobs": 4, "input": "gaussian", "test_size": 50, "d": 3}))
+        cfg.write_text(json.dumps({"jobs": 4, "input": "gaussian", "test_size": 50, "trials": 3}))
         for argv in ((), ("--jobs", "2"), None):
             config = () if argv is None else ("--config", str(cfg), *argv)
             code, _, _ = run(capsys, "experiment", "heatmap", *config)
             assert code == 0
-        got = [(a.jobs, a.input, a.test_size, a.d) for a in seen]
+        got = [(a.jobs, a.input, a.test_size, a.trials) for a in seen]
         assert got == [
-            (4, "gaussian", 50, 3),      # the config file sets every key
-            (2, "gaussian", 50, 3),      # an explicit flag still wins
-            (1, "mixture", 1000, None),  # no config: the parser's defaults
+            (4, "gaussian", 50, 3),   # the config file sets every key
+            (2, "gaussian", 50, 3),   # an explicit flag still wins
+            (1, "mixture", 1000, 8),  # no config: the study's defaults
         ]
 
     @pytest.mark.parametrize("key", ["command", "config", "func"])
@@ -235,12 +237,31 @@ class TestConfigFile:
 
     def test_help_shows_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["experiment", "--help"])
+            main(["experiment", "heatmap", "--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        for shown in ("(default 1;", "(default 1000)", f"(default {EPS_TOL})",
-                      "(default mixture)", "(default .)", "(default 0.0)"):
+        for shown in ("(default 1;", "(default 1000)", "(default mixture)", "(default .)",
+                      "seed (default 0)"):
             assert shown in text
+
+    @pytest.mark.parametrize("study, shown", [
+        ("heatmap", ["dimensions (default 2,4,8)", "counts (default 64,128,256,512)",
+                     "methods (default qp,sgd)", "cell (default 8)"]),
+        ("weight_robustness", ["dimensions (default 8)", "counts (default 512)",
+                               "methods (default qp,sgd)", "cell (default 32)"]),
+        ("noise_robustness", ["dimensions (default 10)", "counts (default 512)",
+                              "levels (default 0,0.05,0.1,0.2)",
+                              "methods (default sgd,qp,slack-lp)", "cell (default 8)"]),
+        ("vanilla_lr_rates", ["dimensions (default 4,6)", "counts (default 100,500,1000)",
+                              "cell (default 200)", "mean (default 0.0)", "seed (default 0)"]),
+    ])
+    def test_study_help_shows_its_defaults(self, capsys, study, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", study, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for default in shown:
+            assert default in text
 
     def test_config_sets_a_store_true_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -257,7 +278,7 @@ class TestConfigFile:
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys, monkeypatch, stored):
         # a value the flag's type or choices would refuse on the command
         # line is a configuration error, not a traceback from the run
-        monkeypatch.setattr(cli, "cmd_experiment", lambda args: 0)
+        monkeypatch.setattr(cli, "cmd_grid", lambda args: 0)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(stored))
         code, _, err = run(capsys, "experiment", "heatmap", "--config", str(cfg))
@@ -268,16 +289,14 @@ class TestConfigFile:
 
     def test_config_values_take_their_flags_types(self, tmp_path, capsys, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "cmd_experiment", lambda args: seen.append(args) or 0)
+        monkeypatch.setattr(cli, "cmd_grid", lambda args: seen.append(args) or 0)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"test_size": "50", "eps_tol": 1, "trials": 3, "dims": 4,
-                                   "jobs": None}))
+        cfg.write_text(json.dumps({"test_size": "50", "trials": 3, "dims": 4, "jobs": None}))
         code, _, _ = run(capsys, "experiment", "heatmap", "--config", str(cfg))
         assert code == 0
         args = seen[0]
-        assert (args.test_size, args.eps_tol, args.trials, args.dims, args.jobs) == (
-            50, 1.0, 3, "4", 1)
-        assert type(args.eps_tol) is float and type(args.test_size) is int
+        assert (args.test_size, args.trials, args.dims, args.jobs) == (50, 3, "4", 1)
+        assert type(args.test_size) is int
 
     def test_config_switch_takes_a_boolean(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -356,32 +375,6 @@ class TestExperiment:
         assert resumed == ledger
         assert outcome in resumed["cells"][key]
 
-    def test_eps_tol_reaches_run_trial_and_keys_cells(self, tmp_path, capsys, monkeypatch):
-        seen = []
-        real_run_trial = evaluation.run_trial
-
-        def recording_run_trial(*args, **kwargs):
-            seen.append(kwargs.get("eps_tol"))
-            return real_run_trial(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "run_trial", recording_run_trial)
-        out = tmp_path / "exp"
-        argv = (
-            "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64",
-            "--methods", "lp", "--trials", "1", "--out", str(out),
-        )
-        code, _, _ = run(capsys, *argv, "--eps-tol", "0.5")
-        assert code == 0
-        assert seen == [0.5]
-        [cell] = json.loads((out / "heatmap.json").read_text())["cells"].values()
-        assert cell["config"]["eps_tol"] == 0.5
-
-        # a resumed run with another value recomputes its cells
-        code, stdout, _ = run(capsys, *argv, "--eps-tol", "0.25")
-        assert code == 0
-        assert "done" in stdout
-        assert seen == [0.5, 0.25]
-
     def test_jobs_reach_the_pool_and_keep_the_ledger(self, tmp_path, capsys, monkeypatch):
         import concurrent.futures
 
@@ -422,7 +415,7 @@ class TestExperiment:
     def test_noise_robustness_rows_equal_run_trial_on_fixed_teacher(self, tmp_path, capsys):
         out = tmp_path / "exp"
         code, _, _ = run(
-            capsys, "experiment", "noise_robustness", "--d", "2", "--n", "64",
+            capsys, "experiment", "noise_robustness", "--dims", "2", "--sample-sizes", "64",
             "--noise-sigmas", "0,0.1", "--methods", "qp,slack-lp,sgd", "--trials", "2",
             "--seed", "3", "--out", str(out),
         )
@@ -464,14 +457,14 @@ class TestExperiment:
         assert cell["config"] == {
             "d": 2, "n": 64, "noise_sigma": 0.0, "method": "lp", "trials": 1,
             "test_set_size": 1000, "base_seed": 0, "input_kind": "mixture",
-            "fixed_teacher": False, "eps_tol": EPS_TOL,
+            "fixed_teacher": False,
         }
 
     @pytest.mark.parametrize("argv", [
         ["vanilla_lr_rates", "--trials", "0"],
         ["heatmap", "--trials", "0"],
-        ["weight_robustness", "--d", "0"],
-        ["noise_robustness", "--n", "0"],
+        ["weight_robustness", "--dims", "0"],
+        ["noise_robustness", "--sample-sizes", "0"],
     ])
     def test_explicit_zero_is_kept_and_rejected(self, tmp_path, capsys, argv):
         # a zero is a value, not a missing flag: it must not fall back to the
@@ -481,7 +474,8 @@ class TestExperiment:
         assert code == 2
         payload = stderr_payload(err)
         assert payload["error"] == "ValueError"
-        assert argv[1].lstrip("-") in payload["message"]
+        field = {"--trials": "trials", "--dims": "d", "--sample-sizes": "n"}[argv[1]]
+        assert payload["message"].startswith(f"{field} must be at least 1")
         assert stdout == ""
         assert [p.name for p in out.iterdir()] == []
 

@@ -78,6 +78,7 @@ class TestNoiselessRecovery:
         np.testing.assert_allclose(est.c_hat, np.linalg.inv(unit.b), atol=1e-6)
         xi_true = np.maximum(s.xs @ unit.a.T, 0.0)
         np.testing.assert_allclose(est.xi_hat, xi_true, atol=1e-6)
+        assert est.xi_hat.min() >= 0.0  # clipped on every route, as a ReLU output
         np.testing.assert_array_equal(est.k_hat, 1.0)  # non-scale teacher
 
     def test_qp_and_lp_estimates_agree(self):
@@ -348,11 +349,6 @@ class TestScaleRows:
             SampleSet(xs=scale * s.xs, ys=scale * s.ys), c_hat)
         np.testing.assert_allclose(k_s, k, rtol=1e-12)
         assert flagged_s == flagged
-
-    def test_eps_tol_must_be_positive(self):
-        unit, s = make_samples(self.A_SCALE, B_REF, n=400, seed=8)
-        with pytest.raises(ValueError, match="eps_tol"):
-            learn_layer2(s, "qp", eps_tol=0.0)
 
 
 class TestD1Interval:

@@ -843,7 +843,7 @@ def soft_gate_design():
 
     unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=11))
     s = sample(unit, standard_mixture(4), 400, 0.1, seed=12)
-    return s.xs, np.maximum(learn_layer2(s, "slack-lp").xi_hat, 0.0)
+    return s.xs, learn_layer2(s, "slack-lp").xi_hat
 
 
 class TestContinuation:
