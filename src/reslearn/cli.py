@@ -16,8 +16,9 @@ noise_robustness             the same and --noise-sigmas
                              (all three: --seed --out --input --jobs --test-size)
 vanilla_lr_rates             --seed --out --dims --sample-sizes --trials --input-mean
 
-The grid studies are presets of one command, ``cmd_grid``, with their
-defaults in ``GRID_STUDIES``; one without --noise-sigmas runs at sigma = 0.
+The grid studies are presets of one command, ``cmd_grid``; ``GRID_STUDIES``
+holds each one's extra flags and defaults, and heatmap and weight_robustness
+run at sigma = 0.
 A grid study builds one ``evaluation.TrialCell`` per (d, n, sigma, method)
 and runs every pending one through one ``evaluation.run_cells`` call;
 ``--jobs N`` spreads their trials over one pool of N worker processes, and
@@ -106,11 +107,6 @@ def _numbers(text: str, kind=int) -> list:
     return values
 
 
-def _pick(value, default):
-    """A flag's value when given, zero included; else ``default``."""
-    return default if value is None else value
-
-
 def _config_hash(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -170,7 +166,7 @@ def _read_config(args: argparse.Namespace) -> dict:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.d is None or args.n is None:
         raise ConfigError("generate requires --d and --n")
-    m = _pick(args.m, args.d)
+    m = args.d if args.m is None else args.m
     out = Path(args.out)
     spec = NetworkGenSpec(
         d=args.d, m=m, seed=args.seed, require_non_scale_transform=args.non_scale
@@ -248,7 +244,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         raise FileNotFoundError(f"dataset not found: {data_path}")
     method = args.method
     samples = load_samples_csv(data_path)
-    seed = _pick(args.seed, samples.seed or 0)
+    seed = (samples.seed or 0) if args.seed is None else args.seed
     est_a, est_b, result = fit_method(samples, method, seed)
 
     out = Path(args.out)
@@ -313,16 +309,20 @@ def _ledger(out_dir: Path, name: str, configs: list[dict],
     return path, {"experiment": name, "cells": kept}, keys
 
 
-# Each grid study's axis defaults, and whether every trial of a cell learns
-# the same teacher; a study without "noise_sigmas" has no --noise-sigmas.
+# Each grid study's help line, the flags it reads beyond those every grid
+# study reads, and its defaults; fixed_teacher is whether every trial of a
+# cell learns the same teacher.
 GRID_STUDIES = {
-    "heatmap": {"dims": "2,4,8", "sample_sizes": "64,128,256,512", "methods": "qp,sgd",
-                "trials": 8, "fixed_teacher": False},
+    "heatmap": ("grid over d x n x method", (),
+                {"dims": "2,4,8", "sample_sizes": "64,128,256,512", "noise_sigmas": "0",
+                 "methods": "qp,sgd", "trials": 8, "fixed_teacher": False}),
     # one trial per teacher: the spread across units is the study
-    "weight_robustness": {"dims": "8", "sample_sizes": "512", "methods": "qp,sgd",
-                          "trials": 32, "fixed_teacher": False},
-    "noise_robustness": {"dims": "10", "sample_sizes": "512", "noise_sigmas": "0,0.05,0.1,0.2",
-                         "methods": "sgd,qp,slack-lp", "trials": 8, "fixed_teacher": True},
+    "weight_robustness": ("grid over d x n x method", (),
+                          {"dims": "8", "sample_sizes": "512", "noise_sigmas": "0",
+                           "methods": "qp,sgd", "trials": 32, "fixed_teacher": False}),
+    "noise_robustness": ("grid over d x n x sigma x method", ("--noise-sigmas",),
+                         {"dims": "10", "sample_sizes": "512", "noise_sigmas": "0,0.05,0.1,0.2",
+                          "methods": "sgd,qp,slack-lp", "trials": 8, "fixed_teacher": True}),
 }
 
 
@@ -430,7 +430,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p = subparsers.add_parser(name, help=summary, allow_abbrev=False)
         for flag in ("--config", "--out", *names):
             p.add_argument(flag, **flag_specs[flag])
-        p.set_defaults(func=func, leaf=p, **{**preset, **(defaults or {})})
+        p.set_defaults(func=func, leaf=p, **preset)
         return p
 
     gen = leaf(sub, "generate", "write a teacher and a sample set", cmd_generate,
@@ -448,14 +448,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a canned study", allow_abbrev=False)
     studies = exp.add_subparsers(dest="study", required=True)
-    for name, preset in GRID_STUDIES.items():
-        sigmas = ("--noise-sigmas",) if "noise_sigmas" in preset else ()
-        leaf(studies, name, f"grid over d x n x {'sigma x ' * bool(sigmas)}method", cmd_grid,
-             "--seed", "--input", "--jobs", "--test-size", "--dims", "--sample-sizes",
-             *sigmas, "--methods", "--trials", **{"noise_sigmas": "0", **preset})
+    for name, (summary, flags, preset) in GRID_STUDIES.items():
+        leaf(studies, name, summary, cmd_grid, "--seed", "--input", "--jobs", "--test-size",
+             "--dims", "--sample-sizes", *flags, "--methods", "--trials", **preset)
     leaf(studies, "vanilla_lr_rates", "two-orthant regression success rates", cmd_rates,
          "--seed", "--dims", "--sample-sizes", "--trials", "--input-mean",
          dims="4,6", sample_sizes="100,500,1000", trials=200)
+    # the config's values go in after every add_argument: a default given to
+    # add_argument wins over one that set_defaults stored before it
+    for p in (gen, learn, *studies.choices.values()):
+        p.set_defaults(**(defaults or {}))
     return parser
 
 

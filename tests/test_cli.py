@@ -171,6 +171,17 @@ class TestLearn:
         assert code == 2
         assert stderr_payload(err)["error"] == "ConfigError"
 
+    def test_method_from_config_file_is_fitted(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "lp"}))
+        out = tmp_path / "fit"
+        code, _, _ = run(
+            capsys, "learn", "--config", str(cfg),
+            "--data", str(dataset / "samples.csv"), "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "learn_result.json").read_text())["method"] == "lp"
+
     def test_invalid_choice_rejected_by_parser(self, dataset, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["learn", "--data", str(dataset / "samples.csv"), "--method", "newton"])
@@ -262,6 +273,19 @@ class TestConfigFile:
         text = " ".join(capsys.readouterr().out.split())
         for default in shown:
             assert default in text
+
+    @pytest.mark.parametrize("path", [
+        ["generate"], ["learn"],
+        *(["experiment", study] for study in [*cli.GRID_STUDIES, "vanilla_lr_rates"]),
+    ], ids=" ".join)
+    def test_config_sets_every_flag_of_the_leaf(self, path):
+        # a default declared in add_argument must not win over the config's;
+        # the stored values are not strings, which argparse would convert
+        leaf = cli.build_parser().parse_args(path).leaf
+        stored = {action.dest: ("config", action.dest) for action in leaf._actions
+                  if action.dest not in ("help", "config")}
+        args = cli.build_parser(stored).parse_args(path)
+        assert {dest: getattr(args, dest) for dest in stored} == stored
 
     def test_config_sets_a_store_true_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
