@@ -239,6 +239,8 @@ def _artifacts(method: str, result) -> dict:
 def cmd_learn(args: argparse.Namespace) -> int:
     if not args.data:
         raise ConfigError("learn requires --data pointing at a samples CSV")
+    if args.test_size < 1:
+        raise ConfigError(f"--test-size takes a count of at least 1, got {args.test_size}")
     data_path = Path(args.data)
     if not data_path.exists():
         raise FileNotFoundError(f"dataset not found: {data_path}")

@@ -85,7 +85,8 @@ class TrialCell:
     fixed_teacher: bool = False
 
     def __post_init__(self):
-        _require_counts(d=self.d, n=self.n, trials=self.trials)
+        _require_counts(d=self.d, n=self.n, trials=self.trials,
+                        test_set_size=self.test_set_size)
         if self.method not in ALL_METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {ALL_METHODS}")
         if self.input_kind not in ("mixture", "gaussian"):

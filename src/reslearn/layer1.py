@@ -207,20 +207,8 @@ def learn_layer1(
         notes.append(f"underdetermined: n={n} < d={d}, estimate unreliable")
         warnings.warn(notes[-1], stacklevel=2)
 
-    if method is ConvexMethod.QP:
-        # QP objective is 1/2||X a + phi - h||^2 per row, the eliminated-form
-        # shape solved by solve_separable_ls. The noiseless optimum here is a
-        # whole segment of scaled rows; a stronger tie-break weight than the
-        # solver default picks a landing depth whose cross-section is narrow
-        # enough for the slope correction, and nothing downstream needs this
-        # solve to hug the constraint surface. Straight from the
-        # least-squares fit, that weight's nearly flat back side costs
-        # dozens of damped Newton steps; continuation through a heavier
-        # weight first (BACK_WEIGHTS) reaches the same point, to the
-        # solver's stop, in a fraction of them.
-        coeffs, _phi, _info = solve_separable_ls(xs, hs, back_weight=BACK_WEIGHTS)
-        raw_a = coeffs.T.copy()
-    else:
+    qp_route = method is ConvexMethod.QP
+    if not qp_route:
         # a = 0 satisfies A x <= h outright (h >= 0), so the slack variant's
         # objective minimum is always zero and both LP routes share the
         # plain feasibility solve.
@@ -234,19 +222,25 @@ def learn_layer1(
                     f"{report.message}"
                 )
             raw_a[j] = report.point[:d]
-
-    k_hat, unscaled, misfit, row_notes = estimate_row_scale(xs, hs, raw_a)
-    if method is ConvexMethod.SLACK_LP and misfit > SOFT_GATE:
-        # Noise in h shrinks the feasible polytope sample by sample and the
-        # LP vertex lands at an extreme corner of it; softening the
-        # constraints into one-sided penalties moves the landing to the
-        # noise-averaged interior instead. On clean samples the two answers
-        # agree (the misfit is ~0 and the vertex is kept), so the slack
-        # route stays exact there.
-        notes.append(
-            f"scale fit misfit {misfit:.2e} above gate; "
-            "soft penalties replace the feasibility vertex"
-        )
+        k_hat, unscaled, misfit, row_notes = estimate_row_scale(xs, hs, raw_a)
+        qp_route = method is ConvexMethod.SLACK_LP and misfit > SOFT_GATE
+        if qp_route:
+            notes.append(
+                f"scale fit misfit {misfit:.2e} above gate; "
+                "soft penalties replace the feasibility vertex"
+            )
+    if qp_route:
+        # The QP objective is 1/2||X a + phi - h||^2 per row, in the eliminated
+        # form of solve_separable_ls. The slack route takes it once the misfit
+        # passes SOFT_GATE: noise in h shrinks the feasible polytope, and the
+        # LP vertex lands at an extreme corner of it where the one-sided
+        # penalties land at the noise-averaged interior. The noiseless optimum
+        # is a segment of scaled rows; a tie-break weight stronger than the
+        # solver default lands at a depth narrow enough for the slope
+        # correction, and continuation through a heavier weight first
+        # (BACK_WEIGHTS) reaches that point in a fraction of the dozens of
+        # damped Newton steps the weight's nearly flat back side costs from the
+        # least-squares fit.
         coeffs, _phi, _info = solve_separable_ls(xs, hs, back_weight=BACK_WEIGHTS)
         raw_a = coeffs.T.copy()
         k_hat, unscaled, _, row_notes = estimate_row_scale(xs, hs, raw_a)

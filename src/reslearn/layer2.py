@@ -17,17 +17,17 @@ coefficients against n rows, which ``solve_lp`` works on as a basis of at
 most m tight rows. The d feasibility LPs share the design and the start
 mask, so ``shared_start`` starts them together, and a row its start closes
 takes its coefficients from that start. Only the other rows go to
-``solve_lp``: rows the start leaves violated (noisy rows, each followed by
-its slack LP on the slack route, and rows of a sparse orthant), and every
-row when m > d, where Y has rank d and the crash leaves columns without a
-pivot. Every row then reads its hidden column off its coefficients.
+``solve_lp``, one call each: rows the start leaves violated (noisy rows,
+and rows of a sparse orthant), and every row when m > d, where Y has rank d
+and the crash leaves columns without a pivot. Every row then reads its
+hidden column off its coefficients.
 
-Both LPs of a row start on the samples in the negative orthant, x <= 0.
+A row's LP starts on the samples in the negative orthant, x <= 0.
 There A x <= 0 because A >= 0, so the ReLU is off, y = B x, and
 c_j . y = x_j holds with equality at the teacher for every row j: these are
 rows where the teacher's row program is tight. When they hold d linearly
-independent samples, the start is the teacher's row and the feasibility
-run takes no step, also where the feasible set is more than one point and
+independent samples, the start is the teacher's row and the dual method
+takes no step, also where the feasible set is more than one point and
 another vertex would be a wrong answer that the constraints cannot rule
 out. A mixture input lands in the orthant with probability about 2^-d, so
 at n = 512 the orthant holds about 8 samples at d = 6, 2 at d = 8 and 0.5
@@ -105,16 +105,10 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     xi_hat = np.zeros((n, d))
     notes: list[str] = []
     tight = np.all(xs <= 0, axis=1)  # the teacher's row is tight on these samples
+    program = row_slack_lp if slack else row_lp
     for j, report in enumerate(shared_start(design, targets, prefer=tight)):
         if report is None:  # the start does not close this row: the engine runs
-            report = solve_lp(row_lp(design, targets[:, j]), prefer=tight)
-            if slack and report.status is SolveStatus.INFEASIBLE:
-                # Only an infeasible system leaves the slack program real
-                # work; when the plain feasibility program closes every
-                # constraint the slack optimum is exactly zero at that
-                # point, so the slack solve, which would only walk to some
-                # other feasible vertex, is skipped.
-                report = solve_lp(row_slack_lp(design, targets[:, j]), prefer=tight)
+            report = solve_lp(program(design, targets[:, j]), prefer=tight)
             if report.status is not SolveStatus.OPTIMAL:
                 raise SolverFailedError(
                     f"layer-2 LP for row {j} ended with status {report.status.value}: "

@@ -3,31 +3,33 @@
 ``solve_lp`` takes an ``LpProblem``, whose ``soft`` flag names its shape:
 
 * a feasibility run (``row_lp``): some c with lhs @ c >= rhs, c free;
-* a soft LP (``row_slack_lp``): the c of least mean slack
-  1/n sum_i (b_i - a_i . c)^+, every row soft at weight 1/n. Its slacks
-  are read off the residuals at the end; no method ever holds a slack column.
+* a soft LP (``row_slack_lp``): such a c if one exists, else the c of least
+  mean slack 1/n sum_i (b_i - a_i . c)^+; its slacks are read off the
+  residuals at the end, and no method ever holds a slack column.
 
-Both are cast as  min g . c + sum_i w_i (b_i - a_i . c)^+  over free c. A
-feasibility run has w = inf on every row and g = sum_T a_i over its start
-basis T, which prices each start row at lam = 1; a soft LP has w = 1/n and
-g = 0. The layer LPs have m <= 16 free coefficients and n = 400-512 rows.
+Both methods work on  min g . c + sum_i w_i (b_i - a_i . c)^+  over free c.
+The dual method takes w = inf on every row and g = sum_T a_i over its start
+basis T, which prices each start row at lam = 1; the descent takes w = 1/n
+and g = 0. The layer LPs have m <= 16 free coefficients and n = 400-512 rows.
 Both methods keep p <= m tight rows T, A_T c = b_T, and the set U of rows
 past their bound; the multipliers of T solve A_T' lam_T = g - A_U' w_U. The
 dual of the reduced form is  max b . lam  s.t.  A' lam = g,  0 <= lam <= w.
 
-Dual method (Lemke's), for feasibility runs: lam_T >= 0 and U is empty.
+Dual method (Lemke's), run first on both shapes: lam_T >= 0 and U is empty.
 Each step enters the most violated other row r; raising lam_r from 0 by t
 moves lam_T by -t A_T^-T a_r, and the ratio test swaps r for the first
 basic row whose multiplier reaches 0, ties going to the largest pivot. A row
 with nothing in reach gives the Farkas ray lam_r = 1, lam_T = -A_T^-T a_r.
+A soft LP keeps a feasible vertex, with a zero dual.
 
 Primal descent (Barrodale & Roberts' L1 descent; Koenker & d'Orey, AS 229),
-for soft LPs: c stays a vertex and the mean slack never rises. Each step
-releases the tight row k whose lam_k is furthest outside [0, w_k] along the
+for a soft LP whose dual run ends in a verified ray, from the start basis
+that run began at: c stays a vertex and the mean slack never rises. Each step
+releases the tight row k whose lam_k is furthest outside [0, w] along the
 edge A_T d = +e_k (into its satisfied side, slope lam_k) or -e_k (past its
-bound, slope w_k - lam_k). The breakpoints tau_i = -r_i / (a_i . d) of the
+bound, slope w - lam_k). The breakpoints tau_i = -r_i / (a_i . d) of the
 rows that cross on that edge are passed in order while the slope plus
-w_i |a_i . d| stays negative, each toggling its row in U; the row where the
+w |a_i . d| stays negative, each toggling its row in U; the row where the
 slope turns replaces T[k]. U is state the steps update: read back off
 residual signs, rounding re-admits rows and the mean slack can rise and
 cycle. After BLAND_AFTER zero-length steps in a row a step releases the
@@ -60,10 +62,11 @@ residuals off its point.
 
 Cost: a step of either method factors its p x p basis once (the inverse
 gives the point, the multipliers and the step) and scans the n rows:
-O(p^3 + n p); the descent also sorts its edge's breakpoints, O(n log n). The
-set-up copies the n x p constraint matrix into basis column order, and the
-start reads a transposed copy; a soft LP's slacks come last, as one vector of
-n residuals. Nothing is n x n. ``shared_start`` costs one crash, O(m^3) for
+O(p^3 + n p); the descent also sorts its edge's breakpoints, O(n log n),
+and an infeasible soft LP pays for both methods' steps. The set-up copies
+the n x p constraint matrix into basis column order, and the start reads a
+transposed copy; a soft LP's slacks come last, as one vector of n
+residuals. Nothing is n x n. ``shared_start`` costs one crash, O(m^3) for
 the inverse and O(d n m) for the check.
 """
 
@@ -156,10 +159,10 @@ def _run(rows, b, basis, rhs_scale):
 
 
 def _descend(rows, b, w, basis, tol):
-    """The long-step descent from a basis, every row soft. Returns
-    (verdict, c, steps, multipliers), as ``_run`` does."""
+    """The long-step descent from a basis, every row soft at the one weight
+    w. Returns (verdict, c, steps, multipliers), as ``_run`` does."""
     flat = tol * 1e-4  # residuals this small sit on their breakpoint
-    dual_tol = PIVOT_TOL * float(w.max())
+    dual_tol = PIVOT_TOL * w
     stalled = 0
     for step in range(MAX_ITER):
         inverse = np.linalg.inv(rows[basis])
@@ -171,7 +174,7 @@ def _descend(rows, b, w, basis, tol):
             upper = residual < 0.0
             upper[basis] = False
         lam = -(np.where(upper, w, 0.0) @ rows) @ inverse
-        outside = np.maximum(-lam, lam - w[basis])
+        outside = np.maximum(-lam, lam - w)
         candidates = np.flatnonzero(outside > dual_tol)
         if candidates.size == 0:
             multipliers = np.where(upper, w, 0.0)
@@ -180,14 +183,14 @@ def _descend(rows, b, w, basis, tol):
         bland = stalled >= BLAND_AFTER
         k = int(candidates[np.argmin(basis[candidates])] if bland else np.argmax(outside))
         release = 1.0 if lam[k] < 0.0 else -1.0  # +1: row k leaves into its satisfied side
-        slope = lam[k] if release > 0.0 else w[basis[k]] - lam[k]
+        slope = lam[k] if release > 0.0 else w - lam[k]
         move = rows @ (release * inverse[:, k])
         move[basis] = 0.0
         crossing = np.flatnonzero(np.where(upper, move > PIVOT_TOL, move < -PIVOT_TOL))
         gap = np.where(np.abs(residual[crossing]) <= flat, 0.0, residual[crossing])
         tau = np.maximum(-gap / move[crossing], 0.0)
         order = np.argsort(tau, kind="stable")
-        jumps = w[crossing[order]] * np.abs(move[crossing[order]])
+        jumps = w * np.abs(move[crossing[order]])
         turned = np.flatnonzero(slope + np.cumsum(jumps) >= -dual_tol)
         if turned.size == 0:
             return "objective unbounded below", c, step + 1, None
@@ -204,8 +207,9 @@ def _descend(rows, b, w, basis, tol):
 def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
     """Clean up and check a candidate infeasibility ray; None if it fails.
 
-    A valid ray has lam >= 0, lhs' lam = 0 and rhs . lam > 0: only a
-    feasibility run, whose variables are all free, runs the dual method.
+    A valid ray has lam >= 0, lhs' lam = 0 and rhs . lam > 0: the dual
+    method runs on the rows alone, whose variables are all free, whatever
+    the problem's shape.
     """
     lam = np.where(lam > 0.0, lam, 0.0)
     norm = float(lam.max(initial=0.0))
@@ -221,10 +225,10 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
 
 
 def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveReport:
-    """The dual method on a feasibility run, the primal descent on a soft LP;
-    see the module docstring. ``prefer``, a boolean mask over the inequality
-    rows, names the rows the start tries first: rows expected to be tight at
-    the answer."""
+    """The dual method, then, on a soft LP it proves infeasible, the primal
+    descent; see the module docstring. ``prefer``, a boolean mask over the
+    inequality rows, names the rows the start tries first: rows expected to
+    be tight at the answer."""
     a, b, n, soft = problem.ineq_lhs, problem.ineq_rhs, problem.n_rows, problem.soft
     p = a.shape[1]
     prefer = _row_mask(prefer, n)
@@ -236,11 +240,13 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
     crash = np.array(_crash(a, prefer), dtype=np.int64).reshape(-1, 2)
     cols, basis = crash[:, 0], crash[:, 1]
     rows = a[:, cols]
+    ray = None
     try:
-        if soft:
-            verdict, c, steps, lam = _descend(rows, b, cost[p:], basis, FEAS_TOL * rhs_scale)
-        else:
-            verdict, c, steps, lam = _run(rows, b, basis, rhs_scale)
+        verdict, c, steps, lam = _run(rows, b, basis.copy(), rhs_scale)
+        ray = _verify_farkas(problem, lam) if verdict == "infeasible" else None
+        if soft and ray is not None:  # no feasible point: descend from the same start
+            verdict, c, descent, lam = _descend(rows, b, 1.0 / n, basis, FEAS_TOL * rhs_scale)
+            steps += descent
     except np.linalg.LinAlgError:
         verdict, c, steps = "singular basis", np.zeros(cols.size), 0
     point = np.zeros(problem.n_vars)
@@ -254,12 +260,12 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
     status, message, extra = SolveStatus.NUMERICAL_TROUBLE, verdict, {}
     if verdict == "optimal":
         status, message = SolveStatus.OPTIMAL, ""
-        extra["dual"] = np.maximum(lam, 0.0) if soft else np.zeros(n)
+        extra["dual"] = np.maximum(lam, 0.0) if soft and ray is not None else np.zeros(n)
     elif verdict == "iteration_limit":
         status, message = SolveStatus.ITERATION_LIMIT, "step budget exhausted"
     elif verdict == "infeasible":
-        extra["certificate"] = _verify_farkas(problem, lam)
-        if extra["certificate"] is None:
+        extra["certificate"] = ray
+        if ray is None:
             message = "unbounded dual but no verifiable infeasibility ray"
         else:
             status, message = SolveStatus.INFEASIBLE, "Farkas ray verified against the original constraints"

@@ -3,9 +3,9 @@
 ``LpProblem`` holds the rows  ineq_lhs @ u >= ineq_rhs  over free u. Without
 ``soft`` it is a feasibility system: any u that satisfies every row will do.
 With ``soft`` set, every row may be missed by a slack zeta_i >= 0,
-ineq_lhs @ u + zeta >= ineq_rhs, and the answer is the point whose mean
-slack 1/n sum zeta is least; the slacks are implied by the flag and never
-stored.
+ineq_lhs @ u + zeta >= ineq_rhs, and the answer is a feasible point if one
+exists, else the point whose mean slack 1/n sum zeta is least; the slacks
+are implied by the flag and never stored.
 
 Both layers pose their row programs over an n x p design F and a target
 column t of length n, with the p free coefficients u first in every
@@ -13,7 +13,7 @@ variable vector:
 
 * ``row_lp``:        F u <= t  (a feasibility run);
 * ``row_slack_lp``:  F u - zeta <= t, zeta >= 0, least mean slack
-  (``row_lp`` with ``soft`` set).
+  (``row_lp`` with ``soft`` set: a feasible u when there is one).
 
 Layer 2 poses them with F = -Y and t = -x_j (so C y >= x), layer 1 with
 F = X and t = h_j (so A x <= h). The QP route poses its row program over
@@ -44,8 +44,8 @@ class LpProblem:
     """The rows  ineq_lhs @ u >= ineq_rhs  over free u: a feasibility system.
 
     A ``soft`` LP adds one slack per row, ineq_lhs @ u + zeta >= ineq_rhs,
-    zeta >= 0, and asks for the least mean slack: its variables are
-    [u | zeta], so ``n_vars`` counts p + n.
+    zeta >= 0, and asks for the least mean slack, zero where the rows are
+    feasible: its variables are [u | zeta], so ``n_vars`` counts p + n.
     """
 
     ineq_lhs: Mat
@@ -89,7 +89,8 @@ def row_lp(design: Mat, target: np.ndarray) -> LpProblem:
 
 
 def row_slack_lp(design: Mat, target: np.ndarray) -> LpProblem:
-    """F u - zeta <= t over [u (p, free) | zeta (n, >= 0)], least mean slack."""
+    """F u - zeta <= t over [u (p, free) | zeta (n, >= 0)], least mean slack:
+    ``row_lp``'s point, its slacks 0 up to rounding, when F u <= t holds."""
     return LpProblem(ineq_lhs=-design, ineq_rhs=-target, soft=True)
 
 
@@ -97,17 +98,18 @@ def row_slack_lp(design: Mat, target: np.ndarray) -> LpProblem:
 class SolveReport:
     """Outcome of one LP solve.
 
-    ``iterations`` counts the steps of the method that ran (see
-    ``simplex``). For a feasibility run that is the dual method: one row
-    swap in the tight-row basis per step. For a soft LP it is the primal
-    descent: one per edge, however many breakpoints the edge passes.
+    ``iterations`` counts the steps of both methods (see ``simplex``): the
+    dual method, one row swap in the tight-row basis per step, and, on a
+    soft LP whose rows it proves infeasible, the primal descent after it,
+    one per edge however many breakpoints the edge passes.
     ``objective_value`` is 0 for a feasibility run and the mean slack
     1/n sum zeta for a soft LP (nan when infeasible). ``dual`` carries the
     multipliers of the inequality rows on optimal runs: all zero for a
-    feasibility run; for a soft LP, lam_T on the tight rows, the weight 1/n
-    on rows past their bound and 0 elsewhere, except where the descent stops
-    at zero slack: there the dual is all zero, and rows missed by at most the
-    breakpoint tolerance count as on their bound. ``certificate`` is only set on
+    feasibility run and for a soft LP on rows with a feasible point;
+    otherwise lam_T on the tight rows, the weight 1/n on rows past their
+    bound and 0 elsewhere, except where the descent stops at zero slack:
+    there the dual is all zero, and rows missed by at most the breakpoint
+    tolerance count as on their bound. ``certificate`` is only set on
     infeasible runs, which only feasibility runs have: a ray lam >= 0 with
     lhs' lam = 0 and rhs . lam > 0, proving that no feasible point exists.
     """

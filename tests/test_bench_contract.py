@@ -13,11 +13,12 @@ The per-layer counts on the run's last line guard the trace points
 themselves: each layer module must call ``solve_lp`` and
 ``solve_separable_ls``, and its scale stage (``rescale_layer2``,
 ``estimate_row_scale``), through its own module attributes, or the wrapped
-names see no calls and the counts and times read zero. Layer 2 hands the engine only
-the rows its shared start leaves open, none on lp-clean, so slack-sweep's
-noisy rows are what guard layer 2's ``solve_lp``. Likewise ``run_trial`` must
-reach ``sample`` and ``relative_errors`` as ``evaluation`` attributes: the
-untraced run checks the figures by swapping ``relative_errors``.
+names see no calls and the counts and times read zero. Layer 2 hands the
+engine only the rows its shared start leaves open, none on lp-clean, one
+call per open row, so slack-sweep's noisy rows are what guard layer 2's
+``solve_lp``. Likewise ``run_trial`` must reach ``sample`` and
+``relative_errors`` as ``evaluation`` attributes: the untraced run checks
+the figures by swapping ``relative_errors``.
 """
 
 import json
@@ -39,15 +40,15 @@ WORKLOADS = ("lp-clean", "slack-sweep", "qp-sgd")
 # samples the negative orthant holds d independent inputs, where every
 # layer-2 row is tight at the teacher, so layer 2's shared start closes
 # every row and no layer-2 engine run is left. Each noisy layer-2 row is
-# infeasible: the engine runs its feasibility LP and then its slack LP, 8
-# calls per trial, which still reach the traced ``layer2.solve_lp``.
+# infeasible: its one slack-LP call runs the dual method and then the
+# descent, 4 calls per trial, which still reach the traced ``layer2.solve_lp``.
 # Every workload also runs both scale stages, each through its own module
 # attribute, so their times must not read zero.
 SCALE_STAGES = {"layer2.rescale_s": lambda v: v > 0, "layer1.row_scale_s": lambda v: v > 0}
 EXPECTED_COUNTS = {
     "lp-clean": {"layer2.lp_calls": lambda v: v == 0, "layer1.lp_calls": lambda v: v == 4,
                  "layer2.lp_pivots": lambda v: v == 0, **SCALE_STAGES},
-    "slack-sweep": {"layer1.lp_calls": lambda v: v == 8, "layer2.lp_calls": lambda v: v == 8,
+    "slack-sweep": {"layer1.lp_calls": lambda v: v == 8, "layer2.lp_calls": lambda v: v == 4,
                     **SCALE_STAGES},
     "qp-sgd": {
         "layer2.newton_iters": lambda v: v > 0,

@@ -130,6 +130,22 @@ class TestLearn:
         assert np.array_equal(stored["a_hat"], a_hat)
         assert np.array_equal(stored["b_hat"], b_hat)
 
+    def test_zero_test_size_is_rejected_before_the_fit(self, dataset, tmp_path, capsys,
+                                                       monkeypatch):
+        fitted = []
+        monkeypatch.setattr(cli, "fit_method", lambda *args: fitted.append(args))
+        out = tmp_path / "fit"
+        code, stdout, err = run(
+            capsys, "learn", "--data", str(dataset / "samples.csv"),
+            "--teacher", str(dataset / "teacher.json"), "--test-size", "0", "--out", str(out),
+        )
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert "--test-size" in payload["message"]
+        assert fitted == [] and stdout == ""
+        assert not out.exists()
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "learn", "--data", str(tmp_path / "nope.csv"), "--method", "lp"
@@ -501,6 +517,21 @@ class TestExperiment:
         field = {"--trials": "trials", "--dims": "d", "--sample-sizes": "n"}[argv[1]]
         assert payload["message"].startswith(f"{field} must be at least 1")
         assert stdout == ""
+        assert [p.name for p in out.iterdir()] == []
+
+    def test_zero_test_size_is_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "run_cells", lambda cells, jobs: started.append(cells) or [])
+        out = tmp_path / "exp"
+        code, stdout, err = run(
+            capsys, "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64",
+            "--methods", "lp", "--trials", "1", "--test-size", "0", "--out", str(out),
+        )
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("test_set_size must be at least 1")
+        assert started == [] and stdout == ""
         assert [p.name for p in out.iterdir()] == []
 
     @pytest.mark.parametrize("flag", ["--dims", "--sample-sizes"])

@@ -166,9 +166,9 @@ def bits(value):
 
 def per_row_lps(samples, slack, prefer):
     """Layer 2's row LPs the way the layer posed them before the shared
-    start: one engine run per row, then the slack LP of an infeasible row.
-    Returns (c_hat, xi_hat, notes) as ``_solve_c_lp`` would, or the error
-    type."""
+    start and the one-call slack LP: one engine run per row, then the slack
+    LP of an infeasible row. Returns (c_hat, xi_hat, notes) as
+    ``_solve_c_lp`` would, or the error type."""
     ys, xs = samples.ys, samples.xs
     c_hat, xi_hat = np.zeros((samples.d, samples.m)), np.zeros((samples.n, samples.d))
     notes = []

@@ -277,9 +277,10 @@ class TestSimplexOnLayerPrograms:
 
 
 class TestSoftRowDescent:
-    # Soft LPs (every row soft at weight 1/n) take the long-step primal
-    # descent; feasibility runs keep the dual method, so they and their
-    # Farkas rays do not move.
+    # Every LP runs the dual method first. A soft LP (every row soft at
+    # weight 1/n) on rows it proves infeasible then takes the long-step
+    # primal descent from the same start; feasibility runs and their Farkas
+    # rays do not move.
 
     def test_dispatch_by_row_kind(self, monkeypatch):
         calls = []
@@ -296,7 +297,23 @@ class TestSoftRowDescent:
         noisy = sample(unit, standard_mixture(4), 120, 0.1, seed=5)
         solve_lp(row_lp(-noisy.ys, -noisy.xs[:, 0]))
         solve_lp(row_slack_lp(-noisy.ys, -noisy.xs[:, 0]))
-        assert calls == ["_run", "_descend"]
+        assert calls == ["_run", "_run", "_descend"]
+
+    def test_feasible_soft_lp_is_the_row_lp_vertex(self):
+        # on rows with a feasible point the soft LP stops where the
+        # feasibility run does, at zero slack, with a zero dual; these rows
+        # take the dual method 11-31 steps from the start
+        unit = generate_unit(NetworkGenSpec(d=10, m=10, seed=5))
+        s = sample(unit, standard_mixture(10), 512, 0.0, seed=6)
+        tight = np.all(s.xs <= 0, axis=1)
+        for j in range(10):
+            want = solve_lp(row_lp(-s.ys, -s.xs[:, j]), prefer=tight)
+            got = solve_lp(row_slack_lp(-s.ys, -s.xs[:, j]), prefer=tight)
+            assert got.status is SolveStatus.OPTIMAL, j
+            assert got.point[:10].tobytes() == want.point.tobytes(), j
+            assert got.iterations == want.iterations, j
+            assert not got.dual.any(), j
+            assert got.certificate is None, j
 
     def test_noisy_bench_shapes_take_few_steps(self):
         # the slack LPs of the d=4, n=400, sigma=0.1 benchmark trials,
@@ -321,8 +338,9 @@ class TestSoftRowDescent:
                 assert abs(rep.objective_value - ref.fun) <= 1e-9 * ref.fun, label
 
     def test_clean_soft_lps_stop_at_zero_slack(self):
-        # on clean data the zero-slack face is highly degenerate; the descent
-        # stops once no row misses instead of crawling across it
+        # on clean data the zero-slack face is highly degenerate; the descent,
+        # run from the start solve_lp would give it, stops once no row misses
+        # instead of crawling across it
         d, n = 10, 512
         for t in range(10):
             unit = generate_unit(NetworkGenSpec(d, d, seed=1000 + t))
@@ -330,15 +348,18 @@ class TestSoftRowDescent:
             tight = np.all(s.xs <= 0, axis=1)
             for j in range(d):
                 prob = row_slack_lp(-s.ys, -s.xs[:, j])
-                rep = solve_lp(prob, prefer=tight)
+                a, b = prob.ineq_lhs, prob.ineq_rhs
+                crash = np.array(simplex._crash(a, tight)).reshape(-1, 2)
+                rows = a[:, crash[:, 0]]
+                scale = float(np.abs(b).max())
+                verdict, c, steps, lam = simplex._descend(
+                    rows, b, 1.0 / n, crash[:, 1].copy(), simplex.FEAS_TOL * scale)
                 label = f"teacher {t} row {j}"
-                assert rep.status is SolveStatus.OPTIMAL, label
-                assert rep.iterations <= 100, label
-                assert rep.objective_value <= 1e-12 * np.abs(s.xs[:, j]).max(), label
+                assert verdict == "optimal", label
+                assert steps <= 100, label
+                assert np.maximum(b - rows @ c, 0.0).mean() <= 1e-12 * scale, label
                 # zero multipliers price the near-zero objective
-                assert not rep.dual.any(), label
-                assert abs(prob.ineq_rhs @ rep.dual - rep.objective_value) <= 1e-12 * np.abs(
-                    s.xs[:, j]).max(), label
+                assert not lam.any(), label
 
     def test_dual_is_box_multipliers(self):
         # lam_T on the tight rows, w on rows past their bound, 0 elsewhere;
@@ -471,11 +492,12 @@ class TestLpPath:
     # The status and step count of every LP in a fixed set of benchmark-shape
     # runs, one "<layer><status initial><steps>" per call in call order:
     # how the engine factors a basis must move no vertex and no step. Each
-    # call factors one p x p basis per step, plus one for the start.
+    # call factors one p x p basis per step, plus one for the start. A noisy
+    # layer-2 row's slack LP counts the steps of both methods: 2o19 is the
+    # dual method's 4 steps to its Farkas ray and the descent's 15.
     PATH = {
         "lp-clean": "2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0 2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0",
-        "slack-sweep": "2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0 2i4 2o15 2i4 2o11 2i3 2o7 2i5 2o12 "
-                       "1o7 1o4 1o6 1o5",
+        "slack-sweep": "2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0 2o19 2o15 2o10 2o17 1o7 1o4 1o6 1o5",
         "layer-2 d=10": "2o11 2o31 2o17 2o21 2o18 2o20 2o23 2o18 2o17 2o15",
         "layer-2 d=16": "2o33 2o49 2o26 2o29 2o34 2o35 2o25 2o34 2o37 2o33 2o33 2o35 2o26 2o28 "
                         "2o43 2o32",
