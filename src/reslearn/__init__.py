@@ -20,6 +20,7 @@ from .baselines import (
 from .errors import (
     DimensionMismatchError,
     GenerationFailedError,
+    InvalidInputError,
     NonFiniteError,
     RankDeficientError,
     ReslearnError,
@@ -71,6 +72,7 @@ __all__ = [
     "GaussianIid",
     "GenerationFailedError",
     "HiddenSampleSet",
+    "InvalidInputError",
     "Layer1Estimate",
     "Layer2Estimate",
     "LpProblem",

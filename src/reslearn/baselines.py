@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficientError
+from .errors import InvalidInputError, RankDeficientError
 from .model import WEIGHT_STD, SampleSet, make_rng
 from .numerics import Mat, lls_solve
 
@@ -69,7 +69,7 @@ def expected_sample_bound(d: int) -> int:
     coordinates are sign-symmetric.
     """
     if d < 1:
-        raise ValueError("dimension must be at least 1")
+        raise InvalidInputError("dimension must be at least 1")
     return d * 2 ** (d + 1)
 
 
@@ -129,7 +129,7 @@ def sgd_train(samples: SampleSet, cfg: SgdConfig | None = None) -> SgdResult:
     m = ys.shape[1]
     bs_max = cfg.batch_size
     if n < bs_max:
-        raise ValueError(f"need at least one full batch: n={n} < {bs_max}")
+        raise InvalidInputError(f"need at least one full batch: n={n} < {bs_max}")
     rng = make_rng(cfg.seed)
     params = np.empty((d + m, d))
     a, b = params[:d], params[d:]

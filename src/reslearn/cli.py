@@ -214,6 +214,7 @@ def _artifacts(method: str, result) -> dict:
                 "c_hat": est2.c_hat.tolist(),
                 "b_hat": est2.b_hat.tolist(),
                 "k_hat": est2.k_hat.tolist(),
+                "infeasible_rows": list(est2.infeasible_rows),
                 "notes": list(est2.notes),
             },
         }

@@ -9,6 +9,10 @@ class DimensionMismatchError(ReslearnError):
     """Operands have incompatible shapes."""
 
 
+class InvalidInputError(ReslearnError, ValueError):
+    """An argument is out of its domain: a bad count, name, sign or file field."""
+
+
 class NonFiniteError(ReslearnError, ValueError):
     """An input holds a NaN or an infinity."""
 

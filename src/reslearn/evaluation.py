@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .baselines import SgdConfig, sgd_train, vanilla_lr
-from .errors import DimensionMismatchError, ReslearnError
+from .errors import DimensionMismatchError, InvalidInputError, ReslearnError
 from .layer1 import HiddenSampleSet, Layer1Estimate, learn_layer1
 from .layer2 import Layer2Estimate, learn_layer2
 from .methods import ALL_METHODS, CONVEX_METHODS, ConvexMethod
@@ -61,7 +61,7 @@ class ErrorReport:
 def _require_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+            raise InvalidInputError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,14 @@ class TrialCell:
     def __post_init__(self):
         _require_counts(d=self.d, n=self.n, trials=self.trials,
                         test_set_size=self.test_set_size)
+        if self.method == "sgd" and self.n < SgdConfig().batch_size:
+            raise InvalidInputError(f"an sgd cell needs at least one full batch: "
+                                    f"n={self.n} < {SgdConfig().batch_size}")
         if self.method not in ALL_METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {ALL_METHODS}")
+            raise InvalidInputError(
+                f"unknown method {self.method!r}; expected one of {ALL_METHODS}")
         if self.input_kind not in ("mixture", "gaussian"):
-            raise ValueError(f"unknown input_kind {self.input_kind!r}")
+            raise InvalidInputError(f"unknown input_kind {self.input_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def make_input_dist(kind: str, dim: int) -> InputDistribution:
         return standard_mixture(dim)
     if kind == "gaussian":
         return GaussianIid(dim=dim)
-    raise ValueError(f"unknown input kind {kind!r}")
+    raise InvalidInputError(f"unknown input kind {kind!r}")
 
 
 # --- metrics -------------------------------------------------------------
@@ -132,7 +136,7 @@ def relative_errors(
             f"teacher {unit.a.shape}/{unit.b.shape}"
         )
     if test.n < 1:
-        raise ValueError("test set is empty")
+        raise InvalidInputError("test set is empty")
     layer1_rel = float(np.linalg.norm(est_a - unit.a) / np.linalg.norm(unit.a))
     layer2_rel = float(np.linalg.norm(est_b - unit.b) / np.linalg.norm(unit.b))
     pred = forward_batch(est_a, est_b, test.xs)
@@ -159,10 +163,14 @@ def full_pipeline(
 ) -> tuple[Layer1Estimate, Layer2Estimate]:
     """Learn layer 2 from (x, y), then layer 1 from the recovered hidden
     outputs. The second stage consumes the first stage's xi estimates, which
-    layer 2 returns nonnegative, as its h samples."""
+    layer 2 returns nonnegative, as its h samples. Layer 1 of a slack-lp fit
+    takes the QP route when ``est2.infeasible_rows`` lists a row, and the
+    LP route otherwise, so clean data keep the feasibility vertex."""
     method = ConvexMethod.parse(method)
     est2 = learn_layer2(samples, method)
     hidden = HiddenSampleSet(xs=samples.xs, hs=est2.xi_hat)
+    if method is ConvexMethod.SLACK_LP:
+        method = ConvexMethod.QP if est2.infeasible_rows else ConvexMethod.LP
     est1 = learn_layer1(hidden, method)
     return est1, est2
 
@@ -191,7 +199,7 @@ def fit_method(
                 f"{result.n_pos_used} positive usable samples"
             )
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
+        raise InvalidInputError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
     return result.a_hat, result.b_hat, result
 
 

@@ -17,9 +17,8 @@ just special rows.
 
 The QP route solves all d rows as one batched eliminated program, since
 they share the design. The d scale regressions run in one pass
-(``estimate_row_scale``), which also measures the slack route's soft-gate
-misfit. Rows too rarely activated to support the regression are left at
-their raw scale and flagged.
+(``estimate_row_scale``). Rows too rarely activated to support the
+regression are left at their raw scale and flagged.
 
 The LP route passes each row's activated samples (h_j > 0, the same mask
 as the scale regression's) to the solver as ``prefer``. On them the
@@ -27,6 +26,14 @@ teacher's row satisfies a_j . x = h_j with equality, while along the
 segment of scaled rows every k < 1 leaves them slack, so the start lands on
 the teacher's row itself (k = 1). Unlike layer 2's orthant, these rows are
 plentiful: a row activates on about half the samples.
+
+The slack LP is the LP route here: a = 0 satisfies A x <= h (h >= 0), so
+its least mean slack is 0 and its minimisers are the feasibility polytope.
+Noise in h shrinks that polytope and puts its vertex at an extreme corner,
+where the QP's one-sided penalties land at the noise-averaged interior.
+Layer 2 proves the labels noisy with Farkas rays
+(``Layer2Estimate.infeasible_rows``), and ``evaluation.full_pipeline`` then
+sends layer 1 of a slack-lp fit to the QP route.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SolverFailedError
+from .errors import DimensionMismatchError, InvalidInputError, SolverFailedError
 from .methods import ConvexMethod
 from .numerics import Mat, as_matrix, origin_fits
 from .solver import SolveStatus, row_lp
@@ -64,7 +71,7 @@ class HiddenSampleSet:
                 f"xs is {self.xs.shape} but hs is {self.hs.shape}; both must be n x d"
             )
         if self.hs.min(initial=0.0) < -1e-6 * np.abs(self.hs).max(initial=0.0):
-            raise ValueError(
+            raise InvalidInputError(
                 f"hidden outputs should be nonnegative up to slack, min={self.hs.min():.3e}"
             )
 
@@ -85,21 +92,14 @@ class HiddenSampleSet:
 # clamped to 1 with a note; a slope at or below K_MIN, like fewer than
 # MIN_POS_SAMPLES activated samples or no slope at all, leaves the row
 # unscaled and listed, with a note, rather than blown up by 1/K_MIN.
-# SOFT_GATE bounds the relative scale-regression residual above which the
-# slack route stops trusting the hard feasibility vertex (see learn_layer1);
-# a row whose response over the activated samples is at roundoff next to h_j
-# (n * eps times its largest activated value) counts as above any gate,
-# because the vertex then sits at the trivial a = 0 rather than on a scaled
-# row.
 ACTIVATION_REL = 1e-8
 MIN_POS_SAMPLES = 10
 K_MIN = 1e-4
 K_TOL = 1e-6
-SOFT_GATE = 1e-6
 
-# Back-weight schedule of both split-LS routes (the QP and the slack
-# route's soft gate). The last weight is the objective's tie-break; the
-# stage before it starts from the least-squares fit on a better-conditioned
+# Back-weight schedule of the QP route, which layer 1 of a noisy slack-lp
+# fit also takes. The last weight is the objective's tie-break; the stage
+# before it starts from the least-squares fit on a better-conditioned
 # problem and hands the final stage a warm start near its active set.
 BACK_WEIGHTS = (1e-3, 1e-6)
 
@@ -131,26 +131,16 @@ def _activated(hs: np.ndarray) -> np.ndarray:
 
 def estimate_row_scale(
     xs: Mat, hs: Mat, raw_a: Mat
-) -> tuple[np.ndarray, tuple[int, ...], float, list[str]]:
+) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
     """Scale factors of all d learned rows, from activated samples only.
 
     Fits (raw row j) . x = k_j h_j through the origin over the samples where
     h_j is meaningfully positive, every row in one ``origin_fits`` pass; by
     construction of the convex programs the relation is exact there, so the
-    slope is the factor. Returns (k_hat, unscaled_rows, misfit, notes). A row
-    with too few activated samples, no defined slope, or a slope at or below
+    slope is the factor. Returns (k_hat, unscaled_rows, notes). A row with
+    too few activated samples, no defined slope, or a slope at or below
     K_MIN keeps k = 1 and is listed in ``unscaled_rows``; a slope above 1 by
     more than K_TOL is clamped to 1. Each of these rows gets one note.
-
-    The misfit is the worst relative residual (mean squared residual over
-    the response's variance) of the rows with a slope. On clean hidden
-    samples the relation holds exactly for every row, so it is ~0 there and
-    grows with label noise carried into h; the slack route uses it to decide
-    whether the hard feasibility vertex still reflects the scaled-row
-    structure. A row whose activated response is at roundoff next to h_j
-    (the trivial vertex a = 0, exactly or up to solver noise), or is a
-    constant off the line, carries no such structure, so the misfit is
-    infinite.
     """
     xs = as_matrix(xs, "xs")
     hs = as_matrix(hs, "hs")
@@ -161,22 +151,9 @@ def estimate_row_scale(
             f"xs is {xs.shape}, hs is {hs.shape} and raw_a is {raw_a.shape}; "
             "need n x d, n x d and d x d"
         )
-    active = _activated(hs)
-    response = xs @ raw_a.T
-    count, slope, mse, spread = origin_fits(hs, response, active)
+    count, slope, _, _ = origin_fits(hs, xs @ raw_a.T, _activated(hs))
     few = count < MIN_POS_SAMPLES
     fitted = ~few & ~np.isnan(slope)
-
-    roundoff = n * np.finfo(np.float64).eps
-    trivial = np.where(active, np.abs(response), 0.0).max(axis=0) <= (
-        roundoff * np.where(active, hs, 0.0).max(axis=0))
-    constant_off_line = (spread <= 0.0) & (mse > 0.0)  # zero spread and residual: an exact line
-    if np.any(fitted & (trivial | constant_off_line)):
-        misfit = np.inf
-    else:
-        varied = fitted & (spread > 0.0)
-        misfit = float((mse[varied] / spread[varied]).max(initial=0.0))
-
     unscaled = ~fitted | (slope <= K_MIN)
     clamped = ~unscaled & (slope > 1.0 + K_TOL)
     notes = []
@@ -191,14 +168,17 @@ def estimate_row_scale(
         else:
             notes.append(f"row {j}: scale estimate {slope[j]:.6f} above 1, clamped")
     k_hat = np.where(unscaled, 1.0, np.minimum(slope, 1.0))
-    return k_hat, tuple(int(j) for j in np.flatnonzero(unscaled)), misfit, notes
+    return k_hat, tuple(int(j) for j in np.flatnonzero(unscaled)), notes
 
 
 def learn_layer1(
     samples: HiddenSampleSet,
     method: ConvexMethod | str = ConvexMethod.QP,
 ) -> Layer1Estimate:
-    """Estimate A from hidden samples; see the module docstring for the model."""
+    """Estimate A from hidden samples; see the module docstring for the
+    model. "slack-lp" is the LP route: a = 0 is feasible, so the slack LP's
+    minimum is the feasibility polytope. On noisy h, pass "qp", as
+    ``full_pipeline`` does when layer 2 lists infeasible rows."""
     method = ConvexMethod.parse(method)
     xs, hs = samples.xs, samples.hs
     n, d = xs.shape
@@ -207,11 +187,17 @@ def learn_layer1(
         notes.append(f"underdetermined: n={n} < d={d}, estimate unreliable")
         warnings.warn(notes[-1], stacklevel=2)
 
-    qp_route = method is ConvexMethod.QP
-    if not qp_route:
-        # a = 0 satisfies A x <= h outright (h >= 0), so the slack variant's
-        # objective minimum is always zero and both LP routes share the
-        # plain feasibility solve.
+    if method is ConvexMethod.QP:
+        # The QP objective is 1/2||X a + phi - h||^2 per row, in the eliminated
+        # form of solve_separable_ls. The noiseless optimum is a segment of
+        # scaled rows; a tie-break weight stronger than the solver default
+        # lands at a depth narrow enough for the slope correction, and
+        # continuation through a heavier weight first (BACK_WEIGHTS) reaches
+        # that point in a fraction of the dozens of damped Newton steps the
+        # weight's nearly flat back side costs from the least-squares fit.
+        coeffs, _phi, _info = solve_separable_ls(xs, hs, back_weight=BACK_WEIGHTS)
+        raw_a = coeffs.T.copy()
+    else:
         raw_a = np.zeros((d, d))
         active = _activated(hs)
         for j in range(d):
@@ -222,28 +208,7 @@ def learn_layer1(
                     f"{report.message}"
                 )
             raw_a[j] = report.point[:d]
-        k_hat, unscaled, misfit, row_notes = estimate_row_scale(xs, hs, raw_a)
-        qp_route = method is ConvexMethod.SLACK_LP and misfit > SOFT_GATE
-        if qp_route:
-            notes.append(
-                f"scale fit misfit {misfit:.2e} above gate; "
-                "soft penalties replace the feasibility vertex"
-            )
-    if qp_route:
-        # The QP objective is 1/2||X a + phi - h||^2 per row, in the eliminated
-        # form of solve_separable_ls. The slack route takes it once the misfit
-        # passes SOFT_GATE: noise in h shrinks the feasible polytope, and the
-        # LP vertex lands at an extreme corner of it where the one-sided
-        # penalties land at the noise-averaged interior. The noiseless optimum
-        # is a segment of scaled rows; a tie-break weight stronger than the
-        # solver default lands at a depth narrow enough for the slope
-        # correction, and continuation through a heavier weight first
-        # (BACK_WEIGHTS) reaches that point in a fraction of the dozens of
-        # damped Newton steps the weight's nearly flat back side costs from the
-        # least-squares fit.
-        coeffs, _phi, _info = solve_separable_ls(xs, hs, back_weight=BACK_WEIGHTS)
-        raw_a = coeffs.T.copy()
-        k_hat, unscaled, _, row_notes = estimate_row_scale(xs, hs, raw_a)
+    k_hat, unscaled, row_notes = estimate_row_scale(xs, hs, raw_a)
     a_hat = np.maximum(raw_a / k_hat[:, None], 0.0)
     return Layer1Estimate(
         a_hat=a_hat,

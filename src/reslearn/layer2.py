@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidInputError,
     RankDeficientError,
     SingularCHatError,
     SolverFailedError,
@@ -52,7 +53,7 @@ from .methods import ConvexMethod
 from .model import SampleSet
 from .numerics import Mat, lls_solve, origin_fits
 from .solver import SolveStatus, row_lp, row_slack_lp
-from .solver.simplex import FEAS_TOL, shared_start, solve_lp
+from .solver.simplex import shared_start, solve_lp
 from .solver.split_ls import solve_separable_ls
 
 
@@ -82,21 +83,26 @@ class Layer2Estimate:
     ``xi_hat`` stacks the per-sample hidden-output estimates as rows (n x
     d); it is nonnegative, as a ReLU output is, since every route clips it
     at zero. ``k_hat`` holds the per-row scale factors actually divided out
-    (all ones when nothing was detected). ``notes`` carries human-readable
-    diagnostics: underdetermination warnings, rescale gate decisions, and
-    slack objectives of noisy rows.
+    (all ones when nothing was detected). ``infeasible_rows`` lists the
+    slack-LP rows that no c_j satisfies, as a verified Farkas ray shows
+    (the teacher's row does at sigma = 0); it is empty on the qp and lp
+    routes. ``notes`` carries human-readable diagnostics: underdetermination
+    warnings, rescale gate decisions, and each infeasible row's slack.
     """
 
     c_hat: Mat
     b_hat: Mat
     xi_hat: Mat
     k_hat: np.ndarray
+    infeasible_rows: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
 
 
 # --- learning ------------------------------------------------------------
 
-def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
+def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str], tuple[int, ...]]:
+    """(c_hat, xi_hat, notes, infeasible_rows): a soft row is infeasible when its
+    report has a nonzero dual, which only a verified Farkas ray leaves."""
     ys, xs = samples.ys, samples.xs
     design, targets = -ys, -xs
     n, m = ys.shape
@@ -104,6 +110,7 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
     c_hat = np.zeros((d, m))
     xi_hat = np.zeros((n, d))
     notes: list[str] = []
+    infeasible: list[int] = []
     tight = np.all(xs <= 0, axis=1)  # the teacher's row is tight on these samples
     program = row_slack_lp if slack else row_lp
     for j, report in enumerate(shared_start(design, targets, prefer=tight)):
@@ -116,13 +123,12 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str]]:
                 )
         c_hat[j] = report.point[:m]
         residual = ys @ c_hat[j] - xs[:, j]
-        if slack:
-            value = float(np.maximum(-residual, 0.0).mean())
-            if value > FEAS_TOL * 100 * float(np.abs(xs[:, j]).max()):
-                notes.append(f"row {j}: slack objective {value:.3e} (noisy fit)")
-            residual = np.maximum(residual, 0.0)
-        xi_hat[:, j] = residual
-    return c_hat, xi_hat, notes
+        if slack and report.dual.any():
+            infeasible.append(j)
+            notes.append(f"row {j}: slack objective "
+                         f"{float(np.maximum(-residual, 0.0).mean()):.3e} (noisy fit)")
+        xi_hat[:, j] = np.maximum(residual, 0.0) if slack else residual
+    return c_hat, xi_hat, notes, tuple(infeasible)
 
 
 def rescale_layer2(samples: SampleSet, c_hat: Mat) -> np.ndarray:
@@ -160,7 +166,7 @@ def recover_b_general(samples: SampleSet, c_hat: Mat, k_hat) -> Mat:
     """Least-squares fit of y on the scale-corrected projection diag(1/k) C y."""
     k = np.asarray(k_hat, dtype=np.float64).reshape(-1)
     if np.any(k <= 0):
-        raise ValueError("scale factors must be strictly positive")
+        raise InvalidInputError("scale factors must be strictly positive")
     corrected = np.asarray(c_hat) / k[:, None]
     design = samples.ys @ corrected.T
     try:
@@ -199,11 +205,13 @@ def learn_layer2(
         notes.append(f"underdetermined: n={n} < d={d}, estimate unreliable")
         warnings.warn(notes[-1], stacklevel=2)
 
+    infeasible: tuple[int, ...] = ()
     if method is ConvexMethod.QP:
         coeffs, xi_hat, _info = solve_separable_ls(-samples.ys, -samples.xs)
         c_hat = coeffs.T.copy()
     else:
-        c_hat, xi_hat, lp_notes = _solve_c_lp(samples, slack=method is ConvexMethod.SLACK_LP)
+        c_hat, xi_hat, lp_notes, infeasible = _solve_c_lp(
+            samples, slack=method is ConvexMethod.SLACK_LP)
         notes.extend(lp_notes)
 
     with warnings.catch_warnings(record=True) as caught:
@@ -219,5 +227,6 @@ def learn_layer2(
         b_hat=b_hat,
         xi_hat=np.maximum(corrected_xi, 0.0),
         k_hat=k_hat,
+        infeasible_rows=infeasible,
         notes=tuple(notes),
     )

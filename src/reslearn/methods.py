@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .errors import InvalidInputError
+
 
 class ConvexMethod(str, Enum):
     """How a layer's convex program is posed and solved.
@@ -15,7 +17,9 @@ class ConvexMethod(str, Enum):
     QP minimizes the empirical risk jointly over weights and nonnegative
     function estimates. LP drops the objective and returns any feasible
     weight matrix. SLACK_LP softens the feasibility system with L1-penalized
-    slacks, the intended form for noisy labels.
+    slacks, the intended form for noisy labels. Layer 1 of a slack-lp fit
+    takes the QP route once a layer-2 slack LP proves its row infeasible,
+    and the LP route otherwise, where its own slack LP's minimum lies.
     """
 
     QP = "qp"
@@ -29,7 +33,7 @@ class ConvexMethod(str, Enum):
         try:
             return cls(str(value).lower())
         except ValueError:
-            raise ValueError(
+            raise InvalidInputError(
                 f"unknown method {value!r}; expected one of "
                 f"{[m.value for m in cls]}"
             ) from None

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GenerationFailedError
+from .errors import DimensionMismatchError, GenerationFailedError, InvalidInputError
 from .numerics import Mat, as_matrix
 
 #: Relative smallest-singular-value threshold under which a drawn weight
@@ -90,7 +90,7 @@ class ResidualUnit:
                 f"b must have at least {d} rows, got {b.shape[0]}"
             )
         if a.min() < -1e-6 * np.abs(a).max():
-            raise ValueError(f"layer-1 weights must be nonnegative, min={a.min():.3e}")
+            raise InvalidInputError(f"layer-1 weights must be nonnegative, min={a.min():.3e}")
         # Rank deficiency is only a warning: generated teachers are always
         # full rank (generate_unit rejects), but hand-built degenerate units
         # are still legal inputs for the learners.
@@ -195,7 +195,7 @@ class SampleSet:
                 f"{self.xs.shape[0]} inputs but {self.ys.shape[0]} outputs"
             )
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+            raise InvalidInputError("noise_sigma must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -236,9 +236,9 @@ def sample(
     depend on sigma.
     """
     if n < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidInputError("need at least one sample")
     if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+        raise InvalidInputError("noise_sigma must be nonnegative")
     if dist.dim != unit.d:
         raise DimensionMismatchError(
             f"distribution dimension {dist.dim} != unit dimension {unit.d}"
@@ -275,7 +275,7 @@ def generate_unit(spec: NetworkGenSpec) -> ResidualUnit:
     is impossible) and raises GenerationFailedError.
     """
     if spec.d < 1 or spec.m < spec.d:
-        raise ValueError(f"need d >= 1 and m >= d, got d={spec.d}, m={spec.m}")
+        raise InvalidInputError(f"need d >= 1 and m >= d, got d={spec.d}, m={spec.m}")
     rng = make_rng(spec.seed)
     for _ in range(GENERATION_RETRY_BUDGET):
         a = np.abs(rng.normal(0.0, WEIGHT_STD, size=(spec.d, spec.d)))
@@ -308,7 +308,7 @@ def load_unit_json(path) -> ResidualUnit:
     payload = json.loads(Path(path).read_text())
     for field in ("a", "b"):
         if not isinstance(payload, dict) or field not in payload:
-            raise ValueError(f"{path}: teacher JSON has no field {field!r}")
+            raise InvalidInputError(f"{path}: teacher JSON has no field {field!r}")
     return ResidualUnit(a=np.array(payload["a"]), b=np.array(payload["b"]))
 
 
@@ -329,7 +329,7 @@ def load_samples_csv(path) -> SampleSet:
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
-            raise ValueError(f"{path}: missing metadata header line")
+            raise InvalidInputError(f"{path}: missing metadata header line")
         fields = {}
         for item in header.lstrip("#").strip().split(","):
             key, _, value = item.partition("=")
@@ -337,12 +337,12 @@ def load_samples_csv(path) -> SampleSet:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     for field in ("d", "m", "n", "sigma"):
         if field not in fields:
-            raise ValueError(f"{path}: metadata header has no field {field!r}")
+            raise InvalidInputError(f"{path}: metadata header has no field {field!r}")
     d = int(fields["d"])
     m = int(fields["m"])
     n = int(fields["n"])
     if data.shape != (n, d + m):
-        raise ValueError(
+        raise InvalidInputError(
             f"{path}: header promises {n}x{d + m} values, found {data.shape}"
         )
     seed = int(fields["seed"]) if "seed" in fields else None

@@ -71,8 +71,8 @@ def origin_fits(x: Mat, y: Mat, mask: np.ndarray) -> tuple[np.ndarray, ...]:
     masked sample count, the slope (nan where the masked sum of x^2 is not
     positive, so no slope is defined), the mean squared residual and the
     spread (the variance of the masked y). The scale stages of both layers
-    make one call over the samples where their relation is exactly linear,
-    so the residual doubles as their gate.
+    make one call over the samples where their relation is exactly linear;
+    layer 2's rescale gate compares the residual with the spread.
     """
     count = np.count_nonzero(mask, axis=0)
     xm = np.where(mask, x, 0.0)

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SolverFailedError
+from ..errors import InvalidInputError, SolverFailedError
 from ..numerics import as_matrix
 
 NEWTON_BUDGET = 200
@@ -259,7 +259,7 @@ def solve_separable_ls(
     """
     weights = back_weight if isinstance(back_weight, tuple) else (back_weight,)
     if not weights or any(a <= b for a, b in zip(weights, weights[1:])):
-        raise ValueError(f"back-weight schedule must be strictly decreasing, got {weights}")
+        raise InvalidInputError(f"back-weight schedule must be strictly decreasing, got {weights}")
     f = as_matrix(design, "design")
     t = as_matrix(targets, "targets")
     n, p = f.shape

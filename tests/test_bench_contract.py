@@ -42,13 +42,15 @@ WORKLOADS = ("lp-clean", "slack-sweep", "qp-sgd")
 # every row and no layer-2 engine run is left. Each noisy layer-2 row is
 # infeasible: its one slack-LP call runs the dual method and then the
 # descent, 4 calls per trial, which still reach the traced ``layer2.solve_lp``.
+# Those proofs send layer 1 of the noisy leg to split-LS, so only the clean
+# leg's 4 layer-1 rows reach its ``solve_lp``.
 # Every workload also runs both scale stages, each through its own module
 # attribute, so their times must not read zero.
 SCALE_STAGES = {"layer2.rescale_s": lambda v: v > 0, "layer1.row_scale_s": lambda v: v > 0}
 EXPECTED_COUNTS = {
     "lp-clean": {"layer2.lp_calls": lambda v: v == 0, "layer1.lp_calls": lambda v: v == 4,
                  "layer2.lp_pivots": lambda v: v == 0, **SCALE_STAGES},
-    "slack-sweep": {"layer1.lp_calls": lambda v: v == 8, "layer2.lp_calls": lambda v: v == 4,
+    "slack-sweep": {"layer1.lp_calls": lambda v: v == 4, "layer2.lp_calls": lambda v: v == 4,
                     **SCALE_STAGES},
     "qp-sgd": {
         "layer2.newton_iters": lambda v: v > 0,

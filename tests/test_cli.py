@@ -130,6 +130,27 @@ class TestLearn:
         assert np.array_equal(stored["a_hat"], a_hat)
         assert np.array_equal(stored["b_hat"], b_hat)
 
+    def test_layer2_block_lists_the_infeasible_rows(self, dataset, tmp_path, capsys):
+        # a clean qp fit proves no row infeasible; slack-lp on noisy labels
+        # lists the rows its slack LPs proved infeasible, as fit_method does
+        def layer2_block(data, method):
+            out = tmp_path / f"fit-{method}"
+            code, _, _ = run(capsys, "learn", "--data", str(data), "--method", method,
+                             "--out", str(out))
+            assert code == 0
+            return json.loads((out / "learn_result.json").read_text())["estimates"]["layer2"]
+
+        assert layer2_block(dataset / "samples.csv", "qp")["infeasible_rows"] == []
+        noisy = tmp_path / "noisy"
+        code, _, _ = run(capsys, "generate", "--d", "2", "--n", "200", "--seed", "5",
+                         "--noise-sigma", "0.1", "--out", str(noisy))
+        assert code == 0
+        block = layer2_block(noisy / "samples.csv", "slack-lp")
+        _, _, (_, est2) = fit_method(load_samples_csv(noisy / "samples.csv"), "slack-lp", 0)
+        assert block["infeasible_rows"] == list(est2.infeasible_rows) != []
+        assert [note.split(":")[0] for note in block["notes"] if "noisy fit" in note] == [
+            f"row {j}" for j in block["infeasible_rows"]]
+
     def test_zero_test_size_is_rejected_before_the_fit(self, dataset, tmp_path, capsys,
                                                        monkeypatch):
         fitted = []
@@ -164,7 +185,7 @@ class TestLearn:
                            "--out", str(tmp_path / "fit"))
         assert code == 2
         payload = stderr_payload(err)
-        assert payload["error"] == "ValueError"
+        assert payload["error"] == "InvalidInputError"
         assert str(data) in payload["message"] and repr(field) in payload["message"]
 
     @pytest.mark.parametrize("teacher", [{"a": [[1.0]]}, {"b": [[1.0]]}, [[1.0]], "a"])
@@ -175,7 +196,7 @@ class TestLearn:
                            "--teacher", str(path), "--method", "lp", "--out", str(tmp_path / "fit"))
         assert code == 2
         payload = stderr_payload(err)
-        assert payload["error"] == "ValueError" and str(path) in payload["message"]
+        assert payload["error"] == "InvalidInputError" and str(path) in payload["message"]
 
     def test_bad_method_from_config_file(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -513,7 +534,7 @@ class TestExperiment:
         code, stdout, err = run(capsys, "experiment", *argv, "--out", str(out))
         assert code == 2
         payload = stderr_payload(err)
-        assert payload["error"] == "ValueError"
+        assert payload["error"] == "InvalidInputError"
         field = {"--trials": "trials", "--dims": "d", "--sample-sizes": "n"}[argv[1]]
         assert payload["message"].startswith(f"{field} must be at least 1")
         assert stdout == ""
@@ -529,8 +550,26 @@ class TestExperiment:
         )
         assert code == 2
         payload = stderr_payload(err)
-        assert payload["error"] == "ValueError"
+        assert payload["error"] == "InvalidInputError"
         assert payload["message"].startswith("test_set_size must be at least 1")
+        assert started == [] and stdout == ""
+        assert [p.name for p in out.iterdir()] == []
+
+    def test_sgd_cell_below_one_batch_is_rejected_before_any_cell(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # sgd trains on full batches only, so n = 16 < 32 is a bad cell; the
+        # qp cells and the n = 64 sgd cell before it must not run either
+        started = []
+        monkeypatch.setattr(cli, "run_cells", lambda cells, jobs: started.append(cells) or [])
+        out = tmp_path / "exp"
+        code, stdout, err = run(
+            capsys, "experiment", "heatmap", "--dims", "2", "--sample-sizes", "64,16",
+            "--methods", "qp,sgd", "--trials", "1", "--out", str(out),
+        )
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "InvalidInputError"
+        assert payload["message"] == "an sgd cell needs at least one full batch: n=16 < 32"
         assert started == [] and stdout == ""
         assert [p.name for p in out.iterdir()] == []
 

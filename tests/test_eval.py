@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reslearn.errors import DimensionMismatchError, ReslearnError, SolverFailedError
+from reslearn import baselines, layer2
+from reslearn.errors import (
+    DimensionMismatchError,
+    InvalidInputError,
+    ReslearnError,
+    SolverFailedError,
+)
 from reslearn.evaluation import (
     TrialCell,
     TrialRow,
@@ -22,6 +28,8 @@ from reslearn.evaluation import (
     success_rate,
     teacher_seed,
 )
+from reslearn.layer1 import HiddenSampleSet, learn_layer1
+from reslearn.layer2 import learn_layer2
 from reslearn.model import (
     GaussUniformMixture,
     GaussianIid,
@@ -106,7 +114,7 @@ class TestRunTrial:
     def test_clean_slack_lp_matches_lp(self):
         # trial 0 of the benchmark's slack-sweep workload at seed 302: where
         # LP is exact on clean data, slack-LP must land on the same estimate
-        # (its soft gate must not fire on layer-2 roundoff)
+        # (layer 2 proves no row infeasible on roundoff, so layer 1 keeps the LP route)
         teacher = derive_seed(302, "slack-sweep", "teacher", 0)
         unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=teacher))
         seed = derive_seed(302, "slack-sweep", "train", 0)
@@ -274,6 +282,25 @@ class TestPipelineMaps:
         assert_mapped((est1.a_hat, est2.b_hat), base, "qp", 0.1, lambda a: a, lambda b: m @ b)
 
 
+class TestSlackRoute:
+    # layer 1 of a slack-lp fit leaves the LP route only on rows that layer
+    # 2's slack LPs prove infeasible; the teacher's rows are feasible at
+    # sigma = 0, so a clean fit never leaves it, however few the samples
+
+    @given(d=st.integers(2, 6), ratio=st.integers(2, 8),
+           teacher=st.integers(0, 2**31 - 1), train=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_clean_data_keep_the_lp_route(self, d, ratio, teacher, train):
+        unit = generate_unit(NetworkGenSpec(d=d, m=d, seed=teacher))
+        s = sample(unit, standard_mixture(d), ratio * d, 0.0, seed=train)
+        est1, est2 = full_pipeline(s, "slack-lp")
+        assert est2.infeasible_rows == ()
+        lp = learn_layer1(HiddenSampleSet(xs=s.xs, hs=est2.xi_hat), "lp")
+        for field in ("a_hat", "k_hat", "raw_a"):
+            assert getattr(est1, field).tobytes() == getattr(lp, field).tobytes(), field
+        assert (est1.unscaled_rows, est1.notes) == (lp.unscaled_rows, lp.notes)
+
+
 class TestSeeds:
     def test_cell_seed_distinguishes_every_axis(self):
         base = cell_seed(0, 4, 128, 0.1, "qp", 3)
@@ -410,3 +437,27 @@ class TestMakeInputDist:
         assert isinstance(make_input_dist("gaussian", 3), GaussianIid)
         with pytest.raises(ValueError):
             make_input_dist("cauchy", 3)
+
+
+class TestInvalidInput:
+    # an argument out of its domain is an InvalidInputError: a ReslearnError
+    # for the library's callers, and still a ValueError for callers that
+    # catch that (the CLI maps both to exit 2)
+    @pytest.mark.parametrize("call", [
+        lambda s: learn_layer2(s, "newton"),
+        lambda s: layer2.recover_b_general(s, np.eye(2), [1.0, 0.0]),
+        lambda s: sample(ResidualUnit(a=A_REF, b=B_REF), GaussianIid(dim=2), 10, -1.0),
+        lambda s: sample(ResidualUnit(a=A_REF, b=B_REF), GaussianIid(dim=2), 0, 0.0),
+        lambda s: ResidualUnit(a=-A_REF, b=B_REF),
+        lambda s: TrialCell(d=2, n=16, method="sgd"),
+        lambda s: TrialCell(d=0, n=64),
+        lambda s: make_input_dist("cauchy", 2),
+        lambda s: baselines.sgd_train(s),
+        lambda s: HiddenSampleSet(xs=np.zeros((2, 1)), hs=-np.ones((2, 1))),
+    ], ids=["method", "scale-factor", "noise-sigma", "sample-count", "negative-a", "sgd-cell",
+            "cell-count", "input-kind", "sgd-batch", "negative-h"])
+    def test_bad_argument_is_typed(self, call):
+        _, s = ref_test_set(n=20)
+        with pytest.raises(InvalidInputError) as caught:
+            call(s)
+        assert isinstance(caught.value, ReslearnError) and isinstance(caught.value, ValueError)

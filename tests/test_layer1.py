@@ -7,12 +7,20 @@ from reslearn import layer1
 from reslearn.errors import DimensionMismatchError
 from reslearn.layer1 import (
     K_MIN,
-    SOFT_GATE,
     HiddenSampleSet,
     estimate_row_scale,
     learn_layer1,
 )
-from reslearn.model import derive_seed, make_rng, standard_mixture
+from reslearn.evaluation import full_pipeline
+from reslearn.model import (
+    NetworkGenSpec,
+    SampleSet,
+    derive_seed,
+    generate_unit,
+    make_rng,
+    sample,
+    standard_mixture,
+)
 from conftest import assembled_row_qp
 from reslearn.solver import row_lp, row_slack_lp, solve_lp
 
@@ -26,11 +34,6 @@ def hidden_from(a, n=300, seed=0, noise=0.0):
     if noise:
         hs = np.maximum(hs + noise * make_rng(derive_seed(seed, "z")).standard_normal(hs.shape), 0.0)
     return HiddenSampleSet(xs=xs, hs=hs)
-
-
-def misfit_of(xs, hs, raw_a):
-    """The soft-gate misfit that the all-rows scale regression measures."""
-    return estimate_row_scale(xs, hs, raw_a)[2]
 
 
 class TestHiddenSampleSet:
@@ -171,15 +174,14 @@ class TestActivatedStart:
 class TestScaleEstimation:
     def test_exact_slope(self):
         s = hidden_from(A_REF, n=200, seed=7)
-        k, unscaled, misfit, notes = estimate_row_scale(s.xs, s.hs, np.diag([1.0, 0.6]) @ A_REF)
+        k, unscaled, notes = estimate_row_scale(s.xs, s.hs, np.diag([1.0, 0.6]) @ A_REF)
         assert k[0] == pytest.approx(1.0, abs=1e-12)
         assert k[1] == pytest.approx(0.6, abs=1e-12)
         assert (unscaled, notes) == ((), [])
-        assert misfit <= 1e-20
 
     def test_slope_above_one_clamped(self):
         s = hidden_from(A_REF, n=200, seed=8)
-        k, unscaled, _, notes = estimate_row_scale(s.xs, s.hs, np.diag([1.5, 1.0]) @ A_REF)
+        k, unscaled, notes = estimate_row_scale(s.xs, s.hs, np.diag([1.5, 1.0]) @ A_REF)
         assert k[0] == 1.0
         assert unscaled == ()
         assert notes == ["row 0: scale estimate 1.500000 above 1, clamped"]
@@ -187,7 +189,7 @@ class TestScaleEstimation:
     def test_slope_at_or_below_k_min_flagged(self):
         s = hidden_from(A_REF, n=200, seed=9)
         for factor in (1e-6, K_MIN, -0.5):
-            k, unscaled, _, notes = estimate_row_scale(
+            k, unscaled, notes = estimate_row_scale(
                 s.xs, s.hs, np.diag([factor, 0.5]) @ A_REF)
             assert unscaled == (0,)
             assert k[0] == 1.0 and k[1] == pytest.approx(0.5, abs=1e-12)
@@ -210,15 +212,15 @@ class TestScaleEstimation:
     def test_never_activated_row_degenerate(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
         s = hidden_from(a, n=100, seed=10)
-        k, unscaled, _, notes = estimate_row_scale(s.xs, s.hs, a)
+        k, unscaled, notes = estimate_row_scale(s.xs, s.hs, a)
         assert unscaled == (0,) and k[0] == 1.0
         assert notes == ["row 0: only 0 activated samples (need 10) for the scale regression"]
 
     def test_too_few_activated_degenerate(self):
         xs = np.vstack([np.full((5, 1), 1.0), np.full((40, 1), -1.0)])
         hs = np.maximum(xs * 2.0, 0.0)
-        k, unscaled, misfit, notes = estimate_row_scale(xs, hs, [[2.0]])
-        assert (k.tolist(), unscaled, misfit) == ([1.0], (0,), 0.0)
+        k, unscaled, notes = estimate_row_scale(xs, hs, [[2.0]])
+        assert (k.tolist(), unscaled) == ([1.0], (0,))
         assert notes == ["row 0: only 5 activated samples (need 10) for the scale regression"]
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (1, 2)])
@@ -233,17 +235,16 @@ class TestScaleEstimation:
     @settings(max_examples=60, deadline=None)
     def test_rows_permute_with_the_rows_of_raw_a(self, seed, d, shuffle, factors):
         # permuting raw_a's rows with hs's columns permutes k_hat and the
-        # unscaled rows, and leaves the misfit where it was
+        # unscaled rows
         a = np.abs(make_rng(seed).standard_normal((d, d)))
         s = hidden_from(a, n=200, seed=seed, noise=0.01 * (seed % 2))
         raw_a = np.diag(factors[:d]) @ a
         perm = list(range(d))
         shuffle.shuffle(perm)
-        k, unscaled, misfit, _ = estimate_row_scale(s.xs, s.hs, raw_a)
-        k_p, unscaled_p, misfit_p, _ = estimate_row_scale(s.xs, s.hs[:, perm], raw_a[perm])
+        k, unscaled, _ = estimate_row_scale(s.xs, s.hs, raw_a)
+        k_p, unscaled_p, _ = estimate_row_scale(s.xs, s.hs[:, perm], raw_a[perm])
         np.testing.assert_allclose(k_p, k[perm], rtol=1e-12)
         assert unscaled_p == tuple(i for i in range(d) if perm[i] in unscaled)
-        assert misfit_p == pytest.approx(misfit, rel=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.floats(1e-10, 1e10),
            st.lists(st.sampled_from([1.0, 0.6, 0.3, 1.5, 1e-6, 0.0]), min_size=3, max_size=3))
@@ -252,41 +253,49 @@ class TestScaleEstimation:
         a = np.abs(make_rng(seed).standard_normal((3, 3)))
         s = hidden_from(a, n=200, seed=seed, noise=0.01 * (seed % 2))
         raw_a = np.diag(factors) @ a
-        k, unscaled, misfit, _ = estimate_row_scale(s.xs, s.hs, raw_a)
-        k_s, unscaled_s, misfit_s, _ = estimate_row_scale(scale * s.xs, scale * s.hs, raw_a)
+        k, unscaled, _ = estimate_row_scale(s.xs, s.hs, raw_a)
+        k_s, unscaled_s, _ = estimate_row_scale(scale * s.xs, scale * s.hs, raw_a)
         np.testing.assert_allclose(k_s, k, rtol=1e-12)
         assert unscaled_s == unscaled
-        assert misfit_s == pytest.approx(misfit, rel=1e-9)
 
 
 class TestSoftGate:
+    # layer 1 of a slack-lp fit takes the QP route exactly when layer 2's
+    # slack LPs prove a row infeasible, and the LP route otherwise; alone,
+    # learn_layer1(..., "slack-lp") is the LP route
+
     def test_clean_slack_keeps_vertex(self):
         s = hidden_from(A_REF, n=300, seed=11)
         est_lp = learn_layer1(s, method="lp")
         est_sl = learn_layer1(s, method="slack-lp")
-        assert not any("soft penalties" in note for note in est_sl.notes)
         np.testing.assert_array_equal(est_sl.raw_a, est_lp.raw_a)
+        assert est_sl.notes == est_lp.notes
 
     def test_noisy_slack_switches_to_soft(self):
-        s = hidden_from(A_REF, n=300, seed=12, noise=0.05)
-        est = learn_layer1(s, method="slack-lp")
-        assert any("soft penalties" in note for note in est.notes)
-        rel = np.linalg.norm(est.a_hat - A_REF) / np.linalg.norm(A_REF)
+        unit = generate_unit(NetworkGenSpec(d=2, m=2, seed=12))
+        train = sample(unit, standard_mixture(2), 300, 0.05, seed=13)
+        est1, est2 = full_pipeline(train, "slack-lp")
+        assert est2.infeasible_rows != ()
+        qp = learn_layer1(HiddenSampleSet(train.xs, est2.xi_hat), method="qp")
+        np.testing.assert_array_equal(est1.raw_a, qp.raw_a)
+        np.testing.assert_array_equal(est1.a_hat, qp.a_hat)
+        rel = np.linalg.norm(est1.a_hat - unit.a) / np.linalg.norm(unit.a)
         assert rel < 0.25
 
     def test_soft_beats_vertex_under_noise(self):
         # the vertex of the noise-shrunken polytope is a worse estimate than
-        # the penalty landing; checked on a fixed instance
+        # the penalty landing that a noisy slack-lp fit takes; checked on a
+        # fixed instance
         s = hidden_from(A_REF, n=300, seed=13, noise=0.05)
-        soft = learn_layer1(s, method="slack-lp")
-        hard = learn_layer1(s, method="lp")
+        soft = learn_layer1(s, method="qp")
+        hard = learn_layer1(s, method="slack-lp")
         err = lambda e: np.linalg.norm(e.a_hat - A_REF)
         assert err(soft) < err(hard)
 
     def test_roundoff_on_inactive_samples_is_not_activation(self):
         # fewer than half the samples activate each row, so the median |h_j|
         # is the 1e-13 slop a layer-2 estimate leaves on the inactive ones;
-        # that slop must neither count as activation nor fire the soft gate
+        # that slop must not count as activation or move the scale factors
         xs = make_rng(20).normal(-0.5, 1.0, size=(300, 2))
         a = np.array([[1.0, 1.0], [0.5, 1.0]])
         hs = np.maximum(xs @ a.T, 0.0)
@@ -295,32 +304,40 @@ class TestSoftGate:
         hs[inactive] = 1e-13 * make_rng(21).random(int(inactive.sum()))
         for j in range(2):
             np.testing.assert_array_equal(layer1._activated(hs[:, j]), ~inactive[:, j])
-        assert misfit_of(xs, hs, 0.5 * a) <= 1e-20
+        k, unscaled, notes = estimate_row_scale(xs, hs, 0.5 * a)
+        np.testing.assert_allclose(k, 0.5, rtol=1e-12)
+        assert (unscaled, notes) == ((), [])
         est = learn_layer1(HiddenSampleSet(xs, hs), method="slack-lp")
-        assert not any("soft penalties" in note for note in est.notes)
         np.testing.assert_allclose(est.a_hat, a, atol=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-    def test_gate_rejects_trivial_vertex_at_any_scale(self, scale):
+    def test_trivial_vertex_is_unscaled_at_any_scale(self, scale):
         # the trivial vertex a = 0, exactly or up to solver noise, carries no
-        # scaled-row structure; rows that are scaled teacher rows measure ~0
+        # scale; every such row is listed rather than divided by its slope,
+        # while rows that are scaled teacher rows keep their factors
         s = hidden_from(A_REF, n=300, seed=19)
 
-        def misfit(raw_a):
-            return misfit_of(scale * s.xs, scale * s.hs, raw_a)
+        def row_scale(raw_a):
+            return estimate_row_scale(scale * s.xs, scale * s.hs, raw_a)
 
-        assert misfit(np.zeros((2, 2))) > SOFT_GATE
-        assert misfit(1e-16 * make_rng(18).standard_normal((2, 2))) > SOFT_GATE
-        assert misfit(np.diag([0.5, 0.8]) @ A_REF) <= 1e-20
+        for trivial in (np.zeros((2, 2)), 1e-16 * make_rng(18).standard_normal((2, 2))):
+            k, unscaled, _ = row_scale(trivial)
+            assert unscaled == (0, 1) and k.tolist() == [1.0, 1.0]
+        k, unscaled, _ = row_scale(np.diag([0.5, 0.8]) @ A_REF)
+        np.testing.assert_allclose(k, [0.5, 0.8], rtol=1e-12)
+        assert unscaled == ()
 
-
-    def test_misfit_does_not_depend_on_the_units(self):
-        # the misfit is a ratio of two squared scales; an absolute floor on
-        # the variance would shrink it once the data are small enough
-        s = hidden_from(A_REF, n=300, seed=12, noise=0.05)
-        unit = misfit_of(s.xs, s.hs, A_REF)
-        assert 0.0 < unit < np.inf
-        assert misfit_of(1e-20 * s.xs, 1e-20 * s.hs, A_REF) == pytest.approx(unit, rel=1e-9)
+    def test_noisy_route_does_not_depend_on_the_units(self):
+        # the Farkas test that picks the route has no absolute floor, so
+        # data rescaled by 1e-20 prove the same rows infeasible and take the
+        # same route
+        unit = generate_unit(NetworkGenSpec(d=2, m=2, seed=12))
+        train = sample(unit, standard_mixture(2), 300, 0.05, seed=13)
+        tiny = SampleSet(xs=1e-20 * train.xs, ys=1e-20 * train.ys)
+        est1, est2 = full_pipeline(train, "slack-lp")
+        tiny1, tiny2 = full_pipeline(tiny, "slack-lp")
+        assert tiny2.infeasible_rows == est2.infeasible_rows != ()
+        np.testing.assert_allclose(tiny1.a_hat, est1.a_hat, rtol=1e-9, atol=1e-12)
 
 
 class TestDiagnostics:

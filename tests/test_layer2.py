@@ -24,7 +24,7 @@ from reslearn.model import (
 )
 from conftest import assembled_row_qp
 from reslearn.solver import row_lp, row_slack_lp, solve_lp
-from reslearn.solver.simplex import FEAS_TOL, shared_start
+from reslearn.solver.simplex import shared_start
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
 B_REF = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -167,11 +167,12 @@ def bits(value):
 def per_row_lps(samples, slack, prefer):
     """Layer 2's row LPs the way the layer posed them before the shared
     start and the one-call slack LP: one engine run per row, then the slack
-    LP of an infeasible row. Returns (c_hat, xi_hat, notes) as
-    ``_solve_c_lp`` would, or the error type."""
+    LP of an infeasible row, whose nonzero dual marks the row infeasible.
+    Returns (c_hat, xi_hat, notes, infeasible_rows) as ``_solve_c_lp``
+    would, or the error type."""
     ys, xs = samples.ys, samples.xs
     c_hat, xi_hat = np.zeros((samples.d, samples.m)), np.zeros((samples.n, samples.d))
-    notes = []
+    notes, infeasible = [], []
     for j in range(samples.d):
         report = solve_lp(row_lp(-ys, -xs[:, j]), prefer=prefer)
         if slack and report.status.value == "infeasible":
@@ -181,12 +182,13 @@ def per_row_lps(samples, slack, prefer):
         c_hat[j] = report.point[:samples.m]
         residual = ys @ c_hat[j] - xs[:, j]
         if slack:
-            value = float(np.maximum(-residual, 0.0).mean())
-            if value > FEAS_TOL * 100 * float(np.abs(xs[:, j]).max()):
+            if np.any(report.dual != 0.0):
+                infeasible.append(j)
+                value = float(np.maximum(-residual, 0.0).mean())
                 notes.append(f"row {j}: slack objective {value:.3e} (noisy fit)")
             residual = np.maximum(residual, 0.0)
         xi_hat[:, j] = residual
-    return c_hat, xi_hat, notes
+    return c_hat, xi_hat, notes, tuple(infeasible)
 
 
 class TestSharedStart:
@@ -229,7 +231,7 @@ class TestSharedStart:
                 assert got is want
             else:
                 assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
-                assert got[2] == want[2]
+                assert got[2:] == want[2:]
 
     def test_prefer_of_the_wrong_length_is_rejected(self):
         with pytest.raises(DimensionMismatchError):

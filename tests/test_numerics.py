@@ -96,13 +96,13 @@ class TestOriginFit:
         assert origin_fit(tiny, np.ones(20)) is None
 
         # each caller keeps its own outcome for a row with no defined slope:
-        # the layer-2 factor stays 1, the layer-1 misfit skips the row, and
-        # the layer-1 scale regression lists the row as unscaled
+        # the layer-2 factor stays 1, and the layer-1 scale regression lists
+        # the row as unscaled
         samples = SampleSet(xs=-tiny.reshape(-1, 1), ys=rng(1).normal(size=(20, 1)))
         np.testing.assert_array_equal(rescale_layer2(samples, np.eye(1)), [1.0])
         xs = rng(2).normal(size=(20, 1))
-        k, unscaled, misfit, notes = estimate_row_scale(xs, tiny.reshape(-1, 1), np.eye(1))
-        assert (k.tolist(), unscaled, misfit) == ([1.0], (0,), 0.0)
+        k, unscaled, notes = estimate_row_scale(xs, tiny.reshape(-1, 1), np.eye(1))
+        assert (k.tolist(), unscaled) == ([1.0], (0,))
         assert notes == ["row 0: activated h values are all zero"]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 50),

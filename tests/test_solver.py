@@ -497,7 +497,7 @@ class TestLpPath:
     # dual method's 4 steps to its Farkas ray and the descent's 15.
     PATH = {
         "lp-clean": "2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0 2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0",
-        "slack-sweep": "2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0 2o19 2o15 2o10 2o17 1o7 1o4 1o6 1o5",
+        "slack-sweep": "2o0 2o0 2o0 2o0 1o0 1o0 1o0 1o0 2o19 2o15 2o10 2o17",
         "layer-2 d=10": "2o11 2o31 2o17 2o21 2o18 2o20 2o23 2o18 2o17 2o15",
         "layer-2 d=16": "2o33 2o49 2o26 2o29 2o34 2o35 2o25 2o34 2o37 2o33 2o33 2o35 2o26 2o28 "
                         "2o43 2o32",
@@ -859,8 +859,9 @@ class TestLockstepNewton:
 
 
 def soft_gate_design():
-    """(design, targets) of a layer-1 soft gate: hidden values from layer 2's
-    slack LP on sigma=0.1 samples at d=4, n=400, where the gate fires."""
+    """(design, targets) of layer 1 on noisy labels: hidden values from layer
+    2's slack LP on sigma=0.1 samples at d=4, n=400, whose rows it proves
+    infeasible, so that layer 1 of the slack-lp fit takes this QP."""
     from reslearn.layer2 import learn_layer2
 
     unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=11))
