@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,16 +46,13 @@ from .model import (
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Relative errors of one learned student against its teacher."""
+    """Relative errors of one learned student against its teacher, and the
+    method that learned it; the fit's own n, seed and sigma are the caller's."""
 
     layer1_rel: float
     layer2_rel: float
     output_rel: float
-    n: int
-    d: int
-    seed: int
     method: str = ""
-    noise_sigma: float = 0.0
 
 
 def _require_counts(**counts: int) -> None:
@@ -143,16 +140,7 @@ def relative_errors(
     norms = np.linalg.norm(test.ys, axis=1)
     norms = np.where(norms > 0, norms, 1.0)
     output_rel = float(np.mean(np.linalg.norm(pred - test.ys, axis=1) / norms))
-    return ErrorReport(
-        layer1_rel=layer1_rel,
-        layer2_rel=layer2_rel,
-        output_rel=output_rel,
-        n=test.n,
-        d=test.d,
-        seed=test.seed if test.seed is not None else -1,
-        method=method,
-        noise_sigma=test.noise_sigma,
-    )
+    return ErrorReport(layer1_rel, layer2_rel, output_rel, method)
 
 
 # --- pipeline ------------------------------------------------------------
@@ -239,8 +227,7 @@ def run_trial(
     """
     train = sample(unit, make_input_dist(input_kind, unit.d), n, noise_sigma, seed=seed)
     est_a, est_b, _ = fit_method(train, method, seed)
-    report = score_held_out(est_a, est_b, unit, seed, method, test_set_size, input_kind)
-    return replace(report, n=n, seed=seed, noise_sigma=noise_sigma)
+    return score_held_out(est_a, est_b, unit, seed, method, test_set_size, input_kind)
 
 
 # --- cells ---------------------------------------------------------------

@@ -31,7 +31,7 @@ The slack LP is the LP route here: a = 0 satisfies A x <= h (h >= 0), so
 its least mean slack is 0 and its minimisers are the feasibility polytope.
 Noise in h shrinks that polytope and puts its vertex at an extreme corner,
 where the QP's one-sided penalties land at the noise-averaged interior.
-Layer 2 proves the labels noisy with Farkas rays
+Layer 2 finds the labels noisy where a slack LP's least slack is positive
 (``Layer2Estimate.infeasible_rows``), and ``evaluation.full_pipeline`` then
 sends layer 1 of a slack-lp fit to the QP route.
 """
@@ -55,9 +55,9 @@ from .solver.split_ls import solve_separable_ls
 class HiddenSampleSet:
     """Inputs paired with (estimated) hidden ReLU outputs, both n x d.
 
-    The hidden values may carry negative solver slack, up to 1e-6 of their
-    largest magnitude, when they come from an upstream estimate rather than
-    the exact forward map.
+    The hidden values may be negative by up to 1e-6 of their largest
+    magnitude. Layer-2 estimates are clipped at zero on every route, so
+    that allowance serves only h that a caller supplies.
     """
 
     xs: Mat
@@ -151,7 +151,7 @@ def estimate_row_scale(
             f"xs is {xs.shape}, hs is {hs.shape} and raw_a is {raw_a.shape}; "
             "need n x d, n x d and d x d"
         )
-    count, slope, _, _ = origin_fits(hs, xs @ raw_a.T, _activated(hs))
+    count, slope = origin_fits(hs, xs @ raw_a.T, _activated(hs))
     few = count < MIN_POS_SAMPLES
     fitted = ~few & ~np.isnan(slope)
     unscaled = ~fitted | (slope <= K_MIN)

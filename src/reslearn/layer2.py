@@ -65,7 +65,7 @@ from .solver.split_ls import solve_separable_ls
 # hair off the pure-multiple segment, while genuinely coupled rows measure
 # orders of magnitude above it either way.
 # Rows with fewer than MIN_NEG_SAMPLES negative samples, or a slope below
-# K_MIN, are left at 1 with a warning. Slopes within SHRINK_TOL of 1 (or
+# K_MIN, are left at 1 with a note. Slopes within SHRINK_TOL of 1 (or
 # above it) are treated as exactly 1: a row whose factor is that close to
 # unity needs no correction, and dividing by a noisy near-unit estimate
 # would push an already-correct solution off the constraint surface by the
@@ -84,10 +84,11 @@ class Layer2Estimate:
     d); it is nonnegative, as a ReLU output is, since every route clips it
     at zero. ``k_hat`` holds the per-row scale factors actually divided out
     (all ones when nothing was detected). ``infeasible_rows`` lists the
-    slack-LP rows that no c_j satisfies, as a verified Farkas ray shows
-    (the teacher's row does at sigma = 0); it is empty on the qp and lp
-    routes. ``notes`` carries human-readable diagnostics: underdetermination
-    warnings, rescale gate decisions, and each infeasible row's slack.
+    slack-LP rows that no c_j satisfies, as a positive least slack and its
+    nonzero dual show (the teacher's row does at sigma = 0); it is empty on
+    the qp and lp routes. ``notes`` carries human-readable diagnostics:
+    underdetermination warnings, rescale gate decisions, and each infeasible
+    row's slack.
     """
 
     c_hat: Mat
@@ -102,28 +103,29 @@ class Layer2Estimate:
 
 def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str], tuple[int, ...]]:
     """(c_hat, xi_hat, notes, infeasible_rows): a soft row is infeasible when its
-    report has a nonzero dual, which only a verified Farkas ray leaves."""
+    report has a nonzero dual, which only a positive least slack leaves."""
     ys, xs = samples.ys, samples.xs
     design, targets = -ys, -xs
     n, m = ys.shape
-    d = xs.shape[1]
-    c_hat = np.zeros((d, m))
-    xi_hat = np.zeros((n, d))
+    xi_hat = np.zeros((n, xs.shape[1]))
     notes: list[str] = []
     infeasible: list[int] = []
     tight = np.all(xs <= 0, axis=1)  # the teacher's row is tight on these samples
     program = row_slack_lp if slack else row_lp
-    for j, report in enumerate(shared_start(design, targets, prefer=tight)):
-        if report is None:  # the start does not close this row: the engine runs
+    c_hat = shared_start(design, targets, prefer=tight)
+    for j, c in enumerate(c_hat):
+        noisy = False
+        if np.isnan(c).any():  # the start does not close this row: the engine runs
             report = solve_lp(program(design, targets[:, j]), prefer=tight)
             if report.status is not SolveStatus.OPTIMAL:
                 raise SolverFailedError(
                     f"layer-2 LP for row {j} ended with status {report.status.value}: "
                     f"{report.message}"
                 )
-        c_hat[j] = report.point[:m]
-        residual = ys @ c_hat[j] - xs[:, j]
-        if slack and report.dual.any():
+            c[:] = report.point[:m]
+            noisy = slack and report.dual.any()
+        residual = ys @ c - xs[:, j]
+        if noisy:
             infeasible.append(j)
             notes.append(f"row {j}: slack objective "
                          f"{float(np.maximum(-residual, 0.0).mean()):.3e} (noisy fit)")
@@ -131,33 +133,38 @@ def _solve_c_lp(samples: SampleSet, slack: bool) -> tuple[Mat, Mat, list[str], t
     return c_hat, xi_hat, notes, tuple(infeasible)
 
 
-def rescale_layer2(samples: SampleSet, c_hat: Mat) -> np.ndarray:
+def rescale_layer2(samples: SampleSet, c_hat: Mat, *, notes: list[str]) -> np.ndarray:
     """Per-row scale factors of c_hat, detected on the negative half-lines.
 
     For a scale-equivalent row j, [C y]_j equals k_j x_j exactly whenever
     x_j < 0, so the through-origin regression has residual ~0 and its slope
-    is the factor. A residual above ``EPS_TOL`` times the variance means the
-    row is genuinely coupled, and the factor defaults to 1. All d rows are
-    fitted in one ``origin_fits`` pass; rows flagged by the sample count or
-    the slope floor warn, one warning each, in row order.
+    is the factor. A mean squared residual above ``EPS_TOL`` times the
+    variance of [C y]_j there means the row is genuinely coupled, and the
+    factor defaults to 1. All d rows are fitted in one ``origin_fits`` pass;
+    rows flagged by the sample count or the slope floor append one line each
+    to ``notes``, in row order.
     """
     c_hat = np.asarray(c_hat)
     if c_hat.shape != (samples.d, samples.m):
         raise DimensionMismatchError(
             f"c_hat is {c_hat.shape}, samples need (d, m) = ({samples.d}, {samples.m})"
         )
-    xs = samples.xs
-    count, slope, mse, spread = origin_fits(xs, samples.ys @ c_hat.T, xs < 0)
+    xs, projected = samples.xs, samples.ys @ c_hat.T
+    negative = xs < 0
+    count, slope = origin_fits(xs, projected, negative)
+    xm, ym = np.where(negative, xs, 0.0), np.where(negative, projected, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = ym - slope * xm
+        mse = np.einsum("ij,ij->j", resid, resid) / count
+        centred = np.where(negative, projected - np.einsum("ij->j", ym) / count, 0.0)
+        spread = np.einsum("ij,ij->j", centred, centred) / count
     few = count < MIN_NEG_SAMPLES
     # gate: residual within EPS_TOL of the spread (zero spread and residual: an exact line)
     fitted = ~few & ~np.isnan(slope) & (mse <= EPS_TOL * spread)
     degenerate = fitted & (slope < K_MIN)
     for j in np.flatnonzero(few | degenerate):
-        warnings.warn(
-            f"row {j}: only {count[j]} negative samples, scale factor left at 1" if few[j]
-            else f"row {j}: degenerate scale estimate {slope[j]:.3e}, left at 1",
-            stacklevel=2,
-        )
+        notes.append(f"row {j}: only {count[j]} negative samples, scale factor left at 1" if few[j]
+                     else f"row {j}: degenerate scale estimate {slope[j]:.3e}, left at 1")
     shrunk = fitted & ~degenerate & (slope < 1.0 - SHRINK_TOL)
     return np.where(shrunk, slope, 1.0)
 
@@ -214,10 +221,7 @@ def learn_layer2(
             samples, slack=method is ConvexMethod.SLACK_LP)
         notes.extend(lp_notes)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        k_hat = rescale_layer2(samples, c_hat)
-    notes.extend(str(w.message) for w in caught)
+    k_hat = rescale_layer2(samples, c_hat, notes=notes)
 
     b_hat = recover_b_general(samples, c_hat, k_hat)
     corrected_c = c_hat / k_hat[:, None]

@@ -63,25 +63,19 @@ def lls_solve(inputs: Mat, targets: Mat) -> Mat:
     return np.ascontiguousarray(coeffs_t.T)
 
 
-def origin_fits(x: Mat, y: Mat, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+def origin_fits(x: Mat, y: Mat, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Through-origin regressions of ``y`` on ``x``, one per column, over the
     samples ``mask`` selects.
 
-    ``x``, ``y`` and ``mask`` are n x d. Returns four length-d arrays: the
-    masked sample count, the slope (nan where the masked sum of x^2 is not
-    positive, so no slope is defined), the mean squared residual and the
-    spread (the variance of the masked y). The scale stages of both layers
-    make one call over the samples where their relation is exactly linear;
-    layer 2's rescale gate compares the residual with the spread.
+    ``x``, ``y`` and ``mask`` are n x d. Returns two length-d arrays: the
+    masked sample count and the slope (nan where the masked sum of x^2 is
+    not positive, so no slope is defined). The scale stages of both layers
+    make one call over the samples where their relation is exactly linear.
     """
     count = np.count_nonzero(mask, axis=0)
     xm = np.where(mask, x, 0.0)
-    ym = np.where(mask, y, 0.0)
     denom = np.einsum("ij,ij->j", xm, xm)  # column-wise dot products
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(denom > 0.0, np.einsum("ij,ij->j", xm, ym) / denom, np.nan)
-        resid = ym - slope * xm
-        mse = np.einsum("ij,ij->j", resid, resid) / count
-        centred = np.where(mask, y - np.einsum("ij->j", ym) / count, 0.0)
-        spread = np.einsum("ij,ij->j", centred, centred) / count
-    return count, slope, mse, spread
+        slope = np.where(denom > 0.0, np.einsum("ij,ij->j", xm, np.where(mask, y, 0.0)) / denom,
+                         np.nan)
+    return count, slope

@@ -19,12 +19,16 @@ Dual method (Lemke's), run first on both shapes: lam_T >= 0 and U is empty.
 Each step enters the most violated other row r; raising lam_r from 0 by t
 moves lam_T by -t A_T^-T a_r, and the ratio test swaps r for the first
 basic row whose multiplier reaches 0, ties going to the largest pivot. A row
-with nothing in reach gives the Farkas ray lam_r = 1, lam_T = -A_T^-T a_r.
-A soft LP keeps a feasible vertex, with a zero dual.
+with nothing in reach ends the run on the ray lam_r = 1, lam_T = -A_T^-T a_r.
+A feasibility run returns that ray as its Farkas certificate once
+``_verify_farkas`` accepts it. A soft LP keeps a feasible vertex, with a
+zero dual, and on any ray, verified or not, goes on to the descent: its
+least mean slack always exists, and a ray that misses the check by rounding
+leaves no vertex of the dual method to keep.
 
 Primal descent (Barrodale & Roberts' L1 descent; Koenker & d'Orey, AS 229),
-for a soft LP whose dual run ends in a verified ray, from the start basis
-that run began at: c stays a vertex and the mean slack never rises. Each step
+for a soft LP whose dual run ends on a ray, from the start basis that run
+began at: c stays a vertex and the mean slack never rises. Each step
 releases the tight row k whose lam_k is furthest outside [0, w] along the
 edge A_T d = +e_k (into its satisfied side, slope lam_k) or -e_k (past its
 bound, slope w - lam_k). The breakpoints tau_i = -r_i / (a_i . d) of the
@@ -54,18 +58,18 @@ at 0. Every tolerance is relative to the data.
 design at once. The crash reads only the design and ``prefer``, so one crash
 and one inverse serve the whole family, and one stacked product checks every
 row. A row whose start passes the dual method's stop and the terminal check
-gets the zero-step report its own ``solve_lp`` call would give, bit for bit:
-the products are per-row matrix-vector products, as the engine's are. Any
-other row, and every row when the crash leaves a column without a pivot, is
-left to ``solve_lp``. Only the reports come back: a caller reads a row's
-residuals off its point.
+gets the coefficients its own ``solve_lp`` call would return in zero steps,
+bit for bit: the products are per-row matrix-vector products, as the
+engine's are. Any other row, and every row when the crash leaves a column
+without a pivot, is nan and left to ``solve_lp``, the one writer of a
+``SolveReport``.
 
 Cost: a step of either method factors its p x p basis once (the inverse
 gives the point, the multipliers and the step) and scans the n rows:
 O(p^3 + n p); the descent also sorts its edge's breakpoints, O(n log n),
-and an infeasible soft LP pays for both methods' steps. The set-up copies
-the n x p constraint matrix into basis column order, and the start reads a
-transposed copy; a soft LP's slacks come last, as one vector of n
+and a soft LP that ends on a ray pays for both methods' steps. The set-up
+copies the n x p constraint matrix into basis column order, and the start
+reads a transposed copy; a soft LP's slacks come last, as one vector of n
 residuals. Nothing is n x n. ``shared_start`` costs one crash, O(m^3) for
 the inverse and O(d n m) for the check.
 """
@@ -122,9 +126,10 @@ def _stops(off_basis_gap: np.ndarray, rhs_scale) -> np.ndarray:
     return off_basis_gap.max(axis=-1, initial=0.0) <= FEAS_TOL * rhs_scale
 
 
-def _violates(violation: float, rhs_scale: float) -> bool:
+def _violates(violation, rhs_scale):
     """``solve_lp``'s terminal check on a point its method calls optimal: a
-    row violated by more than 10 FEAS_TOL |rhs| makes it numerical trouble."""
+    row violated by more than 10 FEAS_TOL |rhs| makes it numerical trouble.
+    Elementwise over arrays of violations and scales."""
     return violation > FEAS_TOL * rhs_scale * 10.0
 
 
@@ -205,11 +210,12 @@ def _descend(rows, b, w, basis, tol):
 
 
 def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
-    """Clean up and check a candidate infeasibility ray; None if it fails.
+    """Clean up and check a feasibility run's candidate ray; None if it fails.
 
-    A valid ray has lam >= 0, lhs' lam = 0 and rhs . lam > 0: the dual
-    method runs on the rows alone, whose variables are all free, whatever
-    the problem's shape.
+    A valid ray has lam >= 0, lhs' lam = 0 and rhs . lam > 0 over the free
+    variables, and is the run's Farkas certificate. A soft LP's ray is not
+    checked: it goes on to the descent, whose nonzero dual at positive least
+    slack is its own proof that the rows are infeasible.
     """
     lam = np.where(lam > 0.0, lam, 0.0)
     norm = float(lam.max(initial=0.0))
@@ -225,7 +231,7 @@ def _verify_farkas(problem: LpProblem, lam: np.ndarray) -> np.ndarray | None:
 
 
 def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveReport:
-    """The dual method, then, on a soft LP it proves infeasible, the primal
+    """The dual method, then, on a soft LP where it ends on a ray, the primal
     descent; see the module docstring. ``prefer``, a boolean mask over the
     inequality rows, names the rows the start tries first: rows expected to
     be tight at the answer."""
@@ -240,11 +246,11 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
     crash = np.array(_crash(a, prefer), dtype=np.int64).reshape(-1, 2)
     cols, basis = crash[:, 0], crash[:, 1]
     rows = a[:, cols]
-    ray = None
+    descended = False
     try:
         verdict, c, steps, lam = _run(rows, b, basis.copy(), rhs_scale)
-        ray = _verify_farkas(problem, lam) if verdict == "infeasible" else None
-        if soft and ray is not None:  # no feasible point: descend from the same start
+        if soft and verdict == "infeasible":  # a ray, verified or not: descend from the same start
+            descended = True
             verdict, c, descent, lam = _descend(rows, b, 1.0 / n, basis, FEAS_TOL * rhs_scale)
             steps += descent
     except np.linalg.LinAlgError:
@@ -260,11 +266,11 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
     status, message, extra = SolveStatus.NUMERICAL_TROUBLE, verdict, {}
     if verdict == "optimal":
         status, message = SolveStatus.OPTIMAL, ""
-        extra["dual"] = np.maximum(lam, 0.0) if soft and ray is not None else np.zeros(n)
+        extra["dual"] = np.maximum(lam, 0.0) if descended else np.zeros(n)
     elif verdict == "iteration_limit":
         status, message = SolveStatus.ITERATION_LIMIT, "step budget exhausted"
-    elif verdict == "infeasible":
-        extra["certificate"] = ray
+    elif verdict == "infeasible":  # only a feasibility run ends on its ray
+        ray = extra["certificate"] = _verify_farkas(problem, lam)
         if ray is None:
             message = "unbounded dual but no verifiable infeasibility ray"
         else:
@@ -274,40 +280,38 @@ def solve_lp(problem: LpProblem, prefer: np.ndarray | None = None) -> SolveRepor
 
 
 def shared_start(design: np.ndarray, targets: np.ndarray, prefer: np.ndarray | None = None
-                 ) -> list[SolveReport | None]:
+                 ) -> np.ndarray:
     """The starts of the row LPs ``row_lp(design, targets[:, j])``, all at once.
 
-    Each row's report is the zero-step one ``solve_lp(row_lp(design,
-    targets[:, j]), prefer)`` returns when its start closes every row, and
-    None otherwise: when the start leaves a row violated, when the crash
-    leaves a column without a pivot, or when a basis is singular.
+    Returns a d x m array. Row j holds the coefficients of row j's start
+    where that start closes every row, bit for bit the point that
+    ``solve_lp(row_lp(design, targets[:, j]), prefer)`` returns in zero
+    steps, and nan where the engine must run: when the start leaves a row
+    violated, when the crash leaves a column without a pivot, or when the
+    basis is singular.
 
     The crash reads no target, so one crash and one inverse serve every row,
-    and one stacked product checks them all. Each row gets the bits its own
-    ``solve_lp`` call would give.
+    and one stacked product checks them all.
     """
     lhs = np.ascontiguousarray(-np.asarray(design, dtype=np.float64))  # as LpProblem holds it
     rhs = -np.asarray(targets, dtype=np.float64).T
     (n, m), d = lhs.shape, rhs.shape[0]
     prefer = _row_mask(prefer, n)
     scale = np.abs(rhs).max(axis=1)
-    reports: list[SolveReport | None] = [None] * d
+    starts = np.full((d, m), np.nan)
     basis = np.array([row for _, row in _crash(lhs, prefer)], dtype=np.int64)
     if basis.size < m:  # a column without a pivot
-        return reports
+        return starts
     try:
         inverse = np.linalg.inv(lhs[basis])
     except np.linalg.LinAlgError:
-        return reports
+        return starts
     # the stacked products run one matrix-vector product per row, as solve_lp does
     c = np.matmul(inverse, rhs[:, basis, None])
     gap = rhs - np.matmul(lhs[None], c)[..., 0]
     off_basis = gap.copy()
     off_basis[:, basis] = 0.0
-    stops = _stops(off_basis, scale)
-    for j in range(d):
-        violation = max(float(gap[j].max(initial=0.0)), 0.0)  # LpProblem.max_violation
-        if stops[j] and not _violates(violation, float(scale[j])):
-            reports[j] = SolveReport(c[j, :, 0].copy(), 0.0, violation, 0, SolveStatus.OPTIMAL,
-                                     dual=np.zeros(n))
-    return reports
+    violation = np.maximum(gap.max(axis=1, initial=0.0), 0.0)  # LpProblem.max_violation
+    closed = _stops(off_basis, scale) & ~_violates(violation, scale)
+    starts[closed] = c[closed, :, 0]
+    return starts

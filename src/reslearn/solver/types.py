@@ -44,8 +44,10 @@ class LpProblem:
     """The rows  ineq_lhs @ u >= ineq_rhs  over free u: a feasibility system.
 
     A ``soft`` LP adds one slack per row, ineq_lhs @ u + zeta >= ineq_rhs,
-    zeta >= 0, and asks for the least mean slack, zero where the rows are
-    feasible: its variables are [u | zeta], so ``n_vars`` counts p + n.
+    zeta >= 0, and asks for the least mean slack: its variables are
+    [u | zeta], so ``n_vars`` counts p + n. ``solve_lp`` always ends it at
+    that least slack, on a verified Farkas ray or not: it is never
+    infeasible, and a nonzero dual means the least slack is positive.
     """
 
     ineq_lhs: Mat
@@ -90,7 +92,8 @@ def row_lp(design: Mat, target: np.ndarray) -> LpProblem:
 
 def row_slack_lp(design: Mat, target: np.ndarray) -> LpProblem:
     """F u - zeta <= t over [u (p, free) | zeta (n, >= 0)], least mean slack:
-    ``row_lp``'s point, its slacks 0 up to rounding, when F u <= t holds."""
+    ``row_lp``'s point, its slacks 0 up to rounding, when the dual method
+    finds F u <= t feasible, else the descent's, on any ray."""
     return LpProblem(ineq_lhs=-design, ineq_rhs=-target, soft=True)
 
 
@@ -100,18 +103,21 @@ class SolveReport:
 
     ``iterations`` counts the steps of both methods (see ``simplex``): the
     dual method, one row swap in the tight-row basis per step, and, on a
-    soft LP whose rows it proves infeasible, the primal descent after it,
-    one per edge however many breakpoints the edge passes.
+    soft LP where that method ends on a ray, verified or not, the primal
+    descent after it, one per edge however many breakpoints the edge passes.
     ``objective_value`` is 0 for a feasibility run and the mean slack
     1/n sum zeta for a soft LP (nan when infeasible). ``dual`` carries the
     multipliers of the inequality rows on optimal runs: all zero for a
-    feasibility run and for a soft LP on rows with a feasible point;
-    otherwise lam_T on the tight rows, the weight 1/n on rows past their
-    bound and 0 elsewhere, except where the descent stops at zero slack:
-    there the dual is all zero, and rows missed by at most the breakpoint
-    tolerance count as on their bound. ``certificate`` is only set on
-    infeasible runs, which only feasibility runs have: a ray lam >= 0 with
-    lhs' lam = 0 and rhs . lam > 0, proving that no feasible point exists.
+    feasibility run and for a soft LP whose dual method finds a feasible
+    vertex; otherwise lam_T on the tight rows, the weight 1/n on rows past
+    their bound and 0 elsewhere, except where the descent stops at zero
+    slack: there the dual is all zero, and rows missed by at most the
+    breakpoint tolerance count as on their bound. A soft LP's nonzero dual
+    thus means positive least slack, and is its own proof that the rows are
+    infeasible. ``certificate`` is only set on infeasible runs, which only
+    feasibility runs have: a verified ray lam >= 0 with lhs' lam = 0 and
+    rhs . lam > 0, proving that no feasible point exists.
+    ``simplex.solve_lp`` is the only code that builds a report.
     """
 
     point: np.ndarray

@@ -99,10 +99,7 @@ def linprog_args(problem):
 
 def origin_fit(x, y):
     """Through-origin regression of ``y`` on ``x``, one column at a time:
-    (slope, mean squared residual), or None when ``x @ x`` is not positive
-    (no slope defined). The reference for ``numerics.origin_fits``."""
+    the slope, or None when ``x @ x`` is not positive (no slope defined).
+    The reference for ``numerics.origin_fits``."""
     denom = float(x @ x)
-    if denom <= 0.0:
-        return None
-    slope = float(x @ y) / denom
-    return slope, float(np.mean((y - slope * x) ** 2))
+    return None if denom <= 0.0 else float(x @ y) / denom

@@ -117,6 +117,20 @@ class TestLearn:
         unit = load_unit_json(dataset / "teacher.json")
         np.testing.assert_allclose(b_hat, unit.b, atol=1e-9)
 
+    def test_error_report_holds_only_the_scores(self, tmp_path, capsys):
+        # the held-out set's n, seed and clean sigma are not the fit's; the
+        # payload's own "seed" and the dataset's config hold the fit's values
+        data = tmp_path / "data"
+        assert run(capsys, "generate", "--d", "3", "--n", "200", "--noise-sigma", "0.05",
+                   "--seed", "5", "--out", str(data))[0] == 0
+        out = tmp_path / "fit"
+        code, _, _ = run(capsys, "learn", "--data", str(data / "samples.csv"),
+                         "--teacher", str(data / "teacher.json"), "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "learn_result.json").read_text())["error_report"]
+        assert sorted(report) == ["layer1_rel", "layer2_rel", "method", "output_rel"]
+        assert report["method"] == "qp"
+
     @pytest.mark.parametrize("method, key", [("sgd", "sgd"), ("vanilla-lr", "vanilla_lr")])
     def test_baseline_estimates_match_fit_method(self, dataset, tmp_path, capsys, method, key):
         out = tmp_path / "fit"

@@ -1,4 +1,7 @@
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from reslearn.model import (
     standard_mixture,
 )
 from conftest import assembled_row_qp
-from reslearn.solver import row_lp, row_slack_lp, solve_lp
+from reslearn.solver import SolveStatus, row_lp, row_slack_lp, solve_lp
 from reslearn.solver.simplex import shared_start
 
 A_REF = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -146,9 +149,9 @@ class TestOrthantStart:
                 return rep
 
             def starting(design, targets, prefer=None):
-                reports = shared_start(design, targets, prefer)
-                steps.extend(rep.iterations for rep in reports if rep is not None)
-                return reports
+                starts = shared_start(design, targets, prefer)
+                steps.extend(0 for c in starts if not np.isnan(c).any())
+                return starts
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(layer2, "solve_lp", recording)
@@ -166,16 +169,17 @@ def bits(value):
 
 def per_row_lps(samples, slack, prefer):
     """Layer 2's row LPs the way the layer posed them before the shared
-    start and the one-call slack LP: one engine run per row, then the slack
-    LP of an infeasible row, whose nonzero dual marks the row infeasible.
-    Returns (c_hat, xi_hat, notes, infeasible_rows) as ``_solve_c_lp``
-    would, or the error type."""
+    start and the one-call slack LP: one feasibility run per row, then, on
+    a slack row whose run is not optimal (infeasible, or a ray that rounding
+    keeps from verifying), the slack LP, whose nonzero dual marks the row
+    infeasible. Returns (c_hat, xi_hat, notes, infeasible_rows) as
+    ``_solve_c_lp`` would, or the error type."""
     ys, xs = samples.ys, samples.xs
     c_hat, xi_hat = np.zeros((samples.d, samples.m)), np.zeros((samples.n, samples.d))
     notes, infeasible = [], []
     for j in range(samples.d):
         report = solve_lp(row_lp(-ys, -xs[:, j]), prefer=prefer)
-        if slack and report.status.value == "infeasible":
+        if slack and report.status.value != "optimal":
             report = solve_lp(row_slack_lp(-ys, -xs[:, j]), prefer=prefer)
         if report.status.value != "optimal":
             return ReslearnError
@@ -194,10 +198,11 @@ def per_row_lps(samples, slack, prefer):
 class TestSharedStart:
     # shared_start closes a row exactly as that row's own solve_lp call
     # would, or leaves it to the engine, and the layer's answer is the one
-    # the per-row engine runs gave
+    # the per-row engine runs gave; sigma = 1e-9 and 1e-8 leave rows
+    # infeasible by roundoff-sized amounts
 
     @given(d=st.integers(2, 6), extra=st.sampled_from([0, 2]), n=st.integers(20, 200),
-           sigma=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**31 - 1),
+           sigma=st.sampled_from([0.0, 1e-9, 1e-8, 0.05]), seed=st.integers(0, 2**31 - 1),
            zeros=st.floats(0.05, 0.5), column=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_a_start_is_the_row_lp_or_none(self, d, extra, n, sigma, seed, zeros, column):
@@ -210,16 +215,14 @@ class TestSharedStart:
         samples = SampleSet(xs=xs, ys=ys)
         orthant = np.all(xs <= 0, axis=1)
 
-        reports = shared_start(-ys, -xs, prefer=orthant)
-        assert len(reports) == d
-        for j, start in enumerate(reports):
-            if start is None:
+        starts = shared_start(-ys, -xs, prefer=orthant)
+        assert starts.shape == (d, d + extra)
+        for j, start in enumerate(starts):
+            if np.isnan(start).all():
                 continue
             want = solve_lp(row_lp(-ys, -xs[:, j]), prefer=orthant)
-            assert (start.status, start.iterations, start.message) == (
-                want.status, want.iterations, want.message)
-            for field in ("point", "objective_value", "max_infeasibility", "dual", "certificate"):
-                assert bits(getattr(start, field)) == bits(getattr(want, field)), (j, field)
+            assert (want.status, want.iterations) == (SolveStatus.OPTIMAL, 0), j
+            assert bits(start) == bits(want.point), j
 
         for slack in (False, True):
             want = per_row_lps(samples, slack, orthant)
@@ -236,6 +239,28 @@ class TestSharedStart:
     def test_prefer_of_the_wrong_length_is_rejected(self):
         with pytest.raises(DimensionMismatchError):
             shared_start(np.eye(3), np.ones((3, 2)), prefer=np.ones(4, dtype=bool))
+
+
+class TestRoundoffInfeasibleRows:
+    # At sigma = 1e-9 and 1e-8 some layer-2 rows are infeasible by amounts
+    # near rounding: the dual method ends on a ray that misses the Farkas
+    # check's rhs . lam test. A soft LP descends from its start on any ray,
+    # so these slack-lp fits return, and the rows of positive least slack
+    # are the infeasible ones.
+
+    @pytest.mark.parametrize("d, sigma, teacher, train, rows", [
+        (4, 1e-8, derive_seed(77, "sweep-teacher", 4, 17),
+         derive_seed(77, "sweep", 4, 100, 1e-08, 17), (0, 1)),
+        (4, 1e-9, derive_seed(78, "t", 4, 7), derive_seed(78, "s", 4, 100, 1e-9, 7), (3,)),
+        (8, 1e-9, derive_seed(78, "t", 8, 25), derive_seed(78, "s", 8, 100, 1e-9, 25), (3,)),
+    ])
+    def test_slack_lp_fits_return(self, d, sigma, teacher, train, rows):
+        unit = generate_unit(NetworkGenSpec(d=d, m=d, seed=teacher))
+        s = sample(unit, standard_mixture(d), 100, sigma, seed=train)
+        est1, est2 = full_pipeline(s, "slack-lp")
+        assert est2.infeasible_rows == rows
+        assert len([note for note in est2.notes if "slack objective" in note]) == len(rows)
+        assert np.all(np.isfinite(est1.a_hat)) and np.all(np.isfinite(est2.b_hat))
 
 
 class TestScaleRows:
@@ -262,7 +287,7 @@ class TestScaleRows:
         # no scale rows here: every factor must stay exactly 1
         unit, s = make_samples(A_REF, B_REF, n=300, seed=7)
         c_hat = np.linalg.inv(unit.b)
-        k = rescale_layer2(s, c_hat)
+        k = rescale_layer2(s, c_hat, notes=[])
         np.testing.assert_array_equal(k, 1.0)
 
     def test_gate_accepts_true_scale_row(self):
@@ -270,7 +295,7 @@ class TestScaleRows:
         c_true = np.linalg.inv(unit.b)
         shrunk = c_true.copy()
         shrunk[0] *= 0.5  # a half-scale landing on the scale row
-        k = rescale_layer2(s, shrunk)
+        k = rescale_layer2(s, shrunk, notes=[])
         assert k[0] == pytest.approx(0.5, abs=1e-9)
         assert k[1] == 1.0
 
@@ -280,7 +305,7 @@ class TestScaleRows:
         # surface, so the dead band keeps the factor at 1
         a_near = np.array([[1.0, 1e-4], [1.0, 2.0]])
         unit, s = make_samples(a_near, B_REF, n=400, seed=21)
-        k = rescale_layer2(s, np.linalg.inv(unit.b))
+        k = rescale_layer2(s, np.linalg.inv(unit.b), notes=[])
         np.testing.assert_array_equal(k, 1.0)
 
     def test_shrink_band_is_configurable(self, monkeypatch):
@@ -289,9 +314,9 @@ class TestScaleRows:
         shrunk = c_true.copy()
         shrunk[0] *= 0.995
         # inside the default band nothing fires; narrowing the band does
-        assert rescale_layer2(s, shrunk)[0] == 1.0
+        assert rescale_layer2(s, shrunk, notes=[])[0] == 1.0
         monkeypatch.setattr(layer2, "SHRINK_TOL", 1e-3)
-        assert rescale_layer2(s, shrunk)[0] == pytest.approx(0.995, abs=1e-9)
+        assert rescale_layer2(s, shrunk, notes=[])[0] == pytest.approx(0.995, abs=1e-9)
 
     @pytest.mark.parametrize("method", ["qp", "lp"])
     def test_scale_factors_do_not_depend_on_the_units(self, method):
@@ -308,7 +333,7 @@ class TestScaleRows:
     def test_c_hat_of_the_wrong_shape_is_a_typed_error(self, shape):
         _, s = make_samples(self.A_SCALE, B_REF, n=50, seed=8)
         with pytest.raises(DimensionMismatchError, match="c_hat"):
-            rescale_layer2(s, np.ones(shape))
+            rescale_layer2(s, np.ones(shape), notes=[])
 
     @staticmethod
     def scale_case(seed, n, scale_rows, factors):
@@ -321,10 +346,9 @@ class TestScaleRows:
 
     @staticmethod
     def rescale_and_flagged_rows(samples, c_hat):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            k = rescale_layer2(samples, c_hat)
-        return k, {int(str(w.message).split(":")[0].removeprefix("row ")) for w in caught}
+        notes = []
+        k = rescale_layer2(samples, c_hat, notes=notes)
+        return k, {int(note.split(":")[0].removeprefix("row ")) for note in notes}
 
     SCALE_CASES = (st.integers(0, 2**16), st.sampled_from([12, 400]),
                    st.lists(st.booleans(), min_size=4, max_size=4),
@@ -410,6 +434,38 @@ class TestValidation:
                 learn_layer2(s, method="qp")
             except ReslearnError:
                 pass  # one sample cannot support the B readout; the warning is the contract
+
+    def test_underdetermined_warning_shows_once_per_location(self):
+        # the fit path enters no warnings.catch_warnings, which would reset
+        # the once-per-location registry: five fits from one line warn once
+        # under the default filter. A subprocess keeps pytest's own capture out.
+        src = str(Path(layer2.__file__).resolve().parents[1])
+        code = (
+            "from reslearn.errors import ReslearnError\n"
+            "from reslearn.layer2 import learn_layer2\n"
+            "from reslearn.model import NetworkGenSpec, generate_unit, sample, standard_mixture\n"
+            "unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=1))\n"
+            "for seed in range(5):\n"
+            "    try:\n"
+            "        learn_layer2(sample(unit, standard_mixture(4), 3, 0.0, seed=seed), 'lp')\n"
+            "    except ReslearnError:\n"
+            "        pass\n"
+        )
+        out = subprocess.run([sys.executable, "-W", "default", "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                             text=True, check=True)
+        assert out.stderr.count("underdetermined: n=3 < d=4") == 1
+
+    def test_notes_keep_their_text_and_order(self):
+        # recorded while the rescale stage still warned and learn_layer2
+        # caught its warnings: the LP rows' notes, then the gate's, row by row
+        _, s = make_samples(A_REF, B_REF, n=12, sigma=0.3, seed=17)
+        assert learn_layer2(s, method="slack-lp").notes == (
+            "row 0: slack objective 5.020e-02 (noisy fit)",
+            "row 1: slack objective 6.626e-03 (noisy fit)",
+            "row 0: only 6 negative samples, scale factor left at 1",
+            "row 1: only 8 negative samples, scale factor left at 1",
+        )
 
     def test_recover_b_rejects_nonpositive_factors(self):
         _, s = make_samples(A_REF, B_REF, n=50, seed=15)

@@ -78,20 +78,18 @@ class TestOriginFit:
     def test_exact_line(self, k):
         x = np.array([[1.0, 1.0], [-2.0, 5.0], [3.0, -7.0], [4.0, 9.0]])
         mask = np.array([[True, True], [True, False], [True, True], [True, False]])
-        count, slope, mse, spread = origin_fits(x, k * x, mask)
+        count, slope = origin_fits(x, k * x, mask)
         np.testing.assert_array_equal(count, [4, 2])
         np.testing.assert_array_equal(slope, [k, k])
-        np.testing.assert_array_equal(mse, [0.0, 0.0])
-        np.testing.assert_allclose(spread, [np.var(k * x[:, 0]), np.var(k * x[[0, 2], 1])])
 
     def test_no_slope_without_spread(self):
         tiny = np.full(20, 1e-170)  # squares underflow: x @ x == 0
         x = np.column_stack([np.zeros(20), tiny, np.ones(20)])
         mask = np.ones((20, 3), dtype=bool)
         mask[:, 2] = False  # an empty column has no slope either
-        count, slope, mse, _ = origin_fits(x, np.ones((20, 3)), mask)
+        count, slope = origin_fits(x, np.ones((20, 3)), mask)
         np.testing.assert_array_equal(count, [20, 20, 0])
-        assert np.isnan(slope).all() and np.isnan(mse).all()
+        assert np.isnan(slope).all()
         assert origin_fit(np.zeros(5), np.ones(5)) is None
         assert origin_fit(tiny, np.ones(20)) is None
 
@@ -99,7 +97,7 @@ class TestOriginFit:
         # the layer-2 factor stays 1, and the layer-1 scale regression lists
         # the row as unscaled
         samples = SampleSet(xs=-tiny.reshape(-1, 1), ys=rng(1).normal(size=(20, 1)))
-        np.testing.assert_array_equal(rescale_layer2(samples, np.eye(1)), [1.0])
+        np.testing.assert_array_equal(rescale_layer2(samples, np.eye(1), notes=[]), [1.0])
         xs = rng(2).normal(size=(20, 1))
         k, unscaled, notes = estimate_row_scale(xs, tiny.reshape(-1, 1), np.eye(1))
         assert (k.tolist(), unscaled) == ([1.0], (0,))
@@ -110,8 +108,7 @@ class TestOriginFit:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_one_column_reference(self, seed, n, kinds):
         # x and y keep one sign per column, as on the samples both layers fit,
-        # so no sum cancels; the residual and spread are compared relative
-        # to the mean y^2, since a one-sample fit leaves only roundoff there
+        # so no sum cancels
         g = rng(seed)
         d = len(kinds)
         sign = np.where(g.random(d) < 0.5, -1.0, 1.0)
@@ -125,16 +122,12 @@ class TestOriginFit:
                 x[:, j] = 0.0
             elif kind == "single":
                 mask[:, j] = np.arange(n) == g.integers(n)
-        count, slope, mse, spread = origin_fits(x, y, mask)
+        count, slope = origin_fits(x, y, mask)
         for j in range(d):
             col = mask[:, j]
             assert count[j] == col.sum()
             ref = origin_fit(x[col, j], y[col, j])
             if ref is None:
-                assert np.isnan(slope[j]) and np.isnan(mse[j])
-                assert np.isnan(spread[j]) == (not col.any())
+                assert np.isnan(slope[j])
                 continue
-            floor = 1e-12 * float(np.mean(y[col, j] ** 2))
-            assert slope[j] == pytest.approx(ref[0], rel=1e-12)
-            assert mse[j] == pytest.approx(ref[1], rel=1e-12, abs=floor)
-            assert spread[j] == pytest.approx(np.var(y[col, j]), rel=1e-12, abs=floor)
+            assert slope[j] == pytest.approx(ref, rel=1e-12)

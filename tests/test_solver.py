@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reslearn.model import NetworkGenSpec, generate_unit, sample, standard_mixture
+from reslearn.model import NetworkGenSpec, derive_seed, generate_unit, sample, standard_mixture
 from conftest import linprog_args, split_ls_on_assembled
 from reslearn.solver import (
     LpProblem,
@@ -278,9 +278,9 @@ class TestSimplexOnLayerPrograms:
 
 class TestSoftRowDescent:
     # Every LP runs the dual method first. A soft LP (every row soft at
-    # weight 1/n) on rows it proves infeasible then takes the long-step
-    # primal descent from the same start; feasibility runs and their Farkas
-    # rays do not move.
+    # weight 1/n) on which it ends on a ray, verified or not, then takes the
+    # long-step primal descent from the same start; feasibility runs and
+    # their Farkas rays do not move.
 
     def test_dispatch_by_row_kind(self, monkeypatch):
         calls = []
@@ -315,13 +315,31 @@ class TestSoftRowDescent:
             assert not got.dual.any(), j
             assert got.certificate is None, j
 
+    def test_unverified_ray_still_descends(self):
+        # a layer-2 row infeasible by roundoff (d=4, n=100, sigma=1e-8): the
+        # dual method's ray has rhs . lam just under the Farkas check's
+        # 1e-9 |rhs|, so the feasibility run is numerical trouble, while the
+        # soft LP descends to its least slack, priced by its nonzero dual
+        unit = generate_unit(NetworkGenSpec(d=4, m=4, seed=derive_seed(77, "sweep-teacher", 4, 17)))
+        s = sample(unit, standard_mixture(4), 100, 1e-8,
+                   seed=derive_seed(77, "sweep", 4, 100, 1e-08, 17))
+        tight = np.all(s.xs <= 0, axis=1)
+        feasibility = solve_lp(row_lp(-s.ys, -s.xs[:, 0]), prefer=tight)
+        assert feasibility.status is SolveStatus.NUMERICAL_TROUBLE
+        assert feasibility.message == "unbounded dual but no verifiable infeasibility ray"
+        prob = row_slack_lp(-s.ys, -s.xs[:, 0])
+        rep = solve_lp(prob, prefer=tight)
+        assert rep.status is SolveStatus.OPTIMAL and rep.certificate is None
+        assert rep.iterations > feasibility.iterations  # both methods' steps
+        assert rep.dual.any()
+        assert 0.0 < rep.objective_value <= simplex.FEAS_TOL * np.abs(prob.ineq_rhs).max()
+        assert float(prob.ineq_rhs @ rep.dual) == pytest.approx(rep.objective_value, rel=1e-9)
+
     def test_noisy_bench_shapes_take_few_steps(self):
         # the slack LPs of the d=4, n=400, sigma=0.1 benchmark trials,
         # rebuilt from their (seed, trial) labels; seed 953 trial 65 row 1
         # is where reading the violated set off residual signs cycled
         from scipy.optimize import linprog
-
-        from reslearn.model import derive_seed
 
         for seed, trial in ((953, 65), (1, 0), (1, 1)):
             unit = generate_unit(NetworkGenSpec(
@@ -446,10 +464,10 @@ def record_lp_path(run):
 
     def starting(design, targets, prefer=None):
         before = factored[0]
-        reports = simplex.shared_start(design, targets, prefer)
-        calls.extend(("layer2", rep.status.value, rep.iterations, factored[0] - before)
-                     for rep in reports if rep is not None)
-        return reports
+        starts = simplex.shared_start(design, targets, prefer)
+        calls.extend(("layer2", "optimal", 0, factored[0] - before)
+                     for c in starts if not np.isnan(c).any())
+        return starts
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("inv", "solve", "lstsq", "pinv"):
